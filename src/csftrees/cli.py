@@ -10,8 +10,10 @@ Subcommands
   enumerate  all non-isomorphic trees on n vertices
 
 Exit codes: 0 success; 1 domain error (one "error: ..." line on stderr);
-2 usage error.  Output is exact-integer JSON (or edge-list text) and is
-byte-identical for identical inputs regardless of --jobs.
+2 usage error; 3 failed internal check, i.e. a bug (one "error: internal
+check failed: ..." line on stderr).  Output is exact-integer JSON (or
+edge-list text) and is byte-identical for identical inputs regardless of
+--jobs.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import json
 import sys
 
 from .decomposition import alpha_mis, decomposition_to_json_dict, leaf_decomposition
-from .errors import GraphError
+from .errors import GraphError, InternalError
 from .generators import (
     SpiderSpec,
     StarConnectionSpec,
@@ -30,13 +32,14 @@ from .generators import (
     gen_spider,
     gen_star_connection,
 )
-from .graphs import as_tree, parse_edge_list, serialize, trees_isomorphic
+from .graphs import as_tree, is_tree, parse_edge_list, serialize, trees_isomorphic
 from .symfunc import (
-    BASIS_MONOMIAL,
+    BASIS_POWERSUM,
     csf_equal,
     csf_monomial,
     csf_powersum,
     symfunc_to_json_dict,
+    to_monomial,
 )
 from .theorems import (
     SURVEY_CSV_HEADER,
@@ -72,7 +75,12 @@ def _emit_json(obj, out: str | None) -> None:
 
 def _cmd_compute(args) -> int:
     g = parse_edge_list(_read(args.input))
-    f = csf_monomial(g) if args.basis == BASIS_MONOMIAL else csf_powersum(g)
+    if args.basis == BASIS_POWERSUM:
+        f = csf_powersum(g)
+    elif is_tree(g):
+        f = to_monomial(csf_powersum(g))
+    else:
+        f = csf_monomial(g)
     _emit_json(symfunc_to_json_dict(f), args.out)
     return 0
 
@@ -232,6 +240,9 @@ def main(argv=None) -> int:
     except (GraphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except InternalError as exc:
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

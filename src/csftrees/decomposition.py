@@ -125,10 +125,11 @@ class RhoData:
     is_path: bool
 
 
-def rho_data(t: Tree) -> RhoData:
+def rho_data(t: Tree, d: LeafDecomposition | None = None) -> RhoData:
+    """rho and V(rho) of t; pass d = leaf_decomposition(t) if already built."""
     if t.n < 2:
         raise GraphError("rho_data needs n >= 2")
-    lvl1 = leaf_decomposition(t).levels[0]
+    lvl1 = (d or leaf_decomposition(t)).levels[0]
     rest = sorted(set(range(t.n)) - set(lvl1.leaf_vertices) - set(lvl1.neighbor_vertices))
     rho = t.n - lvl1.b - lvl1.eta
     if rho <= 1:

@@ -127,6 +127,11 @@ def is_connected(g: Graph) -> bool:
     return count == g.n
 
 
+def is_tree(g: Graph) -> bool:
+    """n >= 1, n - 1 edges and connected (which together rule out a cycle)."""
+    return g.n >= 1 and g.num_edges == g.n - 1 and is_connected(g)
+
+
 def has_cycle(g: Graph) -> bool:
     """Union-find over the edge list."""
     parent = list(range(g.n))

@@ -7,18 +7,33 @@ integer partitions of its weight n, tagged with a basis:
     "am"  augmented monomial  (m~_lambda = (prod of multiplicities!) m_lambda)
     "p"   power sum
 
-Two independent routes compute X_G:
+Which route computes X_G depends on the graph:
 
-  * csf_monomial: every stable partition of type lambda contributes one
-    augmented-monomial term, so the m-coefficient is
-    (#stable partitions of type lambda) * (product of part multiplicities!).
-  * csf_powersum: the signed edge-subset expansion
+  * Trees (n - 1 edges, connected): csf_powersum runs a rooted tree DP over
+    Stanley's signed edge-subset expansion
     X_G = sum over S subset of E of (-1)^|S| p_(component sizes of S).
+    Its tables are bounded by the partitions of n, not by 2^|E| (under
+    0.1 s at n = 25), and it is the engine behind csf_equal, the survey
+    and the CLI on trees; the m basis of a tree is to_monomial of its
+    result.
+  * Other graphs (cycles, or several components): csf_powersum sums the
+    same expansion over all 2^|E| edge subsets, and csf_monomial counts
+    stable (independent) vertex partitions by block-size type, each stable
+    partition of type lambda contributing (product of part multiplicities!)
+    to [m_lambda].
+  * Oracles: on trees the 2^|E| sweep (edge_subset_type_counts, called
+    directly) and csf_monomial are independent checks of the DP at the
+    sizes where both can run.
 
-to_monomial closes the loop: the two routes agreeing on every tree is the
-package's main cross-check. Everything is plain Python int arithmetic once
-the kernels hand back their int64 count arrays; coefficients up to n! at
-n <= 14 stay well inside exact range.
+The change of basis is invertible, so equality in the p basis is equality
+of X.  max_block_from_csf reads the independence number from either basis;
+in p it forms only the hook coefficients, never the full to_monomial.
+Everything is exact Python int arithmetic once the kernels hand back their
+int64 count arrays, which stay in range at the kernels' caps.
+
+Caps: csf_powersum needs n <= CSF_POWERSUM_MAX_N and |E| <=
+CSF_POWERSUM_MAX_EDGES (checked before any partition table is built);
+csf_monomial and to_monomial need n <= CSF_MONOMIAL_MAX_N.
 
 Term order is canonical everywhere: partitions in descending lexicographic
 order, no zero coefficients stored.
@@ -33,8 +48,8 @@ from itertools import groupby
 from typing import Iterator
 
 from ._kernels import edge_subset_type_counts, stable_partitions_rgs, stable_type_counts
-from .errors import CapExceededError, GraphError
-from .graphs import Graph, Tree
+from .errors import CapExceededError, GraphError, InternalError
+from .graphs import Graph, Tree, adjacency, is_tree
 from .partitions import (
     falling_factorial,
     mult_factorial,
@@ -48,6 +63,7 @@ _BASES = (BASIS_MONOMIAL, BASIS_AUGMENTED, BASIS_POWERSUM)
 
 CSF_MONOMIAL_MAX_N = 14
 CSF_POWERSUM_MAX_EDGES = 24
+CSF_POWERSUM_MAX_N = CSF_POWERSUM_MAX_EDGES + 1
 
 
 @dataclass(frozen=True)
@@ -133,18 +149,67 @@ def csf_monomial(g, backend: str | None = None) -> SymmetricFunction:
 
 
 def csf_powersum(g, backend: str | None = None) -> SymmetricFunction:
-    """X_G in the power-sum basis via the signed edge-subset expansion."""
+    """X_G in the power-sum basis: the rooted tree DP when g is a tree, the
+    2^|E| signed edge-subset sweep otherwise (`backend` picks its kernel)."""
     g = _graph_of(g)
     if g.n < 1:
         raise GraphError("csf_powersum needs n >= 1")
+    if g.n > CSF_POWERSUM_MAX_N:
+        raise CapExceededError(
+            f"csf_powersum capped at n <= {CSF_POWERSUM_MAX_N}, got {g.n}"
+        )
     if g.num_edges > CSF_POWERSUM_MAX_EDGES:
         raise CapExceededError(
             f"csf_powersum capped at |E| <= {CSF_POWERSUM_MAX_EDGES}, got {g.num_edges}"
         )
+    if is_tree(g):
+        return SymmetricFunction(g.n, BASIS_POWERSUM, _tree_powersum_terms(g))
     signed = edge_subset_type_counts(g.n, g.edges, backend=backend)
     plist = partitions_desc(g.n)
     terms = {plist[i]: int(c) for i, c in enumerate(signed) if c}
     return SymmetricFunction(g.n, BASIS_POWERSUM, terms)
+
+
+def _tree_powersum_terms(g: Graph) -> dict[tuple[int, ...], int]:
+    """Signed edge-subset expansion of a tree, summed by a rooted DP.
+
+    Rooted at vertex 0, each vertex keeps a sparse table over the edge
+    subsets S of its subtree: the key is (size of the vertex's own component
+    in S, descending sizes of the components already closed off), the value
+    the sum of (-1)^|S| over the subsets with that key.  Each child edge is
+    either left out of S, which closes the child's open component (sign +),
+    or put in S, which merges it into the parent's component (sign -)."""
+    adj = adjacency(g)
+    parent = [-1] * g.n
+    parent[0] = 0
+    order = [0]
+    for v in order:
+        for w in adj[v]:
+            if parent[w] == -1:
+                parent[w] = v
+                order.append(w)
+    tables: list[dict | None] = [None] * g.n
+    for v in reversed(order):
+        cur = {(1, ()): 1}
+        for c in adj[v]:
+            if parent[c] != v:
+                continue
+            nxt: dict[tuple[int, tuple[int, ...]], int] = {}
+            for (a, closed), x in cur.items():
+                for (b, sub), y in tables[c].items():
+                    both = closed + sub
+                    cut = (a, tuple(sorted(both + (b,), reverse=True)))
+                    nxt[cut] = nxt.get(cut, 0) + x * y
+                    kept = (a + b, tuple(sorted(both, reverse=True)))
+                    nxt[kept] = nxt.get(kept, 0) - x * y
+            tables[c] = None
+            cur = nxt
+        tables[v] = cur
+    out: dict[tuple[int, ...], int] = {}
+    for (a, closed), x in tables[0].items():
+        parts = tuple(sorted(closed + (a,), reverse=True))
+        out[parts] = out.get(parts, 0) + x
+    return out
 
 
 def _distinct_runs(parts: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
@@ -189,7 +254,7 @@ def _slot_assignments(runs: tuple[tuple[int, int], ...], mu: tuple[int, ...]) ->
 def to_monomial(f: SymmetricFunction) -> SymmetricFunction:
     """Exact change of basis into the monomial basis (from p or am)."""
     if f.n > CSF_MONOMIAL_MAX_N:
-        raise CapExceededError(f"to_monomial capped at n <= {CSF_MONOMIAL_MAX_N}")
+        raise CapExceededError(f"to_monomial capped at n <= {CSF_MONOMIAL_MAX_N}, got {f.n}")
     if f.basis == BASIS_AUGMENTED:
         terms = {parts: coeff * mult_factorial(parts) for parts, coeff in f.terms}
         return SymmetricFunction(f.n, BASIS_MONOMIAL, terms)
@@ -206,21 +271,37 @@ def to_monomial(f: SymmetricFunction) -> SymmetricFunction:
 
 
 def csf_equal(a, b) -> bool:
-    """True iff the chromatic symmetric functions coincide (unequal n: False)."""
+    """True iff the chromatic symmetric functions coincide (unequal n: False).
+    Two trees are compared in the p basis through the tree DP; any other
+    pair through csf_monomial."""
     ga, gb = _graph_of(a), _graph_of(b)
     if ga.n != gb.n:
         return False
+    if is_tree(ga) and is_tree(gb):
+        return csf_powersum(ga).terms == csf_powersum(gb).terms
     return csf_monomial(ga).terms == csf_monomial(gb).terms
 
 
 def max_block_from_csf(f: SymmetricFunction) -> int:
-    """Largest part over the supported partitions = max block size over all
-    stable partitions = independence number."""
-    if f.basis != BASIS_MONOMIAL:
-        raise GraphError("max_block_from_csf needs the monomial basis")
+    """Independence number read from a chromatic symmetric function: the
+    largest block over all stable partitions.
+
+    In the m basis it is the largest part in the support.  In the p basis
+    only the hook coefficients are formed:
+    [m_(k,1^(n-k))] X_G = (n-k)! * #(independent k-sets), nonzero exactly
+    when k <= alpha, so alpha is the largest k where it is nonzero."""
     if not f.terms:
         raise GraphError("empty symmetric function")
-    return max(parts[0] for parts, _ in f.terms)
+    if f.basis == BASIS_MONOMIAL:
+        return max(parts[0] for parts, _ in f.terms)
+    if f.basis != BASIS_POWERSUM:
+        raise GraphError("max_block_from_csf needs the monomial or power-sum basis")
+    runs = [(_distinct_runs(parts), coeff) for parts, coeff in f.terms]
+    for k in range(f.n, 0, -1):
+        hook = (k,) + (1,) * (f.n - k)
+        if sum(coeff * _slot_assignments(r, hook) for r, coeff in runs):
+            return k
+    raise GraphError("not a chromatic symmetric function: every hook coefficient is zero")
 
 
 def evaluate_ones(f: SymmetricFunction, r: int) -> int:
@@ -236,7 +317,8 @@ def evaluate_ones(f: SymmetricFunction, r: int) -> int:
             total += coeff * falling_factorial(r, length)
         else:
             ways, rem = divmod(falling_factorial(r, length), mult_factorial(parts))
-            assert rem == 0
+            if rem:
+                raise InternalError(f"m{list(parts)} at 1^{r}: non-integral count")
             total += coeff * ways
     return total
 

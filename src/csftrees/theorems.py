@@ -34,6 +34,7 @@ import os
 from dataclasses import dataclass
 
 from .decomposition import (
+    LeafDecomposition,
     alpha_mis,
     chain_holds,
     chain_sequence,
@@ -41,7 +42,7 @@ from .decomposition import (
     padded_levels,
     rho_data,
 )
-from .errors import GraphError
+from .errors import GraphError, InternalError
 from .generators import (
     Gluing,
     SpiderSpec,
@@ -52,7 +53,7 @@ from .generators import (
 )
 from .graphs import Graph, Tree, canonical_code, degrees, trees_isomorphic
 from .partitions import partitions_desc
-from .symfunc import csf_monomial, max_block_from_csf
+from .symfunc import csf_powersum, max_block_from_csf
 
 LEAVES_RHO = "LEAVES_RHO"
 COMPONENTWISE = "COMPONENTWISE"
@@ -99,14 +100,21 @@ class TreeFacts:
     is_path: bool
 
 
-def tree_facts(t: Tree) -> TreeFacts:
-    d = leaf_decomposition(t)
+def tree_facts(t: Tree, d: LeafDecomposition | None = None) -> TreeFacts:
+    """Facts of t; pass d = leaf_decomposition(t) if already built."""
+    d = d or leaf_decomposition(t)
     if t.n >= 2:
-        rd = rho_data(t)
+        rd = rho_data(t, d)
         rho, path = rd.rho, rd.is_path
     else:
         rho, path = 0, True
     return TreeFacts(t.n, d.level_counts(), rho, path)
+
+
+def _check_strict(theorem: str, m1: int, m2: int) -> None:
+    """An Applicable verdict claims m1 > m2; a verdict that does not is a bug."""
+    if not m1 > m2:
+        raise InternalError(f"{theorem}: Applicable verdict with m1 = {m1} <= m2 = {m2}")
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -143,19 +151,19 @@ def _leaves_verdict(f1: TreeFacts, f2: TreeFacts) -> TheoremVerdict:
     m2 = b2 + _ceil_div(r2, 2)
     diff = b1 - b2
     if r1 == r2:
-        assert m1 > m2
+        _check_strict(LEAVES_RHO, m1, m2)
         return TheoremVerdict(
             LEAVES_RHO, APPLICABLE, 1, m1, m2, swapped, note + f"rho1 = rho2 = {r1}"
         )
     if r1 > r2:
-        assert m1 > m2
+        _check_strict(LEAVES_RHO, m1, m2)
         return TheoremVerdict(
             LEAVES_RHO, APPLICABLE, 2, m1, m2, swapped, note + f"rho1 = {r1} > rho2 = {r2}"
         )
     delta = r2 - r1
     half = _ceil_div(delta, 2)
     if diff > half:
-        assert m1 > m2
+        _check_strict(LEAVES_RHO, m1, m2)
         return TheoremVerdict(
             LEAVES_RHO,
             APPLICABLE,
@@ -214,7 +222,7 @@ def _componentwise_verdict(f1: TreeFacts, f2: TreeFacts) -> TheoremVerdict:
         if all(ba >= bb and ea <= eb for (ba, ea), (bb, eb) in zip(a, b)):
             m1 = sum(x for x, _ in a)
             m2 = sum(x for x, _ in b)
-            assert m1 > m2
+            _check_strict(COMPONENTWISE, m1, m2)
             note = "inputs swapped; " if swapped else ""
             return TheoremVerdict(
                 COMPONENTWISE,
@@ -287,14 +295,19 @@ def star_connection_counts(spec: StarConnectionSpec) -> tuple[int, int]:
     excess = r - 1
     deg = degrees(t.graph)
     built = sum(deg[r + i] - 1 for i in range(len(spec.gluings)))
-    assert t.n == nverts and built == excess
+    if t.n != nverts or built != excess:
+        raise InternalError(
+            f"star connection built with {t.n} vertices and excess {built}, "
+            f"closed forms give {nverts} and {excess}"
+        )
     return nverts, excess
 
 
 def star_connection_M(spec: StarConnectionSpec) -> int:
     nverts, excess = star_connection_counts(spec)
     m = sum(k - 1 for k in spec.star_sizes) - excess
-    assert m == nverts - spec.num_stars
+    if m != nverts - spec.num_stars:
+        raise InternalError(f"star connection M = {m} != n - r = {nverts - spec.num_stars}")
     return m
 
 
@@ -310,7 +323,7 @@ def star_connection_distinct(a: StarConnectionSpec, b: StarConnectionSpec) -> Th
     first, second = (b, a) if swapped else (a, b)
     m1 = star_connection_M(first)
     m2 = star_connection_M(second)
-    assert m1 > m2
+    _check_strict(STAR_COUNT, m1, m2)
     note = "inputs swapped; " if swapped else ""
     return TheoremVerdict(
         STAR_COUNT,
@@ -430,13 +443,13 @@ def _pair_row(i, j, x_eq, lv, cw, sm) -> tuple[str, ...]:
 
 
 def _survey_payload(task):
-    """Per-tree work unit: decomposition facts plus the CSF. Pure, picklable."""
+    """Per-tree work unit: decomposition facts plus the CSF in the p basis
+    (from the tree DP) and the max block read from it. Pure, picklable."""
     n, edges = task
     t = Tree(Graph(n, edges))
     d = leaf_decomposition(t)
-    facts = tree_facts(t)
-    f = csf_monomial(t.graph)
-    return facts, chain_sequence(d), chain_holds(d), f.terms, max_block_from_csf(f)
+    f = csf_powersum(t)
+    return tree_facts(t, d), chain_sequence(d), chain_holds(d), f.terms, max_block_from_csf(f)
 
 
 def _map_payloads(tasks, jobs):
@@ -506,6 +519,11 @@ def survey(n: int, jobs: int | None = None) -> SurveyReport:
     """Replay the pairwise checkers over all non-isomorphic trees on n
     vertices (3 <= n <= 11), cross-check every Applicable claim against the
     CSF, and run the chain/spider/star audits for the same n.
+
+    Each tree's CSF comes from the tree DP in the p basis.  A pair is
+    X-equal iff its p-terms are equal (the change of basis is invertible),
+    and each claimed maximum is checked against the max block read from the
+    p-terms' hook coefficients (max_block_from_csf).
 
     Per-tree work fans out over `jobs` processes; the pairwise pass is a
     cheap single-writer loop in canonical-code order, so the report is

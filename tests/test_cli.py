@@ -1,11 +1,16 @@
+import ast
 import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
+import csftrees
+from csftrees import cli
 from csftrees.cli import main
+from csftrees.errors import InternalError
 from csftrees.theorems import SURVEY_CSV_HEADER, survey, survey_report_to_json_dict
 
 P3 = "n 3\n0 1\n1 2\n"
@@ -64,6 +69,49 @@ def test_compute_accepts_non_tree(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["terms"] == [
         {"partition": [1, 1, 1], "coeff": 6}
     ]
+
+
+def test_compute_monomial_of_tree_is_basis_change_of_dp(tmp_path, capsys, monkeypatch):
+    def no_stable_partitions(g):
+        raise AssertionError("csf_monomial called on a tree")
+
+    monkeypatch.setattr(cli, "csf_monomial", no_stable_partitions)
+    path = _write(tmp_path, "s4.txt", S4)
+    assert main(["compute", "--input", path, "--basis", "m"]) == 0
+    assert json.loads(capsys.readouterr().out)["terms"] == [
+        {"partition": [3, 1], "coeff": 1},
+        {"partition": [2, 1, 1], "coeff": 6},
+        {"partition": [1, 1, 1, 1], "coeff": 24},
+    ]
+
+
+def test_compute_powersum_caps_n_fast(tmp_path, capsys):
+    # one edge on 70 vertices: building the p(70) tables alone took ~27 s
+    path = _write(tmp_path, "wide.txt", "n 70\n0 1\n")
+    t0 = time.perf_counter()
+    assert main(["compute", "--input", path, "--basis", "p"]) == 1
+    assert time.perf_counter() - t0 < 1.0
+    assert capsys.readouterr().err == "error: csf_powersum capped at n <= 25, got 70\n"
+
+
+def test_internal_error_exits_3(tmp_path, capsys, monkeypatch):
+    def broken(g):
+        raise InternalError("invariant broken")
+
+    monkeypatch.setattr(cli, "csf_powersum", broken)
+    path = _write(tmp_path, "p3.txt", P3)
+    assert main(["compute", "--input", path, "--basis", "p"]) == 3
+    assert capsys.readouterr().err == "error: internal check failed: invariant broken\n"
+
+
+def test_package_has_no_assert_statements():
+    """Checks that matter raise explicitly; python -O would strip an assert."""
+    src = os.path.dirname(csftrees.__file__)
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree)), name
 
 
 def test_decompose(tmp_path, capsys):

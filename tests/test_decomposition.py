@@ -126,6 +126,8 @@ def test_rho_data_goldens():
     assert rho_data(gen_star(4)).is_path
     assert rho_data(gen_path(2)).rho == 0
     assert rho_data(gen_path(5)).rho == 1 and rho_data(gen_path(5)).is_path
+    t = gen_path(7)
+    assert rho_data(t, leaf_decomposition(t)) == rho_data(t)
 
 
 def test_rho_set_may_be_disconnected():

@@ -1,14 +1,20 @@
 import itertools
 import json
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _oracles import coloring_count
+from csftrees import symfunc
+from csftrees._kernels import edge_subset_type_counts
+from csftrees.decomposition import alpha_mis
 from csftrees.errors import CapExceededError, GraphError
-from csftrees.generators import enumerate_free_trees, gen_path, gen_star
+from csftrees.generators import enumerate_free_trees, gen_path, gen_spider, gen_star, prufer_tree
 from csftrees.graphs import Graph
-from csftrees.partitions import mult_factorial
+from csftrees.partitions import mult_factorial, partitions_desc
 from csftrees.symfunc import (
     SymmetricFunction,
     csf_equal,
@@ -96,7 +102,80 @@ def test_caps():
         to_monomial(SymmetricFunction(15, "p", {(15,): 1}))
 
 
-# ------------------------------------------------------------ the two routes
+def test_powersum_caps_n_before_any_table():
+    # one edge and 70 vertices: p(70) is about 4.1 million partitions
+    t0 = time.perf_counter()
+    with pytest.raises(CapExceededError, match="n <= 25"):
+        csf_powersum(Graph(70, ((0, 1),)))
+    assert time.perf_counter() - t0 < 0.5
+    with pytest.raises(CapExceededError, match=r"\|E\| <= 24"):
+        csf_powersum(Graph(12, tuple(itertools.combinations(range(12), 2))[:25]))
+
+
+# ------------------------------------------------------------ the routes
+
+def _sweep(g: Graph) -> dict:
+    """The 2^|E| signed edge-subset sweep, called directly."""
+    plist = partitions_desc(g.n)
+    counts = edge_subset_type_counts(g.n, g.edges)
+    return {plist[i]: int(c) for i, c in enumerate(counts) if c}
+
+
+def test_tree_dp_matches_sweep():
+    for n in range(1, 11):
+        for t in enumerate_free_trees(n):
+            assert csf_powersum(t).as_dict() == _sweep(t.graph)
+
+
+def test_trees_take_the_dp_and_cycles_the_sweep(monkeypatch):
+    calls = []
+
+    def sweep(n, edges, backend=None):
+        calls.append(n)
+        return edge_subset_type_counts(n, edges, backend=backend)
+
+    monkeypatch.setattr(symfunc, "edge_subset_type_counts", sweep)
+    csf_powersum(gen_path(6))
+    csf_powersum(gen_star(7).graph)
+    assert calls == []
+    csf_powersum(_cycle(5))
+    csf_powersum(Graph(4, ((0, 1),)))  # a forest is not a tree
+    assert calls == [5, 4]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=3, max_value=11).flatmap(
+    lambda n: st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2)
+))
+def test_dp_sweep_and_stable_partitions_agree(seq):
+    t = prufer_tree(seq)
+    dp = csf_powersum(t)
+    assert dp.as_dict() == _sweep(t.graph)
+    assert to_monomial(dp).terms == csf_monomial(t).terms
+
+
+@pytest.mark.parametrize("n", range(15, 26))
+def test_tree_invariants_beyond_brute_force(n):
+    rng = random.Random(n)
+    spine = (n + 1) // 2
+    leg = (n - 1) // 3
+    comb = Graph(n, tuple((i, i + 1) for i in range(spine - 1))
+                 + tuple((i, spine + i) for i in range(n - spine)))
+    trees = [
+        gen_path(n).graph,
+        gen_star(n).graph,
+        comb,
+        gen_spider((n - 1 - 2 * leg, leg, leg)).graph,
+        prufer_tree([rng.randrange(n) for _ in range(n - 2)]).graph,
+    ]
+    for g in trees:
+        f = csf_powersum(g)
+        for r in range(1, 5):
+            assert evaluate_ones(f, r) == r * (r - 1) ** (n - 1)
+        assert f.coeff((1,) * n) == 1
+        assert f.coeff((n,)) == (-1) ** (n - 1)
+        assert max_block_from_csf(f) == alpha_mis(g)
+
 
 def test_routes_agree_on_trees():
     for n in range(1, 10):
@@ -174,10 +253,24 @@ def test_stable_partitions_wrapper():
 def test_max_block_from_csf():
     assert max_block_from_csf(csf_monomial(gen_star(4))) == 3
     assert max_block_from_csf(csf_monomial(gen_path(7))) == 4
+    assert max_block_from_csf(csf_powersum(gen_path(3))) == 2
     with pytest.raises(GraphError):
-        max_block_from_csf(csf_powersum(gen_path(3)))
+        max_block_from_csf(SymmetricFunction(3, "am", {(1, 1, 1): 1}))
     with pytest.raises(GraphError):
         max_block_from_csf(SymmetricFunction(3, "m", {}))
+    with pytest.raises(GraphError):
+        max_block_from_csf(SymmetricFunction(4, "p", {(2, 2): 1, (4,): -1}))  # 2*m[2,2]
+
+
+def test_max_block_from_hooks_matches_monomial_support():
+    graphs = [t.graph for n in range(1, 10) for t in enumerate_free_trees(n)]
+    graphs += [_cycle(4), _cycle(5), _cycle(6), Graph(3), Graph(5, ((0, 1), (2, 3)))]
+    rng = random.Random(5)
+    for n in (5, 6, 7):
+        pool = list(itertools.combinations(range(n), 2))
+        graphs.append(Graph(n, tuple(rng.sample(pool, rng.randint(0, 12)))))
+    for g in graphs:
+        assert max_block_from_csf(csf_powersum(g)) == max_block_from_csf(csf_monomial(g))
 
 
 def test_csf_equal():
@@ -186,6 +279,8 @@ def test_csf_equal():
     assert csf_equal(p6, relabeled)
     assert not csf_equal(p6, gen_star(6))
     assert not csf_equal(gen_path(5), gen_path(6))
+    assert csf_equal(_cycle(5), Graph(5, ((0, 2), (2, 4), (4, 1), (1, 3), (3, 0))))
+    assert not csf_equal(_cycle(4), gen_path(4))
 
 
 def test_json_round_trip():

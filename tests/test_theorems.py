@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 from _oracles import mis_bruteforce, random_star_spec
-from csftrees.decomposition import alpha_mis
+from csftrees.decomposition import alpha_mis, leaf_decomposition
 from csftrees.errors import GraphError
 from csftrees.generators import (
     Gluing,
@@ -51,6 +51,26 @@ def test_tree_facts():
     assert (f.n, f.levels, f.rho, f.is_path) == (7, ((2, 2), (2, 1)), 3, True)
     f1 = tree_facts(gen_path(1))
     assert (f1.rho, f1.is_path) == (0, True)
+
+
+def test_tree_facts_reuses_a_given_decomposition():
+    for t in enumerate_free_trees(8):
+        assert tree_facts(t, leaf_decomposition(t)) == tree_facts(t)
+
+
+def test_survey_decomposes_each_tree_once(monkeypatch):
+    from csftrees import decomposition, theorems
+
+    calls = []
+
+    def counted(t):
+        calls.append(t.n)
+        return leaf_decomposition(t)
+
+    monkeypatch.setattr(decomposition, "leaf_decomposition", counted)
+    monkeypatch.setattr(theorems, "leaf_decomposition", counted)
+    rep = survey(7, jobs=1)
+    assert len(calls) == rep.num_trees == 11
 
 
 def test_verdict_json_shape():
