@@ -1,61 +1,36 @@
-"""Enumeration kernels with two interchangeable backends.
-
-The two hot loops of the package live here:
+"""The two counting kernels behind the CSF of a graph with cycles, in plain
+Python:
 
   * stable_type_counts: count vertex-set partitions with all blocks
-    independent, bucketed by block-size type. Backtracking over vertices in
-    id order; a block is identified by its smallest member, so every set
-    partition is visited exactly once (restricted-growth order). The numba
-    kernel keeps one int64 occupancy bitmask per open block and tests
-    independence with a single AND against the vertex's adjacency mask.
+    independent, bucketed by block-size type. A subset DP over vertex
+    bitmasks: f(S), the type counts of the stable partitions of S, is the
+    sum over independent sets B of S that contain min(S) of f(S \\ B) with
+    the part |B| added, memoized on S. No partition is listed one by one.
   * edge_subset_type_counts: signed count over all 2^|E| edge subsets,
-    bucketed by component-size type (sign = parity of |subset|), using a
-    small union-find reset per subset.
+    bucketed by component-size type (sign = parity of |subset|). A
+    depth-first walk decides one edge at a time on a union-find that is
+    undone on the way back, so each subset costs one union, not |E|.
 
-Partition types are bucketed into a dense int64 array indexed by the rank of
-the type in descending lexicographic order (see partitions.rank_desc); the
-rank is computed inline from the shared counting table, so the kernels never
-hash. Callers decode index -> partition via partitions.partitions_desc.
+Inside the kernels a type is one int: the multiplicity of part size k sits
+in a field of n.bit_length() bits at offset (k - 1) fields, so adding a
+part or merging two components is one integer addition. Each distinct type
+is decoded and ranked once (see partitions.rank_desc) into a dense int64
+array indexed by the rank in descending lexicographic order; callers decode
+index -> partition via partitions.partitions_desc. Counts fit in int64 at
+the callers' caps (Bell(14) < 2^28 stable partitions, |signed sum| <= 2^24
+edge subsets).
 
-Backend selection: env var CSFTREES_NUMBA=0/false/off forces the pure-Python
-path; otherwise numba is used when importable. Both backends are always
-importable for side-by-side testing/benchmarking via the `backend=` argument.
-Counts fit comfortably in int64 at the documented caps (Bell(14) < 2^28 for
-stable partitions, |signed sum| <= 2^24 for edge subsets).
+numpy is imported only when a result array is built, so importing this
+module (and the CLI) does not load it.
 """
 
 from __future__ import annotations
 
-import os
-from collections import Counter
+from .partitions import num_partitions, rank_desc
 
-import numpy as np
+# The one kernel implementation, named for run reports and benchmarks.
+BACKEND = "python"
 
-from .partitions import count_table, num_partitions, rank_desc
-
-_env = os.environ.get("CSFTREES_NUMBA", "").strip().lower()
-if _env in ("0", "false", "off", "no"):
-    _HAVE_NUMBA = False
-else:
-    try:
-        from numba import njit
-
-        _HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        _HAVE_NUMBA = False
-
-BACKEND = "numba" if _HAVE_NUMBA else "python"
-
-
-def _adj_masks(n: int, edges) -> np.ndarray:
-    adj = np.zeros(n, dtype=np.int64)
-    for u, v in edges:
-        adj[u] |= np.int64(1) << v
-        adj[v] |= np.int64(1) << u
-    return adj
-
-
-# ---------------------------------------------------------------- python path
 
 def stable_partitions_rgs(n: int, adjsets):
     """Yield every stable partition as a tuple of blocks (each an ascending
@@ -82,210 +57,91 @@ def stable_partitions_rgs(n: int, adjsets):
     yield from rec(0)
 
 
-def _stable_counts_py(n: int, edges, nparts: int) -> np.ndarray:
-    adjsets = [set() for _ in range(n)]
-    for u, v in edges:
-        adjsets[u].add(v)
-        adjsets[v].add(u)
-    tally: Counter = Counter()
-    for part in stable_partitions_rgs(n, adjsets):
-        tally[tuple(sorted((len(b) for b in part), reverse=True))] += 1
-    out = np.zeros(nparts, dtype=np.int64)
-    for typ, cnt in tally.items():
-        out[rank_desc(typ)] = cnt
+def _dense_counts(n: int, tally: dict[int, int]):
+    """int64 array of length p(n) from a tally keyed by packed types."""
+    import numpy as np
+
+    width = n.bit_length()
+    mask = (1 << width) - 1
+    out = np.zeros(num_partitions(n), dtype=np.int64)
+    for key, cnt in tally.items():
+        parts: list[int] = []
+        for k in range(n, 0, -1):
+            parts.extend([k] * ((key >> (width * (k - 1))) & mask))
+        out[rank_desc(tuple(parts))] = cnt
     return out
 
 
-def _subset_counts_py(n: int, edges, nparts: int) -> np.ndarray:
-    out = np.zeros(nparts, dtype=np.int64)
-    m = len(edges)
-    for sub in range(1 << m):
-        parent = list(range(n))
-        csize = [1] * n
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        bits = 0
-        for e in range(m):
-            if (sub >> e) & 1:
-                bits += 1
-                a, b = find(edges[e][0]), find(edges[e][1])
-                if a != b:
-                    if csize[a] < csize[b]:
-                        a, b = b, a
-                    parent[b] = a
-                    csize[a] += csize[b]
-        sizes = tuple(sorted((csize[i] for i in range(n) if parent[i] == i), reverse=True))
-        out[rank_desc(sizes)] += 1 if bits % 2 == 0 else -1
-    return out
-
-
-# ----------------------------------------------------------------- numba path
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _rank_sizes_nb(sizes, cnt, table, total):
-        rank = np.int64(0)
-        m = total
-        bound = total
-        for idx in range(cnt):
-            part = sizes[idx]
-            hi = m if m < bound else bound
-            for t in range(part + 1, hi + 1):
-                rank += table[m - t, t]
-            bound = part
-            m -= part
-        return rank
-
-    @njit(cache=True)
-    def _stable_counts_nb(adj, table, nparts):
-        n = adj.shape[0]
-        out = np.zeros(nparts, np.int64)
-        masks = np.zeros(n, np.int64)
-        sizes = np.zeros(n, np.int64)
-        assign = np.zeros(n, np.int64)
-        tmp = np.zeros(n, np.int64)
-        nb = 0
-        v = 0
-        c = 0
-        while True:
-            if v == n:
-                for i in range(nb):
-                    tmp[i] = sizes[i]
-                for i in range(1, nb):
-                    key = tmp[i]
-                    j = i - 1
-                    while j >= 0 and tmp[j] < key:
-                        tmp[j + 1] = tmp[j]
-                        j -= 1
-                    tmp[j + 1] = key
-                out[_rank_sizes_nb(tmp, nb, table, n)] += 1
-                v -= 1
-                j = assign[v]
-                masks[j] &= ~(np.int64(1) << v)
-                sizes[j] -= 1
-                if sizes[j] == 0:
-                    nb -= 1
-                c = j + 1
-                continue
-            placed = False
-            while c <= nb:
-                if c == nb:  # open a new block for v
-                    masks[nb] = np.int64(1) << v
-                    sizes[nb] = 1
-                    assign[v] = nb
-                    nb += 1
-                    placed = True
-                    break
-                if adj[v] & masks[c] == 0:  # v independent of block c
-                    masks[c] |= np.int64(1) << v
-                    sizes[c] += 1
-                    assign[v] = c
-                    placed = True
-                    break
-                c += 1
-            if placed:
-                v += 1
-                c = 0
-            else:
-                v -= 1
-                if v < 0:
-                    break
-                j = assign[v]
-                masks[j] &= ~(np.int64(1) << v)
-                sizes[j] -= 1
-                if sizes[j] == 0:
-                    nb -= 1
-                c = j + 1
-        return out
-
-    @njit(cache=True)
-    def _subset_counts_nb(n, eu, ev, table, nparts):
-        m = eu.shape[0]
-        out = np.zeros(nparts, np.int64)
-        parent = np.zeros(n, np.int64)
-        csize = np.zeros(n, np.int64)
-        sizes = np.zeros(n, np.int64)
-        for sub in range(np.int64(1) << m):
-            for i in range(n):
-                parent[i] = i
-                csize[i] = 1
-            bits = 0
-            for e in range(m):
-                if (sub >> e) & 1:
-                    bits += 1
-                    a = eu[e]
-                    while parent[a] != a:
-                        parent[a] = parent[parent[a]]
-                        a = parent[a]
-                    b = ev[e]
-                    while parent[b] != b:
-                        parent[b] = parent[parent[b]]
-                        b = parent[b]
-                    if a != b:
-                        if csize[a] < csize[b]:
-                            a, b = b, a
-                        parent[b] = a
-                        csize[a] += csize[b]
-            cnt = 0
-            for i in range(n):
-                if parent[i] == i:
-                    sizes[cnt] = csize[i]
-                    cnt += 1
-            for i in range(1, cnt):
-                key = sizes[i]
-                j = i - 1
-                while j >= 0 and sizes[j] < key:
-                    sizes[j + 1] = sizes[j]
-                    j -= 1
-                sizes[j + 1] = key
-            r = _rank_sizes_nb(sizes, cnt, table, n)
-            if bits % 2 == 0:
-                out[r] += 1
-            else:
-                out[r] -= 1
-        return out
-
-
-# ---------------------------------------------------------------- dispatchers
-
-def _resolve_backend(backend: str | None) -> str:
-    be = backend or BACKEND
-    if be not in ("numba", "python"):
-        raise ValueError(f"unknown backend {be!r}")
-    if be == "numba" and not _HAVE_NUMBA:
-        raise RuntimeError("numba backend requested but numba is unavailable")
-    return be
-
-
-def stable_type_counts(n: int, edges, backend: str | None = None) -> np.ndarray:
+def stable_type_counts(n: int, edges):
     """int64 array of length p(n): entry r counts stable partitions whose
     block-size type is partitions_desc(n)[r]."""
-    be = _resolve_backend(backend)
-    nparts = num_partitions(n)
-    if be == "numba":
-        return _stable_counts_nb(_adj_masks(n, edges), count_table(max(n, 1)), nparts)
-    return _stable_counts_py(n, tuple(edges), nparts)
+    width = n.bit_length()
+    nbr = [0] * n
+    for u, v in edges:
+        nbr[u] |= 1 << v
+        nbr[v] |= 1 << u
+    memo: dict[int, dict[int, int]] = {0: {0: 1}}
+
+    def f(s: int) -> dict[int, int]:
+        got = memo.get(s)
+        if got is not None:
+            return got
+        low = s & -s
+        out: dict[int, int] = {}
+        # Independent sets containing min(s): (set, its size, vertices that
+        # may still join it). Each candidate is added in increasing order,
+        # so every set is produced once.
+        stack = [(low, 1, s & ~low & ~nbr[low.bit_length() - 1])]
+        while stack:
+            block, size, cand = stack.pop()
+            shift = 1 << (width * (size - 1))
+            for key, cnt in f(s ^ block).items():
+                key += shift
+                out[key] = out.get(key, 0) + cnt
+            while cand:
+                bit = cand & -cand
+                cand ^= bit
+                stack.append((block | bit, size + 1, cand & ~nbr[bit.bit_length() - 1]))
+        memo[s] = out
+        return out
+
+    return _dense_counts(n, f((1 << n) - 1))
 
 
-def edge_subset_type_counts(n: int, edges, backend: str | None = None) -> np.ndarray:
+def edge_subset_type_counts(n: int, edges):
     """Signed subset counts by component-size type, same indexing as above."""
-    be = _resolve_backend(backend)
-    nparts = num_partitions(n)
-    if be == "numba":
-        eu = np.array([e[0] for e in edges], dtype=np.int64)
-        ev = np.array([e[1] for e in edges], dtype=np.int64)
-        return _subset_counts_nb(n, eu, ev, count_table(max(n, 1)), nparts)
-    return _subset_counts_py(n, tuple(edges), nparts)
+    width = n.bit_length()
+    edges = tuple(edges)
+    m = len(edges)
+    parent = list(range(n))
+    size = [1] * n
+    tally: dict[int, int] = {}
 
+    def find(x: int) -> int:
+        while parent[x] != x:
+            x = parent[x]
+        return x
 
-def warmup() -> None:
-    """Force JIT compilation of the numba kernels (no-op on the python path)."""
-    if _HAVE_NUMBA:
-        stable_type_counts(2, ((0, 1),), backend="numba")
-        edge_subset_type_counts(2, ((0, 1),), backend="numba")
+    def walk(e: int, key: int, sign: int) -> None:
+        # Edges e.. are undecided; key packs the component sizes so far.
+        if e == m:
+            tally[key] = tally.get(key, 0) + sign
+            return
+        walk(e + 1, key, sign)
+        a, b = find(edges[e][0]), find(edges[e][1])
+        if a == b:
+            walk(e + 1, key, -sign)
+            return
+        if size[a] < size[b]:
+            a, b = b, a
+        sa, sb = size[a], size[b]
+        merged = key + (1 << (width * (sa + sb - 1)))
+        merged -= (1 << (width * (sa - 1))) + (1 << (width * (sb - 1)))
+        parent[b] = a
+        size[a] = sa + sb
+        walk(e + 1, merged, -sign)
+        parent[b] = b
+        size[a] = sa
+
+    walk(0, n, 1)
+    return _dense_counts(n, tally)

@@ -68,13 +68,11 @@ class Tree:
         g = self.graph
         if g.n == 0:
             raise GraphError("a tree needs at least one vertex")
-        # All three conditions checked even though any two imply the third.
+        # n - 1 edges and connected rule out a cycle.
         if g.num_edges != g.n - 1:
             raise GraphError(f"tree on {g.n} vertices needs {g.n - 1} edges, got {g.num_edges}")
         if not is_connected(g):
             raise GraphError("graph is not connected")
-        if has_cycle(g):
-            raise GraphError("graph has a cycle")
 
     @property
     def n(self) -> int:

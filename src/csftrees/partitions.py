@@ -4,30 +4,27 @@ Partitions of n are tuples of positive ints in weakly decreasing order. The
 canonical ordering everywhere in this package is *descending lexicographic*:
 (n) first, (1,)*n last. Ranks refer to positions in that order.
 
-The counting table C with C[m, k] = #{partitions of m with all parts <= k}
-drives both ranking (partition -> dense index) and unranking; the same table
-is handed to the numba kernels so they can bucket partition types into a
-dense count array without hashing.
+The counting table C with C[m][k] = #{partitions of m with all parts <= k}
+drives both ranking (partition -> dense index) and unranking; the kernels
+use the rank to bucket partition types into a dense count array.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-import numpy as np
-
 
 @lru_cache(maxsize=None)
-def count_table(nmax: int) -> np.ndarray:
-    """(nmax+1) x (nmax+1) int64 table; entry [m, k] counts partitions of m
+def count_table(nmax: int) -> tuple[tuple[int, ...], ...]:
+    """(nmax+1) x (nmax+1) table of ints; entry [m][k] counts partitions of m
     into parts of size at most k."""
-    c = np.zeros((nmax + 1, nmax + 1), dtype=np.int64)
-    c[0, :] = 1
+    c = [[1] * (nmax + 1)]
     for m in range(1, nmax + 1):
+        row = [0] * (nmax + 1)
         for k in range(1, nmax + 1):
-            c[m, k] = c[m, k - 1] + (c[m - k, k] if m >= k else 0)
-    return c.copy()
-    # .copy() so cached array is contiguous and safely shareable
+            row[k] = row[k - 1] + (c[m - k][k] if m >= k else 0)
+        c.append(row)
+    return tuple(map(tuple, c))
 
 
 @lru_cache(maxsize=None)
@@ -49,7 +46,7 @@ def partitions_desc(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 def num_partitions(n: int) -> int:
-    return int(count_table(n)[n, n]) if n > 0 else 1
+    return count_table(n)[n][n] if n > 0 else 1
 
 
 def rank_desc(parts: tuple[int, ...]) -> int:
@@ -62,7 +59,7 @@ def rank_desc(parts: tuple[int, ...]) -> int:
     for part in parts:
         # count partitions of m (parts <= bound) whose first part exceeds `part`
         for t in range(part + 1, min(bound, m) + 1):
-            rank += int(table[m - t, t])
+            rank += table[m - t][t]
         bound = part
         m -= part
     return rank
@@ -76,7 +73,7 @@ def unrank_desc(n: int, rank: int) -> tuple[int, ...]:
     bound = n
     while m > 0:
         for t in range(min(bound, m), 0, -1):
-            cnt = int(table[m - t, t])  # partitions with first part exactly t
+            cnt = table[m - t][t]  # partitions with first part exactly t
             if rank < cnt:
                 parts.append(t)
                 bound = t

@@ -18,18 +18,19 @@ Which route computes X_G depends on the graph:
     result.
   * Other graphs (cycles, or several components): csf_powersum sums the
     same expansion over all 2^|E| edge subsets, and csf_monomial counts
-    stable (independent) vertex partitions by block-size type, each stable
-    partition of type lambda contributing (product of part multiplicities!)
-    to [m_lambda].
+    stable (independent) vertex partitions by block-size type with a subset
+    DP over vertex sets, each stable partition of type lambda contributing
+    (product of part multiplicities!) to [m_lambda].
   * Oracles: on trees the 2^|E| sweep (edge_subset_type_counts, called
     directly) and csf_monomial are independent checks of the DP at the
-    sizes where both can run.
+    sizes where both can run; stable_partitions lists the stable
+    partitions one by one and checks the counting DP.
 
 The change of basis is invertible, so equality in the p basis is equality
 of X.  max_block_from_csf reads the independence number from either basis;
 in p it forms only the hook coefficients, never the full to_monomial.
-Everything is exact Python int arithmetic once the kernels hand back their
-int64 count arrays, which stay in range at the kernels' caps.
+Everything is exact Python int arithmetic; the two kernels hand back int64
+count arrays, which stay in range at the caps below.
 
 Caps: csf_powersum needs n <= CSF_POWERSUM_MAX_N and |E| <=
 CSF_POWERSUM_MAX_EDGES (checked before any partition table is built);
@@ -129,7 +130,7 @@ def stable_partitions(g) -> Iterator[tuple[tuple[int, ...], ...]]:
     return stable_partitions_rgs(g.n, adjsets)
 
 
-def csf_monomial(g, backend: str | None = None) -> SymmetricFunction:
+def csf_monomial(g) -> SymmetricFunction:
     """X_G in the monomial basis via stable-partition counting."""
     g = _graph_of(g)
     if g.n < 1:
@@ -138,7 +139,7 @@ def csf_monomial(g, backend: str | None = None) -> SymmetricFunction:
         raise CapExceededError(
             f"csf_monomial capped at n <= {CSF_MONOMIAL_MAX_N}, got {g.n}"
         )
-    counts = stable_type_counts(g.n, g.edges, backend=backend)
+    counts = stable_type_counts(g.n, g.edges)
     plist = partitions_desc(g.n)
     terms = {}
     for i, cnt in enumerate(counts):
@@ -148,9 +149,9 @@ def csf_monomial(g, backend: str | None = None) -> SymmetricFunction:
     return SymmetricFunction(g.n, BASIS_MONOMIAL, terms)
 
 
-def csf_powersum(g, backend: str | None = None) -> SymmetricFunction:
+def csf_powersum(g) -> SymmetricFunction:
     """X_G in the power-sum basis: the rooted tree DP when g is a tree, the
-    2^|E| signed edge-subset sweep otherwise (`backend` picks its kernel)."""
+    2^|E| signed edge-subset sweep otherwise."""
     g = _graph_of(g)
     if g.n < 1:
         raise GraphError("csf_powersum needs n >= 1")
@@ -164,7 +165,7 @@ def csf_powersum(g, backend: str | None = None) -> SymmetricFunction:
         )
     if is_tree(g):
         return SymmetricFunction(g.n, BASIS_POWERSUM, _tree_powersum_terms(g))
-    signed = edge_subset_type_counts(g.n, g.edges, backend=backend)
+    signed = edge_subset_type_counts(g.n, g.edges)
     plist = partitions_desc(g.n)
     terms = {plist[i]: int(c) for i, c in enumerate(signed) if c}
     return SymmetricFunction(g.n, BASIS_POWERSUM, terms)

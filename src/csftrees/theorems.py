@@ -51,7 +51,7 @@ from .generators import (
     gen_spider,
     gen_star_connection,
 )
-from .graphs import Graph, Tree, canonical_code, degrees, trees_isomorphic
+from .graphs import Tree, canonical_code, degrees, trees_isomorphic
 from .partitions import partitions_desc
 from .symfunc import csf_powersum, max_block_from_csf
 
@@ -442,24 +442,24 @@ def _pair_row(i, j, x_eq, lv, cw, sm) -> tuple[str, ...]:
     )
 
 
-def _survey_payload(task):
+def _survey_payload(t: Tree):
     """Per-tree work unit: decomposition facts plus the CSF in the p basis
-    (from the tree DP) and the max block read from it. Pure, picklable."""
-    n, edges = task
-    t = Tree(Graph(n, edges))
+    (from the tree DP) and the max block read from it. Pure, picklable; a
+    Tree arrives in a worker already validated (unpickling skips
+    __post_init__)."""
     d = leaf_decomposition(t)
     f = csf_powersum(t)
     return tree_facts(t, d), chain_sequence(d), chain_holds(d), f.terms, max_block_from_csf(f)
 
 
-def _map_payloads(tasks, jobs):
+def _map_payloads(trees, jobs):
     if jobs is None:
         jobs = os.cpu_count() or 1
-    jobs = max(1, min(int(jobs), len(tasks)))
+    jobs = max(1, min(int(jobs), len(trees)))
     if jobs == 1:
-        return [_survey_payload(t) for t in tasks]
+        return [_survey_payload(t) for t in trees]
     with multiprocessing.get_context().Pool(jobs) as pool:
-        return pool.map(_survey_payload, tasks)
+        return pool.map(_survey_payload, trees)
 
 
 def _spider_audit_rows(n: int) -> list[dict]:
@@ -531,7 +531,7 @@ def survey(n: int, jobs: int | None = None) -> SurveyReport:
     if not isinstance(n, int) or isinstance(n, bool) or not 3 <= n <= 11:
         raise GraphError("survey needs an integer n with 3 <= n <= 11")
     trees = enumerate_free_trees(n)
-    payloads = _map_payloads([(n, t.graph.edges) for t in trees], jobs)
+    payloads = _map_payloads(trees, jobs)
     facts = [p[0] for p in payloads]
     terms = [p[3] for p in payloads]
     mb = [p[4] for p in payloads]

@@ -2,8 +2,7 @@
 
 Every test times its own body and prints one "[criterion N] PASS/FAIL (x.xxs)"
 line outside pytest's capture, then asserts both the checked facts and the
-cap. JIT warmup happens in the session fixture and is not charged to any
-criterion.
+cap.
 """
 
 import json

@@ -266,11 +266,11 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
-def test_survey_backend_independent(tmp_path):
-    """The python fallback produces byte-identical survey output."""
-    env = dict(os.environ, CSFTREES_NUMBA="0")
-    args = [sys.executable, "-m", "csftrees.cli", "survey", "--n", "5"]
-    forced = subprocess.run(args, env=env, capture_output=True, text=True, check=True)
-    normal = subprocess.run(args, capture_output=True, text=True, check=True)
-    assert forced.stdout == normal.stdout
-    assert json.loads(forced.stdout)["num_trees"] == 3
+def test_cli_import_does_not_load_numpy():
+    """Start-up stays light: numpy is loaded only when a kernel result is built."""
+    src = os.path.dirname(os.path.dirname(csftrees.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, csftrees.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

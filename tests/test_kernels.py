@@ -1,26 +1,18 @@
 import itertools
-import os
+import math
 import random
-import subprocess
-import sys
 
 import numpy as np
-import pytest
 
 from _oracles import stable_partitions_bruteforce
 from csftrees._kernels import (
-    BACKEND,
     edge_subset_type_counts,
     stable_partitions_rgs,
     stable_type_counts,
-    warmup,
 )
-from csftrees.generators import enumerate_free_trees, gen_path, gen_star
+from csftrees.generators import gen_path, gen_star
 from csftrees.graphs import Graph
 from csftrees.partitions import partitions_desc, rank_desc
-
-HAVE_NUMBA = BACKEND == "numba"
-BACKENDS = ("python", "numba") if HAVE_NUMBA else ("python",)
 
 
 def _adjsets(g: Graph):
@@ -56,7 +48,7 @@ def test_rgs_empty_graph():
 
 def test_stable_counts_match_stream():
     for g in [gen_path(6).graph, gen_star(6).graph, Graph(4, ((0, 1), (2, 3)))]:
-        counts = stable_type_counts(g.n, g.edges, backend="python")
+        counts = stable_type_counts(g.n, g.edges)
         expect = np.zeros(len(partitions_desc(g.n)), dtype=np.int64)
         for p in stable_partitions_rgs(g.n, _adjsets(g)):
             typ = tuple(sorted((len(b) for b in p), reverse=True))
@@ -64,45 +56,22 @@ def test_stable_counts_match_stream():
         assert (counts == expect).all()
 
 
+def test_stable_counts_edgeless_12():
+    """Every set partition of 12 points is stable: the counts sum to
+    Bell(12), and each type lambda has n! / (prod parts! * prod mult!)."""
+    n = 12
+    counts = stable_type_counts(n, ())
+    assert int(counts.sum()) == 4_213_597
+    for parts, cnt in zip(partitions_desc(n), counts):
+        denom = math.prod(math.factorial(x) for x in parts)
+        denom *= math.prod(math.factorial(parts.count(x)) for x in set(parts))
+        assert cnt == math.factorial(n) // denom
+
+
 def test_edge_subset_counts_golden():
     # K2: empty subset -> (1,1) with +, the edge -> (2) with -
-    got = edge_subset_type_counts(2, ((0, 1),), backend="python")
+    got = edge_subset_type_counts(2, ((0, 1),))
     assert got.tolist() == [-1, 1]  # order: (2), (1,1)
     # P3: subsets {} (1,1,1)+, {01} (2,1)-, {12} (2,1)-, both (3)+
-    got = edge_subset_type_counts(3, ((0, 1), (1, 2)), backend="python")
+    got = edge_subset_type_counts(3, ((0, 1), (1, 2)))
     assert got.tolist() == [1, -2, 1]  # order: (3), (2,1), (1,1,1)
-
-
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba backend unavailable")
-def test_backend_parity():
-    """Both kernels return identical vectors from both backends."""
-    warmup()
-    rng = random.Random(99)
-    graphs = [t.graph for n in range(1, 8) for t in enumerate_free_trees(n)]
-    graphs += [_random_graph(rng, n) for n in (5, 6, 7)]
-    for g in graphs:
-        a = stable_type_counts(g.n, g.edges, backend="python")
-        b = stable_type_counts(g.n, g.edges, backend="numba")
-        assert (a == b).all()
-        if g.num_edges <= 12:
-            a = edge_subset_type_counts(g.n, g.edges, backend="python")
-            b = edge_subset_type_counts(g.n, g.edges, backend="numba")
-            assert (a == b).all()
-
-
-def test_backend_dispatch_errors():
-    with pytest.raises(ValueError):
-        stable_type_counts(3, (), backend="cython")
-
-
-def test_env_flag_forces_python_backend():
-    """CSFTREES_NUMBA=0 must select the python path in a fresh interpreter."""
-    env = dict(os.environ, CSFTREES_NUMBA="0")
-    out = subprocess.run(
-        [sys.executable, "-c", "from csftrees._kernels import BACKEND; print(BACKEND)"],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert out.stdout.strip() == "python"

@@ -42,8 +42,8 @@ def test_partitions_desc_properties(n):
 def test_count_table_matches_partition_counts():
     table = count_table(14)
     for m in range(15):
-        assert table[m, 14] == PARTITION_COUNTS[m]
-    assert table[5, 2] == 3  # (2,2,1), (2,1,1,1), (1,)*5
+        assert table[m][14] == PARTITION_COUNTS[m]
+    assert table[5][2] == 3  # (2,2,1), (2,1,1,1), (1,)*5
 
 
 @pytest.mark.parametrize("n", range(13))

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from _oracles import coloring_count
 from csftrees import symfunc
-from csftrees._kernels import edge_subset_type_counts
+from csftrees._kernels import edge_subset_type_counts, stable_type_counts
 from csftrees.decomposition import alpha_mis
 from csftrees.errors import CapExceededError, GraphError
 from csftrees.generators import enumerate_free_trees, gen_path, gen_spider, gen_star, prufer_tree
@@ -130,9 +130,9 @@ def test_tree_dp_matches_sweep():
 def test_trees_take_the_dp_and_cycles_the_sweep(monkeypatch):
     calls = []
 
-    def sweep(n, edges, backend=None):
+    def sweep(n, edges):
         calls.append(n)
-        return edge_subset_type_counts(n, edges, backend=backend)
+        return edge_subset_type_counts(n, edges)
 
     monkeypatch.setattr(symfunc, "edge_subset_type_counts", sweep)
     csf_powersum(gen_path(6))
@@ -152,6 +152,31 @@ def test_dp_sweep_and_stable_partitions_agree(seq):
     dp = csf_powersum(t)
     assert dp.as_dict() == _sweep(t.graph)
     assert to_monomial(dp).terms == csf_monomial(t).terms
+
+
+def _graphs_with_cycles(max_n: int, max_edges: int):
+    def edges(n):
+        pairs = list(itertools.combinations(range(n), 2))
+        if not pairs:
+            return st.just(Graph(n))
+        return st.sets(st.sampled_from(pairs), max_size=max_edges).map(
+            lambda es: Graph(n, tuple(es)))
+    return st.integers(min_value=1, max_value=max_n).flatmap(edges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_graphs_with_cycles(9, 14))
+def test_random_graphs_counting_dp_and_sweep_agree(g):
+    """On any graph, cycles allowed: the stable-partition DP matches the
+    partition-by-partition stream, and the 2^|E| sweep (or the tree DP)
+    matches it after the change of basis."""
+    tally = {}
+    for p in stable_partitions(g):
+        typ = tuple(sorted(map(len, p), reverse=True))
+        tally[typ] = tally.get(typ, 0) + 1
+    counts = stable_type_counts(g.n, g.edges)
+    assert {part: int(c) for part, c in zip(partitions_desc(g.n), counts) if c} == tally
+    assert to_monomial(csf_powersum(g)).terms == csf_monomial(g).terms
 
 
 @pytest.mark.parametrize("n", range(15, 26))

@@ -73,6 +73,23 @@ def test_survey_decomposes_each_tree_once(monkeypatch):
     assert len(calls) == rep.num_trees == 11
 
 
+def test_survey_payloads_reuse_the_enumerated_trees(monkeypatch):
+    from csftrees import theorems
+    from csftrees.graphs import Tree
+
+    trees = enumerate_free_trees(8)
+    built = []
+    validate = Tree.__post_init__
+
+    def counted(self):
+        built.append(self.n)
+        validate(self)
+
+    monkeypatch.setattr(Tree, "__post_init__", counted)
+    assert len(theorems._map_payloads(trees, 1)) == len(trees)
+    assert built == []
+
+
 def test_verdict_json_shape():
     v = thm_leaves_check(gen_star(4), gen_path(4))
     d = verdict_to_json_dict(v)
