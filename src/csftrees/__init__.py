@@ -11,7 +11,6 @@ from .decomposition import (
     chain_holds,
     chain_sequence,
     leaf_decomposition,
-    max_block_greedy,
     padded_levels,
     rho_data,
 )
@@ -56,6 +55,7 @@ from .theorems import (
     spider_M_formula,
     spider_audit,
     star_connection_M,
+    star_connection_audit,
     star_connection_counts,
     star_connection_distinct,
     survey,

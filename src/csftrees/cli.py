@@ -12,8 +12,8 @@ Subcommands
 Exit codes: 0 success; 1 domain error (one "error: ..." line on stderr);
 2 usage error; 3 failed internal check, i.e. a bug (one "error: internal
 check failed: ..." line on stderr).  Output is exact-integer JSON (or
-edge-list text) and is byte-identical for identical inputs regardless of
---jobs.
+edge-list text) and is byte-identical for identical inputs.  survey runs in
+one process; its --jobs option is still accepted and has no effect.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import csv
 import json
 import sys
 
-from .decomposition import alpha_mis, decomposition_to_json_dict, leaf_decomposition
+from .decomposition import decomposition_to_json_dict, leaf_decomposition
 from .errors import GraphError, InternalError
 from .generators import (
     SpiderSpec,
@@ -43,10 +43,8 @@ from .symfunc import (
 )
 from .theorems import (
     SURVEY_CSV_HEADER,
-    spider_M_formula,
     spider_audit,
-    star_connection_counts,
-    star_connection_M,
+    star_connection_audit,
     survey,
     survey_report_to_json_dict,
     thm_componentwise_check,
@@ -113,7 +111,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_survey(args) -> int:
-    rep = survey(args.n, jobs=args.jobs)
+    rep = survey(args.n)
     _emit_json(survey_report_to_json_dict(rep), args.out)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:
@@ -153,13 +151,10 @@ def _cmd_spider(args) -> int:
 
 def _cmd_starconn(args) -> int:
     spec = StarConnectionSpec.from_json(_read(args.spec))
-    t = gen_star_connection(spec)
     if not args.audit:
-        _emit(serialize(t.graph), None)
+        _emit(serialize(gen_star_connection(spec).graph), None)
         return 0
-    nverts, excess = star_connection_counts(spec)
-    m = star_connection_M(spec)
-    alpha = alpha_mis(t.graph)
+    nverts, excess, m, alpha = star_connection_audit(spec)
     _emit_json(
         {
             "stars": list(spec.star_sizes),
@@ -210,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("survey", help="pairwise survey over all trees on n vertices")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--jobs", type=int, help="worker processes (default: all cores)")
+    p.add_argument("--jobs", type=int, help="accepted for compatibility; has no effect")
     p.add_argument("--out", help="write JSON here instead of stdout")
     p.add_argument("--csv", help="also write the per-pair CSV here")
     p.set_defaults(func=_cmd_survey)

@@ -23,7 +23,6 @@ whether the induced subgraph is a path (vacuously true for rho <= 1).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .errors import GraphError
@@ -101,21 +100,10 @@ def leaf_decomposition(t: Tree) -> LeafDecomposition:
     return LeafDecomposition(tuple(levels), terminal_alpha)
 
 
-def padded_levels(d1, d2) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    """Both (b, eta) sequences extended with (0, 0) levels to equal length.
-    Accepts LeafDecompositions or raw sequences of (b, eta) pairs."""
-    s1 = list(_level_counts(d1))
-    s2 = list(_level_counts(d2))
+def padded_levels(s1, s2) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """Both (b, eta) sequences extended with (0, 0) levels to equal length."""
     r = max(len(s1), len(s2), 1)
-    s1 += [(0, 0)] * (r - len(s1))
-    s2 += [(0, 0)] * (r - len(s2))
-    return s1, s2
-
-
-def _level_counts(d) -> tuple[tuple[int, int], ...]:
-    if isinstance(d, LeafDecomposition):
-        return d.level_counts()
-    return tuple((int(b), int(e)) for b, e in d)
+    return list(s1) + [(0, 0)] * (r - len(s1)), list(s2) + [(0, 0)] * (r - len(s2))
 
 
 @dataclass(frozen=True)
@@ -173,18 +161,6 @@ def alpha_mis(g: Graph) -> int:
     return total
 
 
-def max_block_greedy(t: Tree) -> tuple[int, tuple[int, ...]]:
-    """(size, witness): an independent set of maximum size collecting the
-    b-vertices of every decomposition level. For n >= 3 the witness contains
-    every leaf of t; for a single edge only one endpoint can be taken."""
-    d = leaf_decomposition(t)
-    witness: list[int] = []
-    for lvl in d.levels:
-        witness.extend(lvl.leaf_vertices)
-    witness.sort()
-    return len(witness), tuple(witness)
-
-
 def alpha_from_decomposition(d: LeafDecomposition) -> int:
     return sum(lvl.b for lvl in d.levels)
 
@@ -208,14 +184,3 @@ def decomposition_to_json_dict(d: LeafDecomposition) -> dict:
         "levels": [{"b": lvl.b, "eta": lvl.eta} for lvl in d.levels],
         "alpha_correction": d.terminal_alpha,
     }
-
-
-def decomposition_from_json(text: str) -> tuple[tuple[tuple[int, int], ...], int]:
-    """Parse the JSON form back into ((b, eta), ...) counts + alpha (the
-    vertex sets are not serialized)."""
-    try:
-        data = json.loads(text)
-        levels = tuple((lvl["b"], lvl["eta"]) for lvl in data["levels"])
-        return levels, data["alpha_correction"]
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise GraphError(f"malformed decomposition JSON: {exc}") from None

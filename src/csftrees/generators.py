@@ -8,8 +8,7 @@ it): the center(s) come first, then the legs/stars in spec order.
   gen_spider    center 0; leg i occupies the next L_i ids walking outward
   gen_star_connection
                 centers 0..r-1 in star order, then one vertex per gluing in
-                gluing order, then the unshared leaves star by star in slot
-                order
+                gluing order, then the unshared leaves star by star
 
 Free trees are enumerated by generating every canonical rooted level sequence
 (Beyer-Hedetniemi successor rule, starting from the path [0,1,...,n-1] and
@@ -95,11 +94,9 @@ def gen_spider(spec: SpiderSpec) -> Tree:
 
 @dataclass(frozen=True)
 class Gluing:
-    """One shared non-center vertex: the stars meeting there (>= 2 of them),
-    optionally pinned to explicit leaf slots (auto-assigned in order if None)."""
+    """One shared non-center vertex: the stars meeting there (>= 2 of them)."""
 
     stars: tuple[int, ...]
-    slots: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         stars = tuple(self.stars)
@@ -108,18 +105,13 @@ class Gluing:
             raise GraphError("a gluing must involve at least 2 stars")
         if len(set(stars)) != len(stars):
             raise GraphError(f"gluing lists a star twice: {stars}")
-        if self.slots is not None:
-            slots = tuple(self.slots)
-            object.__setattr__(self, "slots", slots)
-            if len(slots) != len(stars):
-                raise GraphError("gluing slots must match its star list")
 
 
 @dataclass(frozen=True)
 class StarConnectionSpec:
     """Stars S_{n_1},...,S_{n_r} (each n_k >= 3, r >= 2) glued at shared
-    non-center vertices. Star k has leaf slots 0..n_k-2; each gluing consumes
-    one slot per member star."""
+    non-center vertices. Each gluing takes one of the n_k - 1 leaves of each
+    member star."""
 
     star_sizes: tuple[int, ...]
     gluings: tuple[Gluing, ...]
@@ -157,52 +149,32 @@ class StarConnectionSpec:
         gluings = []
         for item in raw_gluings:
             if not isinstance(item, dict) or "stars" not in item:
-                raise GraphError('each gluing must be {"stars": [..]} with optional "slots"')
-            slots = item.get("slots")
-            gluings.append(Gluing(tuple(item["stars"]), None if slots is None else tuple(slots)))
+                raise GraphError('each gluing must be {"stars": [..]}')
+            if "slots" in item:
+                raise GraphError('gluing "slots" are not supported: leaves are taken in order')
+            gluings.append(Gluing(tuple(item["stars"])))
         return cls(tuple(sizes), tuple(gluings))
 
     def to_json_dict(self) -> dict:
-        out = {"stars": list(self.star_sizes), "gluings": []}
-        for g in self.gluings:
-            item: dict = {"stars": list(g.stars)}
-            if g.slots is not None:
-                item["slots"] = list(g.slots)
-            out["gluings"].append(item)
-        return out
-
-
-def resolved_slots(spec: StarConnectionSpec) -> list[tuple[int, ...]]:
-    """Concrete leaf slot consumed per (gluing, member star); autos take the
-    lowest unused slot of that star, processed in gluing order."""
-    used: list[set[int]] = [set() for _ in spec.star_sizes]
-    out: list[tuple[int, ...]] = []
-    for gi, g in enumerate(spec.gluings):
-        slots = []
-        for pos, k in enumerate(g.stars):
-            cap = spec.star_sizes[k] - 1
-            if g.slots is not None:
-                s = g.slots[pos]
-                if not (0 <= s < cap):
-                    raise GraphError(f"gluing {gi}: slot {s} out of range for star {k}")
-                if s in used[k]:
-                    raise GraphError(f"gluing {gi}: slot {s} of star {k} already consumed")
-            else:
-                s = 0
-                while s in used[k]:
-                    s += 1
-                if s >= cap:
-                    raise GraphError(f"gluing {gi}: star {k} has no free leaf slot left")
-            used[k].add(s)
-            slots.append(s)
-        out.append(tuple(slots))
-    return out
+        return {
+            "stars": list(self.star_sizes),
+            "gluings": [{"stars": list(g.stars)} for g in self.gluings],
+        }
 
 
 def gen_star_connection(spec: StarConnectionSpec) -> Tree:
     r = spec.num_stars
     t = len(spec.gluings)
-    slot_map = resolved_slots(spec)
+    # Star k joins gluing vertex r+gi for each gluing gi it is in; each such
+    # join uses up one of its n_k - 1 leaves.
+    edges = []
+    used = [0] * r
+    for gi, g in enumerate(spec.gluings):
+        for k in g.stars:
+            if used[k] == spec.star_sizes[k] - 1:
+                raise GraphError(f"gluing {gi}: star {k} has no free leaf slot left")
+            used[k] += 1
+            edges.append((k, r + gi))
 
     # Tree-ness of the gluing structure, with targeted messages before the
     # generic as_tree validation would fire.
@@ -229,21 +201,11 @@ def gen_star_connection(spec: StarConnectionSpec) -> Tree:
     if len({find(k) for k in range(r)}) != 1:
         raise GraphError("gluing structure is not connected")
 
-    # slot -> vertex id: gluing vertices first (r..r+t-1), then free leaves.
-    slot_vertex: dict[tuple[int, int], int] = {}
-    for gi, g in enumerate(spec.gluings):
-        for pos, k in enumerate(g.stars):
-            slot_vertex[(k, slot_map[gi][pos])] = r + gi
     nxt = r + t
     for k, size in enumerate(spec.star_sizes):
-        for s in range(size - 1):
-            if (k, s) not in slot_vertex:
-                slot_vertex[(k, s)] = nxt
-                nxt += 1
-    edges = []
-    for k, size in enumerate(spec.star_sizes):
-        for s in range(size - 1):
-            edges.append((k, slot_vertex[(k, s)]))
+        for _ in range(size - 1 - used[k]):
+            edges.append((k, nxt))
+            nxt += 1
     return as_tree(Graph(nxt, tuple(edges)))
 
 

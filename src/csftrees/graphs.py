@@ -148,29 +148,6 @@ def has_cycle(g: Graph) -> bool:
     return False
 
 
-def connected_components(g: Graph) -> list[list[int]]:
-    """Vertex lists of the components, each sorted, ordered by smallest member."""
-    adj = adjacency(g)
-    seen = [False] * g.n
-    comps = []
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        seen[s] = True
-        stack = [s]
-        comp = [s]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    stack.append(w)
-        comp.sort()
-        comps.append(comp)
-    return comps
-
-
 def relabel(g: Graph, perm) -> Graph:
     """Apply the vertex relabeling v -> perm[v]."""
     perm = list(perm)

@@ -106,8 +106,3 @@ def falling_factorial(r: int, length: int) -> int:
     for i in range(length):
         out *= r - i
     return out
-
-
-def partition_of_multiset(sizes) -> tuple[int, ...]:
-    """Sort a bag of positive ints into partition form (weakly decreasing)."""
-    return tuple(sorted(sizes, reverse=True))

@@ -4,7 +4,6 @@ A SymmetricFunction is a sparse exact-integer coefficient map indexed by
 integer partitions of its weight n, tagged with a basis:
 
     "m"   monomial
-    "am"  augmented monomial  (m~_lambda = (prod of multiplicities!) m_lambda)
     "p"   power sum
 
 Which route computes X_G depends on the graph:
@@ -58,9 +57,8 @@ from .partitions import (
 )
 
 BASIS_MONOMIAL = "m"
-BASIS_AUGMENTED = "am"
 BASIS_POWERSUM = "p"
-_BASES = (BASIS_MONOMIAL, BASIS_AUGMENTED, BASIS_POWERSUM)
+_BASES = (BASIS_MONOMIAL, BASIS_POWERSUM)
 
 CSF_MONOMIAL_MAX_N = 14
 CSF_POWERSUM_MAX_EDGES = 24
@@ -253,14 +251,11 @@ def _slot_assignments(runs: tuple[tuple[int, int], ...], mu: tuple[int, ...]) ->
 
 
 def to_monomial(f: SymmetricFunction) -> SymmetricFunction:
-    """Exact change of basis into the monomial basis (from p or am)."""
+    """Exact change of basis from the power-sum into the monomial basis."""
     if f.n > CSF_MONOMIAL_MAX_N:
         raise CapExceededError(f"to_monomial capped at n <= {CSF_MONOMIAL_MAX_N}, got {f.n}")
-    if f.basis == BASIS_AUGMENTED:
-        terms = {parts: coeff * mult_factorial(parts) for parts, coeff in f.terms}
-        return SymmetricFunction(f.n, BASIS_MONOMIAL, terms)
     if f.basis != BASIS_POWERSUM:
-        raise GraphError(f"to_monomial supports bases 'p' and 'am', not {f.basis!r}")
+        raise GraphError(f"to_monomial supports basis 'p', not {f.basis!r}")
     out: dict[tuple[int, ...], int] = {}
     for mu in partitions_desc(f.n):
         acc = 0
@@ -295,8 +290,6 @@ def max_block_from_csf(f: SymmetricFunction) -> int:
         raise GraphError("empty symmetric function")
     if f.basis == BASIS_MONOMIAL:
         return max(parts[0] for parts, _ in f.terms)
-    if f.basis != BASIS_POWERSUM:
-        raise GraphError("max_block_from_csf needs the monomial or power-sum basis")
     runs = [(_distinct_runs(parts), coeff) for parts, coeff in f.terms]
     for k in range(f.n, 0, -1):
         hook = (k,) + (1,) * (f.n - k)
@@ -314,8 +307,6 @@ def evaluate_ones(f: SymmetricFunction, r: int) -> int:
         length = len(parts)
         if f.basis == BASIS_POWERSUM:
             total += coeff * r**length
-        elif f.basis == BASIS_AUGMENTED:
-            total += coeff * falling_factorial(r, length)
         else:
             ways, rem = divmod(falling_factorial(r, length), mult_factorial(parts))
             if rem:

@@ -29,8 +29,6 @@ Two known weaknesses are handled explicitly rather than papered over:
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 from dataclasses import dataclass
 
 from .decomposition import (
@@ -286,11 +284,11 @@ def thm_sum_check(t1: Tree, t2: Tree) -> TheoremVerdict:
     return _sum_verdict(tree_facts(t1), tree_facts(t2))
 
 
-def star_connection_counts(spec: StarConnectionSpec) -> tuple[int, int]:
+def _verified_counts(spec: StarConnectionSpec, t: Tree) -> tuple[int, int]:
     """(vertex count, degree excess of the gluing vertices), both computed by
-    the closed forms sum(n_k) - (r-1) and r-1 and verified on the built tree."""
+    the closed forms sum(n_k) - (r-1) and r-1 and verified on
+    t = gen_star_connection(spec)."""
     r = spec.num_stars
-    t = gen_star_connection(spec)
     nverts = sum(spec.star_sizes) - (r - 1)
     excess = r - 1
     deg = degrees(t.graph)
@@ -303,26 +301,40 @@ def star_connection_counts(spec: StarConnectionSpec) -> tuple[int, int]:
     return nverts, excess
 
 
-def star_connection_M(spec: StarConnectionSpec) -> int:
-    nverts, excess = star_connection_counts(spec)
+def _formula_M(spec: StarConnectionSpec, nverts: int, excess: int) -> int:
     m = sum(k - 1 for k in spec.star_sizes) - excess
     if m != nverts - spec.num_stars:
         raise InternalError(f"star connection M = {m} != n - r = {nverts - spec.num_stars}")
     return m
 
 
+def star_connection_counts(spec: StarConnectionSpec) -> tuple[int, int]:
+    return _verified_counts(spec, gen_star_connection(spec))
+
+
+def star_connection_M(spec: StarConnectionSpec) -> int:
+    return _formula_M(spec, *star_connection_counts(spec))
+
+
+def star_connection_audit(spec: StarConnectionSpec) -> tuple[int, int, int, int]:
+    """(vertex count, degree excess, M, alpha_mis), all from one built tree."""
+    t = gen_star_connection(spec)
+    nverts, excess = _verified_counts(spec, t)
+    return nverts, excess, _formula_M(spec, nverts, excess), alpha_mis(t.graph)
+
+
 def star_connection_distinct(a: StarConnectionSpec, b: StarConnectionSpec) -> TheoremVerdict:
-    va, _ = star_connection_counts(a)
-    vb, _ = star_connection_counts(b)
+    ca, cb = star_connection_counts(a), star_connection_counts(b)
+    va, vb = ca[0], cb[0]
     if va != vb:
         raise GraphError(f"vertex counts differ: {va} != {vb}")
     r, s = a.num_stars, b.num_stars
     if r == s:
         return TheoremVerdict(STAR_COUNT, NOT_APPLICABLE, detail=f"equal star counts r = s = {r}")
     swapped = r > s
-    first, second = (b, a) if swapped else (a, b)
-    m1 = star_connection_M(first)
-    m2 = star_connection_M(second)
+    (first, c1), (second, c2) = ((b, cb), (a, ca)) if swapped else ((a, ca), (b, cb))
+    m1 = _formula_M(first, *c1)
+    m2 = _formula_M(second, *c2)
     _check_strict(STAR_COUNT, m1, m2)
     note = "inputs swapped; " if swapped else ""
     return TheoremVerdict(
@@ -444,22 +456,10 @@ def _pair_row(i, j, x_eq, lv, cw, sm) -> tuple[str, ...]:
 
 def _survey_payload(t: Tree):
     """Per-tree work unit: decomposition facts plus the CSF in the p basis
-    (from the tree DP) and the max block read from it. Pure, picklable; a
-    Tree arrives in a worker already validated (unpickling skips
-    __post_init__)."""
+    (from the tree DP) and the max block read from it."""
     d = leaf_decomposition(t)
     f = csf_powersum(t)
     return tree_facts(t, d), chain_sequence(d), chain_holds(d), f.terms, max_block_from_csf(f)
-
-
-def _map_payloads(trees, jobs):
-    if jobs is None:
-        jobs = os.cpu_count() or 1
-    jobs = max(1, min(int(jobs), len(trees)))
-    if jobs == 1:
-        return [_survey_payload(t) for t in trees]
-    with multiprocessing.get_context().Pool(jobs) as pool:
-        return pool.map(_survey_payload, trees)
 
 
 def _spider_audit_rows(n: int) -> list[dict]:
@@ -509,13 +509,13 @@ def _star_audit_rows(n: int) -> list[dict]:
             if code in seen:
                 continue
             seen.add(code)
-            m = star_connection_M(spec)
+            m = _formula_M(spec, *_verified_counts(spec, t))
             a = alpha_mis(t.graph)
             rows.append({"stars": list(spec.star_sizes), "formula": m, "alpha": a, "agrees": m == a})
     return rows
 
 
-def survey(n: int, jobs: int | None = None) -> SurveyReport:
+def survey(n: int) -> SurveyReport:
     """Replay the pairwise checkers over all non-isomorphic trees on n
     vertices (3 <= n <= 11), cross-check every Applicable claim against the
     CSF, and run the chain/spider/star audits for the same n.
@@ -525,13 +525,13 @@ def survey(n: int, jobs: int | None = None) -> SurveyReport:
     and each claimed maximum is checked against the max block read from the
     p-terms' hook coefficients (max_block_from_csf).
 
-    Per-tree work fans out over `jobs` processes; the pairwise pass is a
-    cheap single-writer loop in canonical-code order, so the report is
-    byte-identical regardless of jobs."""
+    Everything runs in one process: the per-tree work in enumeration order,
+    then the pairwise pass in canonical-code order, so the report depends on
+    n alone."""
     if not isinstance(n, int) or isinstance(n, bool) or not 3 <= n <= 11:
         raise GraphError("survey needs an integer n with 3 <= n <= 11")
     trees = enumerate_free_trees(n)
-    payloads = _map_payloads(trees, jobs)
+    payloads = [_survey_payload(t) for t in trees]
     facts = [p[0] for p in payloads]
     terms = [p[3] for p in payloads]
     mb = [p[4] for p in payloads]

@@ -1,4 +1,6 @@
 import ast
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -112,6 +114,21 @@ def test_package_has_no_assert_statements():
             with open(os.path.join(src, name), encoding="utf-8") as fh:
                 tree = ast.parse(fh.read())
             assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree)), name
+
+
+def test_traced_entry_points_resolve():
+    """Every function the benchmark's tracer wraps by name still exists."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "trace_child.py")
+    spec = importlib.util.spec_from_file_location("trace_child", path)
+    trace_child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(trace_child)
+    for modname, names in trace_child.ENTRY_POINTS.items():
+        module = importlib.import_module(f"csftrees.{modname}")
+        for name in names:
+            obj = module
+            for attr in name.split("."):
+                obj = getattr(obj, attr, None)
+            assert callable(obj), f"csftrees.{modname}.{name}"
 
 
 def test_decompose(tmp_path, capsys):

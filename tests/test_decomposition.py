@@ -1,4 +1,3 @@
-import json
 import random
 
 import pytest
@@ -9,10 +8,8 @@ from csftrees.decomposition import (
     alpha_mis,
     chain_holds,
     chain_sequence,
-    decomposition_from_json,
     decomposition_to_json_dict,
     leaf_decomposition,
-    max_block_greedy,
     padded_levels,
     rho_data,
 )
@@ -78,12 +75,13 @@ def test_block_sum_is_independence_number():
 
 
 def test_greedy_witness():
+    """The b-vertices of all levels form a maximum independent set that, for
+    n >= 3, contains every leaf."""
     for n in range(1, 11):
         for t in enumerate_free_trees(n):
-            size, witness = max_block_greedy(t)
-            assert size == alpha_mis(t.graph)
-            members = set(witness)
-            assert len(members) == size
+            d = leaf_decomposition(t)
+            members = {v for lvl in d.levels for v in lvl.leaf_vertices}
+            assert len(members) == alpha_mis(t.graph)
             assert not any(u in members and v in members for u, v in t.graph.edges)
             if n >= 3:
                 deg = degrees(t.graph)
@@ -149,7 +147,7 @@ def test_padded_levels():
     assert padded_levels([], [(1, 0)]) == ([(0, 0)], [(1, 0)])
     d1 = leaf_decomposition(gen_path(7))
     d2 = leaf_decomposition(gen_star(7))
-    s1, s2 = padded_levels(d1, d2)
+    s1, s2 = padded_levels(d1.level_counts(), d2.level_counts())
     assert s1 == [(2, 2), (2, 1)]
     assert s2 == [(6, 1), (0, 0)]
 
@@ -164,15 +162,7 @@ def test_alpha_mis_forest_and_cycle():
 
 def test_decomposition_json():
     d = leaf_decomposition(gen_path(7))
-    blob = json.dumps(decomposition_to_json_dict(d))
-    levels, alpha = decomposition_from_json(blob)
-    assert levels == d.level_counts()
-    assert alpha == d.terminal_alpha
     assert decomposition_to_json_dict(d) == {
         "levels": [{"b": 2, "eta": 2}, {"b": 2, "eta": 1}],
         "alpha_correction": 0,
     }
-    with pytest.raises(GraphError):
-        decomposition_from_json("{")
-    with pytest.raises(GraphError):
-        decomposition_from_json('{"levels": [{"b": 1}], "alpha_correction": 0}')

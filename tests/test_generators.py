@@ -15,7 +15,6 @@ from csftrees.generators import (
     gen_star,
     gen_star_connection,
     prufer_tree,
-    resolved_slots,
 )
 from csftrees.graphs import canonical_code, degrees, tree_center
 
@@ -90,23 +89,16 @@ def test_star_connection_bouquet():
 
 
 def test_star_connection_slots():
-    spec = StarConnectionSpec((4, 4), (Gluing((0, 1), (2, 0)),))
-    assert resolved_slots(spec) == [(2, 0)]
-    with pytest.raises(GraphError, match="out of range"):
-        resolved_slots(StarConnectionSpec((4, 4), (Gluing((0, 1), (3, 0)),)))
-    with pytest.raises(GraphError, match="already consumed"):
-        gen_star_connection(
-            StarConnectionSpec(
-                (5, 4, 4), (Gluing((0, 1), (0, 0)), Gluing((0, 2), (0, 0)))
-            )
-        )
-    with pytest.raises(GraphError, match="no free leaf slot"):
+    with pytest.raises(GraphError, match="gluing 2: star 0 has no free leaf slot"):
         gen_star_connection(
             StarConnectionSpec(
                 (3, 3, 3, 3),
                 (Gluing((0, 1)), Gluing((0, 2)), Gluing((0, 3))),
             )
         )
+    text = '{"stars": [4, 4], "gluings": [{"stars": [0, 1], "slots": [2, 0]}]}'
+    with pytest.raises(GraphError, match="slots"):
+        StarConnectionSpec.from_json(text)
 
 
 def test_star_connection_structure_errors():
@@ -140,7 +132,7 @@ def test_star_connection_json():
     text = '{"stars":[4,5,3,4],"gluings":[{"stars":[0,1]},{"stars":[1,2]},{"stars":[2,3]}]}'
     spec = StarConnectionSpec.from_json(text)
     assert spec.star_sizes == (4, 5, 3, 4)
-    assert len(spec.gluings) == 3 and spec.gluings[0].slots is None
+    assert spec.gluings == (Gluing((0, 1)), Gluing((1, 2)), Gluing((2, 3)))
     round_trip = StarConnectionSpec.from_json(json.dumps(spec.to_json_dict()))
     assert round_trip == spec
     for bad in ["[]", '{"stars": [3, 3]}', '{"stars": [3,3], "gluings": [{"at": [0,1]}]}']:

@@ -11,7 +11,6 @@ from csftrees.graphs import (
     adjacency,
     as_tree,
     canonical_code,
-    connected_components,
     degrees,
     has_cycle,
     induced_subgraph,
@@ -62,7 +61,6 @@ def test_degrees_adjacency_components():
     g = Graph(5, ((0, 1), (1, 2)))
     assert degrees(g) == [1, 2, 1, 0, 0]
     assert adjacency(g) == [[1], [0, 2], [1], [], []]
-    assert connected_components(g) == [[0, 1, 2], [3], [4]]
     assert not is_connected(g)
     assert not has_cycle(g)
     assert has_cycle(Graph(3, ((0, 1), (1, 2), (0, 2))))

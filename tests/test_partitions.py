@@ -9,7 +9,6 @@ from csftrees.partitions import (
     falling_factorial,
     mult_factorial,
     num_partitions,
-    partition_of_multiset,
     partitions_desc,
     rank_desc,
     unrank_desc,
@@ -78,8 +77,3 @@ def test_falling_factorial():
     for r in range(8):
         for k in range(r + 1):
             assert falling_factorial(r, k) == math.factorial(r) // math.factorial(r - k)
-
-
-def test_partition_of_multiset():
-    assert partition_of_multiset([1, 3, 2, 3]) == (3, 3, 2, 1)
-    assert partition_of_multiset([]) == ()

@@ -16,7 +16,7 @@ from csftrees.generators import (
     gen_star,
     gen_star_connection,
 )
-from csftrees.graphs import Graph, as_tree, relabel
+from csftrees.graphs import Graph, Tree, as_tree, relabel
 from csftrees.symfunc import csf_equal
 from csftrees.theorems import (
     APPLICABLE,
@@ -25,6 +25,7 @@ from csftrees.theorems import (
     spider_M_formula,
     spider_audit,
     star_connection_M,
+    star_connection_audit,
     star_connection_counts,
     star_connection_distinct,
     survey,
@@ -69,15 +70,13 @@ def test_survey_decomposes_each_tree_once(monkeypatch):
 
     monkeypatch.setattr(decomposition, "leaf_decomposition", counted)
     monkeypatch.setattr(theorems, "leaf_decomposition", counted)
-    rep = survey(7, jobs=1)
+    rep = survey(7)
     assert len(calls) == rep.num_trees == 11
 
 
-def test_survey_payloads_reuse_the_enumerated_trees(monkeypatch):
-    from csftrees import theorems
-    from csftrees.graphs import Tree
-
-    trees = enumerate_free_trees(8)
+@pytest.fixture
+def tree_builds(monkeypatch):
+    """The vertex count of every Tree validated while the test runs."""
     built = []
     validate = Tree.__post_init__
 
@@ -86,8 +85,17 @@ def test_survey_payloads_reuse_the_enumerated_trees(monkeypatch):
         validate(self)
 
     monkeypatch.setattr(Tree, "__post_init__", counted)
-    assert len(theorems._map_payloads(trees, 1)) == len(trees)
-    assert built == []
+    return built
+
+
+def test_survey_payloads_reuse_the_enumerated_trees(tree_builds):
+    from csftrees import theorems
+
+    trees = enumerate_free_trees(8)
+    tree_builds.clear()
+    for t in trees:
+        theorems._survey_payload(t)
+    assert tree_builds == []
 
 
 def test_verdict_json_shape():
@@ -280,6 +288,17 @@ def test_star_connection_distinct():
     assert not csf_equal(gen_star_connection(two_s7), gen_star_connection(CHAIN_4534))
 
 
+def test_star_connections_are_built_once(tree_builds):
+    star_connection_distinct(StarConnectionSpec((7, 7), (Gluing((0, 1)),)), CHAIN_4534)
+    assert tree_builds == [13, 13]
+    tree_builds.clear()
+    assert star_connection_audit(CHAIN_4534) == (13, 3, 9, 9)
+    assert tree_builds == [13]
+    tree_builds.clear()
+    survey(10)
+    assert len(tree_builds) == 106 + 25 + 24  # trees, spiders, star-connection specs
+
+
 def test_star_connection_equal_star_counts():
     a = StarConnectionSpec((4, 4), (Gluing((0, 1)),))
     b = StarConnectionSpec((5, 3), (Gluing((0, 1)),))
@@ -376,12 +395,6 @@ def test_survey_n9_spec_sizes():
 def test_survey_audit_row_counts():
     assert len(survey(7).spider_audit) == 7  # partitions of 6 into >= 3 parts
     assert len(survey(9).star_audit) == 11
-
-
-def test_survey_jobs_deterministic():
-    a, b = survey(7, jobs=1), survey(7, jobs=2)
-    assert survey_report_to_json_dict(a) == survey_report_to_json_dict(b)
-    assert a.pair_rows == b.pair_rows
 
 
 def test_survey_json_key_order():
