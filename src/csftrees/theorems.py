@@ -301,11 +301,8 @@ def _verified_counts(spec: StarConnectionSpec, t: Tree) -> tuple[int, int]:
     return nverts, excess
 
 
-def _formula_M(spec: StarConnectionSpec, nverts: int, excess: int) -> int:
-    m = sum(k - 1 for k in spec.star_sizes) - excess
-    if m != nverts - spec.num_stars:
-        raise InternalError(f"star connection M = {m} != n - r = {nverts - spec.num_stars}")
-    return m
+def _formula_M(spec: StarConnectionSpec, excess: int) -> int:
+    return sum(k - 1 for k in spec.star_sizes) - excess
 
 
 def star_connection_counts(spec: StarConnectionSpec) -> tuple[int, int]:
@@ -313,14 +310,14 @@ def star_connection_counts(spec: StarConnectionSpec) -> tuple[int, int]:
 
 
 def star_connection_M(spec: StarConnectionSpec) -> int:
-    return _formula_M(spec, *star_connection_counts(spec))
+    return _formula_M(spec, star_connection_counts(spec)[1])
 
 
 def star_connection_audit(spec: StarConnectionSpec) -> tuple[int, int, int, int]:
     """(vertex count, degree excess, M, alpha_mis), all from one built tree."""
     t = gen_star_connection(spec)
     nverts, excess = _verified_counts(spec, t)
-    return nverts, excess, _formula_M(spec, nverts, excess), alpha_mis(t.graph)
+    return nverts, excess, _formula_M(spec, excess), alpha_mis(t.graph)
 
 
 def star_connection_distinct(a: StarConnectionSpec, b: StarConnectionSpec) -> TheoremVerdict:
@@ -333,8 +330,8 @@ def star_connection_distinct(a: StarConnectionSpec, b: StarConnectionSpec) -> Th
         return TheoremVerdict(STAR_COUNT, NOT_APPLICABLE, detail=f"equal star counts r = s = {r}")
     swapped = r > s
     (first, c1), (second, c2) = ((b, cb), (a, ca)) if swapped else ((a, ca), (b, cb))
-    m1 = _formula_M(first, *c1)
-    m2 = _formula_M(second, *c2)
+    m1 = _formula_M(first, c1[1])
+    m2 = _formula_M(second, c2[1])
     _check_strict(STAR_COUNT, m1, m2)
     note = "inputs swapped; " if swapped else ""
     return TheoremVerdict(
@@ -433,11 +430,9 @@ def _cell(x) -> str:
     return str(x)
 
 
-def _pair_row(i, j, x_eq, lv, cw, sm) -> tuple[str, ...]:
+def _verdict_cells(lv, cw, sm) -> tuple[str, ...]:
+    """The 13 cells of a CSV row after a, b and x_equal."""
     return (
-        _cell(i),
-        _cell(j),
-        _cell(x_eq),
         lv.status,
         _cell(lv.case_id),
         _cell(lv.m1),
@@ -509,10 +504,32 @@ def _star_audit_rows(n: int) -> list[dict]:
             if code in seen:
                 continue
             seen.add(code)
-            m = _formula_M(spec, *_verified_counts(spec, t))
+            m = _formula_M(spec, _verified_counts(spec, t)[1])
             a = alpha_mis(t.graph)
             rows.append({"stars": list(spec.star_sizes), "formula": m, "alpha": a, "agrees": m == a})
     return rows
+
+
+def _key_verdicts(fa: TreeFacts, fb: TreeFacts, ma: int, mb: int):
+    """The three verdicts on an ordered pair with facts (fa, fb) and max
+    blocks (ma, mb), their CSV cells, and the soundness violations of the
+    pair as (theorem id, reason) tuples: first if the pair is X-equal, then
+    if it is not."""
+    verdicts = (_leaves_verdict(fa, fb), _componentwise_verdict(fa, fb), _sum_verdict(fa, fb))
+    if_equal, if_distinct = [], []
+    for v in verdicts:
+        if v.status != APPLICABLE:
+            continue
+        hi, lo = (mb, ma) if v.swapped else (ma, mb)
+        problems = []
+        if v.m1 != hi or v.m2 != lo:
+            problems.append(f"claimed m = ({v.m1}, {v.m2}) but max blocks are ({hi}, {lo})")
+        if not (v.m1 is not None and v.m2 is not None and v.m1 > v.m2):
+            problems.append(f"m1 = {v.m1} is not strictly greater than m2 = {v.m2}")
+        if_equal.append((v.theorem_id, "; ".join(["csf_equal is true", *problems])))
+        if problems:
+            if_distinct.append((v.theorem_id, "; ".join(problems)))
+    return verdicts, _verdict_cells(*verdicts), tuple(if_equal), tuple(if_distinct)
 
 
 def survey(n: int) -> SurveyReport:
@@ -525,6 +542,17 @@ def survey(n: int) -> SurveyReport:
     and each claimed maximum is checked against the max block read from the
     p-terms' hook coefficients (max_block_from_csf).
 
+    The checkers read only TreeFacts, so the trees are grouped into classes
+    by (facts, max block) and the verdicts, their CSV cells and their
+    soundness problems are computed once per ordered class pair, then reused
+    for every tree pair in it; verdict_counts weights each class pair by its
+    number of tree pairs.  The max block is part of the class so that the
+    claimed-m check stays exact for every pair without assuming that alpha
+    is a function of the facts.  X-equality is decided by bucketing the
+    trees on their exact p-terms (a dict keyed by the terms, so full terms
+    are compared and a hash alone never decides); a pair is X-equal iff its
+    trees share a bucket.
+
     Everything runs in one process: the per-tree work in enumeration order,
     then the pairwise pass in canonical-code order, so the report depends on
     n alone."""
@@ -532,53 +560,52 @@ def survey(n: int) -> SurveyReport:
         raise GraphError("survey needs an integer n with 3 <= n <= 11")
     trees = enumerate_free_trees(n)
     payloads = [_survey_payload(t) for t in trees]
-    facts = [p[0] for p in payloads]
-    terms = [p[3] for p in payloads]
-    mb = [p[4] for p in payloads]
 
     chain_viol = [
         {"tree": i, "sequence": list(p[1])} for i, p in enumerate(payloads) if not p[2]
     ]
+    buckets: dict[tuple, int] = {}
+    bucket = [buckets.setdefault(p[3], len(buckets)) for p in payloads]
+    classes: dict[tuple, int] = {}
+    cls = [classes.setdefault((p[0], p[4]), len(classes)) for p in payloads]
+    class_of = list(classes)
+    k = len(class_of)
+    memo: list = [None] * (k * k)
+    weight = [0] * (k * k)
+
+    x_equal = 0
+    violations: list[dict] = []
+    rows: list[tuple] = []
+    for i in range(len(trees)):
+        si, bi, base = str(i), bucket[i], cls[i] * k
+        for j in range(i + 1, len(trees)):
+            key = base + cls[j]
+            weight[key] += 1
+            entry = memo[key]
+            if entry is None:
+                (fa, ma), (fb, mb) = class_of[cls[i]], class_of[cls[j]]
+                entry = memo[key] = _key_verdicts(fa, fb, ma, mb)
+            x_eq = bi == bucket[j]
+            x_equal += x_eq
+            for theorem, reason in entry[2] if x_eq else entry[3]:
+                violations.append({"a": i, "b": j, "theorem": theorem, "reason": reason})
+            rows.append((si, str(j), "true" if x_eq else "false") + entry[1])
+
     counts = {
         LEAVES_RHO: {"case1": 0, "case2": 0, "case3": 0, "case4": 0, "not_applicable": 0},
         COMPONENTWISE: {"applicable": 0, "not_applicable": 0},
         SUMMED: {"applicable": 0, "not_applicable": 0},
     }
-    x_equal = 0
-    violations: list[dict] = []
-    rows: list[tuple] = []
-    for i in range(len(trees)):
-        for j in range(i + 1, len(trees)):
-            x_eq = terms[i] == terms[j]
-            if x_eq:
-                x_equal += 1
-            lv = _leaves_verdict(facts[i], facts[j])
-            cw = _componentwise_verdict(facts[i], facts[j])
-            sm = _sum_verdict(facts[i], facts[j])
-            if lv.status == APPLICABLE:
-                counts[LEAVES_RHO][f"case{lv.case_id}"] += 1
-            else:
-                counts[LEAVES_RHO]["not_applicable"] += 1
-            for key, v in ((COMPONENTWISE, cw), (SUMMED, sm)):
-                counts[key]["applicable" if v.status == APPLICABLE else "not_applicable"] += 1
-            for v in (lv, cw, sm):
-                if v.status != APPLICABLE:
-                    continue
-                hi, lo = (j, i) if v.swapped else (i, j)
-                problems = []
-                if x_eq:
-                    problems.append("csf_equal is true")
-                if v.m1 != mb[hi] or v.m2 != mb[lo]:
-                    problems.append(
-                        f"claimed m = ({v.m1}, {v.m2}) but max blocks are ({mb[hi]}, {mb[lo]})"
-                    )
-                if not (v.m1 is not None and v.m2 is not None and v.m1 > v.m2):
-                    problems.append(f"m1 = {v.m1} is not strictly greater than m2 = {v.m2}")
-                if problems:
-                    violations.append(
-                        {"a": i, "b": j, "theorem": v.theorem_id, "reason": "; ".join(problems)}
-                    )
-            rows.append(_pair_row(i, j, x_eq, lv, cw, sm))
+    for entry, w in zip(memo, weight):
+        if entry is None:
+            continue
+        lv, cw, sm = entry[0]
+        if lv.status == APPLICABLE:
+            counts[LEAVES_RHO][f"case{lv.case_id}"] += w
+        else:
+            counts[LEAVES_RHO]["not_applicable"] += w
+        for theorem, v in ((COMPONENTWISE, cw), (SUMMED, sm)):
+            counts[theorem]["applicable" if v.status == APPLICABLE else "not_applicable"] += w
     return SurveyReport(
         n=n,
         num_trees=len(trees),

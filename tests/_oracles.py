@@ -9,7 +9,8 @@ from __future__ import annotations
 import itertools
 import random
 
-from csftrees.generators import Gluing, StarConnectionSpec
+from csftrees import theorems
+from csftrees.generators import Gluing, StarConnectionSpec, enumerate_free_trees
 from csftrees.graphs import Graph
 
 
@@ -97,3 +98,83 @@ def random_star_spec(rng: random.Random, max_vertices: int = 20) -> StarConnecti
         gluings.append(Gluing(tuple(group)))
         i += 1
     return StarConnectionSpec(sizes, tuple(gluings))
+
+
+def _csv_cell(x) -> str:
+    if x is None:
+        return ""
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    return str(x)
+
+
+def survey_pairwise_reference(n: int) -> theorems.SurveyReport:
+    """theorems.survey(n) computed pair by pair: all three checkers run on
+    every tree pair, X-equality compares the two trees' p-terms directly and
+    every Applicable claim is checked against both trees' max blocks. The
+    per-tree payloads, checkers and audits are looked up on the theorems
+    module at call time, so a test that patches one patches both routes."""
+    trees = enumerate_free_trees(n)
+    payloads = [theorems._survey_payload(t) for t in trees]
+    facts = [p[0] for p in payloads]
+    terms = [p[3] for p in payloads]
+    mb = [p[4] for p in payloads]
+    counts = {
+        "LEAVES_RHO": {"case1": 0, "case2": 0, "case3": 0, "case4": 0, "not_applicable": 0},
+        "COMPONENTWISE": {"applicable": 0, "not_applicable": 0},
+        "SUMMED": {"applicable": 0, "not_applicable": 0},
+    }
+    x_equal = 0
+    violations = []
+    rows = []
+    for i in range(len(trees)):
+        for j in range(i + 1, len(trees)):
+            x_eq = terms[i] == terms[j]
+            if x_eq:
+                x_equal += 1
+            lv = theorems._leaves_verdict(facts[i], facts[j])
+            cw = theorems._componentwise_verdict(facts[i], facts[j])
+            sm = theorems._sum_verdict(facts[i], facts[j])
+            if lv.status == "Applicable":
+                counts["LEAVES_RHO"][f"case{lv.case_id}"] += 1
+            else:
+                counts["LEAVES_RHO"]["not_applicable"] += 1
+            for key, v in (("COMPONENTWISE", cw), ("SUMMED", sm)):
+                counts[key]["applicable" if v.status == "Applicable" else "not_applicable"] += 1
+            for v in (lv, cw, sm):
+                if v.status != "Applicable":
+                    continue
+                hi, lo = (j, i) if v.swapped else (i, j)
+                problems = []
+                if x_eq:
+                    problems.append("csf_equal is true")
+                if v.m1 != mb[hi] or v.m2 != mb[lo]:
+                    problems.append(
+                        f"claimed m = ({v.m1}, {v.m2}) but max blocks are ({mb[hi]}, {mb[lo]})"
+                    )
+                if not (v.m1 is not None and v.m2 is not None and v.m1 > v.m2):
+                    problems.append(f"m1 = {v.m1} is not strictly greater than m2 = {v.m2}")
+                if problems:
+                    violations.append(
+                        {"a": i, "b": j, "theorem": v.theorem_id, "reason": "; ".join(problems)}
+                    )
+            cells = [i, j, x_eq]
+            cells += [lv.status, lv.case_id, lv.m1, lv.m2, lv.swapped]
+            for v in (cw, sm):
+                cells += [v.status, v.m1, v.m2, v.swapped]
+            rows.append(tuple(_csv_cell(c) for c in cells))
+    return theorems.SurveyReport(
+        n=n,
+        num_trees=len(trees),
+        pairs=len(rows),
+        x_equal_pairs=x_equal,
+        skipped_pairs=0,
+        soundness_violations=tuple(violations),
+        verdict_counts=counts,
+        chain_audit_violations=tuple(
+            {"tree": i, "sequence": list(p[1])} for i, p in enumerate(payloads) if not p[2]
+        ),
+        spider_audit=tuple(theorems._spider_audit_rows(n)),
+        star_audit=tuple(theorems._star_audit_rows(n)),
+        pair_rows=tuple(rows),
+    )

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import importlib
 import importlib.util
 import json
@@ -203,6 +204,24 @@ def test_survey_files_deterministic_across_jobs(tmp_path):
     assert paths["1"] == paths["2"]
     header = paths["1"][1].decode().splitlines()[0]
     assert header == ",".join(SURVEY_CSV_HEADER)
+
+
+# sha256 of the survey's JSON report and CSV, frozen so that any drift in
+# the report bytes fails the suite
+SURVEY_DIGESTS = {
+    9: ("40b3052ab05ce1f5d27c6421349eb59475d1ed4ca38ddfd666bd1c523e9d246f",
+        "cf76f48d0fe1ed086ea2f382e6013c38e3d05f10c3e08b42192373eff797b8b3"),
+    10: ("75545a3f8a56049c6ead977d7f18da4b9adb237c8b624fa63e2ab6d681cd712d",
+         "1698b83f51412eaffc6a115660fe57a02cb3b7dc7fe66ee9014f45cbdb0f3729"),
+}
+
+
+@pytest.mark.parametrize("n", sorted(SURVEY_DIGESTS))
+def test_survey_output_digests(tmp_path, n):
+    out, csvp = tmp_path / "rep.json", tmp_path / "rows.csv"
+    assert main(["survey", "--n", str(n), "--out", str(out), "--csv", str(csvp)]) == 0
+    digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (out, csvp))
+    assert digests == SURVEY_DIGESTS[n]
 
 
 def test_survey_rejects_out_of_range(capsys):

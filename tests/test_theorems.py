@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from _oracles import mis_bruteforce, random_star_spec
+from _oracles import mis_bruteforce, random_star_spec, survey_pairwise_reference
 from csftrees.decomposition import alpha_mis, leaf_decomposition
 from csftrees.errors import GraphError
 from csftrees.generators import (
@@ -17,7 +17,7 @@ from csftrees.generators import (
     gen_star_connection,
 )
 from csftrees.graphs import Graph, Tree, as_tree, relabel
-from csftrees.symfunc import csf_equal
+from csftrees.symfunc import csf_equal, csf_powersum
 from csftrees.theorems import (
     APPLICABLE,
     NOT_APPLICABLE,
@@ -404,6 +404,60 @@ def test_survey_json_key_order():
         "soundness_violations", "verdict_counts", "chain_audit_violations",
         "spider_audit", "star_audit",
     ]
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_survey_matches_pairwise_reference(n):
+    assert survey(n) == survey_pairwise_reference(n)
+
+
+def _patch_payloads(monkeypatch, n, edit):
+    """Make theorems._survey_payload return edit(index, payload) for the
+    index-th tree of enumerate_free_trees(n), in survey and oracle alike."""
+    from csftrees import theorems
+
+    index = {t.graph.edges: i for i, t in enumerate(enumerate_free_trees(n))}
+    payload = theorems._survey_payload
+
+    def patched(t):
+        return edit(index[t.graph.edges], payload(t))
+
+    monkeypatch.setattr(theorems, "_survey_payload", patched)
+
+
+def test_survey_reports_a_wrong_max_block_like_the_reference(monkeypatch):
+    # the last tree that shares its facts with an earlier one, so a memo keyed
+    # on the facts alone would reuse the earlier tree's checks for it
+    facts = [tree_facts(t) for t in enumerate_free_trees(9)]
+    bad = max(i for i, f in enumerate(facts) if f in facts[:i])
+    _patch_payloads(
+        monkeypatch, 9, lambda i, p: (*p[:4], p[4] + 1) if i == bad else p
+    )
+    rep, ref = survey(9), survey_pairwise_reference(9)
+    assert rep.soundness_violations
+    assert all(bad in (v["a"], v["b"]) for v in rep.soundness_violations)
+    assert list(rep.soundness_violations) == list(ref.soundness_violations)
+    assert rep == ref
+
+
+def test_survey_x_equality_compares_full_terms(monkeypatch):
+    # trees 0 and last get the same p-terms; tree 1 gets terms that differ
+    # from them in one coefficient, -1 -> -2, which hash equal in CPython
+    last = len(enumerate_free_trees(7)) - 1
+    terms = csf_powersum(enumerate_free_trees(7)[0]).terms
+    k = next(k for k, (_, c) in enumerate(terms) if c == -1)
+    twin = terms[:k] + ((terms[k][0], -2),) + terms[k + 1:]
+    assert hash(twin) == hash(terms) and twin != terms
+    fake = {0: terms, 1: twin, last: terms}
+    _patch_payloads(
+        monkeypatch, 7, lambda i, p: (*p[:3], fake[i], p[4]) if i in fake else p
+    )
+    rep, ref = survey(7), survey_pairwise_reference(7)
+    assert rep.x_equal_pairs == ref.x_equal_pairs == 1
+    equal = [v for v in rep.soundness_violations if "csf_equal is true" in v["reason"]]
+    assert equal and all((v["a"], v["b"]) == (0, last) for v in equal)
+    assert equal == [v for v in ref.soundness_violations if "csf_equal is true" in v["reason"]]
+    assert rep == ref
 
 
 @pytest.mark.parametrize("bad", [2, 12, 7.0, True, "7"])
