@@ -43,13 +43,14 @@ from .symfunc import (
 )
 from .theorems import (
     SURVEY_CSV_HEADER,
+    _componentwise_verdict,
+    _leaves_verdict,
+    _sum_verdict,
     spider_audit,
     star_connection_audit,
     survey,
     survey_report_to_json_dict,
-    thm_componentwise_check,
-    thm_leaves_check,
-    thm_sum_check,
+    tree_facts,
     verdict_to_json_dict,
 )
 
@@ -102,9 +103,11 @@ def _cmd_compare(args) -> int:
             raise GraphError(f"--theorems needs equal vertex counts, got {ta.n} and {tb.n}")
         if trees_isomorphic(ta, tb):
             raise GraphError("--theorems needs non-isomorphic trees")
+        # Non-isomorphic trees of equal size have n >= 4, as LEAVES_RHO needs.
+        fa, fb = tree_facts(ta), tree_facts(tb)
         report["theorems"] = [
-            verdict_to_json_dict(check(ta, tb))
-            for check in (thm_leaves_check, thm_componentwise_check, thm_sum_check)
+            verdict_to_json_dict(verdict(fa, fb))
+            for verdict in (_leaves_verdict, _componentwise_verdict, _sum_verdict)
         ]
     _emit_json(report, args.out)
     return 0
@@ -131,9 +134,8 @@ def _parse_legs(text: str) -> SpiderSpec:
 
 def _cmd_spider(args) -> int:
     spec = _parse_legs(args.legs)
-    t = gen_spider(spec)
     if not args.audit:
-        _emit(serialize(t.graph), None)
+        _emit(serialize(gen_spider(spec).graph), None)
         return 0
     formula, oracle, agrees = spider_audit(spec)
     _emit_json(

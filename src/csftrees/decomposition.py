@@ -18,7 +18,9 @@ cross-checks by dynamic programming.
 
 rho = n - b_1 - eta_1 uses the first level only; its vertex set V(rho) is
 everything that is neither a leaf nor a leaf-neighbor, and is_path reports
-whether the induced subgraph is a path (vacuously true for rho <= 1).
+whether the induced subgraph is a path (vacuously true for rho <= 1). Any
+vertex set of a tree induces a forest, so is_path counts on the tree's edge
+list: rho - 1 edges inside V(rho) and no inside degree above 2.
 """
 
 from __future__ import annotations
@@ -26,15 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import GraphError
-from .graphs import (
-    Graph,
-    Tree,
-    adjacency,
-    degrees,
-    has_cycle,
-    induced_subgraph,
-    is_connected,
-)
+from .graphs import Graph, Tree, adjacency, bfs_order
 
 
 @dataclass(frozen=True)
@@ -120,36 +114,35 @@ def rho_data(t: Tree, d: LeafDecomposition | None = None) -> RhoData:
     lvl1 = (d or leaf_decomposition(t)).levels[0]
     rest = sorted(set(range(t.n)) - set(lvl1.leaf_vertices) - set(lvl1.neighbor_vertices))
     rho = t.n - lvl1.b - lvl1.eta
-    if rho <= 1:
-        path = True
-    else:
-        sub = induced_subgraph(t.graph, rest)
-        path = is_connected(sub) and max(degrees(sub)) <= 2
+    # V(rho) induces a forest, so it is a path iff it has rho - 1 inside
+    # edges (one component) and no inside degree above 2.
+    inside = set(rest)
+    deg = [0] * t.n
+    edges = 0
+    for u, v in t.edges:
+        if u in inside and v in inside:
+            deg[u] += 1
+            deg[v] += 1
+            edges += 1
+    path = rho <= 1 or (edges == rho - 1 and max(deg) <= 2)
     return RhoData(rho, tuple(rest), path)
 
 
 def alpha_mis(g: Graph) -> int:
-    """Independence number of a forest by include/exclude DP per component."""
-    if has_cycle(g):
-        raise GraphError("alpha_mis needs an acyclic graph")
+    """Independence number of a forest by include/exclude DP per component.
+
+    A simple graph is a forest iff |E| = n - #components; the components
+    are counted by the same traversal that orders the DP."""
     n = g.n
     adj = adjacency(g)
-    seen = [False] * n
     parent = [-1] * n
+    orders = [bfs_order(adj, root, parent) for root in range(n) if parent[root] == -1]
+    if g.num_edges != n - len(orders):
+        raise GraphError("alpha_mis needs an acyclic graph")
     take = [0] * n
     skip = [0] * n
     total = 0
-    for root in range(n):
-        if seen[root]:
-            continue
-        seen[root] = True
-        order = [root]
-        for v in order:
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    parent[w] = v
-                    order.append(w)
+    for order in orders:
         for v in reversed(order):
             t_in, t_out = 1, 0
             for w in adj[v]:
@@ -157,7 +150,7 @@ def alpha_mis(g: Graph) -> int:
                     t_in += skip[w]
                     t_out += max(take[w], skip[w])
             take[v], skip[v] = t_in, t_out
-        total += max(take[root], skip[root])
+        total += max(take[order[0]], skip[order[0]])
     return total
 
 

@@ -16,6 +16,10 @@ ending at the star [0,1,1,...,1]) and deduplicating by the center-rooted
 canonical code; the result is sorted by code. The Prüfer decoder lives here
 too because the test suite uses n^(n-2) Prüfer sequences as the enumeration
 oracle.
+
+Caps (CapExceededError): spiders and star connections are built only up to
+BUILD_MAX_VERTICES vertices, checked on the spec before any edge exists;
+enumeration takes n <= ENUM_MAX_N.
 """
 
 from __future__ import annotations
@@ -26,9 +30,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import CapExceededError, GraphError
-from .graphs import Graph, Tree, _code_from_adj, as_tree
+from .graphs import Graph, Tree, _code_from_adj, as_tree, bfs_order
 
 ENUM_MAX_N = 16
+BUILD_MAX_VERTICES = 10_000
 
 
 def gen_path(n: int) -> Tree:
@@ -81,6 +86,10 @@ class SpiderSpec:
 def gen_spider(spec: SpiderSpec) -> Tree:
     if not isinstance(spec, SpiderSpec):
         spec = SpiderSpec(tuple(spec))
+    if spec.num_vertices > BUILD_MAX_VERTICES:
+        raise CapExceededError(
+            f"spider capped at {BUILD_MAX_VERTICES} vertices, got {spec.num_vertices}"
+        )
     edges = []
     nxt = 1
     for length in spec.legs:
@@ -165,6 +174,13 @@ class StarConnectionSpec:
 def gen_star_connection(spec: StarConnectionSpec) -> Tree:
     r = spec.num_stars
     t = len(spec.gluings)
+    # Every star puts n_k - 1 edges into the result, so a valid spec has
+    # sum(n_k) - (r - 1) vertices; the cap is checked on that count.
+    nverts = sum(spec.star_sizes) - (r - 1)
+    if nverts > BUILD_MAX_VERTICES:
+        raise CapExceededError(
+            f"star connection capped at {BUILD_MAX_VERTICES} vertices, got {nverts}"
+        )
     # Star k joins gluing vertex r+gi for each gluing gi it is in; each such
     # join uses up one of its n_k - 1 leaves.
     edges = []
@@ -177,28 +193,31 @@ def gen_star_connection(spec: StarConnectionSpec) -> Tree:
             edges.append((k, r + gi))
 
     # Tree-ness of the gluing structure, with targeted messages before the
-    # generic as_tree validation would fire.
-    for a in range(r):
-        for b in range(a + 1, r):
-            shared = sum(1 for g in spec.gluings if a in g.stars and b in g.stars)
-            if shared > 1:
-                raise GraphError(f"stars {a} and {b} share {shared} vertices (at most 1 allowed)")
-    parent = list(range(r))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for g in spec.gluings:
-        anchor = g.stars[0]
-        for k in g.stars[1:]:
-            ra, rk = find(anchor), find(k)
-            if ra == rk:
-                raise GraphError("gluing structure contains a cycle")
-            parent[ra] = rk
-    if len({find(k) for k in range(r)}) != 1:
+    # generic as_tree validation would fire: the star-gluing incidence graph
+    # built so far is a forest iff |E| = #vertices - #components.
+    adj: list[list[int]] = [[] for _ in range(r + t)]
+    for k, gv in edges:
+        adj[k].append(gv)
+        adj[gv].append(k)
+    parent = [-1] * (r + t)
+    components = 0
+    for v in range(r + t):
+        if parent[v] == -1:
+            bfs_order(adj, v, parent)
+            components += 1
+    if len(edges) != r + t - components:
+        shared: dict[tuple[int, int], int] = {}
+        for g in spec.gluings:
+            stars = sorted(g.stars)
+            for i, a in enumerate(stars):
+                for b in stars[i + 1 :]:
+                    shared[a, b] = shared.get((a, b), 0) + 1
+        twice = [pair for pair, count in shared.items() if count > 1]
+        if twice:
+            a, b = min(twice)
+            raise GraphError(f"stars {a} and {b} share {shared[a, b]} vertices (at most 1 allowed)")
+        raise GraphError("gluing structure contains a cycle")
+    if components != 1:
         raise GraphError("gluing structure is not connected")
 
     nxt = r + t
@@ -279,11 +298,11 @@ def _free_tree_edge_sets(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(by_code[code] for code in sorted(by_code))
 
 
-def enumerate_free_trees(n: int, max_n: int = ENUM_MAX_N) -> list[Tree]:
+def enumerate_free_trees(n: int) -> list[Tree]:
     """One representative per isomorphism class of trees on n vertices,
     in canonical-code order."""
     if not isinstance(n, int) or n < 1:
         raise GraphError(f"tree order must be a positive integer, got {n!r}")
-    if n > max_n:
-        raise CapExceededError(f"enumeration capped at n <= {max_n}, got {n}")
+    if n > ENUM_MAX_N:
+        raise CapExceededError(f"enumeration capped at n <= {ENUM_MAX_N}, got {n}")
     return [as_tree(Graph(n, e)) for e in _free_tree_edge_sets(n)]

@@ -106,46 +106,32 @@ def degrees(g: Graph) -> list[int]:
     return deg
 
 
+def bfs_order(adj: list[list[int]], root: int, parent: list[int]) -> list[int]:
+    """Vertices reachable from `root` in breadth-first order.
+
+    Sets parent[root] = root and parent[w] to the vertex that reached w.
+    Vertices whose parent entry is not -1 on entry count as visited, so one
+    `parent` list shared over calls walks a forest component by component."""
+    parent[root] = root
+    order = [root]
+    for v in order:
+        for w in adj[v]:
+            if parent[w] == -1:
+                parent[w] = v
+                order.append(w)
+    return order
+
+
 def is_connected(g: Graph) -> bool:
     """True for graphs with one component; vacuously true for n <= 1."""
     if g.n <= 1:
         return True
-    adj = adjacency(g)
-    seen = [False] * g.n
-    seen[0] = True
-    stack = [0]
-    count = 1
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if not seen[w]:
-                seen[w] = True
-                count += 1
-                stack.append(w)
-    return count == g.n
+    return len(bfs_order(adjacency(g), 0, [-1] * g.n)) == g.n
 
 
 def is_tree(g: Graph) -> bool:
     """n >= 1, n - 1 edges and connected (which together rule out a cycle)."""
     return g.n >= 1 and g.num_edges == g.n - 1 and is_connected(g)
-
-
-def has_cycle(g: Graph) -> bool:
-    """Union-find over the edge list."""
-    parent = list(range(g.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in g.edges:
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return True
-        parent[ru] = rv
-    return False
 
 
 def relabel(g: Graph, perm) -> Graph:
@@ -154,16 +140,6 @@ def relabel(g: Graph, perm) -> Graph:
     if sorted(perm) != list(range(g.n)):
         raise GraphError("perm must be a permutation of 0..n-1")
     return Graph(g.n, tuple((perm[u], perm[v]) for u, v in g.edges))
-
-
-def induced_subgraph(g: Graph, vertices) -> Graph:
-    """Subgraph induced on `vertices`, relabeled densely in sorted order."""
-    vs = sorted(set(vertices))
-    index = {v: i for i, v in enumerate(vs)}
-    keep = tuple(
-        (index[u], index[v]) for u, v in g.edges if u in index and v in index
-    )
-    return Graph(len(vs), keep)
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -248,16 +224,10 @@ def _centers(n: int, adj: list[list[int]]) -> list[int]:
 def _rooted_code(root: int, n: int, adj: list[list[int]]) -> str:
     """AHU parenthesis code of the tree rooted at `root`."""
     parent = [-1] * n
-    parent[root] = root
-    order = [root]
-    for v in order:
-        for w in adj[v]:
-            if parent[w] == -1:
-                parent[w] = v
-                order.append(w)
+    order = bfs_order(adj, root, parent)
     code: list[str] = [""] * n
     for v in reversed(order):
-        kids = sorted(code[w] for w in adj[v] if parent[w] == v and w != v)
+        kids = sorted(code[w] for w in adj[v] if parent[w] == v)
         code[v] = "(" + "".join(kids) + ")"
     return code[root]
 

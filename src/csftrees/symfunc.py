@@ -27,7 +27,9 @@ Which route computes X_G depends on the graph:
 
 The change of basis is invertible, so equality in the p basis is equality
 of X.  max_block_from_csf reads the independence number from either basis;
-in p it forms only the hook coefficients, never the full to_monomial.
+in p it forms only the hook coefficients, by the closed form
+[m_(k,1^(n-k))] p_lambda = perm(m_1(lambda), n - k) (m_1 counts the parts
+equal to 1), never the full to_monomial.
 Everything is exact Python int arithmetic; the two kernels hand back int64
 count arrays, which stay in range at the caps below.
 
@@ -45,11 +47,12 @@ import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import groupby
+from math import perm
 from typing import Iterator
 
 from ._kernels import edge_subset_type_counts, stable_partitions_rgs, stable_type_counts
 from .errors import CapExceededError, GraphError, InternalError
-from .graphs import Graph, Tree, adjacency, is_tree
+from .graphs import Graph, Tree, adjacency, bfs_order, is_tree
 from .partitions import (
     falling_factorial,
     mult_factorial,
@@ -180,13 +183,7 @@ def _tree_powersum_terms(g: Graph) -> dict[tuple[int, ...], int]:
     or put in S, which merges it into the parent's component (sign -)."""
     adj = adjacency(g)
     parent = [-1] * g.n
-    parent[0] = 0
-    order = [0]
-    for v in order:
-        for w in adj[v]:
-            if parent[w] == -1:
-                parent[w] = v
-                order.append(w)
+    order = bfs_order(adj, 0, parent)
     tables: list[dict | None] = [None] * g.n
     for v in reversed(order):
         cur = {(1, ()): 1}
@@ -285,15 +282,20 @@ def max_block_from_csf(f: SymmetricFunction) -> int:
     In the m basis it is the largest part in the support.  In the p basis
     only the hook coefficients are formed:
     [m_(k,1^(n-k))] X_G = (n-k)! * #(independent k-sets), nonzero exactly
-    when k <= alpha, so alpha is the largest k where it is nonzero."""
+    when k <= alpha, so alpha is the largest k where it is nonzero.  Each
+    hook slot of size 1 takes one part equal to 1 and the k slot takes the
+    rest, so [m_(k,1^(n-k))] p_lambda = perm(m_1(lambda), n - k), where
+    m_1(lambda) is the number of parts equal to 1."""
     if not f.terms:
         raise GraphError("empty symmetric function")
     if f.basis == BASIS_MONOMIAL:
         return max(parts[0] for parts, _ in f.terms)
-    runs = [(_distinct_runs(parts), coeff) for parts, coeff in f.terms]
+    by_ones: dict[int, int] = {}
+    for parts, coeff in f.terms:
+        m1 = parts.count(1)
+        by_ones[m1] = by_ones.get(m1, 0) + coeff
     for k in range(f.n, 0, -1):
-        hook = (k,) + (1,) * (f.n - k)
-        if sum(coeff * _slot_assignments(r, hook) for r, coeff in runs):
+        if sum(coeff * perm(m1, f.n - k) for m1, coeff in by_ones.items()):
             return k
     raise GraphError("not a chromatic symmetric function: every hook coefficient is zero")
 

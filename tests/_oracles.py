@@ -35,6 +35,32 @@ def mis_bruteforce(g: Graph) -> int:
     return best
 
 
+def rho_path_bruteforce(g: Graph) -> tuple[tuple[int, ...], bool]:
+    """V(rho) of a tree, i.e. the vertices that are neither a leaf nor next
+    to a leaf, and whether the subgraph it induces is a path: at most one
+    vertex, or connected (flood fill inside the set) with every inside
+    degree at most 2."""
+    adj = [set() for _ in range(g.n)]
+    for u, v in g.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    leaves = {v for v in range(g.n) if len(adj[v]) == 1}
+    near = {w for v in leaves for w in adj[v]}
+    rest = set(range(g.n)) - leaves - near
+    if len(rest) <= 1:
+        return tuple(sorted(rest)), True
+    start = min(rest)
+    seen = {start}
+    stack = [start]
+    while stack:
+        for w in adj[stack.pop()] & rest:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    path = seen == rest and all(len(adj[v] & rest) <= 2 for v in rest)
+    return tuple(sorted(rest)), path
+
+
 def coloring_count(g: Graph, r: int) -> int:
     """Number of proper colorings with colors 1..r, by full enumeration."""
     total = 0

@@ -11,9 +11,10 @@ import time
 import pytest
 
 import csftrees
-from csftrees import cli
+from csftrees import cli, graphs, theorems
 from csftrees.cli import main
 from csftrees.errors import InternalError
+from csftrees.graphs import as_tree, parse_edge_list
 from csftrees.theorems import SURVEY_CSV_HEADER, survey, survey_report_to_json_dict
 
 P3 = "n 3\n0 1\n1 2\n"
@@ -179,6 +180,43 @@ def test_compare_theorems(tmp_path, capsys):
     assert (sm["theorem"], sm["status"]) == ("SUMMED", "NotApplicable")
 
 
+def test_compare_theorems_computes_facts_once(tmp_path, capsys, monkeypatch):
+    """Each tree's code and leaf decomposition are computed once per request,
+    and the verdicts are those of the public checkers."""
+    calls = {"canonical_code": 0, "leaf_decomposition": 0}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(graphs, "canonical_code")
+    counted(theorems, "leaf_decomposition")
+    text_a = "n 8\n0 1\n1 2\n2 3\n3 4\n4 5\n5 6\n6 7\n"
+    text_b = "n 8\n0 1\n0 2\n0 3\n3 4\n4 5\n4 6\n6 7\n"
+    a, b = _write(tmp_path, "a.txt", text_a), _write(tmp_path, "b.txt", text_b)
+    assert main(["compare", "--a", a, "--b", b, "--theorems"]) == 0
+    out = capsys.readouterr().out
+    assert calls == {"canonical_code": 2, "leaf_decomposition": 2}
+    monkeypatch.undo()
+    ta, tb = (as_tree(parse_edge_list(text)) for text in (text_a, text_b))
+    expected = {
+        "n_a": 8,
+        "n_b": 8,
+        "x_equal": False,
+        "theorems": [
+            theorems.verdict_to_json_dict(check(ta, tb))
+            for check in (theorems.thm_leaves_check, theorems.thm_componentwise_check,
+                          theorems.thm_sum_check)
+        ],
+    }
+    assert out == json.dumps(expected, indent=2) + "\n"
+
+
 def test_compare_theorems_preconditions(tmp_path, capsys):
     a = _write(tmp_path, "a.txt", P4)
     b = _write(tmp_path, "b.txt", P3)
@@ -243,6 +281,31 @@ def test_spider_audit(capsys):
         "oracle": 4,
         "agrees": False,
     }
+
+
+def test_build_cap_exits_fast(tmp_path, capsys):
+    for legs in ("500000,500000,1", "1000000000,1,1"):
+        start = time.perf_counter()
+        assert main(["spider", "--legs", legs]) == 1
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err.startswith("error: spider capped at 10000 vertices")
+    spec = _write(tmp_path, "big.json", '{"stars": [3, 1000000000], "gluings": [{"stars": [0, 1]}]}')
+    for extra in ([], ["--audit"]):
+        start = time.perf_counter()
+        assert main(["starconn", "--spec", spec] + extra) == 1
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err.startswith("error: star connection capped at 10000")
+
+
+def test_starconn_long_chain_builds_fast(tmp_path, capsys):
+    r = 4999  # 2r + 1 = 9999 vertices, just under the build cap
+    spec = {"stars": [3] * r, "gluings": [{"stars": [i, i + 1]} for i in range(r - 1)]}
+    path = _write(tmp_path, "chain.json", json.dumps(spec))
+    start = time.perf_counter()
+    assert main(["starconn", "--spec", path]) == 0
+    assert time.perf_counter() - start < 1.0
+    out = capsys.readouterr().out
+    assert out.startswith("n 9999\n") and out.count("\n") == 9999
 
 
 def test_spider_bad_legs(capsys):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from _oracles import mis_bruteforce
+from _oracles import mis_bruteforce, rho_path_bruteforce
 from csftrees.decomposition import (
     alpha_from_decomposition,
     alpha_mis,
@@ -138,6 +138,19 @@ def test_rho_set_may_be_disconnected():
     assert not r.is_path
 
 
+def test_rho_path_rule_matches_induced_subgraph():
+    """rho - 1 inside edges and inside degrees <= 2, counted on the edge
+    list, against a flood fill of the induced subgraph."""
+    for n in range(2, 12):
+        for t in enumerate_free_trees(n):
+            r = rho_data(t)
+            assert (r.rho_vertices, r.is_path) == rho_path_bruteforce(t.graph)
+            assert r.rho == len(r.rho_vertices)
+    # spider (3,3,3): V(rho) induces a claw, connected with rho - 1 edges
+    r = rho_data(gen_spider((3, 3, 3)))
+    assert (r.rho, r.is_path) == (4, False)
+
+
 def test_rho_needs_two_vertices():
     with pytest.raises(GraphError):
         rho_data(gen_path(1))
@@ -158,6 +171,22 @@ def test_alpha_mis_forest_and_cycle():
     assert alpha_mis(Graph(3)) == 3
     with pytest.raises(GraphError):
         alpha_mis(Graph(3, ((0, 1), (1, 2), (0, 2))))
+
+
+def test_alpha_mis_forest_rule():
+    """|E| = n - #components decides acyclicity, isolated vertices included."""
+    triangle = ((0, 1), (1, 2), (0, 2))
+    for isolated in range(4):
+        with pytest.raises(GraphError, match="acyclic"):
+            alpha_mis(Graph(3 + isolated, triangle))
+        with pytest.raises(GraphError, match="acyclic"):
+            alpha_mis(Graph(5 + isolated, triangle + ((3, 4),)))
+    rng = random.Random(11)
+    for _ in range(30):
+        t = enumerate_free_trees(7)[rng.randrange(11)]
+        kept = tuple(e for e in t.edges if rng.random() < 0.6)
+        g = Graph(7 + rng.randint(0, 3), kept)
+        assert alpha_mis(g) == mis_bruteforce(g)
 
 
 def test_decomposition_json():

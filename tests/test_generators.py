@@ -4,8 +4,10 @@ import random
 
 import pytest
 
+from csftrees import generators
 from csftrees.errors import CapExceededError, GraphError
 from csftrees.generators import (
+    BUILD_MAX_VERTICES,
     Gluing,
     SpiderSpec,
     StarConnectionSpec,
@@ -128,6 +130,45 @@ def test_star_connection_structure_errors():
         )
 
 
+@pytest.mark.parametrize(
+    "sizes,gluings,msg",
+    [
+        # share + not connected
+        ((4, 4, 3), ((0, 1), (0, 1)), "stars 0 and 1 share 2 vertices (at most 1 allowed)"),
+        # cycle + not connected
+        ((4, 4, 4, 3), ((0, 1), (1, 2), (2, 0)), "gluing structure contains a cycle"),
+        # two shared pairs: the smaller pair is named, whatever the gluing order
+        ((5, 5, 5, 5), ((2, 3), (3, 2), (0, 1), (1, 0), (1, 2)),
+         "stars 0 and 1 share 2 vertices (at most 1 allowed)"),
+        ((5, 5), ((0, 1), (0, 1), (1, 0)), "stars 0 and 1 share 3 vertices (at most 1 allowed)"),
+        # a pair shared through a three-star gluing
+        ((4, 4, 4), ((0, 1, 2), (2, 0)), "stars 0 and 2 share 2 vertices (at most 1 allowed)"),
+        # a cycle through a three-star gluing, no pair shared twice
+        ((4, 4, 4, 4), ((0, 1, 2), (2, 3), (3, 1)), "gluing structure contains a cycle"),
+        # out of leaf slots + cycle: the slot check runs while edges are built
+        ((3, 3, 3), ((0, 1), (1, 2), (2, 0), (0, 2)),
+         "gluing 3: star 0 has no free leaf slot left"),
+    ],
+)
+def test_star_connection_message_precedence(sizes, gluings, msg):
+    spec = StarConnectionSpec(sizes, tuple(Gluing(g) for g in gluings))
+    with pytest.raises(GraphError) as exc:
+        gen_star_connection(spec)
+    assert str(exc.value) == msg
+
+
+def test_build_cap():
+    """The cap admits exactly BUILD_MAX_VERTICES vertices."""
+    legs = (BUILD_MAX_VERTICES // 3,) * 3  # 1 + 3 * 3333 = 10000 vertices
+    assert gen_spider(legs).n == BUILD_MAX_VERTICES
+    with pytest.raises(CapExceededError, match="spider capped at 10000 vertices, got 10001"):
+        gen_spider(legs[:2] + (legs[2] + 1,))
+    glued = (Gluing((0, 1)),)
+    assert gen_star_connection(StarConnectionSpec((3, 9998), glued)).n == BUILD_MAX_VERTICES
+    with pytest.raises(CapExceededError, match="star connection capped at 10000 vertices, got 10001"):
+        gen_star_connection(StarConnectionSpec((3, 9999), glued))
+
+
 def test_star_connection_json():
     text = '{"stars":[4,5,3,4],"gluings":[{"stars":[0,1]},{"stars":[1,2]},{"stars":[2,3]}]}'
     spec = StarConnectionSpec.from_json(text)
@@ -168,14 +209,16 @@ def test_enumerate_matches_prufer_classes():
         assert via_enum == via_prufer
 
 
-def test_enumerate_bounds():
+def test_enumerate_bounds(monkeypatch):
     with pytest.raises(GraphError):
         enumerate_free_trees(0)
-    with pytest.raises(CapExceededError):
+
+    def no_enumeration(n):
+        raise AssertionError(f"enumerated n = {n} before the cap check")
+
+    monkeypatch.setattr(generators, "_free_tree_edge_sets", no_enumeration)
+    with pytest.raises(CapExceededError, match="n <= 16, got 17"):
         enumerate_free_trees(17)
-    assert len(enumerate_free_trees(5, max_n=5)) == 3
-    with pytest.raises(CapExceededError):
-        enumerate_free_trees(6, max_n=5)
 
 
 def test_enumerate_shapes_present():

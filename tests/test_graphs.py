@@ -11,9 +11,8 @@ from csftrees.graphs import (
     adjacency,
     as_tree,
     canonical_code,
+    bfs_order,
     degrees,
-    has_cycle,
-    induced_subgraph,
     is_connected,
     parse_edge_list,
     relabel,
@@ -62,18 +61,24 @@ def test_degrees_adjacency_components():
     assert degrees(g) == [1, 2, 1, 0, 0]
     assert adjacency(g) == [[1], [0, 2], [1], [], []]
     assert not is_connected(g)
-    assert not has_cycle(g)
-    assert has_cycle(Graph(3, ((0, 1), (1, 2), (0, 2))))
+    assert is_connected(Graph(1)) and is_connected(Graph(3, ((0, 2), (1, 2))))
 
 
-def test_relabel_and_induced():
+def test_bfs_order_walks_one_component():
+    adj = adjacency(Graph(6, ((0, 1), (0, 2), (2, 3), (4, 5))))
+    parent = [-1] * 6
+    assert bfs_order(adj, 2, parent) == [2, 0, 3, 1]
+    assert parent == [2, 0, 2, 2, -1, -1]
+    # a shared parent list skips what earlier calls reached
+    assert bfs_order(adj, 5, parent) == [5, 4]
+    assert parent == [2, 0, 2, 2, 5, 5]
+
+
+def test_relabel():
     g = Graph(4, ((0, 1), (1, 2), (2, 3)))
     assert relabel(g, [3, 2, 1, 0]).edges == g.edges
     with pytest.raises(GraphError):
         relabel(g, [0, 0, 1, 2])
-    sub = induced_subgraph(g, [1, 2, 3])
-    assert sub.n == 3 and sub.edges == ((0, 1), (1, 2))
-    assert induced_subgraph(g, [0, 2]).edges == ()
 
 
 def test_parse_edge_list_header():

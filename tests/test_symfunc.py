@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 import time
+from math import perm
 
 import pytest
 from hypothesis import given, settings
@@ -200,6 +201,17 @@ def test_tree_invariants_beyond_brute_force(n):
         assert f.coeff((1,) * n) == 1
         assert f.coeff((n,)) == (-1) ** (n - 1)
         assert max_block_from_csf(f) == alpha_mis(g)
+
+
+def test_hook_closed_form_matches_slot_assignments():
+    """[m_(k,1^(n-k))] p_lambda = perm(m_1(lambda), n - k), the closed form
+    max_block_from_csf uses, against the general p-to-m transition count."""
+    for n in range(1, 15):
+        for lam in partitions_desc(n):
+            runs = symfunc._distinct_runs(lam)
+            for k in range(1, n + 1):
+                hook = (k,) + (1,) * (n - k)
+                assert perm(lam.count(1), n - k) == symfunc._slot_assignments(runs, hook)
 
 
 def test_routes_agree_on_trees():
