@@ -120,7 +120,7 @@ def _cmd_survey(args) -> int:
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:
             w = csv.writer(fh, lineterminator="\n")
             w.writerow(SURVEY_CSV_HEADER)
-            w.writerows(rep.pair_rows)
+            w.writerows(rep.pair_rows())
     return 0
 
 

@@ -10,12 +10,10 @@ it): the center(s) come first, then the legs/stars in spec order.
                 centers 0..r-1 in star order, then one vertex per gluing in
                 gluing order, then the unshared leaves star by star
 
-Free trees are enumerated by generating every canonical rooted level sequence
-(Beyer-Hedetniemi successor rule, starting from the path [0,1,...,n-1] and
-ending at the star [0,1,1,...,1]) and deduplicating by the center-rooted
-canonical code; the result is sorted by code. The Prüfer decoder lives here
-too because the test suite uses n^(n-2) Prüfer sequences as the enumeration
-oracle.
+Free trees are enumerated directly, one center-rooted level sequence per
+tree (the WROM algorithm of Wright, Richmond, Odlyzko & McKay, 1986), and
+sorted by canonical code. The Prüfer decoder lives here too because the test
+suite uses n^(n-2) Prüfer sequences as the enumeration oracle.
 
 Caps (CapExceededError): spiders and star connections are built only up to
 BUILD_MAX_VERTICES vertices, checked on the spec before any edge exists;
@@ -29,7 +27,7 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import CapExceededError, GraphError
+from .errors import CapExceededError, GraphError, InternalError
 from .graphs import Graph, Tree, _code_from_adj, as_tree, bfs_order
 
 ENUM_MAX_N = 16
@@ -252,25 +250,63 @@ def prufer_tree(seq) -> Tree:
     return as_tree(Graph(n, tuple(edges)))
 
 
-def _rooted_level_sequences(n: int):
-    """All canonical rooted level sequences on n vertices (root at level 0),
-    in the successor order that starts at the path and ends at the star.
-    Yields an internal buffer — consume, don't store."""
-    s = list(range(n))
+def _free_tree_level_sequences(n: int):
+    """One level sequence per free tree on n >= 1 vertices: the WROM order
+    (Wright, Richmond, Odlyzko & McKay, SIAM J. Comput. 15, 1986).
+
+    Each sequence is the canonical (Beyer-Hedetniemi) level sequence of the
+    tree rooted at a center. Split it into the root's first subtree L and
+    the rest R (the root with its other subtrees), each measured from its
+    own root; it represents its free tree iff height(L) < height(R), or the
+    heights tie, |L| <= |R| and, if the sizes tie too, L <= R as level
+    sequences. The walk starts at the path rooted at its center and steps
+    with the rooted successor; where a step lands on a sequence that breaks
+    the rule, one jump (the successor taken at the last vertex of L, then
+    R's tail reset to a path as deep as L) lands on the next sequence that
+    keeps it, so every sequence visited is yielded. Yields an internal
+    buffer — consume, don't store."""
+    if n <= 2:
+        yield list(range(n))
+        return
+    s = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
     while True:
+        m = _rest_start(s)
+        left_h, rest_h = max(s[1:m]) - 1, max(s[m:], default=0)
+        if left_h > rest_h or (
+            left_h == rest_h
+            and (m - 1, [x - 1 for x in s[1:m]]) > (n - m + 1, [0] + s[m:])
+        ):
+            big = s[m - 1] > 2
+            _next_rooted(s, m - 1)
+            if big:
+                h = max(s[1 : _rest_start(s)])
+                s[n - h :] = range(1, h + 1)
         yield s
-        p = -1
-        for i in range(n - 1, -1, -1):
-            if s[i] > 1:
-                p = i
-                break
-        if p < 0:
+        p = n - 1
+        while s[p] == 1:
+            p -= 1
+        if p == 0:
             return
-        q = p - 1
-        while s[q] != s[p] - 1:
-            q -= 1
-        for i in range(p, n):
-            s[i] = s[i - (p - q)]
+        _next_rooted(s, p)
+
+
+def _rest_start(s: list[int]) -> int:
+    """Index of the root's second child (where R's first subtree starts),
+    len(s) if the root has one child."""
+    try:
+        return s.index(1, 2)
+    except ValueError:
+        return len(s)
+
+
+def _next_rooted(s: list[int], p: int) -> None:
+    """Beyer-Hedetniemi successor in place, taken at position p (s[p] > 1):
+    the subtree hanging from p's parent q is copied over s[p:] periodically."""
+    q = p - 1
+    while s[q] != s[p] - 1:
+        q -= 1
+    for i in range(p, len(s)):
+        s[i] = s[i - (p - q)]
 
 
 def _edges_and_adj_from_levels(s: list[int]):
@@ -289,18 +325,25 @@ def _edges_and_adj_from_levels(s: list[int]):
 
 @lru_cache(maxsize=None)
 def _free_tree_edge_sets(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    by_code: dict[str, tuple[tuple[int, int], ...]] = {}
-    for s in _rooted_level_sequences(n):
+    coded = []
+    for s in _free_tree_level_sequences(n):
         edges, adj = _edges_and_adj_from_levels(s)
-        code = _code_from_adj(n, adj)
-        if code not in by_code:
-            by_code[code] = tuple(edges)
-    return tuple(by_code[code] for code in sorted(by_code))
+        coded.append((_code_from_adj(n, adj), tuple(edges)))
+    coded.sort()
+    for (a, _), (b, _) in zip(coded, coded[1:]):
+        if a == b:
+            raise InternalError(f"free-tree enumeration met the code {a} twice at n = {n}")
+    return tuple(edges for _, edges in coded)
 
 
 def enumerate_free_trees(n: int) -> list[Tree]:
     """One representative per isomorphism class of trees on n vertices,
-    in canonical-code order."""
+    in canonical-code order.
+
+    Each representative is labeled by its WROM level sequence (vertex 0 a
+    center, the rest in preorder), so A000055(n) sequences are visited and
+    each tree's canonical code is computed once, to sort them; a code met
+    twice is an InternalError."""
     if not isinstance(n, int) or n < 1:
         raise GraphError(f"tree order must be a positive integer, got {n!r}")
     if n > ENUM_MAX_N:

@@ -225,10 +225,12 @@ def _rooted_code(root: int, n: int, adj: list[list[int]]) -> str:
     """AHU parenthesis code of the tree rooted at `root`."""
     parent = [-1] * n
     order = bfs_order(adj, root, parent)
-    code: list[str] = [""] * n
+    code = ["()"] * n
     for v in reversed(order):
-        kids = sorted(code[w] for w in adj[v] if parent[w] == v)
-        code[v] = "(" + "".join(kids) + ")"
+        kids = [code[w] for w in adj[v] if parent[w] == v]
+        if kids:
+            kids.sort()
+            code[v] = "(" + "".join(kids) + ")"
     return code[root]
 
 

@@ -172,40 +172,63 @@ def csf_powersum(g) -> SymmetricFunction:
     return SymmetricFunction(g.n, BASIS_POWERSUM, terms)
 
 
-def _tree_powersum_terms(g: Graph) -> dict[tuple[int, ...], int]:
-    """Signed edge-subset expansion of a tree, summed by a rooted DP.
+def _tree_powersum_terms(g: Graph) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Signed edge-subset expansion of a tree, summed by a rooted DP; the
+    terms come back canonical (descending partitions, no zero coefficient).
 
     Rooted at vertex 0, each vertex keeps a sparse table over the edge
     subsets S of its subtree: the key is (size of the vertex's own component
-    in S, descending sizes of the components already closed off), the value
-    the sum of (-1)^|S| over the subsets with that key.  Each child edge is
-    either left out of S, which closes the child's open component (sign +),
-    or put in S, which merges it into the parent's component (sign -)."""
+    in S, sizes of the components already closed off), the value the sum of
+    (-1)^|S| over the subsets with that key.  Each child edge is either left
+    out of S, which closes the child's open component (sign +), or put in S,
+    which merges it into the parent's component (sign -).
+
+    A key is one int of fields w = n.bit_length() bits wide, as in _kernels:
+    field 0 holds the open size and field c the number of closed components
+    of size c.  Merging is then addition: kept = parent + child, and cut =
+    parent + child with the child's open size b moved from field 0 to field
+    b.  With field 0 empty, larger keys are exactly the larger partitions in
+    descending lexicographic order, so the root's keys are sorted as ints."""
+    n = g.n
+    width = n.bit_length()
+    mask = (1 << width) - 1
+    unit = [1 << (width * c) for c in range(n + 1)]
     adj = adjacency(g)
-    parent = [-1] * g.n
+    parent = [-1] * n
     order = bfs_order(adj, 0, parent)
-    tables: list[dict | None] = [None] * g.n
+    tables: list[dict | None] = [None] * n
     for v in reversed(order):
-        cur = {(1, ()): 1}
+        cur = {1: 1}
         for c in adj[v]:
             if parent[c] != v:
                 continue
-            nxt: dict[tuple[int, tuple[int, ...]], int] = {}
-            for (a, closed), x in cur.items():
-                for (b, sub), y in tables[c].items():
-                    both = closed + sub
-                    cut = (a, tuple(sorted(both + (b,), reverse=True)))
-                    nxt[cut] = nxt.get(cut, 0) + x * y
-                    kept = (a + b, tuple(sorted(both, reverse=True)))
-                    nxt[kept] = nxt.get(kept, 0) - x * y
+            child = [(k, k - (k & mask) + unit[k & mask], y) for k, y in tables[c].items() if y]
             tables[c] = None
+            nxt: dict[int, int] = {}
+            get = nxt.get
+            for k1, x in cur.items():
+                for kept, cut, y in child:
+                    xy = x * y
+                    key = k1 + cut
+                    nxt[key] = get(key, 0) + xy
+                    key = k1 + kept
+                    nxt[key] = get(key, 0) - xy
             cur = nxt
         tables[v] = cur
-    out: dict[tuple[int, ...], int] = {}
-    for (a, closed), x in tables[0].items():
-        parts = tuple(sorted(closed + (a,), reverse=True))
-        out[parts] = out.get(parts, 0) + x
-    return out
+    closed: dict[int, int] = {}
+    for k, x in tables[0].items():
+        key = k - (k & mask) + unit[k & mask]
+        closed[key] = closed.get(key, 0) + x
+    decode = _partition_keys(n)
+    return tuple((decode[key], closed[key]) for key in sorted(closed, reverse=True) if closed[key])
+
+
+@lru_cache(maxsize=None)
+def _partition_keys(n: int) -> dict[int, tuple[int, ...]]:
+    """Packed key of _tree_powersum_terms (open field empty) -> partition,
+    for every partition of n."""
+    width = n.bit_length()
+    return {sum(1 << (width * x) for x in parts): parts for parts in partitions_desc(n)}
 
 
 def _distinct_runs(parts: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
@@ -290,12 +313,18 @@ def max_block_from_csf(f: SymmetricFunction) -> int:
         raise GraphError("empty symmetric function")
     if f.basis == BASIS_MONOMIAL:
         return max(parts[0] for parts, _ in f.terms)
+    return _hook_max_block(f.n, f.terms)
+
+
+def _hook_max_block(n: int, terms) -> int:
+    """The largest k whose hook coefficient [m_(k,1^(n-k))] is nonzero, from
+    weight-n p-terms (see max_block_from_csf)."""
     by_ones: dict[int, int] = {}
-    for parts, coeff in f.terms:
+    for parts, coeff in terms:
         m1 = parts.count(1)
         by_ones[m1] = by_ones.get(m1, 0) + coeff
-    for k in range(f.n, 0, -1):
-        if sum(coeff * perm(m1, f.n - k) for m1, coeff in by_ones.items()):
+    for k in range(n, 0, -1):
+        if sum(coeff * perm(m1, n - k) for m1, coeff in by_ones.items()):
             return k
     raise GraphError("not a chromatic symmetric function: every hook coefficient is zero")
 

@@ -29,7 +29,8 @@ Two known weaknesses are handled explicitly rather than papered over:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable, Iterator
 
 from .decomposition import (
     LeafDecomposition,
@@ -51,7 +52,7 @@ from .generators import (
 )
 from .graphs import Tree, canonical_code, degrees, trees_isomorphic
 from .partitions import partitions_desc
-from .symfunc import csf_powersum, max_block_from_csf
+from .symfunc import _hook_max_block, _tree_powersum_terms
 
 LEAVES_RHO = "LEAVES_RHO"
 COMPONENTWISE = "COMPONENTWISE"
@@ -384,7 +385,9 @@ class SurveyReport:
     chain_audit_violations: tuple[dict, ...]
     spider_audit: tuple[dict, ...]
     star_audit: tuple[dict, ...]
-    pair_rows: tuple[tuple, ...]
+    # pair_rows() yields the CSV rows (SURVEY_CSV_HEADER), one per pair in
+    # (a, b) order, each built only when it is read.
+    pair_rows: Callable[[], Iterator[tuple[str, ...]]] = field(compare=False, repr=False)
 
 
 def survey_report_to_json_dict(rep: SurveyReport) -> dict:
@@ -450,11 +453,12 @@ def _verdict_cells(lv, cw, sm) -> tuple[str, ...]:
 
 
 def _survey_payload(t: Tree):
-    """Per-tree work unit: decomposition facts plus the CSF in the p basis
-    (from the tree DP) and the max block read from it."""
+    """Per-tree work unit: decomposition facts plus the CSF's p-terms, taken
+    canonical from the tree DP (no SymmetricFunction is built), and the max
+    block read from their hook coefficients."""
     d = leaf_decomposition(t)
-    f = csf_powersum(t)
-    return tree_facts(t, d), chain_sequence(d), chain_holds(d), f.terms, max_block_from_csf(f)
+    terms = _tree_powersum_terms(t.graph)
+    return tree_facts(t, d), chain_sequence(d), chain_holds(d), terms, _hook_max_block(t.n, terms)
 
 
 def _spider_audit_rows(n: int) -> list[dict]:
@@ -537,10 +541,13 @@ def survey(n: int) -> SurveyReport:
     vertices (3 <= n <= 11), cross-check every Applicable claim against the
     CSF, and run the chain/spider/star audits for the same n.
 
-    Each tree's CSF comes from the tree DP in the p basis.  A pair is
-    X-equal iff its p-terms are equal (the change of basis is invertible),
-    and each claimed maximum is checked against the max block read from the
-    p-terms' hook coefficients (max_block_from_csf).
+    The trees come from enumerate_free_trees (one WROM level sequence per
+    tree, sorted by canonical code), and tree indices are positions in that
+    order.  Each tree's CSF is the tree DP's canonical p-terms, used as they
+    come (no SymmetricFunction is built).  A pair is X-equal iff its p-terms
+    are equal (the change of basis is invertible), and each claimed maximum
+    is checked against the max block read from the p-terms' hook
+    coefficients (the helper behind max_block_from_csf).
 
     The checkers read only TreeFacts, so the trees are grouped into classes
     by (facts, max block) and the verdicts, their CSV cells and their
@@ -555,7 +562,8 @@ def survey(n: int) -> SurveyReport:
 
     Everything runs in one process: the per-tree work in enumeration order,
     then the pairwise pass in canonical-code order, so the report depends on
-    n alone."""
+    n alone.  The per-pair CSV rows are not stored: the report's pair_rows()
+    rebuilds them from the class-pair cells and the buckets when called."""
     if not isinstance(n, int) or isinstance(n, bool) or not 3 <= n <= 11:
         raise GraphError("survey needs an integer n with 3 <= n <= 11")
     trees = enumerate_free_trees(n)
@@ -573,12 +581,12 @@ def survey(n: int) -> SurveyReport:
     memo: list = [None] * (k * k)
     weight = [0] * (k * k)
 
+    num = len(trees)
     x_equal = 0
     violations: list[dict] = []
-    rows: list[tuple] = []
-    for i in range(len(trees)):
-        si, bi, base = str(i), bucket[i], cls[i] * k
-        for j in range(i + 1, len(trees)):
+    for i in range(num):
+        bi, base = bucket[i], cls[i] * k
+        for j in range(i + 1, num):
             key = base + cls[j]
             weight[key] += 1
             entry = memo[key]
@@ -589,7 +597,13 @@ def survey(n: int) -> SurveyReport:
             x_equal += x_eq
             for theorem, reason in entry[2] if x_eq else entry[3]:
                 violations.append({"a": i, "b": j, "theorem": theorem, "reason": reason})
-            rows.append((si, str(j), "true" if x_eq else "false") + entry[1])
+
+    def pair_rows() -> Iterator[tuple[str, ...]]:
+        for i in range(num):
+            si, bi, base = str(i), bucket[i], cls[i] * k
+            for j in range(i + 1, num):
+                x_eq = "true" if bi == bucket[j] else "false"
+                yield (si, str(j), x_eq) + memo[base + cls[j]][1]
 
     counts = {
         LEAVES_RHO: {"case1": 0, "case2": 0, "case3": 0, "case4": 0, "not_applicable": 0},
@@ -608,8 +622,8 @@ def survey(n: int) -> SurveyReport:
             counts[theorem]["applicable" if v.status == APPLICABLE else "not_applicable"] += w
     return SurveyReport(
         n=n,
-        num_trees=len(trees),
-        pairs=len(rows),
+        num_trees=num,
+        pairs=num * (num - 1) // 2,
         x_equal_pairs=x_equal,
         skipped_pairs=0,
         soundness_violations=tuple(violations),
@@ -617,5 +631,5 @@ def survey(n: int) -> SurveyReport:
         chain_audit_violations=tuple(chain_viol),
         spider_audit=tuple(_spider_audit_rows(n)),
         star_audit=tuple(_star_audit_rows(n)),
-        pair_rows=tuple(rows),
+        pair_rows=pair_rows,
     )

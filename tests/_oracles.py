@@ -11,7 +11,7 @@ import random
 
 from csftrees import theorems
 from csftrees.generators import Gluing, StarConnectionSpec, enumerate_free_trees
-from csftrees.graphs import Graph
+from csftrees.graphs import Graph, _code_from_adj
 
 
 def mis_bruteforce(g: Graph) -> int:
@@ -94,6 +94,82 @@ def stable_partitions_bruteforce(g: Graph):
             yield [sorted(b) for b in part]
 
 
+def _rooted_level_sequences(n: int):
+    """All canonical rooted level sequences on n vertices (root at level 0),
+    in the Beyer-Hedetniemi successor order that starts at the path and ends
+    at the star. Yields an internal buffer — consume, don't store."""
+    s = list(range(n))
+    while True:
+        yield s
+        p = -1
+        for i in range(n - 1, -1, -1):
+            if s[i] > 1:
+                p = i
+                break
+        if p < 0:
+            return
+        q = p - 1
+        while s[q] != s[p] - 1:
+            q -= 1
+        for i in range(p, n):
+            s[i] = s[i - (p - q)]
+
+
+def free_tree_codes_reference(n: int) -> list[str]:
+    """Canonical codes of the free trees on n vertices, sorted: every rooted
+    level sequence (about 3^n of them) is built and deduplicated by code."""
+    codes = set()
+    for s in _rooted_level_sequences(n):
+        adj: list[list[int]] = [[] for _ in range(n)]
+        last = [0] * n
+        for i in range(1, n):
+            par = last[s[i] - 1]
+            adj[par].append(i)
+            adj[i].append(par)
+            last[s[i]] = i
+        codes.add(_code_from_adj(n, adj))
+    return sorted(codes)
+
+
+def tree_powersum_reference(g: Graph) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The tree DP of symfunc._tree_powersum_terms with tuple keys: each
+    table maps (open size, descending closed sizes) to a signed count. The
+    terms come back descending, zeros dropped."""
+    adj = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    parent = [-1] * g.n
+    parent[0] = 0
+    order = [0]
+    for v in order:
+        for w in adj[v]:
+            if parent[w] == -1:
+                parent[w] = v
+                order.append(w)
+    tables: list = [None] * g.n
+    for v in reversed(order):
+        cur = {(1, ()): 1}
+        for c in adj[v]:
+            if parent[c] != v:
+                continue
+            nxt: dict = {}
+            for (a, closed), x in cur.items():
+                for (b, sub), y in tables[c].items():
+                    both = closed + sub
+                    cut = (a, tuple(sorted(both + (b,), reverse=True)))
+                    nxt[cut] = nxt.get(cut, 0) + x * y
+                    kept = (a + b, tuple(sorted(both, reverse=True)))
+                    nxt[kept] = nxt.get(kept, 0) - x * y
+            cur = nxt
+        tables[v] = cur
+    out: dict = {}
+    for (a, closed), x in tables[0].items():
+        parts = tuple(sorted(closed + (a,), reverse=True))
+        out[parts] = out.get(parts, 0) + x
+    return tuple((parts, x) for parts, x in sorted(out.items(), reverse=True) if x)
+
+
 def random_star_spec(rng: random.Random, max_vertices: int = 20) -> StarConnectionSpec:
     """A valid random StarConnectionSpec whose tree has <= max_vertices
     vertices. The gluing structure is a random tree over the stars (parents
@@ -135,8 +211,8 @@ def _csv_cell(x) -> str:
 
 
 def survey_pairwise_reference(n: int) -> theorems.SurveyReport:
-    """theorems.survey(n) computed pair by pair: all three checkers run on
-    every tree pair, X-equality compares the two trees' p-terms directly and
+    """theorems.survey(n) computed pair by pair, rows stored as they come:
+    all three checkers run on every tree pair, X-equality compares the two trees' p-terms directly and
     every Applicable claim is checked against both trees' max blocks. The
     per-tree payloads, checkers and audits are looked up on the theorems
     module at call time, so a test that patches one patches both routes."""
@@ -202,5 +278,5 @@ def survey_pairwise_reference(n: int) -> theorems.SurveyReport:
         ),
         spider_audit=tuple(theorems._spider_audit_rows(n)),
         star_audit=tuple(theorems._star_audit_rows(n)),
-        pair_rows=tuple(rows),
+        pair_rows=lambda: iter(rows),
     )

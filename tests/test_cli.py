@@ -350,6 +350,16 @@ def test_enumerate(capsys):
     assert capsys.readouterr().out == "11\n"
 
 
+def test_enumerate_lists_trees_in_canonical_code_order(capsys):
+    """Survey indices are positions in this order."""
+    assert main(["enumerate", "--n", "10"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    trees = [as_tree(graphs.Graph(d["n"], tuple(map(tuple, d["edges"])))) for d in data]
+    codes = [graphs.canonical_code(t) for t in trees]
+    assert len(trees) == 106 and all(t.n == 10 for t in trees)
+    assert all(a < b for a, b in zip(codes, codes[1:]))
+
+
 def test_missing_file_is_domain_error(capsys):
     assert main(["compute", "--input", "/nonexistent/x.txt", "--basis", "m"]) == 1
     assert capsys.readouterr().err.startswith("error: ")

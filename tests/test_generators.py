@@ -4,8 +4,9 @@ import random
 
 import pytest
 
+from _oracles import free_tree_codes_reference
 from csftrees import generators
-from csftrees.errors import CapExceededError, GraphError
+from csftrees.errors import CapExceededError, GraphError, InternalError
 from csftrees.generators import (
     BUILD_MAX_VERTICES,
     Gluing,
@@ -20,8 +21,8 @@ from csftrees.generators import (
 )
 from csftrees.graphs import canonical_code, degrees, tree_center
 
-# A000055: free trees on n vertices, n = 1..12
-FREE_TREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551]
+# A000055: free trees on n vertices, n = 1..16
+FREE_TREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159, 7741, 19320]
 
 
 def test_gen_path():
@@ -189,7 +190,7 @@ def test_prufer_tree():
         prufer_tree((5,))
 
 
-@pytest.mark.parametrize("n", range(1, 13))
+@pytest.mark.parametrize("n", range(1, 17))
 def test_enumerate_counts(n):
     trees = enumerate_free_trees(n)
     assert len(trees) == FREE_TREE_COUNTS[n - 1]
@@ -207,6 +208,45 @@ def test_enumerate_matches_prufer_classes():
         }
         via_enum = {canonical_code(t) for t in enumerate_free_trees(n)}
         assert via_enum == via_prufer
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_enumerate_matches_the_rooted_sequence_route(n):
+    """WROM and the dedup of all rooted level sequences give the same trees
+    in the same order."""
+    assert [canonical_code(t) for t in enumerate_free_trees(n)] == free_tree_codes_reference(n)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_enumeration_codes_one_sequence_per_tree(monkeypatch, n):
+    coded = []
+    real = generators._code_from_adj
+
+    def code(k, adj):
+        coded.append(k)
+        return real(k, adj)
+
+    monkeypatch.setattr(generators, "_code_from_adj", code)
+    assert len(generators._free_tree_edge_sets.__wrapped__(n)) == len(coded) == FREE_TREE_COUNTS[n - 1]
+
+
+def test_representatives_are_rooted_at_a_center():
+    for n in range(1, 12):
+        for t in enumerate_free_trees(n):
+            assert 0 in tree_center(t)
+
+
+def test_enumerate_rejects_a_repeated_code(monkeypatch):
+    sequences = generators._free_tree_level_sequences
+
+    def twice(n):
+        for s in sequences(n):
+            yield s
+            yield s
+
+    monkeypatch.setattr(generators, "_free_tree_level_sequences", twice)
+    with pytest.raises(InternalError, match="twice at n = 6"):
+        generators._free_tree_edge_sets.__wrapped__(6)
 
 
 def test_enumerate_bounds(monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import coloring_count
+from _oracles import coloring_count, tree_powersum_reference
 from csftrees import symfunc
 from csftrees._kernels import edge_subset_type_counts, stable_type_counts
 from csftrees.decomposition import alpha_mis
@@ -126,6 +126,36 @@ def test_tree_dp_matches_sweep():
     for n in range(1, 11):
         for t in enumerate_free_trees(n):
             assert csf_powersum(t).as_dict() == _sweep(t.graph)
+
+
+def _assert_canonical(n: int, terms) -> None:
+    """Nonzero integer coefficients on partitions of n, strictly descending."""
+    for parts, coeff in terms:
+        assert isinstance(coeff, int) and coeff != 0
+        assert sum(parts) == n and all(a >= b >= 1 for a, b in zip(parts, parts[1:] + (1,)))
+    partitions = [parts for parts, _ in terms]
+    assert partitions == sorted(partitions, reverse=True)
+    assert len(set(partitions)) == len(partitions)
+
+
+def test_packed_dp_matches_tuple_keyed_dp():
+    for n in range(1, 12):
+        for t in enumerate_free_trees(n):
+            terms = symfunc._tree_powersum_terms(t.graph)
+            _assert_canonical(n, terms)
+            assert terms == tree_powersum_reference(t.graph)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=12, max_value=18).flatmap(
+    lambda n: st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2)
+))
+def test_packed_dp_matches_tuple_keyed_dp_on_random_trees(seq):
+    g = prufer_tree(seq).graph
+    terms = symfunc._tree_powersum_terms(g)
+    _assert_canonical(g.n, terms)
+    assert terms == tree_powersum_reference(g)
+    assert csf_powersum(g).terms == terms
 
 
 def test_trees_take_the_dp_and_cycles_the_sweep(monkeypatch):

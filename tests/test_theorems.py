@@ -21,6 +21,7 @@ from csftrees.symfunc import csf_equal, csf_powersum
 from csftrees.theorems import (
     APPLICABLE,
     NOT_APPLICABLE,
+    SURVEY_CSV_HEADER,
     SurveyReport,
     spider_M_formula,
     spider_audit,
@@ -96,6 +97,18 @@ def test_survey_payloads_reuse_the_enumerated_trees(tree_builds):
     for t in trees:
         theorems._survey_payload(t)
     assert tree_builds == []
+
+
+def test_survey_payload_max_block_is_max_block_from_csf():
+    from csftrees import theorems
+    from csftrees.symfunc import max_block_from_csf
+
+    for n in range(1, 12):
+        for t in enumerate_free_trees(n):
+            payload = theorems._survey_payload(t)
+            f = csf_powersum(t)
+            assert payload[3] == f.terms
+            assert payload[4] == max_block_from_csf(f)
 
 
 def test_verdict_json_shape():
@@ -360,7 +373,7 @@ def test_survey_smallest():
     rep = survey(3)
     assert isinstance(rep, SurveyReport)
     assert (rep.num_trees, rep.pairs, rep.x_equal_pairs, rep.skipped_pairs) == (1, 0, 0, 0)
-    assert rep.pair_rows == ()
+    assert list(rep.pair_rows()) == []
     assert rep.soundness_violations == ()
 
 
@@ -368,7 +381,8 @@ def test_survey_n4():
     rep = survey(4)
     assert (rep.num_trees, rep.pairs) == (2, 1)
     assert rep.verdict_counts["LEAVES_RHO"]["case1"] == 1
-    assert len(rep.pair_rows) == 1
+    assert list(rep.pair_rows()) == list(survey_pairwise_reference(4).pair_rows())
+    assert len(list(rep.pair_rows())) == 1
 
 
 def test_survey_n8_frozen_counts():
@@ -406,9 +420,25 @@ def test_survey_json_key_order():
     ]
 
 
+def _assert_same_survey(rep, ref):
+    """Equal reports, and equal CSV rows compared cell by cell (pair_rows is
+    left out of the dataclass equality)."""
+    assert rep == ref
+    rows, ref_rows = list(rep.pair_rows()), list(ref.pair_rows())
+    assert len(rows) == len(ref_rows) == rep.pairs
+    for row, ref_row in zip(rows, ref_rows):
+        assert len(row) == len(SURVEY_CSV_HEADER)
+        assert row == ref_row
+
+
 @pytest.mark.parametrize("n", range(3, 11))
 def test_survey_matches_pairwise_reference(n):
-    assert survey(n) == survey_pairwise_reference(n)
+    _assert_same_survey(survey(n), survey_pairwise_reference(n))
+
+
+def test_survey_rows_are_rebuilt_on_each_call():
+    rep = survey(6)
+    assert list(rep.pair_rows()) == list(rep.pair_rows())
 
 
 def _patch_payloads(monkeypatch, n, edit):
@@ -437,7 +467,7 @@ def test_survey_reports_a_wrong_max_block_like_the_reference(monkeypatch):
     assert rep.soundness_violations
     assert all(bad in (v["a"], v["b"]) for v in rep.soundness_violations)
     assert list(rep.soundness_violations) == list(ref.soundness_violations)
-    assert rep == ref
+    _assert_same_survey(rep, ref)
 
 
 def test_survey_x_equality_compares_full_terms(monkeypatch):
@@ -457,7 +487,8 @@ def test_survey_x_equality_compares_full_terms(monkeypatch):
     equal = [v for v in rep.soundness_violations if "csf_equal is true" in v["reason"]]
     assert equal and all((v["a"], v["b"]) == (0, last) for v in equal)
     assert equal == [v for v in ref.soundness_violations if "csf_equal is true" in v["reason"]]
-    assert rep == ref
+    _assert_same_survey(rep, ref)
+    assert [row[:3] for row in rep.pair_rows() if row[2] == "true"] == [("0", str(last), "true")]
 
 
 @pytest.mark.parametrize("bad", [2, 12, 7.0, True, "7"])
