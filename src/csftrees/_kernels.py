@@ -11,13 +11,12 @@ Python:
     depth-first walk decides one edge at a time on a union-find that is
     undone on the way back, so each subset costs one union, not |E|.
 
-Inside the kernels a type is one int: the multiplicity of part size k sits
-in a field of n.bit_length() bits at offset (k - 1) fields, so adding a
-part or merging two components is one integer addition. Each distinct type
-is decoded and ranked once (see partitions.rank_desc) into a dense int64
-array indexed by the rank in descending lexicographic order; callers decode
-index -> partition via partitions.partitions_desc. Counts fit in int64 at
-the callers' caps (Bell(14) < 2^28 stable partitions, |signed sum| <= 2^24
+Inside the kernels a type is one packed int in the layout of
+partitions.py: the multiplicity of part size c sits in field c, n.bit_length()
+bits wide, so adding a part or merging two components is one integer
+addition. The tally is read out in partition_keys order into a dense int64
+array, so entry r counts the type partitions_desc(n)[r]. Counts fit in int64
+at the callers' caps (Bell(14) < 2^28 stable partitions, |signed sum| <= 2^24
 edge subsets).
 
 numpy is imported only when a result array is built, so importing this
@@ -26,7 +25,8 @@ module (and the CLI) does not load it.
 
 from __future__ import annotations
 
-from .partitions import num_partitions, rank_desc
+from .errors import InternalError
+from .partitions import partition_keys
 
 # The one kernel implementation, named for run reports and benchmarks.
 BACKEND = "python"
@@ -61,15 +61,10 @@ def _dense_counts(n: int, tally: dict[int, int]):
     """int64 array of length p(n) from a tally keyed by packed types."""
     import numpy as np
 
-    width = n.bit_length()
-    mask = (1 << width) - 1
-    out = np.zeros(num_partitions(n), dtype=np.int64)
-    for key, cnt in tally.items():
-        parts: list[int] = []
-        for k in range(n, 0, -1):
-            parts.extend([k] * ((key >> (width * (k - 1))) & mask))
-        out[rank_desc(tuple(parts))] = cnt
-    return out
+    keys = partition_keys(n)
+    if not tally.keys() <= keys.keys():
+        raise InternalError(f"a kernel tallied a type that is not a partition of {n}")
+    return np.array([tally.get(key, 0) for key in keys], dtype=np.int64)
 
 
 def stable_type_counts(n: int, edges):
@@ -94,7 +89,7 @@ def stable_type_counts(n: int, edges):
         stack = [(low, 1, s & ~low & ~nbr[low.bit_length() - 1])]
         while stack:
             block, size, cand = stack.pop()
-            shift = 1 << (width * (size - 1))
+            shift = 1 << (width * size)
             for key, cnt in f(s ^ block).items():
                 key += shift
                 out[key] = out.get(key, 0) + cnt
@@ -135,13 +130,12 @@ def edge_subset_type_counts(n: int, edges):
         if size[a] < size[b]:
             a, b = b, a
         sa, sb = size[a], size[b]
-        merged = key + (1 << (width * (sa + sb - 1)))
-        merged -= (1 << (width * (sa - 1))) + (1 << (width * (sb - 1)))
+        merged = key + (1 << (width * (sa + sb))) - (1 << (width * sa)) - (1 << (width * sb))
         parent[b] = a
         size[a] = sa + sb
         walk(e + 1, merged, -sign)
         parent[b] = b
         size[a] = sa
 
-    walk(0, n, 1)
+    walk(0, n << width, 1)
     return _dense_counts(n, tally)

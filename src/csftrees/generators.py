@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import CapExceededError, GraphError, InternalError
-from .graphs import Graph, Tree, _code_from_adj, as_tree, bfs_order
+from .graphs import Graph, Tree, _code_from_adj, as_tree, bfs_order, is_int
 
 ENUM_MAX_N = 16
 BUILD_MAX_VERTICES = 10_000
@@ -57,7 +57,7 @@ class SpiderSpec:
         object.__setattr__(self, "legs", legs)
         if len(legs) < 3:
             raise GraphError("spider needs at least 3 legs (center degree > 2)")
-        if any(not isinstance(x, int) or x < 1 for x in legs):
+        if any(not is_int(x) or x < 1 for x in legs):
             raise GraphError("spider leg lengths must be integers >= 1")
 
     @property
@@ -110,6 +110,9 @@ class Gluing:
         object.__setattr__(self, "stars", stars)
         if len(stars) < 2:
             raise GraphError("a gluing must involve at least 2 stars")
+        for k in stars:
+            if not is_int(k):
+                raise GraphError(f"gluing star {k!r} is not an integer")
         if len(set(stars)) != len(stars):
             raise GraphError(f"gluing lists a star twice: {stars}")
 
@@ -129,7 +132,7 @@ class StarConnectionSpec:
         object.__setattr__(self, "gluings", tuple(self.gluings))
         if len(sizes) < 2:
             raise GraphError("star connection needs r >= 2 stars")
-        if any(not isinstance(x, int) or x < 3 for x in sizes):
+        if any(not is_int(x) or x < 3 for x in sizes):
             raise GraphError("every star size must be an integer >= 3")
         r = len(sizes)
         for g in self.gluings:
@@ -159,6 +162,8 @@ class StarConnectionSpec:
                 raise GraphError('each gluing must be {"stars": [..]}')
             if "slots" in item:
                 raise GraphError('gluing "slots" are not supported: leaves are taken in order')
+            if not isinstance(item["stars"], list):
+                raise GraphError('gluing "stars" must be a list')
             gluings.append(Gluing(tuple(item["stars"])))
         return cls(tuple(sizes), tuple(gluings))
 
@@ -204,9 +209,11 @@ def gen_star_connection(spec: StarConnectionSpec) -> Tree:
             bfs_order(adj, v, parent)
             components += 1
     if len(edges) != r + t - components:
+        # A pair of stars shares two vertices only if both are in two or
+        # more gluings (adj[k] lists star k's gluings), so only those count.
         shared: dict[tuple[int, int], int] = {}
         for g in spec.gluings:
-            stars = sorted(g.stars)
+            stars = sorted(k for k in g.stars if len(adj[k]) > 1)
             for i, a in enumerate(stars):
                 for b in stars[i + 1 :]:
                     shared[a, b] = shared.get((a, b), 0) + 1
@@ -232,7 +239,7 @@ def prufer_tree(seq) -> Tree:
     n = len(seq) + 2
     deg = [1] * n
     for x in seq:
-        if not isinstance(x, int) or not (0 <= x < n):
+        if not is_int(x) or not (0 <= x < n):
             raise GraphError(f"Prüfer entry {x!r} out of range for n={n}")
         deg[x] += 1
     heap = [v for v in range(n) if deg[v] == 1]
@@ -344,7 +351,7 @@ def enumerate_free_trees(n: int) -> list[Tree]:
     center, the rest in preorder), so A000055(n) sequences are visited and
     each tree's canonical code is computed once, to sort them; a code met
     twice is an InternalError."""
-    if not isinstance(n, int) or n < 1:
+    if not is_int(n) or n < 1:
         raise GraphError(f"tree order must be a positive integer, got {n!r}")
     if n > ENUM_MAX_N:
         raise CapExceededError(f"enumeration capped at n <= {ENUM_MAX_N}, got {n}")

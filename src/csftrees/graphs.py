@@ -23,6 +23,11 @@ from dataclasses import dataclass
 from .errors import GraphError
 
 
+def is_int(x) -> bool:
+    """True for an int that is not a bool (JSON true would pass isinstance)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph on vertices 0..n-1; edges normalized and sorted."""
@@ -31,7 +36,7 @@ class Graph:
     edges: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 0:
+        if not is_int(self.n) or self.n < 0:
             raise GraphError(f"vertex count must be a non-negative integer, got {self.n!r}")
         norm = []
         seen = set()
@@ -40,7 +45,7 @@ class Graph:
                 u, v = e
             except (TypeError, ValueError):
                 raise GraphError(f"edge {e!r} is not a pair") from None
-            if not isinstance(u, int) or not isinstance(v, int):
+            if not is_int(u) or not is_int(v):
                 raise GraphError(f"edge {e!r} has non-integer endpoint")
             if u == v:
                 raise GraphError(f"loop at vertex {u}")

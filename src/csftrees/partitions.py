@@ -5,8 +5,15 @@ canonical ordering everywhere in this package is *descending lexicographic*:
 (n) first, (1,)*n last. Ranks refer to positions in that order.
 
 The counting table C with C[m][k] = #{partitions of m with all parts <= k}
-drives both ranking (partition -> dense index) and unranking; the kernels
-use the rank to bucket partition types into a dense count array.
+drives both ranking (partition -> dense index) and unranking.
+
+Packed layout: the tree DP, both kernels and the change of basis key a
+multiset of sizes by one int of fields n.bit_length() bits wide, field c
+holding the number of sizes equal to c. Adding a size c is adding 1 << (width
+* c), and merging two multisets is adding their keys. Field 0 is free for a
+caller's own use (the tree DP keeps its open component there); with it
+empty, larger keys are larger partitions in descending lexicographic order.
+partition_keys decodes such keys.
 """
 
 from __future__ import annotations
@@ -43,6 +50,14 @@ def partitions_desc(n: int) -> tuple[tuple[int, ...], ...]:
 
     rec(n, n, ())
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def partition_keys(n: int) -> dict[int, tuple[int, ...]]:
+    """Packed key (field 0 empty) -> partition, for every partition of n,
+    in partitions_desc order."""
+    width = n.bit_length()
+    return {sum(1 << (width * x) for x in parts): parts for parts in partitions_desc(n)}
 
 
 def num_partitions(n: int) -> int:

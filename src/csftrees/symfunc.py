@@ -25,6 +25,12 @@ Which route computes X_G depends on the graph:
     sizes where both can run; stable_partitions lists the stable
     partitions one by one and checks the counting DP.
 
+to_monomial changes basis with [m_mu] p_lambda = (number of set partitions
+of lambda's parts whose block sums are mu) * prod m_i(mu)!, counted by one
+DP per p-term over the multisets of block sums.  The tree DP, both kernels
+and to_monomial all key their tables by packed ints in the one layout of
+partitions.py (field c counts the parts equal to c).
+
 The change of basis is invertible, so equality in the p basis is equality
 of X.  max_block_from_csf reads the independence number from either basis;
 in p it forms only the hook coefficients, by the closed form
@@ -45,19 +51,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import groupby
 from math import perm
 from typing import Iterator
 
 from ._kernels import edge_subset_type_counts, stable_partitions_rgs, stable_type_counts
 from .errors import CapExceededError, GraphError, InternalError
-from .graphs import Graph, Tree, adjacency, bfs_order, is_tree
-from .partitions import (
-    falling_factorial,
-    mult_factorial,
-    partitions_desc,
-)
+from .graphs import Graph, Tree, adjacency, bfs_order, is_int, is_tree
+from .partitions import falling_factorial, mult_factorial, partition_keys, partitions_desc
 
 BASIS_MONOMIAL = "m"
 BASIS_POWERSUM = "p"
@@ -84,15 +84,17 @@ class SymmetricFunction:
     def __post_init__(self) -> None:
         if self.basis not in _BASES:
             raise GraphError(f"unknown basis {self.basis!r}; expected one of {_BASES}")
-        if not isinstance(self.n, int) or self.n < 0:
+        if not is_int(self.n) or self.n < 0:
             raise GraphError(f"weight must be a non-negative integer, got {self.n!r}")
         items = self.terms.items() if isinstance(self.terms, dict) else self.terms
         norm = []
         seen = set()
         for parts, coeff in items:
             parts = tuple(parts)
-            if not isinstance(coeff, int) or isinstance(coeff, bool):
+            if not is_int(coeff):
                 raise GraphError(f"coefficient of {parts} is not an exact integer")
+            if any(isinstance(x, bool) for x in parts):
+                raise GraphError(f"partition {parts} has a non-integer part")
             if any(not isinstance(x, int) or x < 1 for x in parts):
                 raise GraphError(f"partition {parts} has a non-positive part")
             if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
@@ -183,11 +185,11 @@ def _tree_powersum_terms(g: Graph) -> tuple[tuple[tuple[int, ...], int], ...]:
     out of S, which closes the child's open component (sign +), or put in S,
     which merges it into the parent's component (sign -).
 
-    A key is one int of fields w = n.bit_length() bits wide, as in _kernels:
-    field 0 holds the open size and field c the number of closed components
-    of size c.  Merging is then addition: kept = parent + child, and cut =
-    parent + child with the child's open size b moved from field 0 to field
-    b.  With field 0 empty, larger keys are exactly the larger partitions in
+    A key is one int in the packed layout of partitions.py: field 0 holds
+    the open size and field c the number of closed components of size c.
+    Merging is then addition: kept = parent + child, and cut = parent +
+    child with the child's open size b moved from field 0 to field b.  With
+    field 0 empty, larger keys are exactly the larger partitions in
     descending lexicographic order, so the root's keys are sorted as ints."""
     n = g.n
     width = n.bit_length()
@@ -219,71 +221,52 @@ def _tree_powersum_terms(g: Graph) -> tuple[tuple[tuple[int, ...], int], ...]:
     for k, x in tables[0].items():
         key = k - (k & mask) + unit[k & mask]
         closed[key] = closed.get(key, 0) + x
-    decode = _partition_keys(n)
+    decode = partition_keys(n)
     return tuple((decode[key], closed[key]) for key in sorted(closed, reverse=True) if closed[key])
 
 
-@lru_cache(maxsize=None)
-def _partition_keys(n: int) -> dict[int, tuple[int, ...]]:
-    """Packed key of _tree_powersum_terms (open field empty) -> partition,
-    for every partition of n."""
-    width = n.bit_length()
-    return {sum(1 << (width * x) for x in parts): parts for parts in partitions_desc(n)}
-
-
-def _distinct_runs(parts: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-    return tuple((val, len(tuple(grp))) for val, grp in groupby(parts))
-
-
-@lru_cache(maxsize=None)
-def _sub_bags(runs: tuple[tuple[int, int], ...], target: int):
-    """All ways to take a sub-multiset of `runs` summing to `target`:
-    yields (remaining_runs, multiplicity) pairs, where multiplicity is the
-    product of binomial choices within each equal-value run."""
-    if target == 0:
-        return ((runs, 1),)
-    if not runs:
-        return ()
-    (val, mult), rest = runs[0], runs[1:]
-    out = []
-    binom = 1
-    for take in range(0, mult + 1):
-        if take:
-            binom = binom * (mult - take + 1) // take
-        if val * take > target:
-            break
-        for rem_rest, ways in _sub_bags(rest, target - val * take):
-            kept = ((val, mult - take),) if take < mult else ()
-            out.append((kept + rem_rest, binom * ways))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _slot_assignments(runs: tuple[tuple[int, int], ...], mu: tuple[int, ...]) -> int:
-    """Number of functions from the parts of lambda (runs form) onto ordered
-    slots with prescribed sums mu; this is the p-to-m transition count."""
-    if not mu:
-        return 1 if not runs else 0
-    total = 0
-    for rem, ways in _sub_bags(runs, mu[0]):
-        total += ways * _slot_assignments(rem, mu[1:])
-    return total
-
-
 def to_monomial(f: SymmetricFunction) -> SymmetricFunction:
-    """Exact change of basis from the power-sum into the monomial basis."""
+    """Exact change of basis from the power-sum into the monomial basis.
+
+    [m_mu] p_lambda counts the set partitions of lambda's parts (as labelled
+    items) whose block sums are mu, times prod m_i(mu)! for the ways to
+    match blocks of equal sum to the equal parts of mu.  One DP per p-term
+    walks the parts of lambda; its state is the multiset of block sums in
+    the packed layout of partitions.py (field s counts the blocks summing
+    to s), its value the coefficient times the number of set partitions of
+    the parts so far with those sums.  Each part a opens a block (key +
+    unit[a]) or joins one of the m_s blocks of sum s (weight m_s, key -
+    unit[s] + unit[s + a])."""
     if f.n > CSF_MONOMIAL_MAX_N:
         raise CapExceededError(f"to_monomial capped at n <= {CSF_MONOMIAL_MAX_N}, got {f.n}")
     if f.basis != BASIS_POWERSUM:
         raise GraphError(f"to_monomial supports basis 'p', not {f.basis!r}")
-    out: dict[tuple[int, ...], int] = {}
-    for mu in partitions_desc(f.n):
-        acc = 0
-        for parts, coeff in f.terms:
-            acc += coeff * _slot_assignments(_distinct_runs(parts), mu)
-        if acc:
-            out[mu] = acc
-    return SymmetricFunction(f.n, BASIS_MONOMIAL, out)
+    n = f.n
+    width = n.bit_length()
+    mask = (1 << width) - 1
+    unit = [1 << (width * c) for c in range(n + 1)]
+    acc: dict[int, int] = {}
+    for parts, coeff in f.terms:
+        cur = {0: coeff}
+        for a in parts:
+            nxt: dict[int, int] = {}
+            get = nxt.get
+            for key, x in cur.items():
+                k = key + unit[a]
+                nxt[k] = get(k, 0) + x
+                s, rest = 1, key >> width
+                while rest:
+                    m_s = rest & mask
+                    if m_s:
+                        k = key - unit[s] + unit[s + a]
+                        nxt[k] = get(k, 0) + m_s * x
+                    s, rest = s + 1, rest >> width
+            cur = nxt
+        for key, x in cur.items():
+            acc[key] = acc.get(key, 0) + x
+    decode = partition_keys(n)
+    out = {decode[key]: x * mult_factorial(decode[key]) for key, x in acc.items() if x}
+    return SymmetricFunction(n, BASIS_MONOMIAL, out)
 
 
 def csf_equal(a, b) -> bool:
@@ -331,7 +314,7 @@ def _hook_max_block(n: int, terms) -> int:
 
 def evaluate_ones(f: SymmetricFunction, r: int) -> int:
     """Value at x_1 = ... = x_r = 1, all other variables 0 (exact)."""
-    if not isinstance(r, int) or r < 0:
+    if not is_int(r) or r < 0:
         raise GraphError(f"r must be a non-negative integer, got {r!r}")
     total = 0
     for parts, coeff in f.terms:

@@ -50,7 +50,7 @@ from .generators import (
     gen_spider,
     gen_star_connection,
 )
-from .graphs import Tree, canonical_code, degrees, trees_isomorphic
+from .graphs import Tree, canonical_code, degrees, is_int, trees_isomorphic
 from .partitions import partitions_desc
 from .symfunc import _hook_max_block, _tree_powersum_terms
 
@@ -564,7 +564,7 @@ def survey(n: int) -> SurveyReport:
     then the pairwise pass in canonical-code order, so the report depends on
     n alone.  The per-pair CSV rows are not stored: the report's pair_rows()
     rebuilds them from the class-pair cells and the buckets when called."""
-    if not isinstance(n, int) or isinstance(n, bool) or not 3 <= n <= 11:
+    if not is_int(n) or not 3 <= n <= 11:
         raise GraphError("survey needs an integer n with 3 <= n <= 11")
     trees = enumerate_free_trees(n)
     payloads = [_survey_payload(t) for t in trees]

@@ -7,7 +7,9 @@ the tests lean on these being independent of the package internals."""
 from __future__ import annotations
 
 import itertools
+import math
 import random
+from functools import lru_cache
 
 from csftrees import theorems
 from csftrees.generators import Gluing, StarConnectionSpec, enumerate_free_trees
@@ -168,6 +170,40 @@ def tree_powersum_reference(g: Graph) -> tuple[tuple[tuple[int, ...], int], ...]
         parts = tuple(sorted(closed + (a,), reverse=True))
         out[parts] = out.get(parts, 0) + x
     return tuple((parts, x) for parts, x in sorted(out.items(), reverse=True) if x)
+
+
+def _sub_bags(runs: tuple[tuple[int, int], ...], target: int):
+    """All ways to take a sub-multiset of `runs` ((value, multiplicity)
+    pairs) summing to `target`: (remaining runs, number of ways) pairs, the
+    ways being the product of binomial choices within each equal-value run."""
+    if target == 0:
+        return [(runs, 1)]
+    if not runs:
+        return []
+    (val, mult), rest = runs[0], runs[1:]
+    out = []
+    for take in range(mult + 1):
+        if val * take > target:
+            break
+        for rem_rest, ways in _sub_bags(rest, target - val * take):
+            kept = ((val, mult - take),) if take < mult else ()
+            out.append((kept + rem_rest, math.comb(mult, take) * ways))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _slot_assignments(runs: tuple[tuple[int, int], ...], mu: tuple[int, ...]) -> int:
+    if not mu:
+        return 1 if not runs else 0
+    return sum(ways * _slot_assignments(rem, mu[1:]) for rem, ways in _sub_bags(runs, mu[0]))
+
+
+def p_to_m_reference(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
+    """[m_mu] p_lambda as the number of maps from the parts of lambda onto
+    the ordered slots of mu with slot i summing to mu_i: fill slot 1 with
+    a sub-multiset of the parts, then the rest of the slots recursively."""
+    runs = tuple((val, len(list(grp))) for val, grp in itertools.groupby(lam))
+    return _slot_assignments(runs, tuple(mu))
 
 
 def random_star_spec(rng: random.Random, max_vertices: int = 20) -> StarConnectionSpec:

@@ -262,6 +262,45 @@ def test_survey_output_digests(tmp_path, n):
     assert digests == SURVEY_DIGESTS[n]
 
 
+def _edge_text(n, edges):
+    return f"n {n}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+
+
+COMPUTE_INPUTS = {
+    "tree11": _edge_text(11, [(p, i + 1) for i, p in enumerate([0, 0, 1, 1, 2, 3, 3, 6, 7, 7])]),
+    "tree14": _edge_text(
+        14, [(p, i + 1) for i, p in enumerate([0, 0, 0, 1, 1, 2, 4, 4, 5, 7, 8, 8, 9])]
+    ),
+    # a 12-cycle with four chords: 16 edges
+    "graph12": _edge_text(
+        12, [(i, (i + 1) % 12) for i in range(12)] + [(0, 6), (2, 9), (3, 7), (1, 10)]
+    ),
+    # three components: a path, a star and an isolated vertex
+    "forest": _edge_text(9, [(0, 1), (1, 2), (2, 3), (4, 5), (4, 6), (4, 7)]),
+}
+
+# sha256 of `csf compute` stdout, frozen like SURVEY_DIGESTS: the tree DP,
+# both kernels and the change of basis must keep every output byte
+COMPUTE_DIGESTS = {
+    ("tree11", "p"): "0714946e541a0b6b673435e905d072b511f72fbd8ce1339d0344d49f427712c2",
+    ("tree11", "m"): "2d0cec761ee87850062955de5050ee9ceb44a99efbb2483a654df02edccd642a",
+    ("tree14", "p"): "3f6752954654b8aeb1b1482866d84b264447af716b039d393b73df9e2b41de41",
+    ("tree14", "m"): "0d9538f8786e1bda56e81487958a454bd556ec33a09cd2a690790ac9be6df9fe",
+    ("graph12", "p"): "262ed2818e1a371cfca04ccac188616b529ec6a08089baf070ff3a61d3d92684",
+    ("graph12", "m"): "2cd40ad8e6a4a4df2f73fd1b282de0098b3af4d05f4b4dabaf1175e47c7615c5",
+    ("forest", "p"): "5bb2570ccc81a55da6dab4114b41280e5bd5c738c1bf2c530f4d592fe39cc598",
+    ("forest", "m"): "a9c3e2e074f41a25f134f6073b334604beecc45cf9ff52a056f022e386f05ab4",
+}
+
+
+@pytest.mark.parametrize("name,basis", sorted(COMPUTE_DIGESTS))
+def test_compute_output_digests(tmp_path, capsys, name, basis):
+    path = _write(tmp_path, f"{name}.txt", COMPUTE_INPUTS[name])
+    assert main(["compute", "--input", path, "--basis", basis]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == COMPUTE_DIGESTS[name, basis]
+
+
 def test_survey_rejects_out_of_range(capsys):
     assert main(["survey", "--n", "2"]) == 1
     assert capsys.readouterr().err.startswith("error: ")
@@ -339,6 +378,27 @@ def test_starconn_bad_spec(tmp_path, capsys):
     spec = _write(tmp_path, "spec.json", '{"stars": [3, 3]}')
     assert main(["starconn", "--spec", spec, "--audit"]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "sizes,gluing,msg",
+    [
+        ("[3, 3]", '["a", 1]', "gluing star 'a' is not an integer"),
+        ("[3, 3]", "[0.0, 1]", "gluing star 0.0 is not an integer"),
+        ("[3, 3]", "[true, 0]", "gluing star True is not an integer"),
+        ("[3, 3]", "[[0], 1]", "gluing star [0] is not an integer"),
+        ("[3, 3]", "5", 'gluing "stars" must be a list'),
+        ("[3, true]", "[0, 1]", "every star size must be an integer >= 3"),
+    ],
+)
+def test_starconn_rejects_non_integer_stars(tmp_path, capsys, sizes, gluing, msg):
+    spec = f'{{"stars": {sizes}, "gluings": [{{"stars": {gluing}}}]}}'
+    path = _write(tmp_path, "spec.json", spec)
+    for extra in ([], ["--audit"]):
+        assert main(["starconn", "--spec", path] + extra) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {msg}\n"
 
 
 def test_enumerate(capsys):

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import time
 
 import pytest
 
@@ -46,7 +47,7 @@ def test_spider_spec():
     spec = SpiderSpec((2, 2, 2))
     assert spec.num_vertices == 7
     assert SpiderSpec((3, 1, 1)).legs == (3, 1, 1)
-    for bad in [(2, 2), (2, 2, 0), (2, 2, "x")]:
+    for bad in [(2, 2), (2, 2, 0), (2, 2, "x"), (2, 2, True), (2, 2, 1.0)]:
         with pytest.raises(GraphError):
             SpiderSpec(tuple(bad))
 
@@ -59,6 +60,8 @@ def test_spider_spec_json():
         SpiderSpec.from_json("not json")
     with pytest.raises(GraphError):
         SpiderSpec.from_json('{"arms": [2, 2, 2]}')
+    with pytest.raises(GraphError, match="spider leg lengths must be integers >= 1"):
+        SpiderSpec.from_json('{"legs": [true, true, true]}')
 
 
 def test_gen_spider_shape():
@@ -156,6 +159,19 @@ def test_star_connection_message_precedence(sizes, gluings, msg):
     with pytest.raises(GraphError) as exc:
         gen_star_connection(spec)
     assert str(exc.value) == msg
+
+
+def test_share_search_skips_stars_in_one_gluing():
+    """3,333 S_3's in one gluing plus the gluing (0, 1): only stars 0 and 1
+    are in two gluings, so the share search looks at one pair, not 5.5
+    million."""
+    r = 3333
+    spec = StarConnectionSpec((3,) * r, (Gluing(tuple(range(r))), Gluing((0, 1))))
+    start = time.perf_counter()
+    with pytest.raises(GraphError) as exc:
+        gen_star_connection(spec)
+    assert time.perf_counter() - start < 1.0
+    assert str(exc.value) == "stars 0 and 1 share 2 vertices (at most 1 allowed)"
 
 
 def test_build_cap():

@@ -38,6 +38,8 @@ def test_graph_normalizes_edges():
         (3, ((0, 1.0),), "non-integer"),
         (3, ((0,),), "not a pair"),
         (-1, (), "non-negative"),
+        (3, ((0, True),), "non-integer"),
+        (3, ((True, 2),), "non-integer"),
     ],
 )
 def test_graph_rejects(n, edges, msg):

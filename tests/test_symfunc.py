@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import coloring_count, tree_powersum_reference
+from _oracles import coloring_count, p_to_m_reference, tree_powersum_reference
 from csftrees import symfunc
 from csftrees._kernels import edge_subset_type_counts, stable_type_counts
 from csftrees.decomposition import alpha_mis
@@ -55,6 +55,9 @@ def test_terms_normalized():
         (3, "m", {(1, 2): 1}),
         (3, "m", {(2, 2): 1}),
         (3, "m", [((2, 1), 1), ((2, 1), 2)]),
+        (True, "m", {(1,): 1}),
+        (2.0, "m", {(1, 1): 1}),
+        (2, "p", {(True, True): 1}),
     ],
 )
 def test_container_rejects(n, basis, terms):
@@ -238,10 +241,18 @@ def test_hook_closed_form_matches_slot_assignments():
     max_block_from_csf uses, against the general p-to-m transition count."""
     for n in range(1, 15):
         for lam in partitions_desc(n):
-            runs = symfunc._distinct_runs(lam)
             for k in range(1, n + 1):
                 hook = (k,) + (1,) * (n - k)
-                assert perm(lam.count(1), n - k) == symfunc._slot_assignments(runs, hook)
+                assert perm(lam.count(1), n - k) == p_to_m_reference(lam, hook)
+
+
+@pytest.mark.parametrize("n", range(0, 15))
+def test_to_monomial_matches_slot_assignments(n):
+    """Every [m_mu] p_lambda of to_monomial's DP, zero or not, against the
+    slot-assignment recursion, for every lambda and mu of n <= 14."""
+    for lam in partitions_desc(n):
+        got = to_monomial(SymmetricFunction(n, "p", {lam: 1})).as_dict()
+        assert got == {mu: c for mu in partitions_desc(n) if (c := p_to_m_reference(lam, mu))}
 
 
 def test_routes_agree_on_trees():
@@ -347,7 +358,11 @@ def test_json_round_trip():
         assert all(isinstance(t["coeff"], int) for t in d["terms"])
 
 
-@pytest.mark.parametrize("text", ["{", "{}", '{"n": 3, "terms": []}', '{"n": 3, "basis": "m", "terms": [{}]}'])
+@pytest.mark.parametrize("text", [
+    "{", "{}", '{"n": 3, "terms": []}', '{"n": 3, "basis": "m", "terms": [{}]}',
+    '{"n": true, "basis": "p", "terms": [{"partition": [1], "coeff": 1}]}',
+    '{"n": 2, "basis": "p", "terms": [{"partition": [true, true], "coeff": 1}]}',
+])
 def test_json_rejects(text):
     with pytest.raises(GraphError):
         symfunc_from_json(text)
