@@ -29,7 +29,6 @@ from .generators import (
 from .graphs import (
     Graph,
     Tree,
-    as_tree,
     canonical_code,
     parse_edge_list,
     serialize,

@@ -32,7 +32,7 @@ from .generators import (
     gen_spider,
     gen_star_connection,
 )
-from .graphs import as_tree, is_tree, parse_edge_list, serialize, trees_isomorphic
+from .graphs import Tree, is_tree, parse_edge_list, serialize, trees_isomorphic
 from .symfunc import (
     BASIS_POWERSUM,
     csf_equal,
@@ -85,14 +85,14 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    t = as_tree(parse_edge_list(_read(args.input)))
+    t = Tree(parse_edge_list(_read(args.input)))
     _emit_json(decomposition_to_json_dict(leaf_decomposition(t)), None)
     return 0
 
 
 def _cmd_compare(args) -> int:
-    ta = as_tree(parse_edge_list(_read(args.a)))
-    tb = as_tree(parse_edge_list(_read(args.b)))
+    ta = Tree(parse_edge_list(_read(args.a)))
+    tb = Tree(parse_edge_list(_read(args.b)))
     report = {
         "n_a": ta.n,
         "n_b": tb.n,

@@ -44,10 +44,6 @@ class LeafDecomposition:
     levels: tuple[LeafLevel, ...]
     terminal_alpha: int
 
-    @property
-    def depth(self) -> int:
-        return len(self.levels)
-
     def level_counts(self) -> tuple[tuple[int, int], ...]:
         return tuple((lvl.b, lvl.eta) for lvl in self.levels)
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import CapExceededError, GraphError, InternalError
-from .graphs import Graph, Tree, _code_from_adj, as_tree, bfs_order, is_int
+from .graphs import Graph, Tree, _code_from_adj, bfs_order, is_int
 
 ENUM_MAX_N = 16
 BUILD_MAX_VERTICES = 10_000
@@ -37,13 +37,13 @@ BUILD_MAX_VERTICES = 10_000
 def gen_path(n: int) -> Tree:
     if n < 1:
         raise GraphError("path needs n >= 1")
-    return as_tree(Graph(n, tuple((i, i + 1) for i in range(n - 1))))
+    return Tree(Graph(n, tuple((i, i + 1) for i in range(n - 1))))
 
 
 def gen_star(n: int) -> Tree:
     if n < 2:
         raise GraphError("star needs n >= 2")
-    return as_tree(Graph(n, tuple((0, i) for i in range(1, n))))
+    return Tree(Graph(n, tuple((0, i) for i in range(1, n))))
 
 
 @dataclass(frozen=True)
@@ -64,22 +64,6 @@ class SpiderSpec:
     def num_vertices(self) -> int:
         return 1 + sum(self.legs)
 
-    @classmethod
-    def from_json(cls, text: str) -> "SpiderSpec":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise GraphError(f"malformed spider spec: {exc}") from None
-        if not isinstance(data, dict) or "legs" not in data:
-            raise GraphError('spider spec must be {"legs": [..]}')
-        legs = data["legs"]
-        if not isinstance(legs, list):
-            raise GraphError('spider spec "legs" must be a list')
-        return cls(tuple(legs))
-
-    def to_json_dict(self) -> dict:
-        return {"legs": list(self.legs)}
-
 
 def gen_spider(spec: SpiderSpec) -> Tree:
     if not isinstance(spec, SpiderSpec):
@@ -96,7 +80,7 @@ def gen_spider(spec: SpiderSpec) -> Tree:
             edges.append((prev, nxt))
             prev = nxt
             nxt += 1
-    return as_tree(Graph(nxt, tuple(edges)))
+    return Tree(Graph(nxt, tuple(edges)))
 
 
 @dataclass(frozen=True)
@@ -167,12 +151,6 @@ class StarConnectionSpec:
             gluings.append(Gluing(tuple(item["stars"])))
         return cls(tuple(sizes), tuple(gluings))
 
-    def to_json_dict(self) -> dict:
-        return {
-            "stars": list(self.star_sizes),
-            "gluings": [{"stars": list(g.stars)} for g in self.gluings],
-        }
-
 
 def gen_star_connection(spec: StarConnectionSpec) -> Tree:
     r = spec.num_stars
@@ -196,7 +174,7 @@ def gen_star_connection(spec: StarConnectionSpec) -> Tree:
             edges.append((k, r + gi))
 
     # Tree-ness of the gluing structure, with targeted messages before the
-    # generic as_tree validation would fire: the star-gluing incidence graph
+    # generic Tree validation would fire: the star-gluing incidence graph
     # built so far is a forest iff |E| = #vertices - #components.
     adj: list[list[int]] = [[] for _ in range(r + t)]
     for k, gv in edges:
@@ -230,7 +208,7 @@ def gen_star_connection(spec: StarConnectionSpec) -> Tree:
         for _ in range(size - 1 - used[k]):
             edges.append((k, nxt))
             nxt += 1
-    return as_tree(Graph(nxt, tuple(edges)))
+    return Tree(Graph(nxt, tuple(edges)))
 
 
 def prufer_tree(seq) -> Tree:
@@ -254,7 +232,7 @@ def prufer_tree(seq) -> Tree:
     u = heapq.heappop(heap)
     v = heapq.heappop(heap)
     edges.append((u, v))
-    return as_tree(Graph(n, tuple(edges)))
+    return Tree(Graph(n, tuple(edges)))
 
 
 def _free_tree_level_sequences(n: int):
@@ -355,4 +333,4 @@ def enumerate_free_trees(n: int) -> list[Tree]:
         raise GraphError(f"tree order must be a positive integer, got {n!r}")
     if n > ENUM_MAX_N:
         raise CapExceededError(f"enumeration capped at n <= {ENUM_MAX_N}, got {n}")
-    return [as_tree(Graph(n, e)) for e in _free_tree_edge_sets(n)]
+    return [Tree(Graph(n, e)) for e in _free_tree_edge_sets(n)]

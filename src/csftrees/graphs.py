@@ -88,10 +88,6 @@ class Tree:
         return self.graph.edges
 
 
-def as_tree(g: Graph) -> Tree:
-    return Tree(g)
-
-
 def adjacency(g: Graph) -> list[list[int]]:
     """Adjacency lists; each neighbor list sorted ascending."""
     adj: list[list[int]] = [[] for _ in range(g.n)]

@@ -2,10 +2,8 @@
 
 Partitions of n are tuples of positive ints in weakly decreasing order. The
 canonical ordering everywhere in this package is *descending lexicographic*:
-(n) first, (1,)*n last. Ranks refer to positions in that order.
-
-The counting table C with C[m][k] = #{partitions of m with all parts <= k}
-drives both ranking (partition -> dense index) and unranking.
+(n) first, (1,)*n last. partitions_desc is the one place that order is
+built; counts, ranks and unranks are lookups into it.
 
 Packed layout: the tree DP, both kernels and the change of basis key a
 multiset of sizes by one int of fields n.bit_length() bits wide, field c
@@ -19,19 +17,7 @@ partition_keys decodes such keys.
 from __future__ import annotations
 
 from functools import lru_cache
-
-
-@lru_cache(maxsize=None)
-def count_table(nmax: int) -> tuple[tuple[int, ...], ...]:
-    """(nmax+1) x (nmax+1) table of ints; entry [m][k] counts partitions of m
-    into parts of size at most k."""
-    c = [[1] * (nmax + 1)]
-    for m in range(1, nmax + 1):
-        row = [0] * (nmax + 1)
-        for k in range(1, nmax + 1):
-            row[k] = row[k - 1] + (c[m - k][k] if m >= k else 0)
-        c.append(row)
-    return tuple(map(tuple, c))
+from math import perm
 
 
 @lru_cache(maxsize=None)
@@ -61,45 +47,21 @@ def partition_keys(n: int) -> dict[int, tuple[int, ...]]:
 
 
 def num_partitions(n: int) -> int:
-    return count_table(n)[n][n] if n > 0 else 1
+    return len(partitions_desc(n))
 
 
 def rank_desc(parts: tuple[int, ...]) -> int:
-    """Index of `parts` within partitions_desc(sum(parts))."""
-    n = sum(parts)
-    table = count_table(max(n, 1))
-    rank = 0
-    m = n
-    bound = n
-    for part in parts:
-        # count partitions of m (parts <= bound) whose first part exceeds `part`
-        for t in range(part + 1, min(bound, m) + 1):
-            rank += table[m - t][t]
-        bound = part
-        m -= part
-    return rank
+    """Index of `parts` within partitions_desc(sum(parts)); ValueError if it
+    is not listed there."""
+    return partitions_desc(sum(parts)).index(tuple(parts))
 
 
 def unrank_desc(n: int, rank: int) -> tuple[int, ...]:
     """Inverse of rank_desc for partitions of n."""
-    table = count_table(max(n, 1))
-    parts: list[int] = []
-    m = n
-    bound = n
-    while m > 0:
-        for t in range(min(bound, m), 0, -1):
-            cnt = table[m - t][t]  # partitions with first part exactly t
-            if rank < cnt:
-                parts.append(t)
-                bound = t
-                m -= t
-                break
-            rank -= cnt
-        else:
-            raise ValueError("rank out of range")
-    if rank != 0:
+    parts = partitions_desc(n)
+    if not 0 <= rank < len(parts):
         raise ValueError("rank out of range")
-    return tuple(parts)
+    return parts[rank]
 
 
 def mult_factorial(parts: tuple[int, ...]) -> int:
@@ -117,7 +79,4 @@ def mult_factorial(parts: tuple[int, ...]) -> int:
 
 def falling_factorial(r: int, length: int) -> int:
     """r * (r-1) * ... * (r-length+1), exact; 1 when length == 0."""
-    out = 1
-    for i in range(length):
-        out *= r - i
-    return out
+    return perm(r, length)

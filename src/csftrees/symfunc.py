@@ -93,9 +93,8 @@ class SymmetricFunction:
             parts = tuple(parts)
             if not is_int(coeff):
                 raise GraphError(f"coefficient of {parts} is not an exact integer")
-            if any(isinstance(x, bool) for x in parts):
-                raise GraphError(f"partition {parts} has a non-integer part")
-            if any(not isinstance(x, int) or x < 1 for x in parts):
+            _check_integer_parts(parts)
+            if any(x < 1 for x in parts):
                 raise GraphError(f"partition {parts} has a non-positive part")
             if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
                 raise GraphError(f"partition {parts} is not weakly decreasing")
@@ -109,11 +108,10 @@ class SymmetricFunction:
         norm.sort(key=lambda item: item[0], reverse=True)
         object.__setattr__(self, "terms", tuple(norm))
 
-    def as_dict(self) -> dict[tuple[int, ...], int]:
-        return dict(self.terms)
 
-    def coeff(self, parts) -> int:
-        return self.as_dict().get(tuple(parts), 0)
+def _check_integer_parts(parts: tuple) -> None:
+    if not all(is_int(x) for x in parts):
+        raise GraphError(f"partition {parts} has a non-integer part")
 
 
 def _graph_of(x) -> Graph:
@@ -345,7 +343,13 @@ def symfunc_from_json(text: str) -> SymmetricFunction:
     except json.JSONDecodeError as exc:
         raise GraphError(f"malformed symmetric function JSON: {exc}") from None
     try:
-        terms = {tuple(t["partition"]): t["coeff"] for t in data["terms"]}
+        terms = {}
+        for t in data["terms"]:
+            parts = t["partition"]
+            if not isinstance(parts, list):
+                raise GraphError(f"partition {parts!r} is not a list")
+            _check_integer_parts(tuple(parts))
+            terms[tuple(parts)] = t["coeff"]
         return SymmetricFunction(data["n"], data["basis"], terms)
     except (KeyError, TypeError) as exc:
         raise GraphError(f"malformed symmetric function JSON: {exc}") from None

@@ -1,12 +1,14 @@
 """Checkers for the tree-distinguishing criteria, plus the bulk survey.
 
-Five checkers, identified by theorem id:
+Four checkers, identified by theorem id:
 
   LEAVES_RHO      leaf counts b and path remainders rho (four cases)
   COMPONENTWISE   levelwise dominance of the padded leaf decompositions
   SUMMED          aggregate dominance with a bounded reversed-index set
   STAR_COUNT      star connections on the same vertex set with r < s stars
-  SPIDER_FORMULA  closed-form spider block maximum (audit only, see below)
+
+The closed-form spider block maximum (spider_M_formula) is audited, not
+used as a checker; see below.
 
 Applicable verdicts claim the maximal independent blocks satisfy m1 > m2,
 with the pair oriented internally (``swapped`` records an exchange of the
@@ -43,6 +45,7 @@ from .decomposition import (
 )
 from .errors import GraphError, InternalError
 from .generators import (
+    ENUM_MAX_N,
     Gluing,
     SpiderSpec,
     StarConnectionSpec,
@@ -58,7 +61,6 @@ LEAVES_RHO = "LEAVES_RHO"
 COMPONENTWISE = "COMPONENTWISE"
 SUMMED = "SUMMED"
 STAR_COUNT = "STAR_COUNT"
-SPIDER_FORMULA = "SPIDER_FORMULA"
 
 APPLICABLE = "Applicable"
 NOT_APPLICABLE = "NotApplicable"
@@ -538,8 +540,8 @@ def _key_verdicts(fa: TreeFacts, fb: TreeFacts, ma: int, mb: int):
 
 def survey(n: int) -> SurveyReport:
     """Replay the pairwise checkers over all non-isomorphic trees on n
-    vertices (3 <= n <= 11), cross-check every Applicable claim against the
-    CSF, and run the chain/spider/star audits for the same n.
+    vertices (3 <= n <= ENUM_MAX_N), cross-check every Applicable claim
+    against the CSF, and run the chain/spider/star audits for the same n.
 
     The trees come from enumerate_free_trees (one WROM level sequence per
     tree, sorted by canonical code), and tree indices are positions in that
@@ -564,8 +566,8 @@ def survey(n: int) -> SurveyReport:
     then the pairwise pass in canonical-code order, so the report depends on
     n alone.  The per-pair CSV rows are not stored: the report's pair_rows()
     rebuilds them from the class-pair cells and the buckets when called."""
-    if not is_int(n) or not 3 <= n <= 11:
-        raise GraphError("survey needs an integer n with 3 <= n <= 11")
+    if not is_int(n) or not 3 <= n <= ENUM_MAX_N:
+        raise GraphError(f"survey needs an integer n with 3 <= n <= {ENUM_MAX_N}")
     trees = enumerate_free_trees(n)
     payloads = [_survey_payload(t) for t in trees]
 

@@ -14,7 +14,7 @@ import csftrees
 from csftrees import cli, graphs, theorems
 from csftrees.cli import main
 from csftrees.errors import InternalError
-from csftrees.graphs import as_tree, parse_edge_list
+from csftrees.graphs import Tree, parse_edge_list
 from csftrees.theorems import SURVEY_CSV_HEADER, survey, survey_report_to_json_dict
 
 P3 = "n 3\n0 1\n1 2\n"
@@ -203,7 +203,7 @@ def test_compare_theorems_computes_facts_once(tmp_path, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert calls == {"canonical_code": 2, "leaf_decomposition": 2}
     monkeypatch.undo()
-    ta, tb = (as_tree(parse_edge_list(text)) for text in (text_a, text_b))
+    ta, tb = (Tree(parse_edge_list(text)) for text in (text_a, text_b))
     expected = {
         "n_a": 8,
         "n_b": 8,
@@ -414,7 +414,7 @@ def test_enumerate_lists_trees_in_canonical_code_order(capsys):
     """Survey indices are positions in this order."""
     assert main(["enumerate", "--n", "10"]) == 0
     data = json.loads(capsys.readouterr().out)
-    trees = [as_tree(graphs.Graph(d["n"], tuple(map(tuple, d["edges"])))) for d in data]
+    trees = [Tree(graphs.Graph(d["n"], tuple(map(tuple, d["edges"])))) for d in data]
     codes = [graphs.canonical_code(t) for t in trees]
     assert len(trees) == 106 and all(t.n == 10 for t in trees)
     assert all(a < b for a, b in zip(codes, codes[1:]))

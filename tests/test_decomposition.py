@@ -23,7 +23,7 @@ from csftrees.generators import (
     gen_star,
     gen_star_connection,
 )
-from csftrees.graphs import Graph, Tree, as_tree, degrees, relabel
+from csftrees.graphs import Graph, Tree, degrees, relabel
 
 
 @pytest.mark.parametrize(
@@ -41,7 +41,7 @@ def test_decomposition_goldens(tree, counts, term_alpha):
     d = leaf_decomposition(tree)
     assert d.level_counts() == counts
     assert d.terminal_alpha == term_alpha
-    assert d.depth == len(counts)
+    assert len(d.levels) == len(counts)
 
 
 def test_chain_example_alpha():
@@ -99,7 +99,7 @@ def test_chain_inequalities_first_failure():
     """b1 >= eta1 >= b2 >= ... is an audited claim, not a theorem: the first
     counterexample is P11 with a pendant leaf on its center, at n = 12."""
     edges = tuple((i, i + 1) for i in range(10)) + ((5, 11),)
-    t = as_tree(Graph(12, edges))
+    t = Tree(Graph(12, edges))
     d = leaf_decomposition(t)
     assert chain_sequence(d) == (3, 3, 4, 2)
     assert not chain_holds(d)
@@ -112,7 +112,7 @@ def test_relabeling_invariance():
         for t in enumerate_free_trees(n):
             perm = list(range(n))
             rng.shuffle(perm)
-            t2 = as_tree(relabel(t.graph, perm))
+            t2 = Tree(relabel(t.graph, perm))
             assert leaf_decomposition(t2).level_counts() == leaf_decomposition(t).level_counts()
 
 
@@ -131,7 +131,7 @@ def test_rho_data_goldens():
 def test_rho_set_may_be_disconnected():
     # path 0-..-6 with an extra leaf on vertex 3: rho vertices {2, 4} split up
     edges = tuple((i, i + 1) for i in range(6)) + ((3, 7),)
-    t = as_tree(Graph(8, edges))
+    t = Tree(Graph(8, edges))
     r = rho_data(t)
     assert r.rho == 2
     assert r.rho_vertices == (2, 4)

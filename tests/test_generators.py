@@ -1,5 +1,4 @@
 import itertools
-import json
 import random
 import time
 
@@ -50,18 +49,6 @@ def test_spider_spec():
     for bad in [(2, 2), (2, 2, 0), (2, 2, "x"), (2, 2, True), (2, 2, 1.0)]:
         with pytest.raises(GraphError):
             SpiderSpec(tuple(bad))
-
-
-def test_spider_spec_json():
-    spec = SpiderSpec.from_json('{"legs": [4, 2, 1]}')
-    assert spec.legs == (4, 2, 1)
-    assert json.loads(json.dumps(spec.to_json_dict())) == {"legs": [4, 2, 1]}
-    with pytest.raises(GraphError):
-        SpiderSpec.from_json("not json")
-    with pytest.raises(GraphError):
-        SpiderSpec.from_json('{"arms": [2, 2, 2]}')
-    with pytest.raises(GraphError, match="spider leg lengths must be integers >= 1"):
-        SpiderSpec.from_json('{"legs": [true, true, true]}')
 
 
 def test_gen_spider_shape():
@@ -191,8 +178,6 @@ def test_star_connection_json():
     spec = StarConnectionSpec.from_json(text)
     assert spec.star_sizes == (4, 5, 3, 4)
     assert spec.gluings == (Gluing((0, 1)), Gluing((1, 2)), Gluing((2, 3)))
-    round_trip = StarConnectionSpec.from_json(json.dumps(spec.to_json_dict()))
-    assert round_trip == spec
     for bad in ["[]", '{"stars": [3, 3]}', '{"stars": [3,3], "gluings": [{"at": [0,1]}]}']:
         with pytest.raises(GraphError):
             StarConnectionSpec.from_json(bad)

@@ -9,7 +9,6 @@ from csftrees.graphs import (
     Graph,
     Tree,
     adjacency,
-    as_tree,
     canonical_code,
     bfs_order,
     degrees,
@@ -48,8 +47,8 @@ def test_graph_rejects(n, edges, msg):
 
 
 def test_tree_validation():
-    as_tree(Graph(1))
-    as_tree(Graph(2, ((0, 1),)))
+    Tree(Graph(1))
+    Tree(Graph(2, ((0, 1),)))
     with pytest.raises(GraphError, match="at least one vertex"):
         Tree(Graph(0))
     with pytest.raises(GraphError, match="3 edges"):
@@ -148,7 +147,7 @@ def test_canonical_code_relabeling_invariant():
                 else [rng.sample(range(n), n) for _ in range(20)]
             )
             for perm in perms:
-                rt = as_tree(relabel(t.graph, perm))
+                rt = Tree(relabel(t.graph, perm))
                 assert canonical_code(rt) == code
 
 
@@ -160,9 +159,9 @@ def test_canonical_code_separates_classes():
 
 def test_trees_isomorphic():
     p6 = gen_path(6)
-    cat = as_tree(Graph(6, ((0, 1), (1, 2), (2, 3), (2, 4), (4, 5))))
+    cat = Tree(Graph(6, ((0, 1), (1, 2), (2, 3), (2, 4), (4, 5))))
     assert not trees_isomorphic(p6, cat)
-    assert trees_isomorphic(p6, as_tree(relabel(p6.graph, [5, 3, 1, 0, 2, 4])))
+    assert trees_isomorphic(p6, Tree(relabel(p6.graph, [5, 3, 1, 0, 2, 4])))
     assert not trees_isomorphic(gen_path(5), gen_path(6))
 
 

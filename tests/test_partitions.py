@@ -5,7 +5,6 @@ from collections import Counter
 import pytest
 
 from csftrees.partitions import (
-    count_table,
     falling_factorial,
     mult_factorial,
     num_partitions,
@@ -38,13 +37,6 @@ def test_partitions_desc_properties(n):
     assert list(parts) == sorted(parts, reverse=True)
 
 
-def test_count_table_matches_partition_counts():
-    table = count_table(14)
-    for m in range(15):
-        assert table[m][14] == PARTITION_COUNTS[m]
-    assert table[5][2] == 3  # (2,2,1), (2,1,1,1), (1,)*5
-
-
 @pytest.mark.parametrize("n", range(13))
 def test_rank_unrank_roundtrip(n):
     for i, p in enumerate(partitions_desc(n)):
@@ -55,6 +47,17 @@ def test_rank_unrank_roundtrip(n):
 def test_unrank_out_of_range():
     with pytest.raises(ValueError):
         unrank_desc(5, num_partitions(5))
+
+
+@pytest.mark.parametrize("parts", [(1, 2), (2, 0)])
+def test_rank_rejects_non_partitions(parts):
+    with pytest.raises(ValueError):
+        rank_desc(parts)
+
+
+def test_num_partitions_rejects_negative():
+    with pytest.raises(ValueError):
+        num_partitions(-1)
 
 
 def test_mult_factorial():

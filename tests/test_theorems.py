@@ -16,7 +16,7 @@ from csftrees.generators import (
     gen_star,
     gen_star_connection,
 )
-from csftrees.graphs import Graph, Tree, as_tree, relabel
+from csftrees.graphs import Graph, Tree, relabel
 from csftrees.symfunc import csf_equal, csf_powersum
 from csftrees.theorems import (
     APPLICABLE,
@@ -40,7 +40,7 @@ from csftrees.theorems import (
 
 
 def _tree(n, *edges):
-    return as_tree(Graph(n, tuple(edges)))
+    return Tree(Graph(n, tuple(edges)))
 
 
 # comb: path 0-1-2-3-4 with one extra leaf hanging off every spine vertex
@@ -194,7 +194,7 @@ def test_pair_prechecks():
     with pytest.raises(GraphError):
         thm_leaves_check(gen_path(5), gen_path(6))
     with pytest.raises(GraphError):
-        thm_leaves_check(gen_path(6), as_tree(relabel(gen_path(6).graph, (5, 4, 3, 2, 1, 0))))
+        thm_leaves_check(gen_path(6), Tree(relabel(gen_path(6).graph, (5, 4, 3, 2, 1, 0))))
     with pytest.raises(GraphError):
         thm_leaves_check(gen_path(3), gen_path(3))  # below min n before iso check
 
@@ -400,6 +400,23 @@ def test_survey_n8_frozen_counts():
     assert all(row["agrees"] for row in rep.star_audit)
 
 
+def test_survey_n12_frozen_counts():
+    rep = survey(12)
+    assert (rep.num_trees, rep.pairs, rep.x_equal_pairs) == (551, 151525, 0)
+    assert rep.verdict_counts == {
+        "LEAVES_RHO": {
+            "case1": 11769, "case2": 3870, "case3": 26905, "case4": 2109,
+            "not_applicable": 106872,
+        },
+        "COMPONENTWISE": {"applicable": 42065, "not_applicable": 109460},
+        "SUMMED": {"applicable": 94521, "not_applicable": 57004},
+    }
+    assert rep.soundness_violations == ()
+    assert [row["tree"] for row in rep.chain_audit_violations] == [28]
+    assert (sum(row["agrees"] for row in rep.spider_audit), len(rep.spider_audit)) == (0, 50)
+    assert (sum(row["agrees"] for row in rep.star_audit), len(rep.star_audit)) == (38, 38)
+
+
 def test_survey_n9_spec_sizes():
     rep = survey(9)
     assert (rep.num_trees, rep.pairs, rep.x_equal_pairs) == (47, 1081, 0)
@@ -491,7 +508,7 @@ def test_survey_x_equality_compares_full_terms(monkeypatch):
     assert [row[:3] for row in rep.pair_rows() if row[2] == "true"] == [("0", str(last), "true")]
 
 
-@pytest.mark.parametrize("bad", [2, 12, 7.0, True, "7"])
+@pytest.mark.parametrize("bad", [2, 17, 7.0, True, "7"])
 def test_survey_rejects_bad_n(bad):
     with pytest.raises(GraphError):
         survey(bad)
