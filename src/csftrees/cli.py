@@ -32,14 +32,13 @@ from .generators import (
     gen_spider,
     gen_star_connection,
 )
-from .graphs import Tree, is_tree, parse_edge_list, serialize, trees_isomorphic
+from .graphs import Tree, parse_edge_list, serialize, trees_isomorphic
 from .symfunc import (
     BASIS_POWERSUM,
     csf_equal,
     csf_monomial,
     csf_powersum,
     symfunc_to_json_dict,
-    to_monomial,
 )
 from .theorems import (
     SURVEY_CSV_HEADER,
@@ -72,27 +71,27 @@ def _emit_json(obj, out: str | None) -> None:
     _emit(json.dumps(obj, indent=2) + "\n", out)
 
 
+def _read_tree(path: str) -> Tree:
+    g = parse_edge_list(_read(path))
+    return Tree(g.n, g.edges)
+
+
 def _cmd_compute(args) -> int:
     g = parse_edge_list(_read(args.input))
-    if args.basis == BASIS_POWERSUM:
-        f = csf_powersum(g)
-    elif is_tree(g):
-        f = to_monomial(csf_powersum(g))
-    else:
-        f = csf_monomial(g)
+    f = csf_powersum(g) if args.basis == BASIS_POWERSUM else csf_monomial(g)
     _emit_json(symfunc_to_json_dict(f), args.out)
     return 0
 
 
 def _cmd_decompose(args) -> int:
-    t = Tree(parse_edge_list(_read(args.input)))
+    t = _read_tree(args.input)
     _emit_json(decomposition_to_json_dict(leaf_decomposition(t)), None)
     return 0
 
 
 def _cmd_compare(args) -> int:
-    ta = Tree(parse_edge_list(_read(args.a)))
-    tb = Tree(parse_edge_list(_read(args.b)))
+    ta = _read_tree(args.a)
+    tb = _read_tree(args.b)
     report = {
         "n_a": ta.n,
         "n_b": tb.n,
@@ -135,7 +134,7 @@ def _parse_legs(text: str) -> SpiderSpec:
 def _cmd_spider(args) -> int:
     spec = _parse_legs(args.legs)
     if not args.audit:
-        _emit(serialize(gen_spider(spec).graph), None)
+        _emit(serialize(gen_spider(spec)), None)
         return 0
     formula, oracle, agrees = spider_audit(spec)
     _emit_json(
@@ -154,7 +153,7 @@ def _cmd_spider(args) -> int:
 def _cmd_starconn(args) -> int:
     spec = StarConnectionSpec.from_json(_read(args.spec))
     if not args.audit:
-        _emit(serialize(gen_star_connection(spec).graph), None)
+        _emit(serialize(gen_star_connection(spec)), None)
         return 0
     nverts, excess, m, alpha = star_connection_audit(spec)
     _emit_json(
@@ -176,7 +175,7 @@ def _cmd_enumerate(args) -> int:
     if args.count_only:
         _emit(f"{len(trees)}\n", None)
         return 0
-    _emit_json([{"n": t.n, "edges": [list(e) for e in t.graph.edges]} for t in trees], None)
+    _emit_json([{"n": t.n, "edges": [list(e) for e in t.edges]} for t in trees], None)
     return 0
 
 

@@ -50,7 +50,7 @@ class LeafDecomposition:
 
 def leaf_decomposition(t: Tree) -> LeafDecomposition:
     n = t.n
-    adjsets = [set(a) for a in adjacency(t.graph)]
+    adjsets = [set(a) for a in adjacency(t)]
     alive = set(range(n))
     levels: list[LeafLevel] = []
     terminal_alpha = 0

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import CapExceededError, GraphError, InternalError
-from .graphs import Graph, Tree, _code_from_adj, bfs_order, is_int
+from .graphs import Tree, _code_from_adj, bfs_order, is_int
 
 ENUM_MAX_N = 16
 BUILD_MAX_VERTICES = 10_000
@@ -37,13 +37,13 @@ BUILD_MAX_VERTICES = 10_000
 def gen_path(n: int) -> Tree:
     if n < 1:
         raise GraphError("path needs n >= 1")
-    return Tree(Graph(n, tuple((i, i + 1) for i in range(n - 1))))
+    return Tree(n, tuple((i, i + 1) for i in range(n - 1)))
 
 
 def gen_star(n: int) -> Tree:
     if n < 2:
         raise GraphError("star needs n >= 2")
-    return Tree(Graph(n, tuple((0, i) for i in range(1, n))))
+    return Tree(n, tuple((0, i) for i in range(1, n)))
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,7 @@ def gen_spider(spec: SpiderSpec) -> Tree:
             edges.append((prev, nxt))
             prev = nxt
             nxt += 1
-    return Tree(Graph(nxt, tuple(edges)))
+    return Tree(nxt, tuple(edges))
 
 
 @dataclass(frozen=True)
@@ -208,7 +208,7 @@ def gen_star_connection(spec: StarConnectionSpec) -> Tree:
         for _ in range(size - 1 - used[k]):
             edges.append((k, nxt))
             nxt += 1
-    return Tree(Graph(nxt, tuple(edges)))
+    return Tree(nxt, tuple(edges))
 
 
 def prufer_tree(seq) -> Tree:
@@ -232,7 +232,7 @@ def prufer_tree(seq) -> Tree:
     u = heapq.heappop(heap)
     v = heapq.heappop(heap)
     edges.append((u, v))
-    return Tree(Graph(n, tuple(edges)))
+    return Tree(n, tuple(edges))
 
 
 def _free_tree_level_sequences(n: int):
@@ -333,4 +333,4 @@ def enumerate_free_trees(n: int) -> list[Tree]:
         raise GraphError(f"tree order must be a positive integer, got {n!r}")
     if n > ENUM_MAX_N:
         raise CapExceededError(f"enumeration capped at n <= {ENUM_MAX_N}, got {n}")
-    return [Tree(Graph(n, e)) for e in _free_tree_edge_sets(n)]
+    return [Tree(n, e) for e in _free_tree_edge_sets(n)]

@@ -2,7 +2,10 @@
 
 Vertices are dense integers 0..n-1. A Graph is immutable: edges are stored as
 a sorted tuple of (u, v) pairs with u < v, so equal graphs compare and hash
-equal and every downstream computation is deterministic.
+equal and every downstream computation is deterministic. A Tree is a Graph
+with no field of its own: Tree(n, edges) runs Graph's checks and then
+requires n >= 1, n - 1 edges and one component. Dataclass equality also
+compares the class, so a Tree never equals a Graph with the same edges.
 
 Canonical form for trees is the AHU parenthesis code rooted at the tree's
 center: peel leaf layers until one or two vertices remain; with two centers,
@@ -64,28 +67,19 @@ class Graph:
 
 
 @dataclass(frozen=True)
-class Tree:
-    """A connected acyclic Graph. Constructing one runs full validation."""
-
-    graph: Graph
+class Tree(Graph):
+    """A connected acyclic Graph: Graph's checks run first, then the tree's."""
 
     def __post_init__(self) -> None:
-        g = self.graph
-        if g.n == 0:
+        super().__post_init__()
+        n, m = self.n, self.num_edges
+        if n == 0:
             raise GraphError("a tree needs at least one vertex")
         # n - 1 edges and connected rule out a cycle.
-        if g.num_edges != g.n - 1:
-            raise GraphError(f"tree on {g.n} vertices needs {g.n - 1} edges, got {g.num_edges}")
-        if not is_connected(g):
+        if m != n - 1:
+            raise GraphError(f"tree on {n} vertices needs {n - 1} edges, got {m}")
+        if not is_connected(self):
             raise GraphError("graph is not connected")
-
-    @property
-    def n(self) -> int:
-        return self.graph.n
-
-    @property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        return self.graph.edges
 
 
 def adjacency(g: Graph) -> list[list[int]]:
@@ -136,11 +130,11 @@ def is_tree(g: Graph) -> bool:
 
 
 def relabel(g: Graph, perm) -> Graph:
-    """Apply the vertex relabeling v -> perm[v]."""
+    """Apply the vertex relabeling v -> perm[v]; a Tree stays a Tree."""
     perm = list(perm)
     if sorted(perm) != list(range(g.n)):
         raise GraphError("perm must be a permutation of 0..n-1")
-    return Graph(g.n, tuple((perm[u], perm[v]) for u, v in g.edges))
+    return type(g)(g.n, tuple((perm[u], perm[v]) for u, v in g.edges))
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -201,7 +195,7 @@ def serialize(g: Graph) -> str:
 
 def tree_center(t: Tree) -> tuple[int, ...]:
     """The 1 or 2 central vertices (sorted), found by peeling leaf layers."""
-    return tuple(_centers(t.n, adjacency(t.graph)))
+    return tuple(_centers(t.n, adjacency(t)))
 
 
 def _centers(n: int, adj: list[list[int]]) -> list[int]:
@@ -244,7 +238,7 @@ def _code_from_adj(n: int, adj: list[list[int]]) -> str:
 
 def canonical_code(t: Tree) -> str:
     """Relabeling-invariant code; equal codes iff isomorphic trees."""
-    return _code_from_adj(t.n, adjacency(t.graph))
+    return _code_from_adj(t.n, adjacency(t))
 
 
 def trees_isomorphic(a: Tree, b: Tree) -> bool:

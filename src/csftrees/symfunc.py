@@ -6,24 +6,27 @@ integer partitions of its weight n, tagged with a basis:
     "m"   monomial
     "p"   power sum
 
-Which route computes X_G depends on the graph:
+Which route computes X_G depends on the graph, never on how it was built
+(a Tree is a Graph, and any Graph with n - 1 edges and one component takes
+the tree route):
 
-  * Trees (n - 1 edges, connected): csf_powersum runs a rooted tree DP over
-    Stanley's signed edge-subset expansion
+  * Trees: csf_powersum runs a rooted tree DP over Stanley's signed
+    edge-subset expansion
     X_G = sum over S subset of E of (-1)^|S| p_(component sizes of S).
     Its tables are bounded by the partitions of n, not by 2^|E| (under
     0.1 s at n = 25), and it is the engine behind csf_equal, the survey
-    and the CLI on trees; the m basis of a tree is to_monomial of its
+    and the CLI on trees; csf_monomial of a tree is to_monomial of its
     result.
   * Other graphs (cycles, or several components): csf_powersum sums the
     same expansion over all 2^|E| edge subsets, and csf_monomial counts
     stable (independent) vertex partitions by block-size type with a subset
     DP over vertex sets, each stable partition of type lambda contributing
     (product of part multiplicities!) to [m_lambda].
-  * Oracles: on trees the 2^|E| sweep (edge_subset_type_counts, called
-    directly) and csf_monomial are independent checks of the DP at the
-    sizes where both can run; stable_partitions lists the stable
-    partitions one by one and checks the counting DP.
+  * Oracles: on trees the 2^|E| sweep (edge_subset_type_counts) and the
+    stable-partition count (stable_type_counts), each called directly,
+    are independent checks of the DP at the sizes where they can run;
+    stable_partitions lists the stable partitions one by one and checks
+    the counting DP.
 
 to_monomial changes basis with [m_mu] p_lambda = (number of set partitions
 of lambda's parts whose block sums are mu) * prod m_i(mu)!, counted by one
@@ -41,7 +44,8 @@ count arrays, which stay in range at the caps below.
 
 Caps: csf_powersum needs n <= CSF_POWERSUM_MAX_N and |E| <=
 CSF_POWERSUM_MAX_EDGES (checked before any partition table is built);
-csf_monomial and to_monomial need n <= CSF_MONOMIAL_MAX_N.
+csf_monomial and to_monomial need n <= CSF_MONOMIAL_MAX_N (on a tree,
+csf_monomial reports the cap of whichever of the two it hits first).
 
 Term order is canonical everywhere: partitions in descending lexicographic
 order, no zero coefficients stored.
@@ -56,7 +60,7 @@ from typing import Iterator
 
 from ._kernels import edge_subset_type_counts, stable_partitions_rgs, stable_type_counts
 from .errors import CapExceededError, GraphError, InternalError
-from .graphs import Graph, Tree, adjacency, bfs_order, is_int, is_tree
+from .graphs import Graph, adjacency, bfs_order, is_int, is_tree
 from .partitions import falling_factorial, mult_factorial, partition_keys, partitions_desc
 
 BASIS_MONOMIAL = "m"
@@ -114,14 +118,9 @@ def _check_integer_parts(parts: tuple) -> None:
         raise GraphError(f"partition {parts} has a non-integer part")
 
 
-def _graph_of(x) -> Graph:
-    return x.graph if isinstance(x, Tree) else x
-
-
-def stable_partitions(g) -> Iterator[tuple[tuple[int, ...], ...]]:
+def stable_partitions(g: Graph) -> Iterator[tuple[tuple[int, ...], ...]]:
     """All partitions of V(g) into independent blocks, each yielded once as a
     tuple of ascending blocks ordered by smallest member."""
-    g = _graph_of(g)
     if g.n < 1:
         raise GraphError("stable_partitions needs n >= 1")
     adjsets: list[set[int]] = [set() for _ in range(g.n)]
@@ -131,11 +130,13 @@ def stable_partitions(g) -> Iterator[tuple[tuple[int, ...], ...]]:
     return stable_partitions_rgs(g.n, adjsets)
 
 
-def csf_monomial(g) -> SymmetricFunction:
-    """X_G in the monomial basis via stable-partition counting."""
-    g = _graph_of(g)
+def csf_monomial(g: Graph) -> SymmetricFunction:
+    """X_G in the monomial basis: to_monomial of the tree DP when g is a
+    tree (so its caps apply), stable-partition counting otherwise."""
     if g.n < 1:
         raise GraphError("csf_monomial needs n >= 1")
+    if is_tree(g):
+        return to_monomial(csf_powersum(g))
     if g.n > CSF_MONOMIAL_MAX_N:
         raise CapExceededError(
             f"csf_monomial capped at n <= {CSF_MONOMIAL_MAX_N}, got {g.n}"
@@ -150,10 +151,9 @@ def csf_monomial(g) -> SymmetricFunction:
     return SymmetricFunction(g.n, BASIS_MONOMIAL, terms)
 
 
-def csf_powersum(g) -> SymmetricFunction:
+def csf_powersum(g: Graph) -> SymmetricFunction:
     """X_G in the power-sum basis: the rooted tree DP when g is a tree, the
     2^|E| signed edge-subset sweep otherwise."""
-    g = _graph_of(g)
     if g.n < 1:
         raise GraphError("csf_powersum needs n >= 1")
     if g.n > CSF_POWERSUM_MAX_N:
@@ -267,16 +267,15 @@ def to_monomial(f: SymmetricFunction) -> SymmetricFunction:
     return SymmetricFunction(n, BASIS_MONOMIAL, out)
 
 
-def csf_equal(a, b) -> bool:
+def csf_equal(a: Graph, b: Graph) -> bool:
     """True iff the chromatic symmetric functions coincide (unequal n: False).
     Two trees are compared in the p basis through the tree DP; any other
-    pair through csf_monomial."""
-    ga, gb = _graph_of(a), _graph_of(b)
-    if ga.n != gb.n:
+    pair through csf_monomial, which still takes a tree through the DP."""
+    if a.n != b.n:
         return False
-    if is_tree(ga) and is_tree(gb):
-        return csf_powersum(ga).terms == csf_powersum(gb).terms
-    return csf_monomial(ga).terms == csf_monomial(gb).terms
+    if is_tree(a) and is_tree(b):
+        return csf_powersum(a).terms == csf_powersum(b).terms
+    return csf_monomial(a).terms == csf_monomial(b).terms
 
 
 def max_block_from_csf(f: SymmetricFunction) -> int:
@@ -343,13 +342,13 @@ def symfunc_from_json(text: str) -> SymmetricFunction:
     except json.JSONDecodeError as exc:
         raise GraphError(f"malformed symmetric function JSON: {exc}") from None
     try:
-        terms = {}
+        terms = []
         for t in data["terms"]:
             parts = t["partition"]
             if not isinstance(parts, list):
                 raise GraphError(f"partition {parts!r} is not a list")
             _check_integer_parts(tuple(parts))
-            terms[tuple(parts)] = t["coeff"]
+            terms.append((tuple(parts), t["coeff"]))
         return SymmetricFunction(data["n"], data["basis"], terms)
     except (KeyError, TypeError) as exc:
         raise GraphError(f"malformed symmetric function JSON: {exc}") from None

@@ -294,7 +294,7 @@ def _verified_counts(spec: StarConnectionSpec, t: Tree) -> tuple[int, int]:
     r = spec.num_stars
     nverts = sum(spec.star_sizes) - (r - 1)
     excess = r - 1
-    deg = degrees(t.graph)
+    deg = degrees(t)
     built = sum(deg[r + i] - 1 for i in range(len(spec.gluings)))
     if t.n != nverts or built != excess:
         raise InternalError(
@@ -320,7 +320,7 @@ def star_connection_audit(spec: StarConnectionSpec) -> tuple[int, int, int, int]
     """(vertex count, degree excess, M, alpha_mis), all from one built tree."""
     t = gen_star_connection(spec)
     nverts, excess = _verified_counts(spec, t)
-    return nverts, excess, _formula_M(spec, excess), alpha_mis(t.graph)
+    return nverts, excess, _formula_M(spec, excess), alpha_mis(t)
 
 
 def star_connection_distinct(a: StarConnectionSpec, b: StarConnectionSpec) -> TheoremVerdict:
@@ -371,7 +371,7 @@ def spider_audit(spec: SpiderSpec) -> tuple[int, int, bool]:
             f"spider audit capped at {SPIDER_AUDIT_MAX_VERTICES} vertices, got {spec.num_vertices}"
         )
     formula = spider_M_formula(spec)
-    oracle = alpha_mis(gen_spider(spec).graph)
+    oracle = alpha_mis(gen_spider(spec))
     return formula, oracle, formula == oracle
 
 
@@ -459,7 +459,7 @@ def _survey_payload(t: Tree):
     canonical from the tree DP (no SymmetricFunction is built), and the max
     block read from their hook coefficients."""
     d = leaf_decomposition(t)
-    terms = _tree_powersum_terms(t.graph)
+    terms = _tree_powersum_terms(t)
     return tree_facts(t, d), chain_sequence(d), chain_holds(d), terms, _hook_max_block(t.n, terms)
 
 
@@ -511,7 +511,7 @@ def _star_audit_rows(n: int) -> list[dict]:
                 continue
             seen.add(code)
             m = _formula_M(spec, _verified_counts(spec, t)[1])
-            a = alpha_mis(t.graph)
+            a = alpha_mis(t)
             rows.append({"stars": list(spec.star_sizes), "formula": m, "alpha": a, "agrees": m == a})
     return rows
 

@@ -6,14 +6,18 @@ the tests lean on these being independent of the package internals."""
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import random
 from functools import lru_cache
 
 from csftrees import theorems
+from csftrees._kernels import stable_type_counts
 from csftrees.generators import Gluing, StarConnectionSpec, enumerate_free_trees
 from csftrees.graphs import Graph, _code_from_adj
+from csftrees.partitions import partitions_desc
+from csftrees.symfunc import SymmetricFunction
 
 
 def mis_bruteforce(g: Graph) -> int:
@@ -94,6 +98,21 @@ def stable_partitions_bruteforce(g: Graph):
     for part in set_partitions(range(g.n)):
         if all(not (adj[x] & set(block)) for block in part for x in block):
             yield [sorted(b) for b in part]
+
+
+def monomial_by_stable_partitions(g: Graph) -> SymmetricFunction:
+    """X_G in the m basis from the stable-partition counting DP, called
+    directly whatever g is: [m_lambda] X_G = (stable partitions of type
+    lambda) * prod m_i(lambda)!.  csf_monomial sends a tree to the tree DP,
+    so this is the route the DP is checked against; the counting DP itself
+    is checked against stable_partitions_bruteforce in test_kernels."""
+    counts = stable_type_counts(g.n, g.edges)
+    terms = {}
+    for parts, c in zip(partitions_desc(g.n), counts):
+        if c:
+            mults = collections.Counter(parts).values()
+            terms[parts] = int(c) * math.prod(math.factorial(k) for k in mults)
+    return SymmetricFunction(g.n, "m", terms)
 
 
 def _rooted_level_sequences(n: int):

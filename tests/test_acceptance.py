@@ -11,7 +11,7 @@ import time
 from contextlib import contextmanager
 from itertools import combinations, product
 
-from _oracles import mis_bruteforce, random_star_spec
+from _oracles import mis_bruteforce, monomial_by_stable_partitions, random_star_spec
 from csftrees.cli import main
 from csftrees.decomposition import (
     alpha_from_decomposition,
@@ -31,10 +31,8 @@ from csftrees.partitions import partitions_desc
 from csftrees.symfunc import (
     csf_equal,
     csf_monomial,
-    csf_powersum,
     evaluate_ones,
     max_block_from_csf,
-    to_monomial,
 )
 from csftrees.theorems import (
     spider_audit,
@@ -87,7 +85,7 @@ def test_criterion_02_chain_4534(capsys):
         nverts, excess = star_connection_counts(spec)
         assert (nverts, excess) == (13, 3)
         assert star_connection_M(spec) == 9
-        assert alpha_mis(gen_star_connection(spec).graph) == 9
+        assert alpha_mis(gen_star_connection(spec)) == 9
 
 
 def test_criterion_03_componentwise_pair_n8(capsys):
@@ -124,9 +122,9 @@ def test_criterion_05_oracle_equivalence(capsys):
     with criterion(capsys, 5, 600.0, "all trees n<=10: route equality, alpha, colorings"):
         for n in range(1, 11):
             for t in enumerate_free_trees(n):
-                mono = csf_monomial(t)
-                assert to_monomial(csf_powersum(t)).terms == mono.terms
-                alpha = alpha_mis(t.graph)
+                mono = monomial_by_stable_partitions(t)
+                assert csf_monomial(t).terms == mono.terms
+                alpha = alpha_mis(t)
                 assert max_block_from_csf(mono) == alpha
                 assert alpha_from_decomposition(leaf_decomposition(t)) == alpha
                 for r in range(5):
@@ -169,7 +167,7 @@ def test_criterion_08_star_connection_formula(capsys):
             r = spec.num_stars
             assert nverts == sum(spec.star_sizes) - (r - 1) == t.n
             assert excess == r - 1
-            assert star_connection_M(spec) == alpha_mis(t.graph)
+            assert star_connection_M(spec) == alpha_mis(t)
 
 
 def test_criterion_09_spider_audit(capsys):
@@ -183,7 +181,7 @@ def test_criterion_09_spider_audit(capsys):
                 rows[legs] = (formula, oracle, agrees)
                 assert agrees == (formula == oracle)
                 if not agrees:
-                    assert oracle == mis_bruteforce(gen_spider(legs).graph)
+                    assert oracle == mis_bruteforce(gen_spider(legs))
         assert rows[(1, 1, 1)] == (1, 3, False)
         assert rows[(2, 2, 2)] == (3, 4, False)
         assert rows[(4, 2, 2)] == (4, 5, False)
@@ -197,4 +195,4 @@ def test_criterion_10_path_formula(capsys):
                 if not f.is_path:
                     continue
                 b1 = f.levels[0][0]
-                assert alpha_mis(t.graph) == b1 + (f.rho + 1) // 2
+                assert alpha_mis(t) == b1 + (f.rho + 1) // 2

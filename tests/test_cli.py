@@ -11,7 +11,7 @@ import time
 import pytest
 
 import csftrees
-from csftrees import cli, graphs, theorems
+from csftrees import cli, graphs, symfunc, theorems
 from csftrees.cli import main
 from csftrees.errors import InternalError
 from csftrees.graphs import Tree, parse_edge_list
@@ -76,10 +76,10 @@ def test_compute_accepts_non_tree(tmp_path, capsys):
 
 
 def test_compute_monomial_of_tree_is_basis_change_of_dp(tmp_path, capsys, monkeypatch):
-    def no_stable_partitions(g):
-        raise AssertionError("csf_monomial called on a tree")
+    def no_stable_partitions(n, edges):
+        raise AssertionError("stable partitions counted on a tree")
 
-    monkeypatch.setattr(cli, "csf_monomial", no_stable_partitions)
+    monkeypatch.setattr(symfunc, "stable_type_counts", no_stable_partitions)
     path = _write(tmp_path, "s4.txt", S4)
     assert main(["compute", "--input", path, "--basis", "m"]) == 0
     assert json.loads(capsys.readouterr().out)["terms"] == [
@@ -203,7 +203,7 @@ def test_compare_theorems_computes_facts_once(tmp_path, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert calls == {"canonical_code": 2, "leaf_decomposition": 2}
     monkeypatch.undo()
-    ta, tb = (Tree(parse_edge_list(text)) for text in (text_a, text_b))
+    ta, tb = (Tree(g.n, g.edges) for g in map(parse_edge_list, (text_a, text_b)))
     expected = {
         "n_a": 8,
         "n_b": 8,
@@ -299,6 +299,51 @@ def test_compute_output_digests(tmp_path, capsys, name, basis):
     assert main(["compute", "--input", path, "--basis", basis]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == COMPUTE_DIGESTS[name, basis]
+
+
+# Files the commands below read from their working directory.
+COMMAND_INPUTS = {
+    "p4.txt": P4,
+    "s4.txt": S4,
+    "tree11.txt": COMPUTE_INPUTS["tree11"],
+    "tree14.txt": COMPUTE_INPUTS["tree14"],
+    "tree14b.txt": _edge_text(
+        14, [(p, i + 1) for i, p in enumerate([0, 1, 2, 2, 3, 3, 5, 6, 6, 8, 9, 9, 11])]
+    ),
+    # the chain spec of the README
+    "chain.json": '{"stars": [4, 5, 3, 4], "gluings": [{"stars": [0, 1]}, '
+                  '{"stars": [1, 2]}, {"stars": [2, 3]}]}\n',
+}
+
+# sha256 of stdout, frozen like COMPUTE_DIGESTS, for every other command
+# that builds trees
+COMMAND_DIGESTS = {
+    "enumerate --n 9": "46bc0667abafb9347dcd7d06604dd5a104f2c10e25d0008b23e5d2c1dc48f467",
+    "decompose --input tree11.txt":
+        "66c6a0318df27d2015092a25dd31c07154cc6f5bcdbf25c72c159dd982615b32",
+    "decompose --input tree14.txt":
+        "82c8364420431e92a5d199681a1e4976420356d3232edd40a9b5c399aa08686b",
+    "compare --a s4.txt --b p4.txt --theorems":
+        "904d3cbf359e1d96f71eec7ad745207696174621a3642e2605abeacce86283cd",
+    "compare --a tree14.txt --b tree14b.txt --theorems":
+        "82f3b6c86fe74bffff1dc10059607b6209f3eab2b46abcf9299bf1815eceeefe",
+    "spider --legs 2,2,3": "8151f48fdfd0cd89635b97ba950b9b2edcb0eb48ae830fe74705992d37b4e7b9",
+    "spider --legs 2,2,3 --audit":
+        "022b88475f948b6de340a86ac517d671ed0c351132ac7ec444024ca900da3d6b",
+    "starconn --spec chain.json": "12d915cc9e2896b8ca95bc9f8e60120ce6bd2ba52568f30c26cd9136b32d9e78",
+    "starconn --spec chain.json --audit":
+        "c7a2e1064f754e159d7d9a67962f465d42d588ee09a704949d223b5564128151",
+}
+
+
+@pytest.mark.parametrize("command", list(COMMAND_DIGESTS))
+def test_command_output_digests(tmp_path, capsys, monkeypatch, command):
+    for name, text in COMMAND_INPUTS.items():
+        _write(tmp_path, name, text)
+    monkeypatch.chdir(tmp_path)
+    assert main(command.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == COMMAND_DIGESTS[command]
 
 
 def test_survey_rejects_out_of_range(capsys):
@@ -414,7 +459,7 @@ def test_enumerate_lists_trees_in_canonical_code_order(capsys):
     """Survey indices are positions in this order."""
     assert main(["enumerate", "--n", "10"]) == 0
     data = json.loads(capsys.readouterr().out)
-    trees = [Tree(graphs.Graph(d["n"], tuple(map(tuple, d["edges"])))) for d in data]
+    trees = [Tree(d["n"], tuple(map(tuple, d["edges"]))) for d in data]
     codes = [graphs.canonical_code(t) for t in trees]
     assert len(trees) == 106 and all(t.n == 10 for t in trees)
     assert all(a < b for a, b in zip(codes, codes[1:]))

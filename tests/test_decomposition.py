@@ -68,10 +68,10 @@ def test_block_sum_is_independence_number():
     for n in range(1, 11):
         for t in enumerate_free_trees(n):
             d = leaf_decomposition(t)
-            alpha = alpha_mis(t.graph)
+            alpha = alpha_mis(t)
             assert alpha_from_decomposition(d) == alpha
             if n <= 8:
-                assert alpha == mis_bruteforce(t.graph)
+                assert alpha == mis_bruteforce(t)
 
 
 def test_greedy_witness():
@@ -81,10 +81,10 @@ def test_greedy_witness():
         for t in enumerate_free_trees(n):
             d = leaf_decomposition(t)
             members = {v for lvl in d.levels for v in lvl.leaf_vertices}
-            assert len(members) == alpha_mis(t.graph)
-            assert not any(u in members and v in members for u, v in t.graph.edges)
+            assert len(members) == alpha_mis(t)
+            assert not any(u in members and v in members for u, v in t.edges)
             if n >= 3:
-                deg = degrees(t.graph)
+                deg = degrees(t)
                 assert all(v in members for v in range(n) if deg[v] == 1)
 
 
@@ -99,11 +99,11 @@ def test_chain_inequalities_first_failure():
     """b1 >= eta1 >= b2 >= ... is an audited claim, not a theorem: the first
     counterexample is P11 with a pendant leaf on its center, at n = 12."""
     edges = tuple((i, i + 1) for i in range(10)) + ((5, 11),)
-    t = Tree(Graph(12, edges))
+    t = Tree(12, edges)
     d = leaf_decomposition(t)
     assert chain_sequence(d) == (3, 3, 4, 2)
     assert not chain_holds(d)
-    assert alpha_from_decomposition(d) == alpha_mis(t.graph) == 7
+    assert alpha_from_decomposition(d) == alpha_mis(t) == 7
 
 
 def test_relabeling_invariance():
@@ -112,7 +112,7 @@ def test_relabeling_invariance():
         for t in enumerate_free_trees(n):
             perm = list(range(n))
             rng.shuffle(perm)
-            t2 = Tree(relabel(t.graph, perm))
+            t2 = relabel(t, perm)
             assert leaf_decomposition(t2).level_counts() == leaf_decomposition(t).level_counts()
 
 
@@ -131,7 +131,7 @@ def test_rho_data_goldens():
 def test_rho_set_may_be_disconnected():
     # path 0-..-6 with an extra leaf on vertex 3: rho vertices {2, 4} split up
     edges = tuple((i, i + 1) for i in range(6)) + ((3, 7),)
-    t = Tree(Graph(8, edges))
+    t = Tree(8, edges)
     r = rho_data(t)
     assert r.rho == 2
     assert r.rho_vertices == (2, 4)
@@ -144,7 +144,7 @@ def test_rho_path_rule_matches_induced_subgraph():
     for n in range(2, 12):
         for t in enumerate_free_trees(n):
             r = rho_data(t)
-            assert (r.rho_vertices, r.is_path) == rho_path_bruteforce(t.graph)
+            assert (r.rho_vertices, r.is_path) == rho_path_bruteforce(t)
             assert r.rho == len(r.rho_vertices)
     # spider (3,3,3): V(rho) induces a claw, connected with rho - 1 edges
     r = rho_data(gen_spider((3, 3, 3)))

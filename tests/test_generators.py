@@ -36,7 +36,7 @@ def test_gen_path():
 def test_gen_star():
     t = gen_star(5)
     assert t.edges == ((0, 1), (0, 2), (0, 3), (0, 4))
-    assert degrees(t.graph) == [4, 1, 1, 1, 1]
+    assert degrees(t) == [4, 1, 1, 1, 1]
     assert gen_star(2).n == 2
     with pytest.raises(GraphError):
         gen_star(1)
@@ -54,7 +54,7 @@ def test_spider_spec():
 def test_gen_spider_shape():
     t = gen_spider(SpiderSpec((3, 2, 1)))
     assert t.n == 7
-    deg = degrees(t.graph)
+    deg = degrees(t)
     assert deg[0] == 3
     assert deg.count(1) == 3  # one tip per leg
     # spiders have exactly one vertex of degree > 2
@@ -68,7 +68,7 @@ def test_star_connection_example_chain():
     )
     t = gen_star_connection(spec)
     assert t.n == 13
-    deg = degrees(t.graph)
+    deg = degrees(t)
     assert deg[:4] == [3, 4, 2, 3]  # centers: size - 1
     assert deg[4:7] == [2, 2, 2]  # the three gluing vertices
     assert all(d == 1 for d in deg[7:])
@@ -78,7 +78,7 @@ def test_star_connection_bouquet():
     spec = StarConnectionSpec((3, 3, 3), (Gluing((0, 1, 2)),))
     t = gen_star_connection(spec)
     assert t.n == 7
-    assert degrees(t.graph)[3] == 3  # the shared vertex sees all three centers
+    assert degrees(t)[3] == 3  # the shared vertex sees all three centers
 
 
 def test_star_connection_slots():
@@ -277,7 +277,7 @@ def test_spider_random_shapes():
         legs = tuple(rng.randint(1, 4) for _ in range(rng.randint(3, 5)))
         t = gen_spider(SpiderSpec(legs))
         assert t.n == 1 + sum(legs)
-        deg = degrees(t.graph)
+        deg = degrees(t)
         assert deg[0] == len(legs) > 2
         if all(x == legs[0] for x in legs):
             assert tree_center(t) == (0,)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -47,14 +48,26 @@ def test_graph_rejects(n, edges, msg):
 
 
 def test_tree_validation():
-    Tree(Graph(1))
-    Tree(Graph(2, ((0, 1),)))
+    Tree(1)
+    Tree(2, ((0, 1),))
     with pytest.raises(GraphError, match="at least one vertex"):
-        Tree(Graph(0))
+        Tree(0)
     with pytest.raises(GraphError, match="3 edges"):
-        Tree(Graph(4, ((0, 1), (1, 2))))
+        Tree(4, ((0, 1), (1, 2)))
     with pytest.raises(GraphError, match="not connected"):
-        Tree(Graph(4, ((0, 1), (1, 2), (0, 2))))  # triangle + isolated vertex
+        Tree(4, ((0, 1), (1, 2), (0, 2)))  # triangle + isolated vertex
+
+
+def test_tree_is_a_graph():
+    """A Tree adds no field, stays frozen, and runs Graph's checks first."""
+    t = Tree(3, ((2, 1), (1, 0)))
+    assert isinstance(t, Graph) and dataclasses.fields(t) == dataclasses.fields(Graph)
+    assert t.edges == ((0, 1), (1, 2))
+    assert t != Graph(3, t.edges)  # dataclass equality compares the class too
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        t.n = 4
+    with pytest.raises(GraphError, match="outside 0..-1"):
+        Tree(0, ((0, 1),))  # Graph's check, before "at least one vertex"
 
 
 def test_degrees_adjacency_components():
@@ -78,6 +91,8 @@ def test_bfs_order_walks_one_component():
 def test_relabel():
     g = Graph(4, ((0, 1), (1, 2), (2, 3)))
     assert relabel(g, [3, 2, 1, 0]).edges == g.edges
+    assert type(relabel(g, [3, 2, 1, 0])) is Graph
+    assert type(relabel(gen_path(4), [3, 2, 1, 0])) is Tree
     with pytest.raises(GraphError):
         relabel(g, [0, 0, 1, 2])
 
@@ -120,7 +135,8 @@ def test_serialize_roundtrip():
     rng = random.Random(11)
     for n in range(1, 9):
         for t in enumerate_free_trees(n):
-            assert parse_edge_list(serialize(t.graph)) == t.graph
+            g = parse_edge_list(serialize(t))  # a Graph, so compare fields, not classes
+            assert (g.n, g.edges) == (t.n, t.edges)
         # also a graph with isolated vertices
         g = Graph(n + 2, enumerate_free_trees(n)[0].edges)
         assert parse_edge_list(serialize(g)) == g
@@ -147,7 +163,7 @@ def test_canonical_code_relabeling_invariant():
                 else [rng.sample(range(n), n) for _ in range(20)]
             )
             for perm in perms:
-                rt = Tree(relabel(t.graph, perm))
+                rt = relabel(t, perm)
                 assert canonical_code(rt) == code
 
 
@@ -159,9 +175,9 @@ def test_canonical_code_separates_classes():
 
 def test_trees_isomorphic():
     p6 = gen_path(6)
-    cat = Tree(Graph(6, ((0, 1), (1, 2), (2, 3), (2, 4), (4, 5))))
+    cat = Tree(6, ((0, 1), (1, 2), (2, 3), (2, 4), (4, 5)))
     assert not trees_isomorphic(p6, cat)
-    assert trees_isomorphic(p6, Tree(relabel(p6.graph, [5, 3, 1, 0, 2, 4])))
+    assert trees_isomorphic(p6, relabel(p6, [5, 3, 1, 0, 2, 4]))
     assert not trees_isomorphic(gen_path(5), gen_path(6))
 
 

@@ -32,7 +32,7 @@ def _random_graph(rng: random.Random, n: int) -> Graph:
 def test_rgs_stream_matches_bruteforce():
     """The restricted-growth stream visits every stable partition once."""
     rng = random.Random(303)
-    cases = [gen_path(4).graph, gen_star(5).graph, Graph(3), Graph(3, ((0, 1), (1, 2), (0, 2)))]
+    cases = [gen_path(4), gen_star(5), Graph(3), Graph(3, ((0, 1), (1, 2), (0, 2)))]
     cases += [_random_graph(rng, n) for n in (4, 5, 5, 6)]
     for g in cases:
         got = sorted(tuple(tuple(b) for b in p) for p in stable_partitions_rgs(g.n, _adjsets(g)))
@@ -47,7 +47,7 @@ def test_rgs_empty_graph():
 
 
 def test_stable_counts_match_stream():
-    for g in [gen_path(6).graph, gen_star(6).graph, Graph(4, ((0, 1), (2, 3)))]:
+    for g in [gen_path(6), gen_star(6), Graph(4, ((0, 1), (2, 3)))]:
         counts = stable_type_counts(g.n, g.edges)
         expect = np.zeros(len(partitions_desc(g.n)), dtype=np.int64)
         for p in stable_partitions_rgs(g.n, _adjsets(g)):

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 import time
 from math import perm
 
@@ -8,7 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import coloring_count, p_to_m_reference, tree_powersum_reference
+from _oracles import (
+    coloring_count,
+    monomial_by_stable_partitions,
+    p_to_m_reference,
+    tree_powersum_reference,
+)
 from csftrees import symfunc
 from csftrees._kernels import edge_subset_type_counts, stable_type_counts
 from csftrees.decomposition import alpha_mis
@@ -43,23 +49,28 @@ def test_terms_normalized():
     assert dict(f.terms) == {(2, 1): 1, (1, 1, 1): 6}
 
 
+_CONTAINER_REJECTS = [
+    (3, "q", {}, "unknown basis 'q'"),
+    (-1, "m", {}, "weight must be a non-negative integer, got -1"),
+    (3, "m", {(2, 1): True}, "coefficient of (2, 1) is not an exact integer"),
+    (3, "m", {(2, 0, 1): 1}, "partition (2, 0, 1) has a non-positive part"),
+    (3, "m", {(1, 2): 1}, "partition (1, 2) is not weakly decreasing"),
+    (3, "m", {(2, 2): 1}, "partition (2, 2) does not sum to the weight 3"),
+    (3, "m", [((2, 1), 1), ((2, 1), 2)], "duplicate partition (2, 1)"),
+    (True, "m", {(1,): 1}, "weight must be a non-negative integer, got True"),
+    (2.0, "m", {(1, 1): 1}, "weight must be a non-negative integer, got 2.0"),
+    (2, "p", {(True, True): 1}, "partition (True, True) has a non-integer part"),
+]
+
+
+# The ids are pytest's default ones for the first three columns.
 @pytest.mark.parametrize(
-    "n, basis, terms",
-    [
-        (3, "q", {}),
-        (-1, "m", {}),
-        (3, "m", {(2, 1): True}),
-        (3, "m", {(2, 0, 1): 1}),
-        (3, "m", {(1, 2): 1}),
-        (3, "m", {(2, 2): 1}),
-        (3, "m", [((2, 1), 1), ((2, 1), 2)]),
-        (True, "m", {(1,): 1}),
-        (2.0, "m", {(1, 1): 1}),
-        (2, "p", {(True, True): 1}),
-    ],
+    "n, basis, terms, msg",
+    _CONTAINER_REJECTS,
+    ids=[f"{n}-{basis}-terms{i}" for i, (n, basis, _, _) in enumerate(_CONTAINER_REJECTS)],
 )
-def test_container_rejects(n, basis, terms):
-    with pytest.raises(GraphError):
+def test_container_rejects(n, basis, terms, msg):
+    with pytest.raises(GraphError, match=re.escape(msg)):
         SymmetricFunction(n, basis, terms)
 
 
@@ -72,7 +83,7 @@ def test_single_vertex():
 
 
 def test_k2_both_bases():
-    g = gen_path(2).graph
+    g = gen_path(2)
     assert dict(csf_monomial(g).terms) == {(1, 1): 2}
     assert dict(csf_powersum(g).terms) == {(1, 1): 1, (2,): -1}
 
@@ -89,9 +100,9 @@ def test_edgeless_graph_is_power_of_sum():
 
 
 def test_domain_errors():
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match="csf_monomial needs n >= 1"):
         csf_monomial(Graph(0))
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match="csf_powersum needs n >= 1"):
         csf_powersum(Graph(0))
 
 
@@ -126,7 +137,7 @@ def _sweep(g: Graph) -> dict:
 def test_tree_dp_matches_sweep():
     for n in range(1, 11):
         for t in enumerate_free_trees(n):
-            assert dict(csf_powersum(t).terms) == _sweep(t.graph)
+            assert dict(csf_powersum(t).terms) == _sweep(t)
 
 
 def _assert_canonical(n: int, terms) -> None:
@@ -142,9 +153,9 @@ def _assert_canonical(n: int, terms) -> None:
 def test_packed_dp_matches_tuple_keyed_dp():
     for n in range(1, 12):
         for t in enumerate_free_trees(n):
-            terms = symfunc._tree_powersum_terms(t.graph)
+            terms = symfunc._tree_powersum_terms(t)
             _assert_canonical(n, terms)
-            assert terms == tree_powersum_reference(t.graph)
+            assert terms == tree_powersum_reference(t)
 
 
 @settings(max_examples=25, deadline=None)
@@ -152,7 +163,7 @@ def test_packed_dp_matches_tuple_keyed_dp():
     lambda n: st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2)
 ))
 def test_packed_dp_matches_tuple_keyed_dp_on_random_trees(seq):
-    g = prufer_tree(seq).graph
+    g = prufer_tree(seq)
     terms = symfunc._tree_powersum_terms(g)
     _assert_canonical(g.n, terms)
     assert terms == tree_powersum_reference(g)
@@ -168,10 +179,26 @@ def test_trees_take_the_dp_and_cycles_the_sweep(monkeypatch):
 
     monkeypatch.setattr(symfunc, "edge_subset_type_counts", sweep)
     csf_powersum(gen_path(6))
-    csf_powersum(gen_star(7).graph)
+    csf_powersum(Graph(7, gen_star(7).edges))  # a tree, though not built as a Tree
     assert calls == []
     csf_powersum(_cycle(5))
     csf_powersum(Graph(4, ((0, 1),)))  # a forest is not a tree
+    assert calls == [5, 4]
+
+
+def test_csf_monomial_counts_stable_partitions_only_off_trees(monkeypatch):
+    calls = []
+
+    def counting(n, edges):
+        calls.append(n)
+        return stable_type_counts(n, edges)
+
+    monkeypatch.setattr(symfunc, "stable_type_counts", counting)
+    csf_monomial(gen_path(6))
+    csf_monomial(Graph(7, gen_star(7).edges))  # a tree, though not built as a Tree
+    assert calls == []
+    csf_monomial(_cycle(5))
+    assert not csf_equal(gen_star(4), _cycle(4))  # counts the cycle's partitions only
     assert calls == [5, 4]
 
 
@@ -182,8 +209,8 @@ def test_trees_take_the_dp_and_cycles_the_sweep(monkeypatch):
 def test_dp_sweep_and_stable_partitions_agree(seq):
     t = prufer_tree(seq)
     dp = csf_powersum(t)
-    assert dict(dp.terms) == _sweep(t.graph)
-    assert to_monomial(dp).terms == csf_monomial(t).terms
+    assert dict(dp.terms) == _sweep(t)
+    assert to_monomial(dp).terms == monomial_by_stable_partitions(t).terms
 
 
 def _graphs_with_cycles(max_n: int, max_edges: int):
@@ -208,7 +235,9 @@ def test_random_graphs_counting_dp_and_sweep_agree(g):
         tally[typ] = tally.get(typ, 0) + 1
     counts = stable_type_counts(g.n, g.edges)
     assert {part: int(c) for part, c in zip(partitions_desc(g.n), counts) if c} == tally
-    assert to_monomial(csf_powersum(g)).terms == csf_monomial(g).terms
+    want = monomial_by_stable_partitions(g).terms
+    assert to_monomial(csf_powersum(g)).terms == want
+    assert csf_monomial(g).terms == want
 
 
 @pytest.mark.parametrize("n", range(15, 26))
@@ -219,11 +248,11 @@ def test_tree_invariants_beyond_brute_force(n):
     comb = Graph(n, tuple((i, i + 1) for i in range(spine - 1))
                  + tuple((i, spine + i) for i in range(n - spine)))
     trees = [
-        gen_path(n).graph,
-        gen_star(n).graph,
+        gen_path(n),
+        gen_star(n),
         comb,
-        gen_spider((n - 1 - 2 * leg, leg, leg)).graph,
-        prufer_tree([rng.randrange(n) for _ in range(n - 2)]).graph,
+        gen_spider((n - 1 - 2 * leg, leg, leg)),
+        prufer_tree([rng.randrange(n) for _ in range(n - 2)]),
     ]
     for g in trees:
         f = csf_powersum(g)
@@ -256,7 +285,7 @@ def test_to_monomial_matches_slot_assignments(n):
 def test_routes_agree_on_trees():
     for n in range(1, 10):
         for t in enumerate_free_trees(n):
-            assert to_monomial(csf_powersum(t)).terms == csf_monomial(t).terms
+            assert csf_monomial(t).terms == monomial_by_stable_partitions(t).terms
 
 
 def test_routes_agree_on_cycles_and_random_graphs():
@@ -266,11 +295,11 @@ def test_routes_agree_on_cycles_and_random_graphs():
         pool = list(itertools.combinations(range(n), 2))
         graphs.append(Graph(n, tuple(rng.sample(pool, rng.randint(0, min(len(pool), 12))))))
     for g in graphs:
-        assert to_monomial(csf_powersum(g)).terms == csf_monomial(g).terms
+        assert to_monomial(csf_powersum(g)).terms == monomial_by_stable_partitions(g).terms
 
 
 def test_to_monomial_rejects_monomial_input():
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match="to_monomial supports basis 'p', not 'm'"):
         to_monomial(csf_monomial(gen_path(3)))
 
 
@@ -278,7 +307,7 @@ def test_to_monomial_rejects_monomial_input():
 
 def test_evaluate_ones_counts_colorings():
     rng = random.Random(406)
-    graphs = [gen_path(4).graph, gen_star(5).graph, _cycle(4), _cycle(5), Graph(3)]
+    graphs = [gen_path(4), gen_star(5), _cycle(4), _cycle(5), Graph(3)]
     for n in (4, 5):
         pool = list(itertools.combinations(range(n), 2))
         graphs.append(Graph(n, tuple(rng.sample(pool, rng.randint(0, len(pool))))))
@@ -300,9 +329,9 @@ def test_evaluate_ones_tree_closed_form():
 
 def test_evaluate_ones_rejects_bad_r():
     f = csf_monomial(gen_path(3))
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match="r must be a non-negative integer, got -1"):
         evaluate_ones(f, -1)
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match=r"r must be a non-negative integer, got 2\.0"):
         evaluate_ones(f, 2.0)
 
 
@@ -311,7 +340,7 @@ def test_evaluate_ones_rejects_bad_r():
 def test_stable_partitions_wrapper():
     parts = list(stable_partitions(gen_path(2)))
     assert parts == [((0,), (1,))]
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match="stable_partitions needs n >= 1"):
         stable_partitions(Graph(0))
 
 
@@ -321,26 +350,27 @@ def test_max_block_from_csf():
     assert max_block_from_csf(csf_powersum(gen_path(3))) == 2
     with pytest.raises(GraphError, match="unknown basis"):
         SymmetricFunction(3, "am", {(1, 1, 1): 1})
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match="empty symmetric function"):
         max_block_from_csf(SymmetricFunction(3, "m", {}))
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match="every hook coefficient is zero"):
         max_block_from_csf(SymmetricFunction(4, "p", {(2, 2): 1, (4,): -1}))  # 2*m[2,2]
 
 
 def test_max_block_from_hooks_matches_monomial_support():
-    graphs = [t.graph for n in range(1, 10) for t in enumerate_free_trees(n)]
+    graphs = [t for n in range(1, 10) for t in enumerate_free_trees(n)]
     graphs += [_cycle(4), _cycle(5), _cycle(6), Graph(3), Graph(5, ((0, 1), (2, 3)))]
     rng = random.Random(5)
     for n in (5, 6, 7):
         pool = list(itertools.combinations(range(n), 2))
         graphs.append(Graph(n, tuple(rng.sample(pool, rng.randint(0, 12)))))
     for g in graphs:
-        assert max_block_from_csf(csf_powersum(g)) == max_block_from_csf(csf_monomial(g))
+        want = max_block_from_csf(monomial_by_stable_partitions(g))
+        assert max_block_from_csf(csf_powersum(g)) == want
 
 
 def test_csf_equal():
     p6 = gen_path(6)
-    relabeled = Graph(6, tuple((5 - u, 5 - v) for u, v in p6.graph.edges))
+    relabeled = Graph(6, tuple((5 - u, 5 - v) for u, v in p6.edges))
     assert csf_equal(p6, relabeled)
     assert not csf_equal(p6, gen_star(6))
     assert not csf_equal(gen_path(5), gen_path(6))
@@ -356,16 +386,29 @@ def test_json_round_trip():
         assert all(isinstance(t["coeff"], int) for t in d["terms"])
 
 
-@pytest.mark.parametrize("text", [
-    "{", "{}", '{"n": 3, "terms": []}', '{"n": 3, "basis": "m", "terms": [{}]}',
-    '{"n": true, "basis": "p", "terms": [{"partition": [1], "coeff": 1}]}',
-    '{"n": 2, "basis": "p", "terms": [{"partition": [true, true], "coeff": 1}]}',
-    '{"n": 3, "basis": "p", "terms": [{"partition": [1.5, 1.5], "coeff": 1}]}',
-    '{"n": 3, "basis": "p", "terms": [{"partition": "21", "coeff": 1}]}',
-    '{"n": 3, "basis": "p", "terms": [{"partition": [[2], 1], "coeff": 1}]}',
-])
-def test_json_rejects(text):
-    with pytest.raises(GraphError):
+_JSON_REJECTS = [
+    ("{", "malformed symmetric function JSON: Expecting property name"),
+    ("{}", "malformed symmetric function JSON: 'terms'"),
+    ('{"n": 3, "terms": []}', "malformed symmetric function JSON: 'basis'"),
+    ('{"n": 3, "basis": "m", "terms": [{}]}', "malformed symmetric function JSON: 'partition'"),
+    ('{"n": true, "basis": "p", "terms": [{"partition": [1], "coeff": 1}]}',
+     "weight must be a non-negative integer, got True"),
+    ('{"n": 2, "basis": "p", "terms": [{"partition": [true, true], "coeff": 1}]}',
+     "partition (True, True) has a non-integer part"),
+    ('{"n": 3, "basis": "p", "terms": [{"partition": [1.5, 1.5], "coeff": 1}]}',
+     "partition (1.5, 1.5) has a non-integer part"),
+    ('{"n": 3, "basis": "p", "terms": [{"partition": "21", "coeff": 1}]}',
+     "partition '21' is not a list"),
+    ('{"n": 3, "basis": "p", "terms": [{"partition": [[2], 1], "coeff": 1}]}',
+     "partition ([2], 1) has a non-integer part"),
+    ('{"n": 3, "basis": "m", "terms": [{"partition": [2, 1], "coeff": 1}, '
+     '{"partition": [2, 1], "coeff": 2}]}', "duplicate partition (2, 1)"),
+]
+
+
+@pytest.mark.parametrize("text, msg", _JSON_REJECTS, ids=[text for text, _ in _JSON_REJECTS])
+def test_json_rejects(text, msg):
+    with pytest.raises(GraphError, match=re.escape(msg)):
         symfunc_from_json(text)
 
 

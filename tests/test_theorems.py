@@ -16,7 +16,7 @@ from csftrees.generators import (
     gen_star,
     gen_star_connection,
 )
-from csftrees.graphs import Graph, Tree, relabel
+from csftrees.graphs import Tree, relabel
 from csftrees.symfunc import csf_equal, csf_powersum
 from csftrees.theorems import (
     APPLICABLE,
@@ -40,7 +40,7 @@ from csftrees.theorems import (
 
 
 def _tree(n, *edges):
-    return Tree(Graph(n, tuple(edges)))
+    return Tree(n, tuple(edges))
 
 
 # comb: path 0-1-2-3-4 with one extra leaf hanging off every spine vertex
@@ -147,14 +147,14 @@ def test_leaves_case2():
     hi = _tree(8, (0, 1), (1, 2), (2, 3), (3, 4), (3, 5), (3, 6), (3, 7))
     v = thm_leaves_check(lo, hi)
     assert (v.status, v.case_id, v.m1, v.m2, v.swapped) == (APPLICABLE, 2, 6, 4, True)
-    assert (alpha_mis(hi.graph), alpha_mis(lo.graph)) == (6, 4)
+    assert (alpha_mis(hi), alpha_mis(lo)) == (6, 4)
 
 
 def test_leaves_case4():
     hi = _tree(8, (0, 1), (1, 2), (2, 3), (3, 4), (3, 7), (4, 5), (4, 6))
     v = thm_leaves_check(gen_path(8), hi)
     assert (v.status, v.case_id, v.m1, v.m2, v.swapped) == (APPLICABLE, 4, 5, 4, True)
-    assert (alpha_mis(hi.graph), alpha_mis(gen_path(8).graph)) == (5, 4)
+    assert (alpha_mis(hi), alpha_mis(gen_path(8))) == (5, 4)
     assert "for all k >= 3" in v.detail
 
 
@@ -171,7 +171,7 @@ def test_leaves_tie_is_not_applicable():
     v = thm_leaves_check(COMB10, gen_path(10))
     assert v.status == NOT_APPLICABLE
     assert "block maxima tie (m1 = m2 = 5)" in v.detail
-    assert alpha_mis(COMB10.graph) == alpha_mis(gen_path(10).graph) == 5
+    assert alpha_mis(COMB10) == alpha_mis(gen_path(10)) == 5
     assert not csf_equal(COMB10, gen_path(10))
 
 
@@ -191,11 +191,11 @@ def test_leaves_rho_not_path():
 
 
 def test_pair_prechecks():
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match="vertex counts differ: 5 != 6"):
         thm_leaves_check(gen_path(5), gen_path(6))
-    with pytest.raises(GraphError):
-        thm_leaves_check(gen_path(6), Tree(relabel(gen_path(6).graph, (5, 4, 3, 2, 1, 0))))
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match="trees are isomorphic"):
+        thm_leaves_check(gen_path(6), relabel(gen_path(6), (5, 4, 3, 2, 1, 0)))
+    with pytest.raises(GraphError, match="checker needs n >= 4, got 3"):
         thm_leaves_check(gen_path(3), gen_path(3))  # below min n before iso check
 
 
@@ -205,7 +205,7 @@ def test_componentwise_applicable():
     hi = _tree(8, (0, 1), (1, 2), (1, 3), (1, 4), (0, 5), (5, 6), (5, 7))
     v = thm_componentwise_check(hi, COMB8)
     assert (v.status, v.m1, v.m2, v.swapped) == (APPLICABLE, 6, 4, False)
-    assert (alpha_mis(hi.graph), alpha_mis(COMB8.graph)) == (6, 4)
+    assert (alpha_mis(hi), alpha_mis(COMB8)) == (6, 4)
 
 
 def test_componentwise_identical_levels():
@@ -250,7 +250,7 @@ def test_applicable_verdicts_match_alpha_n7():
     numbers, in the claimed order, for a CSF-distinguished pair."""
     trees = enumerate_free_trees(7)
     for a, b in combinations(trees, 2):
-        al_a, al_b = alpha_mis(a.graph), alpha_mis(b.graph)
+        al_a, al_b = alpha_mis(a), alpha_mis(b)
         for check in (thm_leaves_check, thm_componentwise_check, thm_sum_check):
             v = check(a, b)
             if v.status != APPLICABLE:
@@ -281,7 +281,7 @@ CHAIN_4534 = StarConnectionSpec(
 def test_star_connection_counts_chain():
     assert star_connection_counts(CHAIN_4534) == (13, 3)
     assert star_connection_M(CHAIN_4534) == 9
-    assert alpha_mis(gen_star_connection(CHAIN_4534).graph) == 9
+    assert alpha_mis(gen_star_connection(CHAIN_4534)) == 9
 
 
 def test_star_connection_M_small():
@@ -321,7 +321,7 @@ def test_star_connection_equal_star_counts():
 
 
 def test_star_connection_unequal_vertex_counts():
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match="vertex counts differ: 5 != 7"):
         star_connection_distinct(
             StarConnectionSpec((3, 3), (Gluing((0, 1)),)),
             StarConnectionSpec((4, 4), (Gluing((0, 1)),)),
@@ -336,7 +336,7 @@ def test_star_connection_random_specs():
         assert nverts == sum(spec.star_sizes) - (spec.num_stars - 1)
         assert excess == spec.num_stars - 1
         t = gen_star_connection(spec)
-        assert star_connection_M(spec) == alpha_mis(t.graph) == mis_bruteforce(t.graph)
+        assert star_connection_M(spec) == alpha_mis(t) == mis_bruteforce(t)
 
 
 # --------------------------------------------------------------------- spider
@@ -358,12 +358,12 @@ def test_spider_audit_goldens(legs, expected):
 def test_spider_audit_oracle_agreement():
     for legs in ((2, 2, 1), (3, 2, 2), (5, 1, 1), (2, 2, 2, 2)):
         formula, oracle, agrees = spider_audit(legs)
-        assert oracle == mis_bruteforce(gen_spider(legs).graph)
+        assert oracle == mis_bruteforce(gen_spider(legs))
         assert agrees == (formula == oracle)
 
 
 def test_spider_audit_cap():
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match="spider audit capped at 24 vertices, got 26"):
         spider_audit((12, 12, 1))
 
 
@@ -463,11 +463,11 @@ def _patch_payloads(monkeypatch, n, edit):
     index-th tree of enumerate_free_trees(n), in survey and oracle alike."""
     from csftrees import theorems
 
-    index = {t.graph.edges: i for i, t in enumerate(enumerate_free_trees(n))}
+    index = {t.edges: i for i, t in enumerate(enumerate_free_trees(n))}
     payload = theorems._survey_payload
 
     def patched(t):
-        return edit(index[t.graph.edges], payload(t))
+        return edit(index[t.edges], payload(t))
 
     monkeypatch.setattr(theorems, "_survey_payload", patched)
 
@@ -510,5 +510,5 @@ def test_survey_x_equality_compares_full_terms(monkeypatch):
 
 @pytest.mark.parametrize("bad", [2, 17, 7.0, True, "7"])
 def test_survey_rejects_bad_n(bad):
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match="survey needs an integer n with 3 <= n <= 16"):
         survey(bad)
