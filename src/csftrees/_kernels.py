@@ -14,16 +14,13 @@ Python:
 Inside the kernels a type is one packed int in the layout of
 partitions.py: the multiplicity of part size c sits in field c, n.bit_length()
 bits wide, so adding a part or merging two components is one integer
-addition. The tally is read out in partition_keys order into a dense int64
-array, so entry r counts the type partitions_desc(n)[r]. Counts fit in int64
-at the callers' caps (Bell(14) < 2^28 stable partitions, |signed sum| <= 2^24
-edge subsets).
-
-numpy is imported only when a result array is built, so importing this
-module (and the CLI) does not load it.
+addition. The tally is read out in partition_keys order into a list of
+exact ints, so entry r counts the type partitions_desc(n)[r].
 """
 
 from __future__ import annotations
+
+import builtins
 
 from .errors import InternalError
 from .partitions import partition_keys
@@ -32,43 +29,28 @@ from .partitions import partition_keys
 BACKEND = "python"
 
 
-def stable_partitions_rgs(n: int, adjsets):
-    """Yield every stable partition as a tuple of blocks (each an ascending
-    tuple), blocks ordered by smallest member. adjsets: list of neighbor sets."""
-    if n == 0:
-        yield ()
-        return
-    blocks: list[list[int]] = []
+class TypeCounts(list):
+    """The count list a kernel returns, with one extra method: sum().
 
-    def rec(v: int):
-        if v == n:
-            yield tuple(tuple(b) for b in blocks)
-            return
-        av = adjsets[v]
-        for b in blocks:
-            if not any(u in av for u in b):
-                b.append(v)
-                yield from rec(v + 1)
-                b.pop()
-        blocks.append([v])
-        yield from rec(v + 1)
-        blocks.pop()
+    perfbench/trace_child.py reads the number of stable partitions as
+    result.sum(). The benchmark change (ROADMAP item 4) switches that hook
+    to sum(result) and deletes this subclass."""
 
-    yield from rec(0)
+    def sum(self) -> int:
+        return builtins.sum(self)
 
 
-def _dense_counts(n: int, tally: dict[int, int]):
-    """int64 array of length p(n) from a tally keyed by packed types."""
-    import numpy as np
-
+def _dense_counts(n: int, tally: dict[int, int]) -> TypeCounts:
+    """Counts of length p(n), in partitions_desc order, from a tally keyed
+    by packed types."""
     keys = partition_keys(n)
     if not tally.keys() <= keys.keys():
         raise InternalError(f"a kernel tallied a type that is not a partition of {n}")
-    return np.array([tally.get(key, 0) for key in keys], dtype=np.int64)
+    return TypeCounts(tally.get(key, 0) for key in keys)
 
 
 def stable_type_counts(n: int, edges):
-    """int64 array of length p(n): entry r counts stable partitions whose
+    """Counts of length p(n): entry r counts the stable partitions whose
     block-size type is partitions_desc(n)[r]."""
     width = n.bit_length()
     nbr = [0] * n

@@ -14,6 +14,10 @@ Exit codes: 0 success; 1 domain error (one "error: ..." line on stderr);
 check failed: ..." line on stderr).  Output is exact-integer JSON (or
 edge-list text) and is byte-identical for identical inputs.  survey runs in
 one process; its --jobs option is still accepted and has no effect.
+
+Start-up is part of every request, so this module imports only what
+compute needs; each other handler imports the theorems, generators or
+decomposition names it uses.
 """
 
 from __future__ import annotations
@@ -23,15 +27,7 @@ import csv
 import json
 import sys
 
-from .decomposition import decomposition_to_json_dict, leaf_decomposition
 from .errors import GraphError, InternalError
-from .generators import (
-    SpiderSpec,
-    StarConnectionSpec,
-    enumerate_free_trees,
-    gen_spider,
-    gen_star_connection,
-)
 from .graphs import Tree, parse_edge_list, serialize, trees_isomorphic
 from .symfunc import (
     BASIS_POWERSUM,
@@ -39,18 +35,6 @@ from .symfunc import (
     csf_monomial,
     csf_powersum,
     symfunc_to_json_dict,
-)
-from .theorems import (
-    SURVEY_CSV_HEADER,
-    _componentwise_verdict,
-    _leaves_verdict,
-    _sum_verdict,
-    spider_audit,
-    star_connection_audit,
-    survey,
-    survey_report_to_json_dict,
-    tree_facts,
-    verdict_to_json_dict,
 )
 
 
@@ -84,6 +68,8 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
+    from .decomposition import decomposition_to_json_dict, leaf_decomposition
+
     t = _read_tree(args.input)
     _emit_json(decomposition_to_json_dict(leaf_decomposition(t)), None)
     return 0
@@ -98,6 +84,14 @@ def _cmd_compare(args) -> int:
         "x_equal": csf_equal(ta, tb),
     }
     if args.theorems:
+        from .theorems import (
+            _componentwise_verdict,
+            _leaves_verdict,
+            _sum_verdict,
+            tree_facts,
+            verdict_to_json_dict,
+        )
+
         if ta.n != tb.n:
             raise GraphError(f"--theorems needs equal vertex counts, got {ta.n} and {tb.n}")
         if trees_isomorphic(ta, tb):
@@ -113,6 +107,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_survey(args) -> int:
+    from .theorems import SURVEY_CSV_HEADER, survey, survey_report_to_json_dict
+
     rep = survey(args.n)
     _emit_json(survey_report_to_json_dict(rep), args.out)
     if args.csv:
@@ -123,7 +119,9 @@ def _cmd_survey(args) -> int:
     return 0
 
 
-def _parse_legs(text: str) -> SpiderSpec:
+def _parse_legs(text: str):
+    from .generators import SpiderSpec
+
     try:
         legs = tuple(int(x) for x in text.split(","))
     except ValueError:
@@ -132,6 +130,9 @@ def _parse_legs(text: str) -> SpiderSpec:
 
 
 def _cmd_spider(args) -> int:
+    from .generators import gen_spider
+    from .theorems import spider_audit
+
     spec = _parse_legs(args.legs)
     if not args.audit:
         _emit(serialize(gen_spider(spec)), None)
@@ -151,6 +152,9 @@ def _cmd_spider(args) -> int:
 
 
 def _cmd_starconn(args) -> int:
+    from .generators import StarConnectionSpec, gen_star_connection
+    from .theorems import star_connection_audit
+
     spec = StarConnectionSpec.from_json(_read(args.spec))
     if not args.audit:
         _emit(serialize(gen_star_connection(spec)), None)
@@ -171,6 +175,8 @@ def _cmd_starconn(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    from .generators import enumerate_free_trees
+
     trees = enumerate_free_trees(args.n)
     if args.count_only:
         _emit(f"{len(trees)}\n", None)

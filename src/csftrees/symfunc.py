@@ -24,9 +24,7 @@ the tree route):
     (product of part multiplicities!) to [m_lambda].
   * Oracles: on trees the 2^|E| sweep (edge_subset_type_counts) and the
     stable-partition count (stable_type_counts), each called directly,
-    are independent checks of the DP at the sizes where they can run;
-    stable_partitions lists the stable partitions one by one and checks
-    the counting DP.
+    are independent checks of the DP at the sizes where they can run.
 
 to_monomial changes basis with [m_mu] p_lambda = (number of set partitions
 of lambda's parts whose block sums are mu) * prod m_i(mu)!, counted by one
@@ -39,8 +37,8 @@ of X.  max_block_from_csf reads the independence number from either basis;
 in p it forms only the hook coefficients, by the closed form
 [m_(k,1^(n-k))] p_lambda = perm(m_1(lambda), n - k) (m_1 counts the parts
 equal to 1), never the full to_monomial.
-Everything is exact Python int arithmetic; the two kernels hand back int64
-count arrays, which stay in range at the caps below.
+Everything is exact Python int arithmetic, the two kernels' counts
+included.
 
 Caps: csf_powersum needs n <= CSF_POWERSUM_MAX_N and |E| <=
 CSF_POWERSUM_MAX_EDGES (checked before any partition table is built);
@@ -56,9 +54,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from math import perm
-from typing import Iterator
 
-from ._kernels import edge_subset_type_counts, stable_partitions_rgs, stable_type_counts
+from ._kernels import edge_subset_type_counts, stable_type_counts
 from .errors import CapExceededError, GraphError, InternalError
 from .graphs import Graph, adjacency, bfs_order, is_int, is_tree
 from .partitions import falling_factorial, mult_factorial, partition_keys, partitions_desc
@@ -118,18 +115,6 @@ def _check_integer_parts(parts: tuple) -> None:
         raise GraphError(f"partition {parts} has a non-integer part")
 
 
-def stable_partitions(g: Graph) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """All partitions of V(g) into independent blocks, each yielded once as a
-    tuple of ascending blocks ordered by smallest member."""
-    if g.n < 1:
-        raise GraphError("stable_partitions needs n >= 1")
-    adjsets: list[set[int]] = [set() for _ in range(g.n)]
-    for u, v in g.edges:
-        adjsets[u].add(v)
-        adjsets[v].add(u)
-    return stable_partitions_rgs(g.n, adjsets)
-
-
 def csf_monomial(g: Graph) -> SymmetricFunction:
     """X_G in the monomial basis: to_monomial of the tree DP when g is a
     tree (so its caps apply), stable-partition counting otherwise."""
@@ -147,7 +132,7 @@ def csf_monomial(g: Graph) -> SymmetricFunction:
     for i, cnt in enumerate(counts):
         if cnt:
             parts = plist[i]
-            terms[parts] = int(cnt) * mult_factorial(parts)
+            terms[parts] = cnt * mult_factorial(parts)
     return SymmetricFunction(g.n, BASIS_MONOMIAL, terms)
 
 
@@ -168,7 +153,7 @@ def csf_powersum(g: Graph) -> SymmetricFunction:
         return SymmetricFunction(g.n, BASIS_POWERSUM, _tree_powersum_terms(g))
     signed = edge_subset_type_counts(g.n, g.edges)
     plist = partitions_desc(g.n)
-    terms = {plist[i]: int(c) for i, c in enumerate(signed) if c}
+    terms = {plist[i]: c for i, c in enumerate(signed) if c}
     return SymmetricFunction(g.n, BASIS_POWERSUM, terms)
 
 
@@ -269,11 +254,17 @@ def to_monomial(f: SymmetricFunction) -> SymmetricFunction:
 
 def csf_equal(a: Graph, b: Graph) -> bool:
     """True iff the chromatic symmetric functions coincide (unequal n: False).
-    Two trees are compared in the p basis through the tree DP; any other
-    pair through csf_monomial, which still takes a tree through the DP."""
+    Two trees are compared in the p basis through the tree DP, and two
+    graphs that are not trees through csf_monomial.  A tree and a non-tree
+    always differ, so nothing is counted: X fixes |E| as -[p_(2,1^(n-2))],
+    and a graph with n - 1 edges that is not a tree is disconnected, so its
+    [p_(n)] is 0 where a tree's is (-1)^(n-1)."""
     if a.n != b.n:
         return False
-    if is_tree(a) and is_tree(b):
+    a_tree = is_tree(a)
+    if a_tree != is_tree(b):
+        return False
+    if a_tree:
         return csf_powersum(a).terms == csf_powersum(b).terms
     return csf_monomial(a).terms == csf_monomial(b).terms
 

@@ -14,6 +14,7 @@ from functools import lru_cache
 
 from csftrees import theorems
 from csftrees._kernels import stable_type_counts
+from csftrees.errors import GraphError
 from csftrees.generators import Gluing, StarConnectionSpec, enumerate_free_trees
 from csftrees.graphs import Graph, _code_from_adj
 from csftrees.partitions import partitions_desc
@@ -100,18 +101,58 @@ def stable_partitions_bruteforce(g: Graph):
             yield [sorted(b) for b in part]
 
 
+def stable_partitions_rgs(n: int, adjsets):
+    """Yield every stable partition as a tuple of blocks (each an ascending
+    tuple), blocks ordered by smallest member, as a restricted-growth
+    stream: vertex v joins each earlier block it has no neighbor in, or opens
+    a new one. adjsets: list of neighbor sets."""
+    if n == 0:
+        yield ()
+        return
+    blocks: list[list[int]] = []
+
+    def rec(v: int):
+        if v == n:
+            yield tuple(tuple(b) for b in blocks)
+            return
+        av = adjsets[v]
+        for b in blocks:
+            if not any(u in av for u in b):
+                b.append(v)
+                yield from rec(v + 1)
+                b.pop()
+        blocks.append([v])
+        yield from rec(v + 1)
+        blocks.pop()
+
+    yield from rec(0)
+
+
+def stable_partitions(g: Graph):
+    """All partitions of V(g) into independent blocks, each yielded once as a
+    tuple of ascending blocks ordered by smallest member."""
+    if g.n < 1:
+        raise GraphError("stable_partitions needs n >= 1")
+    adjsets: list[set[int]] = [set() for _ in range(g.n)]
+    for u, v in g.edges:
+        adjsets[u].add(v)
+        adjsets[v].add(u)
+    return stable_partitions_rgs(g.n, adjsets)
+
+
 def monomial_by_stable_partitions(g: Graph) -> SymmetricFunction:
     """X_G in the m basis from the stable-partition counting DP, called
     directly whatever g is: [m_lambda] X_G = (stable partitions of type
     lambda) * prod m_i(lambda)!.  csf_monomial sends a tree to the tree DP,
     so this is the route the DP is checked against; the counting DP itself
-    is checked against stable_partitions_bruteforce in test_kernels."""
+    is checked against stable_partitions_rgs in test_kernels and
+    test_symfunc, and that stream against stable_partitions_bruteforce."""
     counts = stable_type_counts(g.n, g.edges)
     terms = {}
     for parts, c in zip(partitions_desc(g.n), counts):
         if c:
             mults = collections.Counter(parts).values()
-            terms[parts] = int(c) * math.prod(math.factorial(k) for k in mults)
+            terms[parts] = c * math.prod(math.factorial(k) for k in mults)
     return SymmetricFunction(g.n, "m", terms)
 
 

@@ -480,11 +480,54 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
-def test_cli_import_does_not_load_numpy():
-    """Start-up stays light: numpy is loaded only when a kernel result is built."""
+# What a compute request loads: the CLI, the three modules it imports and
+# theirs. numpy and the modules of the other subcommands stay out.
+COMPUTE_MODULES = ["csftrees", "csftrees._kernels", "csftrees.cli", "csftrees.errors",
+                   "csftrees.graphs", "csftrees.partitions", "csftrees.symfunc"]
+_LOADED = ("import json, sys; print(json.dumps(sorted(m for m in sys.modules "
+           "if m == 'numpy' or m.split('.')[0] == 'csftrees')))")
+
+
+def _fresh_python(code: str) -> list[str]:
+    """Run code in a new interpreter that imports csftrees from this tree;
+    return the list its last stdout line prints."""
     src = os.path.dirname(os.path.dirname(csftrees.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = "import sys, csftrees.cli; print('numpy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_cli_import_does_not_load_numpy():
+    """Start-up stays light: importing the CLI loads neither numpy nor the
+    theorems, generators and decomposition modules."""
+    assert _fresh_python("import csftrees.cli; " + _LOADED) == COMPUTE_MODULES
+
+
+def test_compute_on_a_graph_with_cycles_does_not_load_numpy(tmp_path):
+    """Both kernels hand back plain ints: compute in either basis on a graph
+    with cycles leaves numpy (and the other subcommands' modules) unloaded."""
+    path = _write(tmp_path, "graph12.txt", COMPUTE_INPUTS["graph12"])
+    code = (f"from csftrees import cli\n"
+            f"for basis in 'pm':\n"
+            f"    assert cli.main(['compute', '--input', {path!r}, '--basis', basis]) == 0\n"
+            + _LOADED)
+    assert _fresh_python(code) == COMPUTE_MODULES
+
+
+def test_package_exports_are_the_submodules_objects(monkeypatch):
+    """csftrees loads its public names on demand: each is the defining
+    submodule's object, looked up afresh (a patch in the submodule shows),
+    dir() lists them, and an unknown name is an AttributeError."""
+    assert len(set(csftrees.__all__)) == len(csftrees.__all__) > 0
+    for name in csftrees.__all__:
+        module = importlib.import_module(f"csftrees.{csftrees._EXPORTS[name]}")
+        assert getattr(csftrees, name) is getattr(module, name)
+    assert set(csftrees.__all__) <= set(dir(csftrees))
+    assert "__version__" in dir(csftrees)
+    monkeypatch.setattr(symfunc, "csf_powersum", lambda g: None)
+    assert csftrees.csf_powersum(None) is None
+    with pytest.raises(AttributeError, match="has no attribute 'stable_partitions'"):
+        csftrees.stable_partitions
+    with pytest.raises(ImportError):
+        from csftrees import no_such_name  # noqa: F401

@@ -13,6 +13,7 @@ from _oracles import (
     coloring_count,
     monomial_by_stable_partitions,
     p_to_m_reference,
+    stable_partitions,
     tree_powersum_reference,
 )
 from csftrees import symfunc
@@ -20,7 +21,7 @@ from csftrees._kernels import edge_subset_type_counts, stable_type_counts
 from csftrees.decomposition import alpha_mis
 from csftrees.errors import CapExceededError, GraphError
 from csftrees.generators import enumerate_free_trees, gen_path, gen_spider, gen_star, prufer_tree
-from csftrees.graphs import Graph
+from csftrees.graphs import Graph, is_tree
 from csftrees.partitions import partitions_desc
 from csftrees.symfunc import (
     SymmetricFunction,
@@ -30,7 +31,6 @@ from csftrees.symfunc import (
     evaluate_ones,
     max_block_from_csf,
     pretty,
-    stable_partitions,
     symfunc_from_json,
     symfunc_to_json_dict,
     to_monomial,
@@ -158,12 +158,15 @@ def test_packed_dp_matches_tuple_keyed_dp():
             assert terms == tree_powersum_reference(t)
 
 
+def _prufer_trees(min_n: int, max_n: int):
+    return st.integers(min_value=min_n, max_value=max_n).flatmap(
+        lambda n: st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2)
+    ).map(prufer_tree)
+
+
 @settings(max_examples=25, deadline=None)
-@given(st.integers(min_value=12, max_value=18).flatmap(
-    lambda n: st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2)
-))
-def test_packed_dp_matches_tuple_keyed_dp_on_random_trees(seq):
-    g = prufer_tree(seq)
+@given(_prufer_trees(12, 18))
+def test_packed_dp_matches_tuple_keyed_dp_on_random_trees(g):
     terms = symfunc._tree_powersum_terms(g)
     _assert_canonical(g.n, terms)
     assert terms == tree_powersum_reference(g)
@@ -198,16 +201,53 @@ def test_csf_monomial_counts_stable_partitions_only_off_trees(monkeypatch):
     csf_monomial(Graph(7, gen_star(7).edges))  # a tree, though not built as a Tree
     assert calls == []
     csf_monomial(_cycle(5))
-    assert not csf_equal(gen_star(4), _cycle(4))  # counts the cycle's partitions only
-    assert calls == [5, 4]
+    assert calls == [5]
+
+
+def test_csf_equal_of_tree_and_non_tree_counts_nothing(monkeypatch):
+    """X fixes |E| and connectedness, so a tree and a graph that is not a
+    tree always differ: checked on every graph with n <= 5 against the
+    counting route, then csf_equal must answer without a kernel call.  Two
+    graphs that are not trees still take the counting route."""
+    for n in range(1, 6):
+        pool = list(itertools.combinations(range(n), 2))
+        graphs = [Graph(n, es) for k in range(len(pool) + 1)
+                  for es in itertools.combinations(pool, k)]
+        trees = {monomial_by_stable_partitions(g).terms for g in graphs if is_tree(g)}
+        others = {monomial_by_stable_partitions(g).terms for g in graphs if not is_tree(g)}
+        assert trees and not trees & others
+
+    def no_counting(n, edges):
+        raise AssertionError("a kernel ran to compare a tree with a non-tree")
+
+    monkeypatch.setattr(symfunc, "stable_type_counts", no_counting)
+    monkeypatch.setattr(symfunc, "edge_subset_type_counts", no_counting)
+    triangle_and_path = Graph(6, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5)))  # n - 1 edges
+    pairs = [
+        (gen_path(14), _cycle(14)),
+        (gen_star(15), _cycle(15)),  # beyond csf_monomial's cap
+        (gen_path(6), triangle_and_path),
+        (gen_star(6), Graph(6, ((0, 1), (2, 3)))),
+    ]
+    for tree, other in pairs:
+        assert not csf_equal(tree, other)
+        assert not csf_equal(other, tree)
+    assert csf_equal(gen_path(1), Graph(1))  # one vertex, no edge: a tree
+
+    calls = []
+
+    def counting(n, edges):
+        calls.append(n)
+        return stable_type_counts(n, edges)
+
+    monkeypatch.setattr(symfunc, "stable_type_counts", counting)
+    assert not csf_equal(_cycle(4), Graph(4, ((0, 1), (2, 3))))
+    assert calls == [4, 4]
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(min_value=3, max_value=11).flatmap(
-    lambda n: st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2)
-))
-def test_dp_sweep_and_stable_partitions_agree(seq):
-    t = prufer_tree(seq)
+@given(_prufer_trees(3, 11))
+def test_dp_sweep_and_stable_partitions_agree(t):
     dp = csf_powersum(t)
     assert dict(dp.terms) == _sweep(t)
     assert to_monomial(dp).terms == monomial_by_stable_partitions(t).terms
@@ -224,17 +264,18 @@ def _graphs_with_cycles(max_n: int, max_edges: int):
 
 
 @settings(max_examples=60, deadline=None)
-@given(_graphs_with_cycles(9, 14))
+@given(st.one_of(_graphs_with_cycles(9, 14), _prufer_trees(3, 9)))
 def test_random_graphs_counting_dp_and_sweep_agree(g):
-    """On any graph, cycles allowed: the stable-partition DP matches the
-    partition-by-partition stream, and the 2^|E| sweep (or the tree DP)
-    matches it after the change of basis."""
+    """On any graph, cycles allowed, and on random trees, which the graph
+    strategy alone rarely draws: the stable-partition DP matches the
+    partition-by-partition stream, and the 2^|E| sweep (or, on a tree, the
+    tree DP) matches it after the change of basis."""
     tally = {}
     for p in stable_partitions(g):
         typ = tuple(sorted(map(len, p), reverse=True))
         tally[typ] = tally.get(typ, 0) + 1
     counts = stable_type_counts(g.n, g.edges)
-    assert {part: int(c) for part, c in zip(partitions_desc(g.n), counts) if c} == tally
+    assert {part: c for part, c in zip(partitions_desc(g.n), counts) if c} == tally
     want = monomial_by_stable_partitions(g).terms
     assert to_monomial(csf_powersum(g)).terms == want
     assert csf_monomial(g).terms == want
