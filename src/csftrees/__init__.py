@@ -19,7 +19,6 @@ _EXPORTS = {
             "LeafDecomposition",
             "LeafLevel",
             "RhoData",
-            "alpha_from_decomposition",
             "alpha_mis",
             "chain_holds",
             "chain_sequence",
@@ -77,7 +76,6 @@ _EXPORTS = {
             "TheoremVerdict",
             "spider_M_formula",
             "spider_audit",
-            "star_connection_M",
             "star_connection_audit",
             "star_connection_counts",
             "star_connection_distinct",

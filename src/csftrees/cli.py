@@ -23,7 +23,6 @@ decomposition names it uses.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 
@@ -113,9 +112,8 @@ def _cmd_survey(args) -> int:
     _emit_json(survey_report_to_json_dict(rep), args.out)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(SURVEY_CSV_HEADER)
-            w.writerows(rep.pair_rows())
+            fh.write(",".join(SURVEY_CSV_HEADER) + "\n")
+            fh.writelines(f"{row}\n" for row in rep.pair_rows())
     return 0
 
 

@@ -21,6 +21,14 @@ everything that is neither a leaf nor a leaf-neighbor, and is_path reports
 whether the induced subgraph is a path (vacuously true for rho <= 1). Any
 vertex set of a tree induces a forest, so is_path counts on the tree's edge
 list: rho - 1 edges inside V(rho) and no inside degree above 2.
+
+Two exact invariants of the chromatic symmetric function come from one
+post-order pass (independence_and_splits): the independence polynomial
+i(T; x), since [m_(k,1^(n-k))] X_T = (n-k)! i_k, and the sorted edge splits
+min(s, n - s), since [p_(n-a,a)] X_T = (-1)^n times the number of edges whose
+removal leaves sides of sizes a and n - a.  Trees that differ in either have
+different X; the survey runs the full tree DP only where both tie.  The
+degree of i(T; x) is alpha(T), which alpha_mis computes independently.
 """
 
 from __future__ import annotations
@@ -150,8 +158,44 @@ def alpha_mis(g: Graph) -> int:
     return total
 
 
-def alpha_from_decomposition(d: LeafDecomposition) -> int:
-    return sum(lvl.b for lvl in d.levels)
+def independence_and_splits(t: Tree) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(i_0, i_1, ..., i_alpha), where i_k counts the independent k-sets of
+    t, and the sizes min(s, n - s) of the smaller side of every edge,
+    ascending.
+
+    Rooted at vertex 0, each vertex keeps two polynomials of its subtree:
+    `take` over the independent sets that contain it (x times the product of
+    its children's sets that avoid them) and `total` over all of them.  A
+    polynomial is packed one coefficient per n-bit field of an int, so a
+    product is one int multiplication: every coefficient counts k-sets of at
+    most n vertices, so it stays below 2^n and never carries into the next
+    field.  Removing the edge above a vertex leaves its subtree on one
+    side."""
+    n = t.n
+    adj = adjacency(t)
+    parent = [-1] * n
+    order = bfs_order(adj, 0, parent)
+    x = 1 << n
+    take = [0] * n
+    total = [0] * n
+    size = [1] * n
+    splits = []
+    for v in reversed(order):
+        t_in, t_out = x, 1
+        for w in adj[v]:
+            if parent[w] == v:
+                t_in *= total[w] - take[w]
+                t_out *= total[w]
+                size[v] += size[w]
+                splits.append(min(size[w], n - size[w]))
+        take[v], total[v] = t_in, t_in + t_out
+    mask = x - 1
+    poly, coeffs = total[0], []
+    while poly:
+        coeffs.append(poly & mask)
+        poly >>= n
+    splits.sort()
+    return tuple(coeffs), tuple(splits)
 
 
 def chain_sequence(d: LeafDecomposition) -> tuple[int, ...]:

@@ -30,7 +30,7 @@ from functools import lru_cache
 from .errors import CapExceededError, GraphError, InternalError
 from .graphs import Tree, _code_from_adj, bfs_order, is_int
 
-ENUM_MAX_N = 16
+ENUM_MAX_N = 18
 BUILD_MAX_VERTICES = 10_000
 
 

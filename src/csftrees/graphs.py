@@ -216,8 +216,16 @@ def _centers(n: int, adj: list[list[int]]) -> list[int]:
     return sorted(layer)
 
 
-def _rooted_code(root: int, n: int, adj: list[list[int]]) -> str:
-    """AHU parenthesis code of the tree rooted at `root`."""
+def _code_from_adj(n: int, adj: list[list[int]]) -> str:
+    """AHU parenthesis code rooted at the center; with two centers, the
+    smaller of the codes rooted at each.
+
+    One BFS from the first center c1 gives every subtree's code.  Rooted at
+    the second center c2, the children of c2 are its children under c1 plus
+    c1's side without c2, which is c1 with its other children; so the
+    second code is assembled from the same subtree codes."""
+    centers = _centers(n, adj)
+    root = centers[0]
     parent = [-1] * n
     order = bfs_order(adj, root, parent)
     code = ["()"] * n
@@ -226,14 +234,14 @@ def _rooted_code(root: int, n: int, adj: list[list[int]]) -> str:
         if kids:
             kids.sort()
             code[v] = "(" + "".join(kids) + ")"
-    return code[root]
-
-
-def _code_from_adj(n: int, adj: list[list[int]]) -> str:
-    centers = _centers(n, adj)
     if len(centers) == 1:
-        return _rooted_code(centers[0], n, adj)
-    return min(_rooted_code(c, n, adj) for c in centers)
+        return code[root]
+    other = centers[1]
+    side = "(" + "".join(sorted(code[w] for w in adj[root] if w != other)) + ")"
+    kids = [code[w] for w in adj[other] if w != root]
+    kids.append(side)
+    kids.sort()
+    return min(code[root], "(" + "".join(kids) + ")")
 
 
 def canonical_code(t: Tree) -> str:

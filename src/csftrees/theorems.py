@@ -12,10 +12,15 @@ used as a checker; see below.
 
 Applicable verdicts claim the maximal independent blocks satisfy m1 > m2,
 with the pair oriented internally (``swapped`` records an exchange of the
-inputs, and the detail string repeats it).  ``survey`` replays the first
-three checkers over every pair of non-isomorphic trees on n vertices and
-cross-checks each claim against the chromatic symmetric function itself,
-so an unsound verdict cannot pass silently.
+inputs, and the detail string repeats it).  ``survey`` settles the first
+three checkers on every pair of non-isomorphic trees on n vertices and
+cross-checks each claim against coefficients of the chromatic symmetric
+function itself, so an unsound verdict cannot pass silently: the largest
+block is deg i(T; x), the largest k with [m_(k,1^(n-k))] X nonzero, and
+X-equality is decided on exact coefficients of X (the invariant key of
+independence_and_splits, and the full p-terms of the tree DP where keys
+tie).  The checkers run once per ordered pair of fact classes, and the
+counts come from class sizes, so no loop runs over the tree pairs.
 
 Two known weaknesses are handled explicitly rather than papered over:
 
@@ -32,6 +37,7 @@ Two known weaknesses are handled explicitly rather than papered over:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Callable, Iterator
 
 from .decomposition import (
@@ -39,6 +45,7 @@ from .decomposition import (
     alpha_mis,
     chain_holds,
     chain_sequence,
+    independence_and_splits,
     leaf_decomposition,
     padded_levels,
     rho_data,
@@ -312,10 +319,6 @@ def star_connection_counts(spec: StarConnectionSpec) -> tuple[int, int]:
     return _verified_counts(spec, gen_star_connection(spec))
 
 
-def star_connection_M(spec: StarConnectionSpec) -> int:
-    return _formula_M(spec, star_connection_counts(spec)[1])
-
-
 def star_connection_audit(spec: StarConnectionSpec) -> tuple[int, int, int, int]:
     """(vertex count, degree excess, M, alpha_mis), all from one built tree."""
     t = gen_star_connection(spec)
@@ -375,6 +378,8 @@ def spider_audit(spec: SpiderSpec) -> tuple[int, int, bool]:
     return formula, oracle, formula == oracle
 
 
+
+
 @dataclass(frozen=True)
 class SurveyReport:
     n: int
@@ -387,9 +392,9 @@ class SurveyReport:
     chain_audit_violations: tuple[dict, ...]
     spider_audit: tuple[dict, ...]
     star_audit: tuple[dict, ...]
-    # pair_rows() yields the CSV rows (SURVEY_CSV_HEADER), one per pair in
-    # (a, b) order, each built only when it is read.
-    pair_rows: Callable[[], Iterator[tuple[str, ...]]] = field(compare=False, repr=False)
+    # pair_rows() yields the CSV lines (SURVEY_CSV_HEADER columns, no line
+    # terminator), one per pair in (a, b) order, each built only when read.
+    pair_rows: Callable[[], Iterator[str]] = field(compare=False, repr=False)
 
 
 def survey_report_to_json_dict(rep: SurveyReport) -> dict:
@@ -435,9 +440,10 @@ def _cell(x) -> str:
     return str(x)
 
 
-def _verdict_cells(lv, cw, sm) -> tuple[str, ...]:
-    """The 13 cells of a CSV row after a, b and x_equal."""
-    return (
+def _verdict_suffix(lv, cw, sm) -> str:
+    """The 13 cells of a CSV row after a, b and x_equal, each after a comma
+    (no cell holds a comma, a quote or a line break, so none is quoted)."""
+    cells = (
         lv.status,
         _cell(lv.case_id),
         _cell(lv.m1),
@@ -452,15 +458,20 @@ def _verdict_cells(lv, cw, sm) -> tuple[str, ...]:
         _cell(sm.m2),
         _cell(sm.swapped),
     )
+    return "," + ",".join(cells)
 
 
 def _survey_payload(t: Tree):
-    """Per-tree work unit: decomposition facts plus the CSF's p-terms, taken
-    canonical from the tree DP (no SymmetricFunction is built), and the max
-    block read from their hook coefficients."""
+    """Per-tree work unit: decomposition facts, the chain data, the exact
+    X-invariant key (i(T; x), edge splits) and alpha = deg i(T; x), which
+    must equal alpha_mis."""
     d = leaf_decomposition(t)
-    terms = _tree_powersum_terms(t)
-    return tree_facts(t, d), chain_sequence(d), chain_holds(d), terms, _hook_max_block(t.n, terms)
+    key = independence_and_splits(t)
+    alpha = len(key[0]) - 1
+    mis = alpha_mis(t)
+    if alpha != mis:
+        raise InternalError(f"deg i(T; x) = {alpha} but alpha_mis = {mis} for edges {t.edges}")
+    return tree_facts(t, d), chain_sequence(d), chain_holds(d), key, alpha
 
 
 def _spider_audit_rows(n: int) -> list[dict]:
@@ -518,9 +529,9 @@ def _star_audit_rows(n: int) -> list[dict]:
 
 def _key_verdicts(fa: TreeFacts, fb: TreeFacts, ma: int, mb: int):
     """The three verdicts on an ordered pair with facts (fa, fb) and max
-    blocks (ma, mb), their CSV cells, and the soundness violations of the
-    pair as (theorem id, reason) tuples: first if the pair is X-equal, then
-    if it is not."""
+    blocks (ma, mb), and what the survey keeps of them: the suffix of the
+    pair's CSV rows and its soundness violations as (theorem id, reason)
+    tuples, first if the pair is X-equal, then if it is not."""
     verdicts = (_leaves_verdict(fa, fb), _componentwise_verdict(fa, fb), _sum_verdict(fa, fb))
     if_equal, if_distinct = [], []
     for v in verdicts:
@@ -535,7 +546,32 @@ def _key_verdicts(fa: TreeFacts, fb: TreeFacts, ma: int, mb: int):
         if_equal.append((v.theorem_id, "; ".join(["csf_equal is true", *problems])))
         if problems:
             if_distinct.append((v.theorem_id, "; ".join(problems)))
-    return verdicts, _verdict_cells(*verdicts), tuple(if_equal), tuple(if_distinct)
+    return verdicts, (_verdict_suffix(*verdicts), tuple(if_equal), tuple(if_distinct))
+
+
+def _x_equal_groups(trees: list[Tree], by_key: dict, alpha: list[int]) -> list[list[int]]:
+    """The groups of two or more X-equal trees, each ascending, from the
+    trees' indices bucketed by key.  Trees with different keys have
+    different X, so the tree DP runs only in buckets of two or more trees;
+    there the full p-terms decide (a dict keyed by the terms, so a hash
+    never decides alone), and the max block read from their hooks must
+    equal alpha."""
+    groups = []
+    for members in by_key.values():
+        if len(members) < 2:
+            continue
+        by_terms: dict[tuple, list[int]] = {}
+        for i in members:
+            t = trees[i]
+            terms = _tree_powersum_terms(t)
+            hook = _hook_max_block(t.n, terms)
+            if hook != alpha[i]:
+                raise InternalError(
+                    f"tree {i}: max block {hook} from the p-terms, deg i(T; x) = {alpha[i]}"
+                )
+            by_terms.setdefault(terms, []).append(i)
+        groups.extend(g for g in by_terms.values() if len(g) > 1)
+    return groups
 
 
 def survey(n: int) -> SurveyReport:
@@ -545,88 +581,121 @@ def survey(n: int) -> SurveyReport:
 
     The trees come from enumerate_free_trees (one WROM level sequence per
     tree, sorted by canonical code), and tree indices are positions in that
-    order.  Each tree's CSF is the tree DP's canonical p-terms, used as they
-    come (no SymmetricFunction is built).  A pair is X-equal iff its p-terms
-    are equal (the change of basis is invertible), and each claimed maximum
-    is checked against the max block read from the p-terms' hook
-    coefficients (the helper behind max_block_from_csf).
+    order.  Each tree gets two exact coefficient families of X from one
+    small DP (independence_and_splits): i(T; x) and its edge splits.  alpha,
+    the largest block every claimed maximum is checked against, is
+    deg i(T; x), cross-checked against alpha_mis on every tree.  Trees whose
+    keys differ have different X; only inside buckets of two or more trees
+    does the full tree DP run, and there X-equality is decided on the exact
+    p-terms (the change of basis is invertible), whose hook coefficients
+    must give alpha again.  A key match alone never makes a pair X-equal.
 
     The checkers read only TreeFacts, so the trees are grouped into classes
-    by (facts, max block) and the verdicts, their CSV cells and their
-    soundness problems are computed once per ordered class pair, then reused
-    for every tree pair in it; verdict_counts weights each class pair by its
-    number of tree pairs.  The max block is part of the class so that the
-    claimed-m check stays exact for every pair without assuming that alpha
-    is a function of the facts.  X-equality is decided by bucketing the
-    trees on their exact p-terms (a dict keyed by the terms, so full terms
-    are compared and a hash alone never decides); a pair is X-equal iff its
-    trees share a bucket.
+    by (facts, alpha), and the verdicts, their CSV cells and their
+    soundness problems are computed once per ordered class pair.  No loop
+    runs over tree pairs:
+      * verdict_counts weighs each unordered class pair by its number of
+        tree pairs, |A| |B| or C(|A|, 2).  That needs the status and case of
+        each verdict to be the same in both orders of the pair, which is
+        checked wherever both orders hold a tree pair.
+      * x_equal_pairs sums C(|group|, 2) over the groups of X-equal trees.
+      * The soundness violations come from the pairs inside those groups
+        and the tree pairs of the ordered class pairs that have a problem
+        even when X differs, listed in (a, b) order.
+    alpha is part of the class so that the claimed-m check stays exact for
+    every pair without assuming that alpha is a function of the facts.
 
-    Everything runs in one process: the per-tree work in enumeration order,
-    then the pairwise pass in canonical-code order, so the report depends on
-    n alone.  The per-pair CSV rows are not stored: the report's pair_rows()
-    rebuilds them from the class-pair cells and the buckets when called."""
+    Everything runs in one process, so the report depends on n alone.  The
+    per-pair CSV rows are not stored: the report's pair_rows() rebuilds
+    them from the class pairs' cells and the X-equal groups when called."""
     if not is_int(n) or not 3 <= n <= ENUM_MAX_N:
         raise GraphError(f"survey needs an integer n with 3 <= n <= {ENUM_MAX_N}")
     trees = enumerate_free_trees(n)
-    payloads = [_survey_payload(t) for t in trees]
-
-    chain_viol = [
-        {"tree": i, "sequence": list(p[1])} for i, p in enumerate(payloads) if not p[2]
-    ]
-    buckets: dict[tuple, int] = {}
-    bucket = [buckets.setdefault(p[3], len(buckets)) for p in payloads]
+    num = len(trees)
+    chain_viol = []
+    by_key: dict[tuple, list[int]] = {}
     classes: dict[tuple, int] = {}
-    cls = [classes.setdefault((p[0], p[4]), len(classes)) for p in payloads]
+    cls, alpha = [], []
+    for i, t in enumerate(trees):
+        facts, sequence, holds, key, max_block = _survey_payload(t)
+        if not holds:
+            chain_viol.append({"tree": i, "sequence": list(sequence)})
+        by_key.setdefault(key, []).append(i)
+        cls.append(classes.setdefault((facts, max_block), len(classes)))
+        alpha.append(max_block)
+
+    x_id = list(range(num))  # X-equal trees share an id
+    equal_pairs: list[tuple[int, int]] = []
+    for group in _x_equal_groups(trees, by_key, alpha):
+        for i in group:
+            x_id[i] = group[0]
+        equal_pairs.extend(combinations(group, 2))
+
+    members: list[list[int]] = [[] for _ in classes]
+    for i, c in enumerate(cls):
+        members[c].append(i)
     class_of = list(classes)
     k = len(class_of)
-    memo: list = [None] * (k * k)
-    weight = [0] * (k * k)
-
-    num = len(trees)
-    x_equal = 0
-    violations: list[dict] = []
-    for i in range(num):
-        bi, base = bucket[i], cls[i] * k
-        for j in range(i + 1, num):
-            key = base + cls[j]
-            weight[key] += 1
-            entry = memo[key]
-            if entry is None:
-                (fa, ma), (fb, mb) = class_of[cls[i]], class_of[cls[j]]
-                entry = memo[key] = _key_verdicts(fa, fb, ma, mb)
-            x_eq = bi == bucket[j]
-            x_equal += x_eq
-            for theorem, reason in entry[2] if x_eq else entry[3]:
-                violations.append({"a": i, "b": j, "theorem": theorem, "reason": reason})
-
-    def pair_rows() -> Iterator[tuple[str, ...]]:
-        for i in range(num):
-            si, bi, base = str(i), bucket[i], cls[i] * k
-            for j in range(i + 1, num):
-                x_eq = "true" if bi == bucket[j] else "false"
-                yield (si, str(j), x_eq) + memo[base + cls[j]][1]
-
     counts = {
         LEAVES_RHO: {"case1": 0, "case2": 0, "case3": 0, "case4": 0, "not_applicable": 0},
         COMPONENTWISE: {"applicable": 0, "not_applicable": 0},
         SUMMED: {"applicable": 0, "not_applicable": 0},
     }
-    for entry, w in zip(memo, weight):
-        if entry is None:
-            continue
-        lv, cw, sm = entry[0]
-        if lv.status == APPLICABLE:
-            counts[LEAVES_RHO][f"case{lv.case_id}"] += w
-        else:
-            counts[LEAVES_RHO]["not_applicable"] += w
-        for theorem, v in ((COMPONENTWISE, cw), (SUMMED, sm)):
-            counts[theorem]["applicable" if v.status == APPLICABLE else "not_applicable"] += w
+    # memo[a * k + b]: (CSV suffix, problems if X-equal, problems if not) of
+    # the ordered class pair (a, b), for the pairs that hold a tree pair
+    # i < j with i in class a and j in class b: those whose first tree in a
+    # precedes the last one in b
+    memo: list = [None] * (k * k)
+    for a in range(k):
+        for b in range(a, k):
+            if b == a:
+                weight = len(members[a]) * (len(members[a]) - 1) // 2
+                orders = ((a, a),) if weight else ()
+            else:
+                weight = len(members[a]) * len(members[b])
+                orders = [(x, y) for x, y in ((a, b), (b, a)) if members[x][0] < members[y][-1]]
+            outcome = None
+            for x, y in orders:
+                (fx, mx), (fy, my) = class_of[x], class_of[y]
+                verdicts, memo[x * k + y] = _key_verdicts(fx, fy, mx, my)
+                seen = [(v.status, v.case_id) for v in verdicts]
+                if outcome is not None and seen != outcome:
+                    raise InternalError(
+                        f"a verdict's status or case depends on the order of classes {a}, {b}"
+                    )
+                outcome = seen
+            if outcome is None:
+                continue
+            (lv, case), (cw, _), (sm, _) = outcome
+            counts[LEAVES_RHO][f"case{case}" if lv == APPLICABLE else "not_applicable"] += weight
+            for theorem, status in ((COMPONENTWISE, cw), (SUMMED, sm)):
+                counts[theorem]["applicable" if status == APPLICABLE else "not_applicable"] += weight
+
+    flagged = set(equal_pairs)
+    for key, entry in enumerate(memo):
+        if entry is not None and entry[2]:
+            firsts, seconds = members[key // k], members[key % k]
+            flagged.update((i, j) for i in firsts for j in seconds if i < j)
+    violations = []
+    for i, j in sorted(flagged):
+        entry = memo[cls[i] * k + cls[j]]
+        for theorem, reason in entry[1] if x_id[i] == x_id[j] else entry[2]:
+            violations.append({"a": i, "b": j, "theorem": theorem, "reason": reason})
+
+    suffix = [entry and entry[0] for entry in memo]
+
+    def pair_rows() -> Iterator[str]:
+        for i in range(num):
+            xi, base = x_id[i], cls[i] * k
+            cells = suffix[base : base + k]
+            for j in range(i + 1, num):
+                yield f"{i},{j},{'true' if x_id[j] == xi else 'false'}{cells[cls[j]]}"
+
     return SurveyReport(
         n=n,
         num_trees=num,
         pairs=num * (num - 1) // 2,
-        x_equal_pairs=x_equal,
+        x_equal_pairs=len(equal_pairs),
         skipped_pairs=0,
         soundness_violations=tuple(violations),
         verdict_counts=counts,

@@ -14,6 +14,7 @@ from functools import lru_cache
 
 from csftrees import theorems
 from csftrees._kernels import stable_type_counts
+from csftrees.decomposition import LeafDecomposition
 from csftrees.errors import GraphError
 from csftrees.generators import Gluing, StarConnectionSpec, enumerate_free_trees
 from csftrees.graphs import Graph, _code_from_adj
@@ -40,6 +41,38 @@ def mis_bruteforce(g: Graph) -> int:
         if ok:
             best = max(best, bin(s).count("1"))
     return best
+
+
+def independent_set_counts_bruteforce(g: Graph) -> tuple[int, ...]:
+    """(i_0, i_1, ..., i_alpha): independent k-sets counted over all 2^n
+    vertex subsets."""
+    counts = [0] * (g.n + 1)
+    for s in range(1 << g.n):
+        if not any(s >> u & 1 and s >> v & 1 for u, v in g.edges):
+            counts[bin(s).count("1")] += 1
+    while counts[-1] == 0:
+        counts.pop()
+    return tuple(counts)
+
+
+def edge_splits_bruteforce(g: Graph) -> tuple[int, ...]:
+    """min(s, n - s) for every edge, s the size of the component of its
+    first endpoint once the edge is deleted (flood fill), ascending."""
+    out = []
+    for e in g.edges:
+        adj = [set() for _ in range(g.n)]
+        for u, v in g.edges:
+            if (u, v) != e:
+                adj[u].add(v)
+                adj[v].add(u)
+        seen = {e[0]}
+        stack = [e[0]]
+        while stack:
+            for w in adj[stack.pop()] - seen:
+                seen.add(w)
+                stack.append(w)
+        out.append(min(len(seen), g.n - len(seen)))
+    return tuple(sorted(out))
 
 
 def rho_path_bruteforce(g: Graph) -> tuple[tuple[int, ...], bool]:
@@ -266,6 +299,16 @@ def p_to_m_reference(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
     return _slot_assignments(runs, tuple(mu))
 
 
+def alpha_from_decomposition(d: LeafDecomposition) -> int:
+    """The independence number as the sum of the decomposition's b-levels."""
+    return sum(lvl.b for lvl in d.levels)
+
+
+def star_connection_M(spec: StarConnectionSpec) -> int:
+    """The closed-form M of a star connection, from its verified counts."""
+    return theorems._formula_M(spec, theorems.star_connection_counts(spec)[1])
+
+
 def random_star_spec(rng: random.Random, max_vertices: int = 20) -> StarConnectionSpec:
     """A valid random StarConnectionSpec whose tree has <= max_vertices
     vertices. The gluing structure is a random tree over the stars (parents
@@ -306,14 +349,32 @@ def _csv_cell(x) -> str:
     return str(x)
 
 
+def reference_payload(t: Graph):
+    """The survey's per-tree unit without the invariant prefilter: facts,
+    chain data, the full p-terms of the tree DP and the max block read from
+    their hook coefficients, all looked up on the theorems module at call
+    time."""
+    d = theorems.leaf_decomposition(t)
+    terms = theorems._tree_powersum_terms(t)
+    return (
+        theorems.tree_facts(t, d),
+        theorems.chain_sequence(d),
+        theorems.chain_holds(d),
+        terms,
+        theorems._hook_max_block(t.n, terms),
+    )
+
+
 def survey_pairwise_reference(n: int) -> theorems.SurveyReport:
     """theorems.survey(n) computed pair by pair, rows stored as they come:
-    all three checkers run on every tree pair, X-equality compares the two trees' p-terms directly and
-    every Applicable claim is checked against both trees' max blocks. The
-    per-tree payloads, checkers and audits are looked up on the theorems
-    module at call time, so a test that patches one patches both routes."""
+    all three checkers run on every tree pair, X-equality compares the two
+    trees' full p-terms directly and every Applicable claim is checked
+    against both trees' max blocks read from those terms. The payloads come
+    from reference_payload; the checkers and audits are looked up on the
+    theorems module at call time, so a test that patches one patches both
+    routes."""
     trees = enumerate_free_trees(n)
-    payloads = [theorems._survey_payload(t) for t in trees]
+    payloads = [reference_payload(t) for t in trees]
     facts = [p[0] for p in payloads]
     terms = [p[3] for p in payloads]
     mb = [p[4] for p in payloads]
@@ -360,7 +421,7 @@ def survey_pairwise_reference(n: int) -> theorems.SurveyReport:
             cells += [lv.status, lv.case_id, lv.m1, lv.m2, lv.swapped]
             for v in (cw, sm):
                 cells += [v.status, v.m1, v.m2, v.swapped]
-            rows.append(tuple(_csv_cell(c) for c in cells))
+            rows.append(",".join(_csv_cell(c) for c in cells))
     return theorems.SurveyReport(
         n=n,
         num_trees=len(trees),
@@ -375,4 +436,109 @@ def survey_pairwise_reference(n: int) -> theorems.SurveyReport:
         spider_audit=tuple(theorems._spider_audit_rows(n)),
         star_audit=tuple(theorems._star_audit_rows(n)),
         pair_rows=lambda: iter(rows),
+    )
+
+
+def _class_pair_verdicts(fa, fb, ma: int, mb: int):
+    """The three verdicts on an ordered pair with facts (fa, fb) and max
+    blocks (ma, mb), their CSV cells, and the soundness violations of the
+    pair as (theorem id, reason) tuples: first if the pair is X-equal, then
+    if it is not."""
+    verdicts = (
+        theorems._leaves_verdict(fa, fb),
+        theorems._componentwise_verdict(fa, fb),
+        theorems._sum_verdict(fa, fb),
+    )
+    if_equal, if_distinct = [], []
+    for v in verdicts:
+        if v.status != "Applicable":
+            continue
+        hi, lo = (mb, ma) if v.swapped else (ma, mb)
+        problems = []
+        if v.m1 != hi or v.m2 != lo:
+            problems.append(f"claimed m = ({v.m1}, {v.m2}) but max blocks are ({hi}, {lo})")
+        if not (v.m1 is not None and v.m2 is not None and v.m1 > v.m2):
+            problems.append(f"m1 = {v.m1} is not strictly greater than m2 = {v.m2}")
+        if_equal.append((v.theorem_id, "; ".join(["csf_equal is true", *problems])))
+        if problems:
+            if_distinct.append((v.theorem_id, "; ".join(problems)))
+    lv, cw, sm = verdicts
+    cells = [lv.status, lv.case_id, lv.m1, lv.m2, lv.swapped]
+    for v in (cw, sm):
+        cells += [v.status, v.m1, v.m2, v.swapped]
+    return verdicts, tuple(_csv_cell(c) for c in cells), tuple(if_equal), tuple(if_distinct)
+
+
+def survey_class_loop_reference(n: int) -> theorems.SurveyReport:
+    """theorems.survey(n) as a loop over every tree pair that runs the
+    checkers once per ordered pair of (facts, max block) classes: the full
+    p-terms and their max block on every tree (reference_payload), trees
+    bucketed on their exact p-terms, and per pair a memo lookup, a weight
+    and the pair's violations. Fast enough for n <= 13."""
+    trees = enumerate_free_trees(n)
+    payloads = [reference_payload(t) for t in trees]
+
+    chain_viol = [
+        {"tree": i, "sequence": list(p[1])} for i, p in enumerate(payloads) if not p[2]
+    ]
+    buckets: dict[tuple, int] = {}
+    bucket = [buckets.setdefault(p[3], len(buckets)) for p in payloads]
+    classes: dict[tuple, int] = {}
+    cls = [classes.setdefault((p[0], p[4]), len(classes)) for p in payloads]
+    class_of = list(classes)
+    k = len(class_of)
+    memo: list = [None] * (k * k)
+    weight = [0] * (k * k)
+
+    num = len(trees)
+    x_equal = 0
+    violations: list[dict] = []
+    for i in range(num):
+        bi, base = bucket[i], cls[i] * k
+        for j in range(i + 1, num):
+            key = base + cls[j]
+            weight[key] += 1
+            entry = memo[key]
+            if entry is None:
+                (fa, ma), (fb, mb) = class_of[cls[i]], class_of[cls[j]]
+                entry = memo[key] = _class_pair_verdicts(fa, fb, ma, mb)
+            x_eq = bi == bucket[j]
+            x_equal += x_eq
+            for theorem, reason in entry[2] if x_eq else entry[3]:
+                violations.append({"a": i, "b": j, "theorem": theorem, "reason": reason})
+
+    def pair_rows():
+        for i in range(num):
+            si, bi, base = str(i), bucket[i], cls[i] * k
+            for j in range(i + 1, num):
+                x_eq = "true" if bi == bucket[j] else "false"
+                yield ",".join((si, str(j), x_eq) + memo[base + cls[j]][1])
+
+    counts = {
+        "LEAVES_RHO": {"case1": 0, "case2": 0, "case3": 0, "case4": 0, "not_applicable": 0},
+        "COMPONENTWISE": {"applicable": 0, "not_applicable": 0},
+        "SUMMED": {"applicable": 0, "not_applicable": 0},
+    }
+    for entry, w in zip(memo, weight):
+        if entry is None:
+            continue
+        lv, cw, sm = entry[0]
+        if lv.status == "Applicable":
+            counts["LEAVES_RHO"][f"case{lv.case_id}"] += w
+        else:
+            counts["LEAVES_RHO"]["not_applicable"] += w
+        for theorem, v in (("COMPONENTWISE", cw), ("SUMMED", sm)):
+            counts[theorem]["applicable" if v.status == "Applicable" else "not_applicable"] += w
+    return theorems.SurveyReport(
+        n=n,
+        num_trees=num,
+        pairs=num * (num - 1) // 2,
+        x_equal_pairs=x_equal,
+        skipped_pairs=0,
+        soundness_violations=tuple(violations),
+        verdict_counts=counts,
+        chain_audit_violations=tuple(chain_viol),
+        spider_audit=tuple(theorems._spider_audit_rows(n)),
+        star_audit=tuple(theorems._star_audit_rows(n)),
+        pair_rows=pair_rows,
     )

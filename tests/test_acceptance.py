@@ -11,13 +11,15 @@ import time
 from contextlib import contextmanager
 from itertools import combinations, product
 
-from _oracles import mis_bruteforce, monomial_by_stable_partitions, random_star_spec
-from csftrees.cli import main
-from csftrees.decomposition import (
+from _oracles import (
     alpha_from_decomposition,
-    alpha_mis,
-    leaf_decomposition,
+    mis_bruteforce,
+    monomial_by_stable_partitions,
+    random_star_spec,
+    star_connection_M,
 )
+from csftrees.cli import main
+from csftrees.decomposition import alpha_mis, leaf_decomposition
 from csftrees.generators import (
     Gluing,
     StarConnectionSpec,
@@ -37,7 +39,6 @@ from csftrees.symfunc import (
 from csftrees.theorems import (
     spider_audit,
     star_connection_counts,
-    star_connection_M,
     survey,
     thm_componentwise_check,
     tree_facts,

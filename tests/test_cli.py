@@ -262,6 +262,21 @@ def test_survey_output_digests(tmp_path, n):
     assert digests == SURVEY_DIGESTS[n]
 
 
+# sha256 of the survey's JSON report at sizes where trees tie on the
+# invariant key (i(T; x), edge splits), so the tree DP runs on some of them
+SURVEY_JSON_DIGESTS = {
+    13: "facdb9e12ea66b53e5e529961afb1927f81499100293013cf1a755dd93717c3e",
+    14: "d59a57430003121e1c4aef2d841e5ea7b2be023301d18ffe67685397e0291f3d",
+}
+
+
+@pytest.mark.parametrize("n", sorted(SURVEY_JSON_DIGESTS))
+def test_survey_json_digests(tmp_path, n):
+    out = tmp_path / "rep.json"
+    assert main(["survey", "--n", str(n), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SURVEY_JSON_DIGESTS[n]
+
+
 def _edge_text(n, edges):
     return f"n {n}\n" + "".join(f"{u} {v}\n" for u, v in edges)
 

@@ -1,14 +1,21 @@
+import math
 import random
 
 import pytest
 
-from _oracles import mis_bruteforce, rho_path_bruteforce
-from csftrees.decomposition import (
+from _oracles import (
     alpha_from_decomposition,
+    edge_splits_bruteforce,
+    independent_set_counts_bruteforce,
+    mis_bruteforce,
+    rho_path_bruteforce,
+)
+from csftrees.decomposition import (
     alpha_mis,
     chain_holds,
     chain_sequence,
     decomposition_to_json_dict,
+    independence_and_splits,
     leaf_decomposition,
     padded_levels,
     rho_data,
@@ -24,6 +31,7 @@ from csftrees.generators import (
     gen_star_connection,
 )
 from csftrees.graphs import Graph, Tree, degrees, relabel
+from csftrees.symfunc import _hook_max_block, _tree_powersum_terms
 
 
 @pytest.mark.parametrize(
@@ -72,6 +80,34 @@ def test_block_sum_is_independence_number():
             assert alpha_from_decomposition(d) == alpha
             if n <= 8:
                 assert alpha == mis_bruteforce(t)
+
+
+def test_independence_and_splits_by_brute_force():
+    for n in range(1, 10):
+        for t in enumerate_free_trees(n):
+            assert independence_and_splits(t) == (
+                independent_set_counts_bruteforce(t),
+                edge_splits_bruteforce(t),
+            )
+    assert independence_and_splits(gen_path(4)) == ((1, 4, 3), (1, 1, 2))
+    assert independence_and_splits(gen_star(5)) == ((1, 5, 6, 4, 1), (1, 1, 1, 1))
+
+
+def test_independence_and_splits_are_coefficients_of_x():
+    """[m_(k,1^(n-k))] X = (n-k)! i_k, read from the p-terms by the hook
+    closed form; [p_(n-a,a)] X = (-1)^n times the number of edges with
+    splits a; and deg i(T; x) = alpha_mis = the max block of the p-terms."""
+    for n in range(1, 13):
+        for t in enumerate_free_trees(n):
+            ind, splits = independence_and_splits(t)
+            terms = _tree_powersum_terms(t)
+            for k in range(1, n + 1):
+                hook = sum(c * math.perm(parts.count(1), n - k) for parts, c in terms)
+                assert hook == math.factorial(n - k) * (ind[k] if k < len(ind) else 0)
+            coeff = dict(terms)
+            for a in range(1, n // 2 + 1):
+                assert coeff.get((n - a, a), 0) == (-1) ** n * splits.count(a)
+            assert len(ind) - 1 == alpha_mis(t) == _hook_max_block(n, terms)
 
 
 def test_greedy_witness():

@@ -21,8 +21,10 @@ from csftrees.generators import (
 )
 from csftrees.graphs import canonical_code, degrees, tree_center
 
-# A000055: free trees on n vertices, n = 1..16
-FREE_TREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159, 7741, 19320]
+# A000055: free trees on n vertices, n = 1..18
+FREE_TREE_COUNTS = [
+    1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159, 7741, 19320, 48629, 123867,
+]
 
 
 def test_gen_path():
@@ -200,6 +202,15 @@ def test_enumerate_counts(n):
     assert len(set(codes)) == len(trees)
 
 
+@pytest.mark.parametrize("n", [17, 18])
+def test_enumeration_walk_counts_up_to_the_cap(n):
+    # enumerate_free_trees keeps one tree per level sequence of this walk
+    # (a repeated code is an InternalError); coding and building 123,867
+    # trees would take 13 s, the walk alone takes 0.5 s
+    assert n <= generators.ENUM_MAX_N
+    assert sum(1 for _ in generators._free_tree_level_sequences(n)) == FREE_TREE_COUNTS[n - 1]
+
+
 def test_enumerate_matches_prufer_classes():
     """The level-sequence enumerator and Prüfer decoding agree exactly."""
     for n in range(3, 8):
@@ -258,8 +269,8 @@ def test_enumerate_bounds(monkeypatch):
         raise AssertionError(f"enumerated n = {n} before the cap check")
 
     monkeypatch.setattr(generators, "_free_tree_edge_sets", no_enumeration)
-    with pytest.raises(CapExceededError, match="n <= 16, got 17"):
-        enumerate_free_trees(17)
+    with pytest.raises(CapExceededError, match="n <= 18, got 19"):
+        enumerate_free_trees(19)
 
 
 def test_enumerate_shapes_present():

@@ -1,11 +1,18 @@
 import random
+import sys
 from itertools import combinations
 
 import pytest
 
-from _oracles import mis_bruteforce, random_star_spec, survey_pairwise_reference
-from csftrees.decomposition import alpha_mis, leaf_decomposition
-from csftrees.errors import GraphError
+from _oracles import (
+    mis_bruteforce,
+    random_star_spec,
+    star_connection_M,
+    survey_class_loop_reference,
+    survey_pairwise_reference,
+)
+from csftrees.decomposition import alpha_mis, independence_and_splits, leaf_decomposition
+from csftrees.errors import GraphError, InternalError
 from csftrees.generators import (
     Gluing,
     SpiderSpec,
@@ -23,9 +30,9 @@ from csftrees.theorems import (
     NOT_APPLICABLE,
     SURVEY_CSV_HEADER,
     SurveyReport,
+    TheoremVerdict,
     spider_M_formula,
     spider_audit,
-    star_connection_M,
     star_connection_audit,
     star_connection_counts,
     star_connection_distinct,
@@ -101,14 +108,14 @@ def test_survey_payloads_reuse_the_enumerated_trees(tree_builds):
 
 def test_survey_payload_max_block_is_max_block_from_csf():
     from csftrees import theorems
+    from csftrees.decomposition import independence_and_splits
     from csftrees.symfunc import max_block_from_csf
 
     for n in range(1, 12):
         for t in enumerate_free_trees(n):
             payload = theorems._survey_payload(t)
-            f = csf_powersum(t)
-            assert payload[3] == f.terms
-            assert payload[4] == max_block_from_csf(f)
+            assert payload[3] == independence_and_splits(t)
+            assert payload[4] == max_block_from_csf(csf_powersum(t))
 
 
 def test_verdict_json_shape():
@@ -438,13 +445,13 @@ def test_survey_json_key_order():
 
 
 def _assert_same_survey(rep, ref):
-    """Equal reports, and equal CSV rows compared cell by cell (pair_rows is
+    """Equal reports, and equal CSV rows compared line by line (pair_rows is
     left out of the dataclass equality)."""
     assert rep == ref
     rows, ref_rows = list(rep.pair_rows()), list(ref.pair_rows())
     assert len(rows) == len(ref_rows) == rep.pairs
     for row, ref_row in zip(rows, ref_rows):
-        assert len(row) == len(SURVEY_CSV_HEADER)
+        assert row.count(",") == len(SURVEY_CSV_HEADER) - 1
         assert row == ref_row
 
 
@@ -453,33 +460,61 @@ def test_survey_matches_pairwise_reference(n):
     _assert_same_survey(survey(n), survey_pairwise_reference(n))
 
 
+@pytest.mark.parametrize("n", range(11, 14))
+def test_survey_matches_the_class_loop_reference(n):
+    # the first sizes with trees that tie on (i(T; x), edge splits)
+    _assert_same_survey(survey(n), survey_class_loop_reference(n))
+
+
 def test_survey_rows_are_rebuilt_on_each_call():
     rep = survey(6)
     assert list(rep.pair_rows()) == list(rep.pair_rows())
 
 
-def _patch_payloads(monkeypatch, n, edit):
+def _patch_payloads(monkeypatch, n, edit, ref_edit=None):
     """Make theorems._survey_payload return edit(index, payload) for the
-    index-th tree of enumerate_free_trees(n), in survey and oracle alike."""
+    index-th tree of enumerate_free_trees(n), and _oracles.reference_payload
+    return ref_edit(index, payload) if given.  Both payloads hold the max
+    block at index 4."""
+    import _oracles
     from csftrees import theorems
 
     index = {t.edges: i for i, t in enumerate(enumerate_free_trees(n))}
-    payload = theorems._survey_payload
+    for module, name, fn in (
+        (theorems, "_survey_payload", edit),
+        (_oracles, "reference_payload", ref_edit),
+    ):
+        if fn is not None:
+            real = getattr(module, name)
+            monkeypatch.setattr(
+                module, name, lambda t, real=real, fn=fn: fn(index[t.edges], real(t))
+            )
 
-    def patched(t):
-        return edit(index[t.edges], payload(t))
 
-    monkeypatch.setattr(theorems, "_survey_payload", patched)
+def _patch_terms(monkeypatch, n, fake):
+    """Make theorems._tree_powersum_terms, which the survey and both
+    references call, return fake[index] for the trees of
+    enumerate_free_trees(n) listed in fake."""
+    from csftrees import theorems
+
+    index = {t.edges: i for i, t in enumerate(enumerate_free_trees(n))}
+    real = theorems._tree_powersum_terms
+    monkeypatch.setattr(
+        theorems, "_tree_powersum_terms", lambda t: fake.get(index[t.edges]) or real(t)
+    )
 
 
 def test_survey_reports_a_wrong_max_block_like_the_reference(monkeypatch):
     # the last tree that shares its facts with an earlier one, so a memo keyed
-    # on the facts alone would reuse the earlier tree's checks for it
+    # on the facts alone would reuse the earlier tree's checks for it; its
+    # alpha is raised after the alpha_mis check, in survey and oracle alike
     facts = [tree_facts(t) for t in enumerate_free_trees(9)]
     bad = max(i for i, f in enumerate(facts) if f in facts[:i])
-    _patch_payloads(
-        monkeypatch, 9, lambda i, p: (*p[:4], p[4] + 1) if i == bad else p
-    )
+
+    def edit(i, p):
+        return (*p[:4], p[4] + 1) if i == bad else p
+
+    _patch_payloads(monkeypatch, 9, edit, edit)
     rep, ref = survey(9), survey_pairwise_reference(9)
     assert rep.soundness_violations
     assert all(bad in (v["a"], v["b"]) for v in rep.soundness_violations)
@@ -487,17 +522,51 @@ def test_survey_reports_a_wrong_max_block_like_the_reference(monkeypatch):
     _assert_same_survey(rep, ref)
 
 
+def test_survey_with_every_key_equal_runs_the_dp_on_every_tree(monkeypatch):
+    from csftrees import theorems
+
+    clean = survey(7)
+    _patch_payloads(monkeypatch, 7, lambda i, p: (*p[:3], "one key", p[4]))
+    calls = []
+    real = theorems._tree_powersum_terms
+
+    def counted(t):
+        calls.append(t.edges)
+        return real(t)
+
+    monkeypatch.setattr(theorems, "_tree_powersum_terms", counted)
+    rep = survey(7)
+    assert len(calls) == len(set(calls)) == rep.num_trees == 11
+    assert rep.x_equal_pairs == 0
+    assert survey_report_to_json_dict(rep) == survey_report_to_json_dict(clean)
+    _assert_same_survey(rep, clean)
+    _assert_same_survey(rep, survey_pairwise_reference(7))
+
+
 def test_survey_x_equality_compares_full_terms(monkeypatch):
-    # trees 0 and last get the same p-terms; tree 1 gets terms that differ
-    # from them in one coefficient, -1 -> -2, which hash equal in CPython
-    last = len(enumerate_free_trees(7)) - 1
-    terms = csf_powersum(enumerate_free_trees(7)[0]).terms
-    k = next(k for k, (_, c) in enumerate(terms) if c == -1)
-    twin = terms[:k] + ((terms[k][0], -2),) + terms[k + 1:]
+    # Trees 0 and last get tree 0's p-terms, and the last tree tree 0's
+    # alpha to match them.  Tree 1, whose alpha is tree 0's, gets terms that
+    # differ from them in two coefficients by +-(2^61 - 1): the tuples hash
+    # equal in CPython and the hook coefficients, hence alpha, are unchanged
+    # (neither partition has a part 1, and the two changes cancel in the
+    # coefficient sum).  All three share one key.
+    trees = enumerate_free_trees(7)
+    last = len(trees) - 1
+    alpha = [alpha_mis(t) for t in trees]
+    assert alpha[1] == alpha[0] != alpha[last]
+    terms = csf_powersum(trees[0]).terms
+    big = sys.hash_info.modulus
+    twin = tuple(
+        (parts, c + big if parts == (7,) else c - big if parts == (5, 2) else c)
+        for parts, c in terms
+    )
     assert hash(twin) == hash(terms) and twin != terms
-    fake = {0: terms, 1: twin, last: terms}
+    _patch_terms(monkeypatch, 7, {0: terms, 1: twin, last: terms})
+    key = independence_and_splits(trees[0])
     _patch_payloads(
-        monkeypatch, 7, lambda i, p: (*p[:3], fake[i], p[4]) if i in fake else p
+        monkeypatch,
+        7,
+        lambda i, p: (*p[:3], key, alpha[0]) if i in (0, 1, last) else p,
     )
     rep, ref = survey(7), survey_pairwise_reference(7)
     assert rep.x_equal_pairs == ref.x_equal_pairs == 1
@@ -505,10 +574,54 @@ def test_survey_x_equality_compares_full_terms(monkeypatch):
     assert equal and all((v["a"], v["b"]) == (0, last) for v in equal)
     assert equal == [v for v in ref.soundness_violations if "csf_equal is true" in v["reason"]]
     _assert_same_survey(rep, ref)
-    assert [row[:3] for row in rep.pair_rows() if row[2] == "true"] == [("0", str(last), "true")]
+    _assert_same_survey(rep, survey_class_loop_reference(7))
+    equal_rows = [row.split(",")[:3] for row in rep.pair_rows() if row.split(",")[2] == "true"]
+    assert equal_rows == [["0", str(last), "true"]]
 
 
-@pytest.mark.parametrize("bad", [2, 17, 7.0, True, "7"])
+def test_survey_rejects_an_alpha_that_alpha_mis_contradicts(monkeypatch):
+    from csftrees import theorems
+
+    real = theorems.independence_and_splits
+    star = enumerate_free_trees(7)[-1].edges
+
+    def one_more(t):
+        ind, splits = real(t)
+        return (ind + (1,), splits) if t.edges == star else (ind, splits)
+
+    monkeypatch.setattr(theorems, "independence_and_splits", one_more)
+    with pytest.raises(InternalError, match="deg i\\(T; x\\) = 7 but alpha_mis = 6"):
+        survey(7)
+
+
+def test_survey_rejects_p_terms_whose_max_block_is_not_alpha(monkeypatch):
+    # trees 0 and last tie on the key, and the last gets tree 0's p-terms,
+    # whose hooks give alpha 4 where deg i(T; x) = 6
+    trees = enumerate_free_trees(7)
+    last = len(trees) - 1
+    _patch_terms(monkeypatch, 7, {last: csf_powersum(trees[0]).terms})
+    key = independence_and_splits(trees[0])
+    _patch_payloads(monkeypatch, 7, lambda i, p: (*p[:3], key, p[4]) if i in (0, last) else p)
+    with pytest.raises(InternalError, match=f"tree {last}: max block 4 from the p-terms"):
+        survey(7)
+
+
+def test_survey_rejects_a_verdict_that_depends_on_the_order(monkeypatch):
+    # verdict_counts weighs a class pair by its tree pairs in both orders
+    from csftrees import theorems
+
+    real = theorems._sum_verdict
+
+    def one_sided(f1, f2):
+        v = real(f1, f2)
+        return TheoremVerdict(v.theorem_id, NOT_APPLICABLE) if v.swapped else v
+
+    monkeypatch.setattr(theorems, "_sum_verdict", one_sided)
+    with pytest.raises(InternalError, match="depends on the order of classes"):
+        survey(7)
+
+
+@pytest.mark.parametrize("bad", [2, 19, 7.0, True, "7"])
 def test_survey_rejects_bad_n(bad):
-    with pytest.raises(GraphError, match="survey needs an integer n with 3 <= n <= 16"):
+    with pytest.raises(GraphError, match="survey needs an integer n with 3 <= n <= 18"):
         survey(bad)
