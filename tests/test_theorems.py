@@ -108,7 +108,6 @@ def test_survey_payloads_reuse_the_enumerated_trees(tree_builds):
 
 def test_survey_payload_max_block_is_max_block_from_csf():
     from csftrees import theorems
-    from csftrees.decomposition import independence_and_splits
     from csftrees.symfunc import max_block_from_csf
 
     for n in range(1, 12):
