@@ -39,7 +39,6 @@ _EXPORTS = {
             "gen_spider",
             "gen_star",
             "gen_star_connection",
-            "prufer_tree",
         ),
         "generators",
     ),
@@ -50,7 +49,6 @@ _EXPORTS = {
             "canonical_code",
             "parse_edge_list",
             "serialize",
-            "tree_center",
             "trees_isomorphic",
         ),
         "graphs",
@@ -61,10 +59,8 @@ _EXPORTS = {
             "csf_equal",
             "csf_monomial",
             "csf_powersum",
-            "evaluate_ones",
             "max_block_from_csf",
             "pretty",
-            "symfunc_from_json",
             "symfunc_to_json_dict",
             "to_monomial",
         ),

@@ -27,7 +27,7 @@ import json
 import sys
 
 from .errors import GraphError, InternalError
-from .graphs import Tree, parse_edge_list, serialize, trees_isomorphic
+from .graphs import Tree, parse_edge_list, parse_int, serialize, trees_isomorphic
 from .symfunc import (
     BASIS_POWERSUM,
     csf_equal,
@@ -121,7 +121,7 @@ def _parse_legs(text: str):
     from .generators import SpiderSpec
 
     try:
-        legs = tuple(int(x) for x in text.split(","))
+        legs = tuple(parse_int(x.strip()) for x in text.split(","))
     except ValueError:
         raise GraphError(f"malformed --legs value: {text!r}") from None
     return SpiderSpec(legs)

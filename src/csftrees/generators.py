@@ -12,8 +12,7 @@ it): the center(s) come first, then the legs/stars in spec order.
 
 Free trees are enumerated directly, one center-rooted level sequence per
 tree (the WROM algorithm of Wright, Richmond, Odlyzko & McKay, 1986), and
-sorted by canonical code. The Prüfer decoder lives here too because the test
-suite uses n^(n-2) Prüfer sequences as the enumeration oracle.
+sorted by canonical code.
 
 Caps (CapExceededError): spiders and star connections are built only up to
 BUILD_MAX_VERTICES vertices, checked on the spec before any edge exists;
@@ -22,10 +21,8 @@ enumeration takes n <= ENUM_MAX_N.
 
 from __future__ import annotations
 
-import heapq
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import CapExceededError, GraphError, InternalError
 from .graphs import Tree, _code_from_adj, bfs_order, is_int
@@ -211,30 +208,6 @@ def gen_star_connection(spec: StarConnectionSpec) -> Tree:
     return Tree(nxt, tuple(edges))
 
 
-def prufer_tree(seq) -> Tree:
-    """Decode a Prüfer sequence over 0..n-1 (n = len(seq) + 2)."""
-    seq = tuple(seq)
-    n = len(seq) + 2
-    deg = [1] * n
-    for x in seq:
-        if not is_int(x) or not (0 <= x < n):
-            raise GraphError(f"Prüfer entry {x!r} out of range for n={n}")
-        deg[x] += 1
-    heap = [v for v in range(n) if deg[v] == 1]
-    heapq.heapify(heap)
-    edges = []
-    for x in seq:
-        leaf = heapq.heappop(heap)
-        edges.append((leaf, x))
-        deg[x] -= 1
-        if deg[x] == 1:
-            heapq.heappush(heap, x)
-    u = heapq.heappop(heap)
-    v = heapq.heappop(heap)
-    edges.append((u, v))
-    return Tree(n, tuple(edges))
-
-
 def _free_tree_level_sequences(n: int):
     """One level sequence per free tree on n >= 1 vertices: the WROM order
     (Wright, Richmond, Odlyzko & McKay, SIAM J. Comput. 15, 1986).
@@ -308,7 +281,6 @@ def _edges_and_adj_from_levels(s: list[int]):
     return edges, adj
 
 
-@lru_cache(maxsize=None)
 def _free_tree_edge_sets(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     coded = []
     for s in _free_tree_level_sequences(n):

@@ -15,15 +15,19 @@ surveys rely on.
 
 Edge-list text format: lines "u v"; blank lines and lines starting with '#'
 are ignored; an optional header "n <k>" (first content line) declares the
-vertex count, which allows isolated vertices. Without a header, n is one plus
-the maximum vertex id (0 for an empty file).
+vertex count, which allows isolated vertices. u, v and k are ASCII decimal
+integers (parse_int). Without a header, n is one plus the maximum vertex id
+(0 for an empty file).
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .errors import GraphError
+
+_INT_TOKEN = re.compile(r"-?[0-9]+")
 
 
 def is_int(x) -> bool:
@@ -129,12 +133,12 @@ def is_tree(g: Graph) -> bool:
     return g.n >= 1 and g.num_edges == g.n - 1 and is_connected(g)
 
 
-def relabel(g: Graph, perm) -> Graph:
-    """Apply the vertex relabeling v -> perm[v]; a Tree stays a Tree."""
-    perm = list(perm)
-    if sorted(perm) != list(range(g.n)):
-        raise GraphError("perm must be a permutation of 0..n-1")
-    return type(g)(g.n, tuple((perm[u], perm[v]) for u, v in g.edges))
+def parse_int(token: str) -> int:
+    """The integer an ASCII token -?[0-9]+ spells; ValueError for anything
+    else, such as "+1", "1_0" or non-ASCII digits, which int() accepts."""
+    if _INT_TOKEN.fullmatch(token) is None:
+        raise ValueError(f"not a decimal integer: {token!r}")
+    return int(token)
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -153,7 +157,7 @@ def parse_edge_list(text: str) -> Graph:
             if len(toks) != 2:
                 raise GraphError(f"line {lineno}: malformed header {line!r}")
             try:
-                n_header = int(toks[1])
+                n_header = parse_int(toks[1])
             except ValueError:
                 raise GraphError(f"line {lineno}: malformed header {line!r}") from None
             if n_header < 0:
@@ -164,7 +168,7 @@ def parse_edge_list(text: str) -> Graph:
         if len(toks) != 2:
             raise GraphError(f"line {lineno}: expected 'u v', got {line!r}")
         try:
-            u, v = int(toks[0]), int(toks[1])
+            u, v = parse_int(toks[0]), parse_int(toks[1])
         except ValueError:
             raise GraphError(f"line {lineno}: expected 'u v', got {line!r}") from None
         if u < 0 or v < 0:
@@ -193,12 +197,8 @@ def serialize(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def tree_center(t: Tree) -> tuple[int, ...]:
-    """The 1 or 2 central vertices (sorted), found by peeling leaf layers."""
-    return tuple(_centers(t.n, adjacency(t)))
-
-
 def _centers(n: int, adj: list[list[int]]) -> list[int]:
+    """The 1 or 2 central vertices (sorted), found by peeling leaf layers."""
     if n <= 2:
         return list(range(n))
     deg = [len(a) for a in adj]

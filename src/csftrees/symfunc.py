@@ -51,14 +51,13 @@ order, no zero coefficients stored.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from math import perm
 
 from ._kernels import edge_subset_type_counts, stable_type_counts
-from .errors import CapExceededError, GraphError, InternalError
+from .errors import CapExceededError, GraphError
 from .graphs import Graph, adjacency, bfs_order, is_int, is_tree
-from .partitions import falling_factorial, mult_factorial, partition_keys, partitions_desc
+from .partitions import mult_factorial, partition_keys, partitions_desc
 
 BASIS_MONOMIAL = "m"
 BASIS_POWERSUM = "p"
@@ -94,7 +93,8 @@ class SymmetricFunction:
             parts = tuple(parts)
             if not is_int(coeff):
                 raise GraphError(f"coefficient of {parts} is not an exact integer")
-            _check_integer_parts(parts)
+            if not all(is_int(x) for x in parts):
+                raise GraphError(f"partition {parts} has a non-integer part")
             if any(x < 1 for x in parts):
                 raise GraphError(f"partition {parts} has a non-positive part")
             if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
@@ -108,11 +108,6 @@ class SymmetricFunction:
                 norm.append((parts, coeff))
         norm.sort(key=lambda item: item[0], reverse=True)
         object.__setattr__(self, "terms", tuple(norm))
-
-
-def _check_integer_parts(parts: tuple) -> None:
-    if not all(is_int(x) for x in parts):
-        raise GraphError(f"partition {parts} has a non-integer part")
 
 
 def csf_monomial(g: Graph) -> SymmetricFunction:
@@ -300,23 +295,6 @@ def _hook_max_block(n: int, terms) -> int:
     raise GraphError("not a chromatic symmetric function: every hook coefficient is zero")
 
 
-def evaluate_ones(f: SymmetricFunction, r: int) -> int:
-    """Value at x_1 = ... = x_r = 1, all other variables 0 (exact)."""
-    if not is_int(r) or r < 0:
-        raise GraphError(f"r must be a non-negative integer, got {r!r}")
-    total = 0
-    for parts, coeff in f.terms:
-        length = len(parts)
-        if f.basis == BASIS_POWERSUM:
-            total += coeff * r**length
-        else:
-            ways, rem = divmod(falling_factorial(r, length), mult_factorial(parts))
-            if rem:
-                raise InternalError(f"m{list(parts)} at 1^{r}: non-integral count")
-            total += coeff * ways
-    return total
-
-
 # ------------------------------------------------------------- serialization
 
 def symfunc_to_json_dict(f: SymmetricFunction) -> dict:
@@ -325,24 +303,6 @@ def symfunc_to_json_dict(f: SymmetricFunction) -> dict:
         "basis": f.basis,
         "terms": [{"partition": list(p), "coeff": c} for p, c in f.terms],
     }
-
-
-def symfunc_from_json(text: str) -> SymmetricFunction:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GraphError(f"malformed symmetric function JSON: {exc}") from None
-    try:
-        terms = []
-        for t in data["terms"]:
-            parts = t["partition"]
-            if not isinstance(parts, list):
-                raise GraphError(f"partition {parts!r} is not a list")
-            _check_integer_parts(tuple(parts))
-            terms.append((tuple(parts), t["coeff"]))
-        return SymmetricFunction(data["n"], data["basis"], terms)
-    except (KeyError, TypeError) as exc:
-        raise GraphError(f"malformed symmetric function JSON: {exc}") from None
 
 
 def pretty(f: SymmetricFunction) -> str:

@@ -50,7 +50,7 @@ from .decomposition import (
     padded_levels,
     rho_data,
 )
-from .errors import GraphError, InternalError
+from .errors import CapExceededError, GraphError, InternalError
 from .generators import (
     ENUM_MAX_N,
     Gluing,
@@ -370,7 +370,7 @@ def spider_audit(spec: SpiderSpec) -> tuple[int, int, bool]:
     if not isinstance(spec, SpiderSpec):
         spec = SpiderSpec(tuple(spec))
     if spec.num_vertices > SPIDER_AUDIT_MAX_VERTICES:
-        raise GraphError(
+        raise CapExceededError(
             f"spider audit capped at {SPIDER_AUDIT_MAX_VERTICES} vertices, got {spec.num_vertices}"
         )
     formula = spider_M_formula(spec)
@@ -608,8 +608,11 @@ def survey(n: int) -> SurveyReport:
     Everything runs in one process, so the report depends on n alone.  The
     per-pair CSV rows are not stored: the report's pair_rows() rebuilds
     them from the class pairs' cells and the X-equal groups when called."""
-    if not is_int(n) or not 3 <= n <= ENUM_MAX_N:
-        raise GraphError(f"survey needs an integer n with 3 <= n <= {ENUM_MAX_N}")
+    bad_n = f"survey needs an integer n with 3 <= n <= {ENUM_MAX_N}"
+    if not is_int(n) or n < 3:
+        raise GraphError(bad_n)
+    if n > ENUM_MAX_N:
+        raise CapExceededError(bad_n)
     trees = enumerate_free_trees(n)
     num = len(trees)
     chain_viol = []

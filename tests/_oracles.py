@@ -7,6 +7,7 @@ the tests lean on these being independent of the package internals."""
 from __future__ import annotations
 
 import collections
+import heapq
 import itertools
 import math
 import random
@@ -17,9 +18,61 @@ from csftrees._kernels import stable_type_counts
 from csftrees.decomposition import LeafDecomposition
 from csftrees.errors import GraphError
 from csftrees.generators import Gluing, StarConnectionSpec, enumerate_free_trees
-from csftrees.graphs import Graph, _code_from_adj
-from csftrees.partitions import partitions_desc
-from csftrees.symfunc import SymmetricFunction
+from csftrees.graphs import Graph, Tree, _code_from_adj, is_int
+from csftrees.partitions import mult_factorial, partitions_desc
+from csftrees.symfunc import BASIS_POWERSUM, SymmetricFunction
+
+
+def relabel(g: Graph, perm) -> Graph:
+    """Apply the vertex relabeling v -> perm[v]; a Tree stays a Tree."""
+    perm = list(perm)
+    if sorted(perm) != list(range(g.n)):
+        raise GraphError("perm must be a permutation of 0..n-1")
+    return type(g)(g.n, tuple((perm[u], perm[v]) for u, v in g.edges))
+
+
+def prufer_tree(seq) -> Tree:
+    """Decode a Prüfer sequence over 0..n-1 (n = len(seq) + 2); the n^(n-2)
+    sequences give every labeled tree once."""
+    seq = tuple(seq)
+    n = len(seq) + 2
+    deg = [1] * n
+    for x in seq:
+        if not is_int(x) or not (0 <= x < n):
+            raise GraphError(f"Prüfer entry {x!r} out of range for n={n}")
+        deg[x] += 1
+    heap = [v for v in range(n) if deg[v] == 1]
+    heapq.heapify(heap)
+    edges = []
+    for x in seq:
+        leaf = heapq.heappop(heap)
+        edges.append((leaf, x))
+        deg[x] -= 1
+        if deg[x] == 1:
+            heapq.heappush(heap, x)
+    u = heapq.heappop(heap)
+    v = heapq.heappop(heap)
+    edges.append((u, v))
+    return Tree(n, tuple(edges))
+
+
+def evaluate_ones(f: SymmetricFunction, r: int) -> int:
+    """Value at x_1 = ... = x_r = 1, all other variables 0 (exact): r^len
+    for p_lambda, and for m_lambda the distinct arrangements of lambda's
+    parts in r slots, perm(r, len) / prod m_i(lambda)!."""
+    if not is_int(r) or r < 0:
+        raise GraphError(f"r must be a non-negative integer, got {r!r}")
+    total = 0
+    for parts, coeff in f.terms:
+        length = len(parts)
+        if f.basis == BASIS_POWERSUM:
+            total += coeff * r**length
+        else:
+            ways, rem = divmod(math.perm(r, length), mult_factorial(parts))
+            if rem:
+                raise AssertionError(f"m{list(parts)} at 1^{r}: non-integral count")
+            total += coeff * ways
+    return total
 
 
 def mis_bruteforce(g: Graph) -> int:

@@ -15,6 +15,8 @@ from _oracles import (
     alpha_from_decomposition,
     mis_bruteforce,
     monomial_by_stable_partitions,
+    evaluate_ones,
+    prufer_tree,
     random_star_spec,
     star_connection_M,
 )
@@ -26,14 +28,12 @@ from csftrees.generators import (
     enumerate_free_trees,
     gen_spider,
     gen_star_connection,
-    prufer_tree,
 )
 from csftrees.graphs import canonical_code
 from csftrees.partitions import partitions_desc
 from csftrees.symfunc import (
     csf_equal,
     csf_monomial,
-    evaluate_ones,
     max_block_from_csf,
 )
 from csftrees.theorems import (

@@ -4,9 +4,11 @@ import importlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -411,6 +413,10 @@ def test_spider_bad_legs(capsys):
     assert main(["spider", "--legs", "2,x,2"]) == 1
     assert "malformed --legs" in capsys.readouterr().err
     assert main(["spider", "--legs", "2,2"]) == 1  # fewer than 3 legs
+    for legs in ("2,2,2_0", "2,+2,2", "2,2,\u0662"):
+        assert main(["spider", "--legs", legs]) == 1
+        assert "malformed --legs" in capsys.readouterr().err
+    assert main(["spider", "--legs", " 2, 2 ,2 "]) == 0
 
 
 def test_starconn_build(tmp_path, capsys):
@@ -533,11 +539,20 @@ def test_compute_on_a_graph_with_cycles_does_not_load_numpy(tmp_path):
 def test_package_exports_are_the_submodules_objects(monkeypatch):
     """csftrees loads its public names on demand: each is the defining
     submodule's object, looked up afresh (a patch in the submodule shows),
-    dir() lists them, and an unknown name is an AttributeError."""
+    dir() lists them, and an unknown name is an AttributeError.  Every
+    public name has a user: another module of the package, or README.md,
+    which names it for library users."""
     assert len(set(csftrees.__all__)) == len(csftrees.__all__) > 0
+    package = Path(csftrees.__file__).parent
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in package.glob("*.py")}
+    readme = (package.parents[1] / "README.md").read_text(encoding="utf-8")
     for name in csftrees.__all__:
-        module = importlib.import_module(f"csftrees.{csftrees._EXPORTS[name]}")
+        defining = csftrees._EXPORTS[name]
+        module = importlib.import_module(f"csftrees.{defining}")
         assert getattr(csftrees, name) is getattr(module, name)
+        users = [text for stem, text in sources.items() if stem not in ("__init__", defining)]
+        word = re.compile(rf"\b{name}\b")
+        assert any(word.search(text) for text in [readme, *users]), f"{name} has no user"
     assert set(csftrees.__all__) <= set(dir(csftrees))
     assert "__version__" in dir(csftrees)
     monkeypatch.setattr(symfunc, "csf_powersum", lambda g: None)

@@ -8,6 +8,7 @@ from _oracles import (
     edge_splits_bruteforce,
     independent_set_counts_bruteforce,
     mis_bruteforce,
+    relabel,
     rho_path_bruteforce,
 )
 from csftrees.decomposition import (
@@ -30,7 +31,7 @@ from csftrees.generators import (
     gen_star,
     gen_star_connection,
 )
-from csftrees.graphs import Graph, Tree, degrees, relabel
+from csftrees.graphs import Graph, Tree, degrees
 from csftrees.symfunc import _hook_max_block, _tree_powersum_terms
 
 

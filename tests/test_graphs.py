@@ -4,20 +4,20 @@ import random
 
 import pytest
 
+from _oracles import prufer_tree, relabel
 from csftrees.errors import GraphError
-from csftrees.generators import enumerate_free_trees, gen_path, gen_star, prufer_tree
+from csftrees.generators import enumerate_free_trees, gen_path, gen_star
 from csftrees.graphs import (
     Graph,
     Tree,
+    _centers,
     adjacency,
     canonical_code,
     bfs_order,
     degrees,
     is_connected,
     parse_edge_list,
-    relabel,
     serialize,
-    tree_center,
     trees_isomorphic,
 )
 
@@ -122,6 +122,11 @@ def test_parse_edge_list_no_header_infers_n():
         ("2 2\n", "loop"),
         ("0 1\n1 0\n", "duplicate"),
         ("n 2\n0 5\n", "declared n"),
+        ("0 \u0661\n", "expected 'u v'"),
+        ("0 1_0\n", "expected 'u v'"),
+        ("+0 1\n", "expected 'u v'"),
+        ("n \uff13\n0 1\n", "malformed header"),
+        ("n +3\n0 1\n", "malformed header"),
     ],
 )
 def test_parse_edge_list_rejects(text, msg):
@@ -144,11 +149,14 @@ def test_serialize_roundtrip():
 
 
 def test_tree_center():
-    assert tree_center(gen_path(5)) == (2,)
-    assert tree_center(gen_path(4)) == (1, 2)
-    assert tree_center(gen_star(6)) == (0,)
-    assert tree_center(gen_path(1)) == (0,)
-    assert tree_center(gen_path(2)) == (0, 1)
+    for t, centers in [
+        (gen_path(5), [2]),
+        (gen_path(4), [1, 2]),
+        (gen_star(6), [0]),
+        (gen_path(1), [0]),
+        (gen_path(2), [0, 1]),
+    ]:
+        assert _centers(t.n, adjacency(t)) == centers
 
 
 def test_canonical_code_relabeling_invariant():

@@ -7,12 +7,13 @@ import pytest
 from _oracles import (
     mis_bruteforce,
     random_star_spec,
+    relabel,
     star_connection_M,
     survey_class_loop_reference,
     survey_pairwise_reference,
 )
 from csftrees.decomposition import alpha_mis, independence_and_splits, leaf_decomposition
-from csftrees.errors import GraphError, InternalError
+from csftrees.errors import CapExceededError, GraphError, InternalError
 from csftrees.generators import (
     Gluing,
     SpiderSpec,
@@ -23,7 +24,7 @@ from csftrees.generators import (
     gen_star,
     gen_star_connection,
 )
-from csftrees.graphs import Tree, relabel
+from csftrees.graphs import Tree
 from csftrees.symfunc import csf_equal, csf_powersum
 from csftrees.theorems import (
     APPLICABLE,
@@ -369,7 +370,7 @@ def test_spider_audit_oracle_agreement():
 
 
 def test_spider_audit_cap():
-    with pytest.raises(GraphError, match="spider audit capped at 24 vertices, got 26"):
+    with pytest.raises(CapExceededError, match="spider audit capped at 24 vertices, got 26"):
         spider_audit((12, 12, 1))
 
 
@@ -622,5 +623,8 @@ def test_survey_rejects_a_verdict_that_depends_on_the_order(monkeypatch):
 
 @pytest.mark.parametrize("bad", [2, 19, 7.0, True, "7"])
 def test_survey_rejects_bad_n(bad):
-    with pytest.raises(GraphError, match="survey needs an integer n with 3 <= n <= 18"):
+    # only n above the enumeration cap is a cap; the rest is malformed input
+    expected = CapExceededError if bad == 19 else GraphError
+    with pytest.raises(GraphError, match="survey needs an integer n with 3 <= n <= 18") as exc:
         survey(bad)
+    assert exc.type is expected
