@@ -15,9 +15,11 @@ check failed: ..." line on stderr).  Output is exact-integer JSON (or
 edge-list text) and is byte-identical for identical inputs.  survey runs in
 one process; its --jobs option is still accepted and has no effect.
 
-Start-up is part of every request, so this module imports only what
-compute needs; each other handler imports the theorems, generators or
-decomposition names it uses.
+Start-up is part of every request, so this module imports only errors
+and graphs, and each handler imports what it runs: compute and compare
+the CSF engine (symfunc), survey the theorems module, which loads the
+engine only when two trees tie on its exact invariants (never for
+n <= 10).  Integer options take ASCII decimals only (parse_int).
 """
 
 from __future__ import annotations
@@ -28,13 +30,6 @@ import sys
 
 from .errors import GraphError, InternalError
 from .graphs import Tree, parse_edge_list, parse_int, serialize, trees_isomorphic
-from .symfunc import (
-    BASIS_POWERSUM,
-    csf_equal,
-    csf_monomial,
-    csf_powersum,
-    symfunc_to_json_dict,
-)
 
 
 def _read(path: str) -> str:
@@ -60,6 +55,8 @@ def _read_tree(path: str) -> Tree:
 
 
 def _cmd_compute(args) -> int:
+    from .symfunc import BASIS_POWERSUM, csf_monomial, csf_powersum, symfunc_to_json_dict
+
     g = parse_edge_list(_read(args.input))
     f = csf_powersum(g) if args.basis == BASIS_POWERSUM else csf_monomial(g)
     _emit_json(symfunc_to_json_dict(f), args.out)
@@ -75,6 +72,8 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    from .symfunc import csf_equal
+
     ta = _read_tree(args.a)
     tb = _read_tree(args.b)
     report = {
@@ -183,6 +182,16 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
+def _int_arg(text: str) -> int:
+    """argparse type of the integer options: parse_int after stripping the
+    whitespace int() allows, so "1_0", "+10" and non-ASCII digits are usage
+    errors with argparse's own message."""
+    try:
+        return parse_int(text.strip())
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="csf",
@@ -209,8 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("survey", help="pairwise survey over all trees on n vertices")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--jobs", type=int, help="accepted for compatibility; has no effect")
+    p.add_argument("--n", type=_int_arg, required=True)
+    p.add_argument("--jobs", type=_int_arg, help="accepted for compatibility; has no effect")
     p.add_argument("--out", help="write JSON here instead of stdout")
     p.add_argument("--csv", help="also write the per-pair CSV here")
     p.set_defaults(func=_cmd_survey)
@@ -226,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_starconn)
 
     p = sub.add_parser("enumerate", help="all non-isomorphic trees on n vertices")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_arg, required=True)
     p.add_argument("--count-only", action="store_true")
     p.set_defaults(func=_cmd_enumerate)
 

@@ -33,32 +33,37 @@ degree of i(T; x) is alpha(T), which alpha_mis computes independently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import GraphError
-from .graphs import Graph, Tree, adjacency, bfs_order
+from .graphs import Graph, Record, Tree, adjacency, bfs_order
 
 
-@dataclass(frozen=True)
-class LeafLevel:
-    b: int
-    eta: int
-    leaf_vertices: tuple[int, ...]
-    neighbor_vertices: tuple[int, ...]
+class LeafLevel(Record):
+    __slots__ = ("b", "eta", "leaf_vertices", "neighbor_vertices")
+
+    def __init__(
+        self, b: int, eta: int, leaf_vertices: tuple[int, ...], neighbor_vertices: tuple[int, ...]
+    ) -> None:
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "eta", eta)
+        object.__setattr__(self, "leaf_vertices", leaf_vertices)
+        object.__setattr__(self, "neighbor_vertices", neighbor_vertices)
 
 
-@dataclass(frozen=True)
-class LeafDecomposition:
-    levels: tuple[LeafLevel, ...]
-    terminal_alpha: int
+class LeafDecomposition(Record):
+    __slots__ = ("levels", "terminal_alpha")
+
+    def __init__(self, levels: tuple[LeafLevel, ...], terminal_alpha: int) -> None:
+        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "terminal_alpha", terminal_alpha)
 
     def level_counts(self) -> tuple[tuple[int, int], ...]:
         return tuple((lvl.b, lvl.eta) for lvl in self.levels)
 
 
-def leaf_decomposition(t: Tree) -> LeafDecomposition:
+def leaf_decomposition(t: Tree, adj: list[list[int]] | None = None) -> LeafDecomposition:
+    """The levels of t; pass adj = adjacency(t) if already built."""
     n = t.n
-    adjsets = [set(a) for a in adjacency(t)]
+    adjsets = [set(a) for a in adj or adjacency(t)]
     alive = set(range(n))
     levels: list[LeafLevel] = []
     terminal_alpha = 0
@@ -104,11 +109,13 @@ def padded_levels(s1, s2) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]
     return list(s1) + [(0, 0)] * (r - len(s1)), list(s2) + [(0, 0)] * (r - len(s2))
 
 
-@dataclass(frozen=True)
-class RhoData:
-    rho: int
-    rho_vertices: tuple[int, ...]
-    is_path: bool
+class RhoData(Record):
+    __slots__ = ("rho", "rho_vertices", "is_path")
+
+    def __init__(self, rho: int, rho_vertices: tuple[int, ...], is_path: bool) -> None:
+        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "rho_vertices", rho_vertices)
+        object.__setattr__(self, "is_path", is_path)
 
 
 def rho_data(t: Tree, d: LeafDecomposition | None = None) -> RhoData:
@@ -132,13 +139,14 @@ def rho_data(t: Tree, d: LeafDecomposition | None = None) -> RhoData:
     return RhoData(rho, tuple(rest), path)
 
 
-def alpha_mis(g: Graph) -> int:
-    """Independence number of a forest by include/exclude DP per component.
+def alpha_mis(g: Graph, adj: list[list[int]] | None = None) -> int:
+    """Independence number of a forest by include/exclude DP per component;
+    pass adj = adjacency(g) if already built.
 
     A simple graph is a forest iff |E| = n - #components; the components
     are counted by the same traversal that orders the DP."""
     n = g.n
-    adj = adjacency(g)
+    adj = adj or adjacency(g)
     parent = [-1] * n
     orders = [bfs_order(adj, root, parent) for root in range(n) if parent[root] == -1]
     if g.num_edges != n - len(orders):
@@ -158,10 +166,12 @@ def alpha_mis(g: Graph) -> int:
     return total
 
 
-def independence_and_splits(t: Tree) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def independence_and_splits(
+    t: Tree, adj: list[list[int]] | None = None
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(i_0, i_1, ..., i_alpha), where i_k counts the independent k-sets of
     t, and the sizes min(s, n - s) of the smaller side of every edge,
-    ascending.
+    ascending; pass adj = adjacency(t) if already built.
 
     Rooted at vertex 0, each vertex keeps two polynomials of its subtree:
     `take` over the independent sets that contain it (x times the product of
@@ -172,7 +182,7 @@ def independence_and_splits(t: Tree) -> tuple[tuple[int, ...], tuple[int, ...]]:
     field.  Removing the edge above a vertex leaves its subtree on one
     side."""
     n = t.n
-    adj = adjacency(t)
+    adj = adj or adjacency(t)
     parent = [-1] * n
     order = bfs_order(adj, 0, parent)
     x = 1 << n

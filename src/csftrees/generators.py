@@ -22,10 +22,9 @@ enumeration takes n <= ENUM_MAX_N.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .errors import CapExceededError, GraphError, InternalError
-from .graphs import Tree, _code_from_adj, bfs_order, is_int
+from .graphs import Record, Tree, _code_from_adj, bfs_order, is_int
 
 ENUM_MAX_N = 18
 BUILD_MAX_VERTICES = 10_000
@@ -43,11 +42,10 @@ def gen_star(n: int) -> Tree:
     return Tree(n, tuple((0, i) for i in range(1, n)))
 
 
-@dataclass(frozen=True)
-class SpiderSpec:
+class SpiderSpec(Record):
     """Leg lengths (in edges) of a spider; at least 3 legs, each of length >= 1."""
 
-    legs: tuple[int, ...]
+    __slots__ = ("legs",)
 
     def __post_init__(self) -> None:
         legs = tuple(self.legs)
@@ -80,11 +78,10 @@ def gen_spider(spec: SpiderSpec) -> Tree:
     return Tree(nxt, tuple(edges))
 
 
-@dataclass(frozen=True)
-class Gluing:
+class Gluing(Record):
     """One shared non-center vertex: the stars meeting there (>= 2 of them)."""
 
-    stars: tuple[int, ...]
+    __slots__ = ("stars",)
 
     def __post_init__(self) -> None:
         stars = tuple(self.stars)
@@ -98,14 +95,12 @@ class Gluing:
             raise GraphError(f"gluing lists a star twice: {stars}")
 
 
-@dataclass(frozen=True)
-class StarConnectionSpec:
+class StarConnectionSpec(Record):
     """Stars S_{n_1},...,S_{n_r} (each n_k >= 3, r >= 2) glued at shared
     non-center vertices. Each gluing takes one of the n_k - 1 leaves of each
     member star."""
 
-    star_sizes: tuple[int, ...]
-    gluings: tuple[Gluing, ...]
+    __slots__ = ("star_sizes", "gluings")
 
     def __post_init__(self) -> None:
         sizes = tuple(self.star_sizes)

@@ -4,7 +4,7 @@ Vertices are dense integers 0..n-1. A Graph is immutable: edges are stored as
 a sorted tuple of (u, v) pairs with u < v, so equal graphs compare and hash
 equal and every downstream computation is deterministic. A Tree is a Graph
 with no field of its own: Tree(n, edges) runs Graph's checks and then
-requires n >= 1, n - 1 edges and one component. Dataclass equality also
+requires n >= 1, n - 1 edges and one component. Record equality also
 compares the class, so a Tree never equals a Graph with the same edges.
 
 Canonical form for trees is the AHU parenthesis code rooted at the tree's
@@ -23,7 +23,7 @@ integers (parse_int). Without a header, n is one plus the maximum vertex id
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from operator import attrgetter
 
 from .errors import GraphError
 
@@ -35,12 +35,78 @@ def is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-@dataclass(frozen=True)
-class Graph:
+class Record:
+    """Base of the package's immutable value types.
+
+    A subclass names its fields in ``__slots__``; ``_fields`` lists them,
+    its bases' fields first.  Instances are frozen (assignment raises
+    AttributeError), equal when their class and their fields outside
+    ``_hidden`` are, hash like those fields and print as
+    ``Class(field=value, ...)`` without the hidden ones.  The inherited
+    ``__init__`` takes every field, by position or keyword, then calls
+    ``__post_init__``; a class with defaults, or one built in a hot loop,
+    defines its own ``__init__`` and sets its fields with
+    ``object.__setattr__``."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _hidden: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = cls._fields + tuple(cls.__dict__.get("__slots__", ()))
+        cls._shown = tuple(f for f in cls._fields if f not in cls._hidden)
+        # one C call reads the compared fields (a bare value for one field)
+        cls._key = staticmethod(attrgetter(*cls._shown))
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields = self._fields
+        values = dict(zip(fields, args))
+        for name, value in kwargs.items():
+            if name not in fields or name in values:
+                raise TypeError(f"{type(self).__name__}: unexpected or repeated field {name!r}")
+            values[name] = value
+        if len(args) > len(fields) or len(values) < len(fields):
+            raise TypeError(f"{type(self).__name__} takes the fields {fields}")
+        for name in fields:
+            object.__setattr__(self, name, values[name])
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a frozen {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a frozen {type(self).__name__}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._key
+        return key(self) == key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._shown)
+        return f"{type(self).__name__}({shown})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, not __setattr__
+        return type(self), tuple(getattr(self, f) for f in self._fields)
+
+
+class Graph(Record):
     """Simple undirected graph on vertices 0..n-1; edges normalized and sorted."""
 
-    n: int
-    edges: tuple[tuple[int, int], ...] = ()
+    __slots__ = ("n", "edges")
+
+    def __init__(self, n: int, edges: tuple[tuple[int, int], ...] = ()) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", edges)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if not is_int(self.n) or self.n < 0:
@@ -70,9 +136,10 @@ class Graph:
         return len(self.edges)
 
 
-@dataclass(frozen=True)
 class Tree(Graph):
     """A connected acyclic Graph: Graph's checks run first, then the tree's."""
+
+    __slots__ = ()
 
     def __post_init__(self) -> None:
         super().__post_init__()

@@ -51,12 +51,11 @@ order, no zero coefficients stored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import perm
 
 from ._kernels import edge_subset_type_counts, stable_type_counts
 from .errors import CapExceededError, GraphError
-from .graphs import Graph, adjacency, bfs_order, is_int, is_tree
+from .graphs import Graph, Record, adjacency, bfs_order, is_int, is_tree
 from .partitions import mult_factorial, partition_keys, partitions_desc
 
 BASIS_MONOMIAL = "m"
@@ -68,8 +67,7 @@ CSF_POWERSUM_MAX_EDGES = 24
 CSF_POWERSUM_MAX_N = CSF_POWERSUM_MAX_EDGES + 1
 
 
-@dataclass(frozen=True)
-class SymmetricFunction:
+class SymmetricFunction(Record):
     """Weight-n symmetric function in one of the supported bases.
 
     terms is normalized on construction: tuple of (partition, coeff) pairs in
@@ -77,9 +75,15 @@ class SymmetricFunction:
     A dict is accepted for convenience.
     """
 
-    n: int
-    basis: str
-    terms: tuple[tuple[tuple[int, ...], int], ...] = field(default=())
+    __slots__ = ("n", "basis", "terms")
+
+    def __init__(
+        self, n: int, basis: str, terms: tuple[tuple[tuple[int, ...], int], ...] = ()
+    ) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "terms", terms)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.basis not in _BASES:

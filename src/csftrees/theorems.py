@@ -36,9 +36,7 @@ Two known weaknesses are handled explicitly rather than papered over:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Callable, Iterator
 
 from .decomposition import (
     LeafDecomposition,
@@ -60,9 +58,8 @@ from .generators import (
     gen_spider,
     gen_star_connection,
 )
-from .graphs import Tree, canonical_code, degrees, is_int, trees_isomorphic
+from .graphs import Record, Tree, adjacency, canonical_code, degrees, is_int, trees_isomorphic
 from .partitions import partitions_desc
-from .symfunc import _hook_max_block, _tree_powersum_terms
 
 LEAVES_RHO = "LEAVES_RHO"
 COMPONENTWISE = "COMPONENTWISE"
@@ -75,15 +72,26 @@ NOT_APPLICABLE = "NotApplicable"
 SPIDER_AUDIT_MAX_VERTICES = 24
 
 
-@dataclass(frozen=True)
-class TheoremVerdict:
-    theorem_id: str
-    status: str
-    case_id: int | None = None
-    m1: int | None = None
-    m2: int | None = None
-    swapped: bool = False
-    detail: str = ""
+class TheoremVerdict(Record):
+    __slots__ = ("theorem_id", "status", "case_id", "m1", "m2", "swapped", "detail")
+
+    def __init__(
+        self,
+        theorem_id: str,
+        status: str,
+        case_id: int | None = None,
+        m1: int | None = None,
+        m2: int | None = None,
+        swapped: bool = False,
+        detail: str = "",
+    ) -> None:
+        object.__setattr__(self, "theorem_id", theorem_id)
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "case_id", case_id)
+        object.__setattr__(self, "m1", m1)
+        object.__setattr__(self, "m2", m2)
+        object.__setattr__(self, "swapped", swapped)
+        object.__setattr__(self, "detail", detail)
 
 
 def verdict_to_json_dict(v: TheoremVerdict) -> dict:
@@ -98,14 +106,18 @@ def verdict_to_json_dict(v: TheoremVerdict) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class TreeFacts:
+class TreeFacts(Record):
     """Everything the pairwise checkers need to know about one tree."""
 
-    n: int
-    levels: tuple[tuple[int, int], ...]
-    rho: int
-    is_path: bool
+    __slots__ = ("n", "levels", "rho", "is_path")
+
+    def __init__(
+        self, n: int, levels: tuple[tuple[int, int], ...], rho: int, is_path: bool
+    ) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "is_path", is_path)
 
 
 def tree_facts(t: Tree, d: LeafDecomposition | None = None) -> TreeFacts:
@@ -380,21 +392,25 @@ def spider_audit(spec: SpiderSpec) -> tuple[int, int, bool]:
 
 
 
-@dataclass(frozen=True)
-class SurveyReport:
-    n: int
-    num_trees: int
-    pairs: int
-    x_equal_pairs: int
-    skipped_pairs: int
-    soundness_violations: tuple[dict, ...]
-    verdict_counts: dict
-    chain_audit_violations: tuple[dict, ...]
-    spider_audit: tuple[dict, ...]
-    star_audit: tuple[dict, ...]
-    # pair_rows() yields the CSV lines (SURVEY_CSV_HEADER columns, no line
-    # terminator), one per pair in (a, b) order, each built only when read.
-    pair_rows: Callable[[], Iterator[str]] = field(compare=False, repr=False)
+class SurveyReport(Record):
+    """What survey(n) found.  pair_rows() yields the CSV lines
+    (SURVEY_CSV_HEADER columns, no line terminator), one per pair in (a, b)
+    order, each built only when read; it is left out of equality and repr."""
+
+    __slots__ = (
+        "n",
+        "num_trees",
+        "pairs",
+        "x_equal_pairs",
+        "skipped_pairs",
+        "soundness_violations",
+        "verdict_counts",
+        "chain_audit_violations",
+        "spider_audit",
+        "star_audit",
+        "pair_rows",
+    )
+    _hidden = ("pair_rows",)
 
 
 def survey_report_to_json_dict(rep: SurveyReport) -> dict:
@@ -464,11 +480,13 @@ def _verdict_suffix(lv, cw, sm) -> str:
 def _survey_payload(t: Tree):
     """Per-tree work unit: decomposition facts, the chain data, the exact
     X-invariant key (i(T; x), edge splits) and alpha = deg i(T; x), which
-    must equal alpha_mis."""
-    d = leaf_decomposition(t)
-    key = independence_and_splits(t)
+    must equal alpha_mis.  The three walks share one set of adjacency
+    lists; alpha_mis stays an independent algorithm."""
+    adj = adjacency(t)
+    d = leaf_decomposition(t, adj)
+    key = independence_and_splits(t, adj)
     alpha = len(key[0]) - 1
-    mis = alpha_mis(t)
+    mis = alpha_mis(t, adj)
     if alpha != mis:
         raise InternalError(f"deg i(T; x) = {alpha} but alpha_mis = {mis} for edges {t.edges}")
     return tree_facts(t, d), chain_sequence(d), chain_holds(d), key, alpha
@@ -555,11 +573,14 @@ def _x_equal_groups(trees: list[Tree], by_key: dict, alpha: list[int]) -> list[l
     different X, so the tree DP runs only in buckets of two or more trees;
     there the full p-terms decide (a dict keyed by the terms, so a hash
     never decides alone), and the max block read from their hooks must
-    equal alpha."""
+    equal alpha.  The CSF engine is imported only for such a bucket: no
+    two trees tie for n <= 10."""
     groups = []
     for members in by_key.values():
         if len(members) < 2:
             continue
+        from .symfunc import _hook_max_block, _tree_powersum_terms
+
         by_terms: dict[tuple, list[int]] = {}
         for i in members:
             t = trees[i]
@@ -687,7 +708,7 @@ def survey(n: int) -> SurveyReport:
 
     suffix = [entry and entry[0] for entry in memo]
 
-    def pair_rows() -> Iterator[str]:
+    def pair_rows():
         for i in range(num):
             xi, base = x_id[i], cls[i] * k
             cells = suffix[base : base + k]

@@ -13,7 +13,7 @@ import math
 import random
 from functools import lru_cache
 
-from csftrees import theorems
+from csftrees import symfunc, theorems
 from csftrees._kernels import stable_type_counts
 from csftrees.decomposition import LeafDecomposition
 from csftrees.errors import GraphError
@@ -405,16 +405,17 @@ def _csv_cell(x) -> str:
 def reference_payload(t: Graph):
     """The survey's per-tree unit without the invariant prefilter: facts,
     chain data, the full p-terms of the tree DP and the max block read from
-    their hook coefficients, all looked up on the theorems module at call
-    time."""
+    their hook coefficients, all looked up at call time: the tree DP and
+    the hooks on the symfunc module, where survey finds them too, the rest
+    on the theorems module."""
     d = theorems.leaf_decomposition(t)
-    terms = theorems._tree_powersum_terms(t)
+    terms = symfunc._tree_powersum_terms(t)
     return (
         theorems.tree_facts(t, d),
         theorems.chain_sequence(d),
         theorems.chain_holds(d),
         terms,
-        theorems._hook_max_block(t.n, terms),
+        symfunc._hook_max_block(t.n, terms),
     )
 
 

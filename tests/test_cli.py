@@ -104,7 +104,7 @@ def test_internal_error_exits_3(tmp_path, capsys, monkeypatch):
     def broken(g):
         raise InternalError("invariant broken")
 
-    monkeypatch.setattr(cli, "csf_powersum", broken)
+    monkeypatch.setattr(symfunc, "csf_powersum", broken)
     path = _write(tmp_path, "p3.txt", P3)
     assert main(["compute", "--input", path, "--basis", "p"]) == 3
     assert capsys.readouterr().err == "error: internal check failed: invariant broken\n"
@@ -501,28 +501,57 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
-# What a compute request loads: the CLI, the three modules it imports and
-# theirs. numpy and the modules of the other subcommands stay out.
-COMPUTE_MODULES = ["csftrees", "csftrees._kernels", "csftrees.cli", "csftrees.errors",
-                   "csftrees.graphs", "csftrees.partitions", "csftrees.symfunc"]
-_LOADED = ("import json, sys; print(json.dumps(sorted(m for m in sys.modules "
-           "if m == 'numpy' or m.split('.')[0] == 'csftrees')))")
+
+@pytest.mark.parametrize("value", ["1_0", "+10", "\uff11\uff10", "abc"])
+@pytest.mark.parametrize(
+    "argv",
+    [["survey", "--n", "{}"], ["survey", "--n", "4", "--jobs", "{}"], ["enumerate", "--n", "{}"]],
+)
+def test_integer_options_take_ascii_decimals_only(capsys, argv, value):
+    """--n and --jobs spell their integer as parse_int does; int() would
+    take 1_0, +10 and full-width digits.  The rejection is argparse's."""
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(value) for arg in argv])
+    assert exc.value.code == 2
+    option = argv[-2]
+    assert capsys.readouterr().err.endswith(
+        f"error: argument {option}: invalid int value: {value!r}\n"
+    )
+
+
+def test_integer_options_allow_surrounding_whitespace(capsys):
+    assert main(["enumerate", "--n", " 7 ", "--count-only"]) == 0
+    assert capsys.readouterr().out == "11\n"
+
+# What each request loads of the package, and nothing else worth watching:
+# numpy and dataclasses stay out of every request, and only compute (and
+# compare) load the CSF engine, symfunc and _kernels.
+CLI_MODULES = ["csftrees", "csftrees.cli", "csftrees.errors", "csftrees.graphs"]
+COMPUTE_MODULES = sorted(CLI_MODULES + ["csftrees._kernels", "csftrees.partitions",
+                                        "csftrees.symfunc"])
+SURVEY_MODULES = sorted(CLI_MODULES + ["csftrees.decomposition", "csftrees.generators",
+                                       "csftrees.partitions", "csftrees.theorems"])
+_WATCHED = ("numpy", "dataclasses")
 
 
 def _fresh_python(code: str) -> list[str]:
     """Run code in a new interpreter that imports csftrees from this tree;
-    return the list its last stdout line prints."""
+    return the sorted csftrees modules it loaded, and any of _WATCHED that
+    it loaded beyond what the interpreter's own start-up did."""
     src = os.path.dirname(os.path.dirname(csftrees.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+    wrapped = (f"import json, sys\nbefore = set(sys.modules)\n{code}\n"
+               f"print(json.dumps(sorted(m for m in set(sys.modules) - before "
+               f"if m in {_WATCHED!r} or m.split('.')[0] == 'csftrees')))")
+    out = subprocess.run([sys.executable, "-c", wrapped], env=dict(os.environ, PYTHONPATH=path),
                          capture_output=True, text=True, check=True)
     return json.loads(out.stdout.splitlines()[-1])
 
 
 def test_cli_import_does_not_load_numpy():
-    """Start-up stays light: importing the CLI loads neither numpy nor the
-    theorems, generators and decomposition modules."""
-    assert _fresh_python("import csftrees.cli; " + _LOADED) == COMPUTE_MODULES
+    """Start-up stays light: importing the CLI loads neither numpy nor
+    dataclasses, nor the modules of any subcommand."""
+    assert _fresh_python("import csftrees.cli") == CLI_MODULES
 
 
 def test_compute_on_a_graph_with_cycles_does_not_load_numpy(tmp_path):
@@ -531,9 +560,17 @@ def test_compute_on_a_graph_with_cycles_does_not_load_numpy(tmp_path):
     path = _write(tmp_path, "graph12.txt", COMPUTE_INPUTS["graph12"])
     code = (f"from csftrees import cli\n"
             f"for basis in 'pm':\n"
-            f"    assert cli.main(['compute', '--input', {path!r}, '--basis', basis]) == 0\n"
-            + _LOADED)
+            f"    assert cli.main(['compute', '--input', {path!r}, '--basis', basis]) == 0")
     assert _fresh_python(code) == COMPUTE_MODULES
+
+
+def test_survey_n10_does_not_load_the_csf_engine(tmp_path):
+    """No two trees on n <= 10 vertices tie on the exact invariants, so
+    survey --n 10 never imports symfunc or _kernels (nor dataclasses)."""
+    out = str(tmp_path / "survey10.json")
+    code = (f"from csftrees import cli\n"
+            f"assert cli.main(['survey', '--n', '10', '--out', {out!r}]) == 0")
+    assert _fresh_python(code) == SURVEY_MODULES
 
 
 def test_package_exports_are_the_submodules_objects(monkeypatch):

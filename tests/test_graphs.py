@@ -1,5 +1,6 @@
-import dataclasses
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -61,13 +62,49 @@ def test_tree_validation():
 def test_tree_is_a_graph():
     """A Tree adds no field, stays frozen, and runs Graph's checks first."""
     t = Tree(3, ((2, 1), (1, 0)))
-    assert isinstance(t, Graph) and dataclasses.fields(t) == dataclasses.fields(Graph)
+    assert isinstance(t, Graph) and Tree._fields == Graph._fields == ("n", "edges")
     assert t.edges == ((0, 1), (1, 2))
-    assert t != Graph(3, t.edges)  # dataclass equality compares the class too
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    assert t != Graph(3, t.edges)  # record equality compares the class too
+    with pytest.raises(AttributeError):
         t.n = 4
     with pytest.raises(GraphError, match="outside 0..-1"):
         Tree(0, ((0, 1),))  # Graph's check, before "at least one vertex"
+
+
+def test_records_are_frozen_values():
+    """Every record type: keyword construction and defaults, frozen slots,
+    equality and hash by class and fields, Class(field=value) repr, and
+    copies rebuilt through the constructor."""
+    from csftrees.generators import SpiderSpec
+    from csftrees.theorems import SurveyReport, TheoremVerdict
+
+    v = TheoremVerdict("SUMMED", "NotApplicable", detail="x")
+    assert (v.case_id, v.m1, v.m2, v.swapped) == (None, None, None, False)
+    assert v == TheoremVerdict(theorem_id="SUMMED", status="NotApplicable", detail="x")
+    assert hash(v) == hash(TheoremVerdict("SUMMED", "NotApplicable", None, None, None, False, "x"))
+    assert v != TheoremVerdict("SUMMED", "NotApplicable")
+    assert repr(v) == ("TheoremVerdict(theorem_id='SUMMED', status='NotApplicable', "
+                       "case_id=None, m1=None, m2=None, swapped=False, detail='x')")
+    with pytest.raises(AttributeError):
+        v.extra = 1
+    with pytest.raises(AttributeError):
+        del v.status
+    spec = SpiderSpec(legs=[2, 1, 1])  # the inherited __init__, then __post_init__
+    assert spec == SpiderSpec((2, 1, 1)) and spec.legs == (2, 1, 1)
+    assert repr(spec) == "SpiderSpec(legs=(2, 1, 1))"
+    for args, kwargs in (((), {}), (((1, 1, 1), 2), {}), (((1, 1, 1),), {"legs": (1, 1, 1)}),
+                         ((), {"stars": (1, 1, 1)})):
+        with pytest.raises(TypeError):  # missing, extra, repeated, unknown
+            SpiderSpec(*args, **kwargs)
+    fields = dict(n=4, num_trees=2, pairs=1, x_equal_pairs=0, skipped_pairs=0,
+                  soundness_violations=(), verdict_counts={}, chain_audit_violations=(),
+                  spider_audit=(), star_audit=())
+    a = SurveyReport(**fields, pair_rows=lambda: iter(["0,1"]))
+    b = SurveyReport(**fields, pair_rows=list)
+    assert a == b and "pair_rows" not in repr(a)  # pair_rows stays out of both
+    t = Tree(3, ((0, 1), (1, 2)))
+    for clone in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+        assert type(clone) is Tree and clone == t and hash(clone) == hash(t)
 
 
 def test_degrees_adjacency_components():

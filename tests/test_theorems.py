@@ -73,9 +73,9 @@ def test_survey_decomposes_each_tree_once(monkeypatch):
 
     calls = []
 
-    def counted(t):
+    def counted(t, *adj):
         calls.append(t.n)
-        return leaf_decomposition(t)
+        return leaf_decomposition(t, *adj)
 
     monkeypatch.setattr(decomposition, "leaf_decomposition", counted)
     monkeypatch.setattr(theorems, "leaf_decomposition", counted)
@@ -446,7 +446,7 @@ def test_survey_json_key_order():
 
 def _assert_same_survey(rep, ref):
     """Equal reports, and equal CSV rows compared line by line (pair_rows is
-    left out of the dataclass equality)."""
+    left out of the record equality)."""
     assert rep == ref
     rows, ref_rows = list(rep.pair_rows()), list(ref.pair_rows())
     assert len(rows) == len(ref_rows) == rep.pairs
@@ -492,15 +492,15 @@ def _patch_payloads(monkeypatch, n, edit, ref_edit=None):
 
 
 def _patch_terms(monkeypatch, n, fake):
-    """Make theorems._tree_powersum_terms, which the survey and both
+    """Make symfunc._tree_powersum_terms, which the survey and both
     references call, return fake[index] for the trees of
     enumerate_free_trees(n) listed in fake."""
-    from csftrees import theorems
+    from csftrees import symfunc
 
     index = {t.edges: i for i, t in enumerate(enumerate_free_trees(n))}
-    real = theorems._tree_powersum_terms
+    real = symfunc._tree_powersum_terms
     monkeypatch.setattr(
-        theorems, "_tree_powersum_terms", lambda t: fake.get(index[t.edges]) or real(t)
+        symfunc, "_tree_powersum_terms", lambda t: fake.get(index[t.edges]) or real(t)
     )
 
 
@@ -523,18 +523,18 @@ def test_survey_reports_a_wrong_max_block_like_the_reference(monkeypatch):
 
 
 def test_survey_with_every_key_equal_runs_the_dp_on_every_tree(monkeypatch):
-    from csftrees import theorems
+    from csftrees import symfunc
 
     clean = survey(7)
     _patch_payloads(monkeypatch, 7, lambda i, p: (*p[:3], "one key", p[4]))
     calls = []
-    real = theorems._tree_powersum_terms
+    real = symfunc._tree_powersum_terms
 
     def counted(t):
         calls.append(t.edges)
         return real(t)
 
-    monkeypatch.setattr(theorems, "_tree_powersum_terms", counted)
+    monkeypatch.setattr(symfunc, "_tree_powersum_terms", counted)
     rep = survey(7)
     assert len(calls) == len(set(calls)) == rep.num_trees == 11
     assert rep.x_equal_pairs == 0
@@ -585,8 +585,8 @@ def test_survey_rejects_an_alpha_that_alpha_mis_contradicts(monkeypatch):
     real = theorems.independence_and_splits
     star = enumerate_free_trees(7)[-1].edges
 
-    def one_more(t):
-        ind, splits = real(t)
+    def one_more(t, *adj):
+        ind, splits = real(t, *adj)
         return (ind + (1,), splits) if t.edges == star else (ind, splits)
 
     monkeypatch.setattr(theorems, "independence_and_splits", one_more)
