@@ -28,7 +28,7 @@ import argparse
 import json
 import sys
 
-from .errors import GraphError, InternalError
+from .errors import CapExceededError, GraphError, InternalError
 from .graphs import Tree, parse_edge_list, parse_int, serialize, trees_isomorphic
 
 
@@ -105,8 +105,15 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_survey(args) -> int:
-    from .theorems import SURVEY_CSV_HEADER, survey, survey_report_to_json_dict
+    from .generators import ENUM_MAX_N
+    from .theorems import SURVEY_CSV_HEADER, SURVEY_CSV_MAX_N, survey, survey_report_to_json_dict
 
+    # n > ENUM_MAX_N is left to survey, whose range error comes first
+    if args.csv and SURVEY_CSV_MAX_N < args.n <= ENUM_MAX_N:
+        raise CapExceededError(
+            f"survey --csv capped at n <= {SURVEY_CSV_MAX_N} (one row per tree pair), "
+            f"got {args.n}"
+        )
     rep = survey(args.n)
     _emit_json(survey_report_to_json_dict(rep), args.out)
     if args.csv:

@@ -40,21 +40,9 @@ from .graphs import Graph, Record, Tree, adjacency, bfs_order
 class LeafLevel(Record):
     __slots__ = ("b", "eta", "leaf_vertices", "neighbor_vertices")
 
-    def __init__(
-        self, b: int, eta: int, leaf_vertices: tuple[int, ...], neighbor_vertices: tuple[int, ...]
-    ) -> None:
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "eta", eta)
-        object.__setattr__(self, "leaf_vertices", leaf_vertices)
-        object.__setattr__(self, "neighbor_vertices", neighbor_vertices)
-
 
 class LeafDecomposition(Record):
     __slots__ = ("levels", "terminal_alpha")
-
-    def __init__(self, levels: tuple[LeafLevel, ...], terminal_alpha: int) -> None:
-        object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "terminal_alpha", terminal_alpha)
 
     def level_counts(self) -> tuple[tuple[int, int], ...]:
         return tuple((lvl.b, lvl.eta) for lvl in self.levels)
@@ -111,11 +99,6 @@ def padded_levels(s1, s2) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]
 
 class RhoData(Record):
     __slots__ = ("rho", "rho_vertices", "is_path")
-
-    def __init__(self, rho: int, rho_vertices: tuple[int, ...], is_path: bool) -> None:
-        object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "rho_vertices", rho_vertices)
-        object.__setattr__(self, "is_path", is_path)
 
 
 def rho_data(t: Tree, d: LeafDecomposition | None = None) -> RhoData:

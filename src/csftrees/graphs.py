@@ -38,38 +38,55 @@ def is_int(x) -> bool:
 class Record:
     """Base of the package's immutable value types.
 
-    A subclass names its fields in ``__slots__``; ``_fields`` lists them,
-    its bases' fields first.  Instances are frozen (assignment raises
-    AttributeError), equal when their class and their fields outside
-    ``_hidden`` are, hash like those fields and print as
-    ``Class(field=value, ...)`` without the hidden ones.  The inherited
-    ``__init__`` takes every field, by position or keyword, then calls
-    ``__post_init__``; a class with defaults, or one built in a hot loop,
-    defines its own ``__init__`` and sets its fields with
-    ``object.__setattr__``."""
+    A subclass names its fields in ``__slots__`` and may give values for
+    its trailing fields in ``_defaults``; that is all it declares.
+    ``_fields`` lists the fields, its bases' first.  ``__init__`` is the one
+    constructor: it takes every field, by position or keyword, the trailing
+    ones optional when ``_defaults`` covers them, then calls
+    ``__post_init__``, where a subclass validates its fields and rewrites
+    one, if it normalizes it, with ``object.__setattr__``.
+    Instances are frozen (assignment raises AttributeError), equal when
+    their class and their fields outside ``_hidden`` are, hash like those
+    fields and print as ``Class(field=value, ...)`` without the hidden
+    ones."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
     _hidden: tuple[str, ...] = ()
+    _defaults: tuple = ()
 
     def __init_subclass__(cls) -> None:
         cls._fields = cls._fields + tuple(cls.__dict__.get("__slots__", ()))
         cls._shown = tuple(f for f in cls._fields if f not in cls._hidden)
         # one C call reads the compared fields (a bare value for one field)
         cls._key = staticmethod(attrgetter(*cls._shown))
+        # each slot's own descriptor writes it past the frozen __setattr__
+        cls._setters = tuple(getattr(cls, f).__set__ for f in cls._fields)
 
     def __init__(self, *args, **kwargs) -> None:
+        setters = self._setters
+        if kwargs or len(args) != len(setters):
+            args = self._bind(args, kwargs)
+        i = 0  # an index, not zip(): on Python 3.11 a zip costs more than two fields
+        for set_field in setters:
+            set_field(self, args[i])
+            i += 1
+        self.__post_init__()
+
+    def _bind(self, args: tuple, kwargs: dict) -> list:
+        """Every field's value in field order, from positions, keywords and
+        the trailing _defaults."""
         fields = self._fields
         values = dict(zip(fields, args))
         for name, value in kwargs.items():
             if name not in fields or name in values:
                 raise TypeError(f"{type(self).__name__}: unexpected or repeated field {name!r}")
             values[name] = value
+        for name, value in zip(fields[len(fields) - len(self._defaults) :], self._defaults):
+            values.setdefault(name, value)
         if len(args) > len(fields) or len(values) < len(fields):
             raise TypeError(f"{type(self).__name__} takes the fields {fields}")
-        for name in fields:
-            object.__setattr__(self, name, values[name])
-        self.__post_init__()
+        return [values[name] for name in fields]
 
     def __post_init__(self) -> None:
         pass
@@ -102,11 +119,7 @@ class Graph(Record):
     """Simple undirected graph on vertices 0..n-1; edges normalized and sorted."""
 
     __slots__ = ("n", "edges")
-
-    def __init__(self, n: int, edges: tuple[tuple[int, int], ...] = ()) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", edges)
-        self.__post_init__()
+    _defaults = ((),)
 
     def __post_init__(self) -> None:
         if not is_int(self.n) or self.n < 0:

@@ -21,7 +21,9 @@ the tree route):
     same expansion over all 2^|E| edge subsets, and csf_monomial counts
     stable (independent) vertex partitions by block-size type with a subset
     DP over vertex sets, each stable partition of type lambda contributing
-    (product of part multiplicities!) to [m_lambda].
+    (product of part multiplicities!) to [m_lambda].  Both kernels live in
+    _kernels, which these two branches import when they run, so a process
+    that sees only trees never loads it.
   * Oracles: on trees the 2^|E| sweep (edge_subset_type_counts) and the
     stable-partition count (stable_type_counts), each called directly,
     are independent checks of the DP at the sizes where they can run.
@@ -53,7 +55,6 @@ from __future__ import annotations
 
 from math import perm
 
-from ._kernels import edge_subset_type_counts, stable_type_counts
 from .errors import CapExceededError, GraphError
 from .graphs import Graph, Record, adjacency, bfs_order, is_int, is_tree
 from .partitions import mult_factorial, partition_keys, partitions_desc
@@ -76,14 +77,7 @@ class SymmetricFunction(Record):
     """
 
     __slots__ = ("n", "basis", "terms")
-
-    def __init__(
-        self, n: int, basis: str, terms: tuple[tuple[tuple[int, ...], int], ...] = ()
-    ) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "terms", terms)
-        self.__post_init__()
+    _defaults = ((),)
 
     def __post_init__(self) -> None:
         if self.basis not in _BASES:
@@ -125,6 +119,8 @@ def csf_monomial(g: Graph) -> SymmetricFunction:
         raise CapExceededError(
             f"csf_monomial capped at n <= {CSF_MONOMIAL_MAX_N}, got {g.n}"
         )
+    from ._kernels import stable_type_counts
+
     counts = stable_type_counts(g.n, g.edges)
     plist = partitions_desc(g.n)
     terms = {}
@@ -150,6 +146,8 @@ def csf_powersum(g: Graph) -> SymmetricFunction:
         )
     if is_tree(g):
         return SymmetricFunction(g.n, BASIS_POWERSUM, _tree_powersum_terms(g))
+    from ._kernels import edge_subset_type_counts
+
     signed = edge_subset_type_counts(g.n, g.edges)
     plist = partitions_desc(g.n)
     terms = {plist[i]: c for i, c in enumerate(signed) if c}

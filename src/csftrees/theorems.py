@@ -74,24 +74,13 @@ SPIDER_AUDIT_MAX_VERTICES = 24
 
 class TheoremVerdict(Record):
     __slots__ = ("theorem_id", "status", "case_id", "m1", "m2", "swapped", "detail")
+    _defaults = (None, None, None, False, "")
 
-    def __init__(
-        self,
-        theorem_id: str,
-        status: str,
-        case_id: int | None = None,
-        m1: int | None = None,
-        m2: int | None = None,
-        swapped: bool = False,
-        detail: str = "",
-    ) -> None:
-        object.__setattr__(self, "theorem_id", theorem_id)
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "case_id", case_id)
-        object.__setattr__(self, "m1", m1)
-        object.__setattr__(self, "m2", m2)
-        object.__setattr__(self, "swapped", swapped)
-        object.__setattr__(self, "detail", detail)
+
+def _not_applicable(theorem_id: str, detail: str, swapped: bool = False) -> TheoremVerdict:
+    # all positional, so it skips Record's binding step: the survey builds
+    # three verdicts per ordered class pair
+    return TheoremVerdict(theorem_id, NOT_APPLICABLE, None, None, None, swapped, detail)
 
 
 def verdict_to_json_dict(v: TheoremVerdict) -> dict:
@@ -110,14 +99,6 @@ class TreeFacts(Record):
     """Everything the pairwise checkers need to know about one tree."""
 
     __slots__ = ("n", "levels", "rho", "is_path")
-
-    def __init__(
-        self, n: int, levels: tuple[tuple[int, int], ...], rho: int, is_path: bool
-    ) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "is_path", is_path)
 
 
 def tree_facts(t: Tree, d: LeafDecomposition | None = None) -> TreeFacts:
@@ -153,18 +134,15 @@ def _check_pair_pre(t1: Tree, t2: Tree, min_n: int = 1) -> None:
 def _leaves_verdict(f1: TreeFacts, f2: TreeFacts) -> TheoremVerdict:
     b1, b2 = f1.levels[0][0], f2.levels[0][0]
     if b1 == b2:
-        return TheoremVerdict(LEAVES_RHO, NOT_APPLICABLE, detail=f"equal leaf counts b = {b1}")
+        return _not_applicable(LEAVES_RHO, f"equal leaf counts b = {b1}")
     swapped = b1 < b2
     if swapped:
         f1, f2, b1, b2 = f2, f1, b2, b1
     note = "inputs swapped so that b1 > b2; " if swapped else ""
     if not (f1.is_path and f2.is_path):
         bad = [name for name, f in (("t1", f1), ("t2", f2)) if not f.is_path]
-        return TheoremVerdict(
-            LEAVES_RHO,
-            NOT_APPLICABLE,
-            swapped=swapped,
-            detail=note + f"rho-induced subgraph is not a path for {', '.join(bad)}",
+        return _not_applicable(
+            LEAVES_RHO, note + f"rho-induced subgraph is not a path for {', '.join(bad)}", swapped
         )
     r1, r2 = f1.rho, f2.rho
     m1 = b1 + _ceil_div(r1, 2)
@@ -197,11 +175,8 @@ def _leaves_verdict(f1: TreeFacts, f2: TreeFacts) -> TheoremVerdict:
     # integer ray [k0, oo) once delta >= 2, and ceil(delta/k) is nonincreasing
     # in k, so the whole family passes iff its smallest member does.
     if delta < 2:
-        return TheoremVerdict(
-            LEAVES_RHO,
-            NOT_APPLICABLE,
-            swapped=swapped,
-            detail=note + f"no case applies (rho2-rho1 = {delta} admits no k >= 3)",
+        return _not_applicable(
+            LEAVES_RHO, note + f"no case applies (rho2-rho1 = {delta} admits no k >= 3)", swapped
         )
     k0 = max(4 if delta == 2 else 3, delta // diff + 1)
     bound = _ceil_div(delta, k0)
@@ -217,27 +192,25 @@ def _leaves_verdict(f1: TreeFacts, f2: TreeFacts) -> TheoremVerdict:
                 note + f"b1-b2 = {diff} > ceil((rho2-rho1)/k) for all k >= {k0} "
                 f"(hardest: ceil({delta}/{k0}) = {bound})",
             )
-        return TheoremVerdict(
+        return _not_applicable(
             LEAVES_RHO,
-            NOT_APPLICABLE,
-            swapped=swapped,
-            detail=note + f"case-4 bound holds for all k >= {k0}, but the block maxima tie "
+            note + f"case-4 bound holds for all k >= {k0}, but the block maxima tie "
             f"(m1 = m2 = {m1}); the bound does not force a strict conclusion",
+            swapped,
         )
-    return TheoremVerdict(
+    return _not_applicable(
         LEAVES_RHO,
-        NOT_APPLICABLE,
-        swapped=swapped,
-        detail=note + f"case-4 bound fails at k = {k0}: {diff} <= ceil({delta}/{k0}) = {bound}; "
+        note + f"case-4 bound fails at k = {k0}: {diff} <= ceil({delta}/{k0}) = {bound}; "
         f"the sign-flipped reading ceil((rho1-rho2)/k) <= 0 would accept every k — "
         "readings diverge",
+        swapped,
     )
 
 
 def _componentwise_verdict(f1: TreeFacts, f2: TreeFacts) -> TheoremVerdict:
     s1, s2 = padded_levels(f1.levels, f2.levels)
     if s1 == s2:
-        return TheoremVerdict(COMPONENTWISE, NOT_APPLICABLE, detail="identical level sequences")
+        return _not_applicable(COMPONENTWISE, "identical level sequences")
     for a, b, swapped in ((s1, s2, False), (s2, s1, True)):
         if all(ba >= bb and ea <= eb for (ba, ea), (bb, eb) in zip(a, b)):
             m1 = sum(x for x, _ in a)
@@ -253,10 +226,8 @@ def _componentwise_verdict(f1: TreeFacts, f2: TreeFacts) -> TheoremVerdict:
                 swapped,
                 note + f"levelwise b >= and eta <= holds: {a} dominates {b}",
             )
-    return TheoremVerdict(
-        COMPONENTWISE,
-        NOT_APPLICABLE,
-        detail=f"no levelwise dominance in either orientation: {s1} vs {s2}",
+    return _not_applicable(
+        COMPONENTWISE, f"no levelwise dominance in either orientation: {s1} vs {s2}"
     )
 
 
@@ -266,7 +237,7 @@ def _sum_verdict(f1: TreeFacts, f2: TreeFacts) -> TheoremVerdict:
     b1 = [x for x, _ in s1]
     b2 = [x for x, _ in s2]
     if b1 == b2:
-        return TheoremVerdict(SUMMED, NOT_APPLICABLE, detail=f"identical b sequences {b1}")
+        return _not_applicable(SUMMED, f"identical b sequences {b1}")
     reasons = []
     for a, b, swapped in ((b1, b2, False), (b2, b1, True)):
         tag = "swapped" if swapped else "as given"
@@ -288,7 +259,7 @@ def _sum_verdict(f1: TreeFacts, f2: TreeFacts) -> TheoremVerdict:
                 note + f"reversed levels {rev}: deficit {back} < surplus {fwd} (b: {a} vs {b})",
             )
         reasons.append(f"{tag}: deficit {back} >= surplus {fwd}")
-    return TheoremVerdict(SUMMED, NOT_APPLICABLE, detail="; ".join(reasons))
+    return _not_applicable(SUMMED, "; ".join(reasons))
 
 
 def thm_leaves_check(t1: Tree, t2: Tree) -> TheoremVerdict:
@@ -345,7 +316,7 @@ def star_connection_distinct(a: StarConnectionSpec, b: StarConnectionSpec) -> Th
         raise GraphError(f"vertex counts differ: {va} != {vb}")
     r, s = a.num_stars, b.num_stars
     if r == s:
-        return TheoremVerdict(STAR_COUNT, NOT_APPLICABLE, detail=f"equal star counts r = s = {r}")
+        return _not_applicable(STAR_COUNT, f"equal star counts r = s = {r}")
     swapped = r > s
     (first, c1), (second, c2) = ((b, cb), (a, ca)) if swapped else ((a, ca), (b, cb))
     m1 = _formula_M(first, c1[1])
@@ -427,6 +398,10 @@ def survey_report_to_json_dict(rep: SurveyReport) -> dict:
         "star_audit": list(rep.star_audit),
     }
 
+
+# The CSV holds one row of about 80 bytes per tree pair: 403 MB at n = 14,
+# and about 2.4 GB at n = 15.
+SURVEY_CSV_MAX_N = 14
 
 SURVEY_CSV_HEADER = (
     "a",

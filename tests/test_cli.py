@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import csftrees
-from csftrees import cli, graphs, symfunc, theorems
+from csftrees import _kernels, cli, graphs, symfunc, theorems
 from csftrees.cli import main
 from csftrees.errors import InternalError
 from csftrees.graphs import Tree, parse_edge_list
@@ -81,7 +81,7 @@ def test_compute_monomial_of_tree_is_basis_change_of_dp(tmp_path, capsys, monkey
     def no_stable_partitions(n, edges):
         raise AssertionError("stable partitions counted on a tree")
 
-    monkeypatch.setattr(symfunc, "stable_type_counts", no_stable_partitions)
+    monkeypatch.setattr(_kernels, "stable_type_counts", no_stable_partitions)
     path = _write(tmp_path, "s4.txt", S4)
     assert main(["compute", "--input", path, "--basis", "m"]) == 0
     assert json.loads(capsys.readouterr().out)["terms"] == [
@@ -118,6 +118,25 @@ def test_package_has_no_assert_statements():
             with open(os.path.join(src, name), encoding="utf-8") as fh:
                 tree = ast.parse(fh.read())
             assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree)), name
+
+
+def test_record_subclasses_define_no_init():
+    """Record.__init__ is the one constructor of the twelve value types: no
+    class of the package that derives from Record defines its own."""
+    package = Path(csftrees.__file__).parent
+    bases, own_init = {}, set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = {b.id for b in node.bases if isinstance(b, ast.Name)}
+                if any(isinstance(f, ast.FunctionDef) and f.name == "__init__" for f in node.body):
+                    own_init.add(node.name)
+    records = {"Record"}
+    while grown := {c for c, b in bases.items() if b & records} - records:
+        records |= grown
+    records.remove("Record")
+    assert len(records) == 12, sorted(records)
+    assert not records & own_init, sorted(records & own_init)
 
 
 def test_traced_entry_points_resolve():
@@ -368,6 +387,29 @@ def test_survey_rejects_out_of_range(capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_survey_csv_cap_exits_before_the_survey(tmp_path, capsys, monkeypatch):
+    """The CSV holds one row per tree pair, so --csv is capped at
+    n <= SURVEY_CSV_MAX_N: beyond it the request fails with one error line
+    before the survey runs and writes neither file.  The range errors of
+    survey itself come first."""
+    def no_survey(n):
+        raise AssertionError("survey ran")
+
+    out, csvp = tmp_path / "rep.json", tmp_path / "rows.csv"
+    monkeypatch.setattr(theorems, "survey", no_survey)
+    assert theorems.SURVEY_CSV_MAX_N == 14
+    argv = ["survey", "--n", "15", "--out", str(out), "--csv", str(csvp)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: survey --csv capped at n <= 14 (one row per tree pair), got 15\n")
+    assert not out.exists() and not csvp.exists()
+    monkeypatch.undo()
+    for n in ("2", "19"):
+        assert main(["survey", "--n", n, "--csv", str(csvp)]) == 1
+        assert capsys.readouterr().err == "error: survey needs an integer n with 3 <= n <= 18\n"
+    assert not csvp.exists()
+
+
 def test_spider_build(capsys):
     assert main(["spider", "--legs", "2,2,2"]) == 0
     assert capsys.readouterr().out == "n 7\n0 1\n0 3\n0 5\n1 2\n3 4\n5 6\n"
@@ -562,6 +604,23 @@ def test_compute_on_a_graph_with_cycles_does_not_load_numpy(tmp_path):
             f"for basis in 'pm':\n"
             f"    assert cli.main(['compute', '--input', {path!r}, '--basis', basis]) == 0")
     assert _fresh_python(code) == COMPUTE_MODULES
+
+
+def test_compute_on_a_tree_does_not_load_the_kernels(tmp_path):
+    """The two counting kernels serve graphs that are not trees: compute in
+    either basis on a tree loads neither _kernels nor numpy, and compute on
+    the graph with cycles still loads _kernels."""
+    runs = {}
+    for name in ("tree11", "graph12"):
+        path = _write(tmp_path, f"{name}.txt", COMPUTE_INPUTS[name])
+        out = str(tmp_path / f"{name}.json")
+        runs[name] = _fresh_python(
+            f"from csftrees import cli\n"
+            f"for basis in 'pm':\n"
+            f"    assert cli.main(['compute', '--input', {path!r}, '--basis', basis, "
+            f"'--out', {out!r}]) == 0")
+    assert runs["tree11"] == sorted(CLI_MODULES + ["csftrees.partitions", "csftrees.symfunc"])
+    assert runs["graph12"] == COMPUTE_MODULES
 
 
 def test_survey_n10_does_not_load_the_csf_engine(tmp_path):

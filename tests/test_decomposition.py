@@ -32,6 +32,7 @@ from csftrees.generators import (
     gen_star_connection,
 )
 from csftrees.graphs import Graph, Tree, degrees
+from csftrees.partitions import partitions_desc
 from csftrees.symfunc import _hook_max_block, _tree_powersum_terms
 
 
@@ -224,6 +225,22 @@ def test_alpha_mis_forest_rule():
         kept = tuple(e for e in t.edges if rng.random() < 0.6)
         g = Graph(7 + rng.randint(0, 3), kept)
         assert alpha_mis(g) == mis_bruteforce(g)
+
+
+def test_alpha_mis_of_every_spider_has_a_closed_form():
+    """On a spider, a maximum independent set leaves the center out and
+    takes ceil(L/2) of each leg, or puts it in and takes floor(L/2): every
+    spider with 4 to 24 vertices (5,607 leg multisets with >= 3 legs)."""
+    checked = 0
+    for total in range(3, 24):
+        for legs in partitions_desc(total):
+            if len(legs) < 3:
+                continue
+            without_center = sum((L + 1) // 2 for L in legs)
+            with_center = 1 + sum(L // 2 for L in legs)
+            assert alpha_mis(gen_spider(legs)) == max(without_center, with_center), legs
+            checked += 1
+    assert checked == 5607
 
 
 def test_decomposition_json():

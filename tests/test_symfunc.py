@@ -17,7 +17,7 @@ from _oracles import (
     stable_partitions,
     tree_powersum_reference,
 )
-from csftrees import symfunc
+from csftrees import _kernels, symfunc
 from csftrees._kernels import edge_subset_type_counts, stable_type_counts
 from csftrees.decomposition import alpha_mis
 from csftrees.errors import CapExceededError, GraphError
@@ -179,7 +179,7 @@ def test_trees_take_the_dp_and_cycles_the_sweep(monkeypatch):
         calls.append(n)
         return edge_subset_type_counts(n, edges)
 
-    monkeypatch.setattr(symfunc, "edge_subset_type_counts", sweep)
+    monkeypatch.setattr(_kernels, "edge_subset_type_counts", sweep)
     csf_powersum(gen_path(6))
     csf_powersum(Graph(7, gen_star(7).edges))  # a tree, though not built as a Tree
     assert calls == []
@@ -195,7 +195,7 @@ def test_csf_monomial_counts_stable_partitions_only_off_trees(monkeypatch):
         calls.append(n)
         return stable_type_counts(n, edges)
 
-    monkeypatch.setattr(symfunc, "stable_type_counts", counting)
+    monkeypatch.setattr(_kernels, "stable_type_counts", counting)
     csf_monomial(gen_path(6))
     csf_monomial(Graph(7, gen_star(7).edges))  # a tree, though not built as a Tree
     assert calls == []
@@ -219,8 +219,8 @@ def test_csf_equal_of_tree_and_non_tree_counts_nothing(monkeypatch):
     def no_counting(n, edges):
         raise AssertionError("a kernel ran to compare a tree with a non-tree")
 
-    monkeypatch.setattr(symfunc, "stable_type_counts", no_counting)
-    monkeypatch.setattr(symfunc, "edge_subset_type_counts", no_counting)
+    monkeypatch.setattr(_kernels, "stable_type_counts", no_counting)
+    monkeypatch.setattr(_kernels, "edge_subset_type_counts", no_counting)
     triangle_and_path = Graph(6, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5)))  # n - 1 edges
     pairs = [
         (gen_path(14), _cycle(14)),
@@ -239,7 +239,7 @@ def test_csf_equal_of_tree_and_non_tree_counts_nothing(monkeypatch):
         calls.append(n)
         return stable_type_counts(n, edges)
 
-    monkeypatch.setattr(symfunc, "stable_type_counts", counting)
+    monkeypatch.setattr(_kernels, "stable_type_counts", counting)
     assert not csf_equal(_cycle(4), Graph(4, ((0, 1), (2, 3))))
     assert calls == [4, 4]
 
