@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 
 from .errors import CapExceededError, GraphError, InternalError
 from .graphs import Tree, parse_edge_list, parse_int, serialize, trees_isomorphic
@@ -34,7 +35,10 @@ from .graphs import Tree, parse_edge_list, parse_int, serialize, trees_isomorphi
 
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise GraphError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -105,19 +109,26 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_survey(args) -> int:
-    from .generators import ENUM_MAX_N
-    from .theorems import SURVEY_CSV_HEADER, SURVEY_CSV_MAX_N, survey, survey_report_to_json_dict
+    from .theorems import (
+        SURVEY_CSV_HEADER,
+        SURVEY_CSV_MAX_N,
+        _check_survey_n,
+        survey,
+        survey_report_to_json_dict,
+    )
 
-    # n > ENUM_MAX_N is left to survey, whose range error comes first
-    if args.csv and SURVEY_CSV_MAX_N < args.n <= ENUM_MAX_N:
+    _check_survey_n(args.n)  # the range error comes first
+    if args.csv and args.n > SURVEY_CSV_MAX_N:
         raise CapExceededError(
             f"survey --csv capped at n <= {SURVEY_CSV_MAX_N} (one row per tree pair), "
             f"got {args.n}"
         )
-    rep = survey(args.n)
-    _emit_json(survey_report_to_json_dict(rep), args.out)
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
+    # A --csv path that cannot be opened fails the request before the survey
+    # runs and before any report is written.
+    with open(args.csv, "w", encoding="utf-8", newline="") if args.csv else nullcontext() as fh:
+        rep = survey(args.n)
+        _emit_json(survey_report_to_json_dict(rep), args.out)
+        if args.csv:
             fh.write(",".join(SURVEY_CSV_HEADER) + "\n")
             fh.writelines(f"{row}\n" for row in rep.pair_rows())
     return 0

@@ -48,10 +48,13 @@ class LeafDecomposition(Record):
         return tuple((lvl.b, lvl.eta) for lvl in self.levels)
 
 
-def leaf_decomposition(t: Tree, adj: list[list[int]] | None = None) -> LeafDecomposition:
-    """The levels of t; pass adj = adjacency(t) if already built."""
+def leaf_decomposition(t: Tree) -> LeafDecomposition:
+    """The levels of t, peeled from neighbor sets built from t.edges."""
     n = t.n
-    adjsets = [set(a) for a in adj or adjacency(t)]
+    adjsets: list[set[int]] = [set() for _ in range(n)]
+    for u, v in t.edges:
+        adjsets[u].add(v)
+        adjsets[v].add(u)
     alive = set(range(n))
     levels: list[LeafLevel] = []
     terminal_alpha = 0
@@ -122,14 +125,13 @@ def rho_data(t: Tree, d: LeafDecomposition | None = None) -> RhoData:
     return RhoData(rho, tuple(rest), path)
 
 
-def alpha_mis(g: Graph, adj: list[list[int]] | None = None) -> int:
-    """Independence number of a forest by include/exclude DP per component;
-    pass adj = adjacency(g) if already built.
+def alpha_mis(g: Graph) -> int:
+    """Independence number of a forest by include/exclude DP per component.
 
     A simple graph is a forest iff |E| = n - #components; the components
     are counted by the same traversal that orders the DP."""
     n = g.n
-    adj = adj or adjacency(g)
+    adj = adjacency(g)
     parent = [-1] * n
     orders = [bfs_order(adj, root, parent) for root in range(n) if parent[root] == -1]
     if g.num_edges != n - len(orders):
@@ -149,12 +151,10 @@ def alpha_mis(g: Graph, adj: list[list[int]] | None = None) -> int:
     return total
 
 
-def independence_and_splits(
-    t: Tree, adj: list[list[int]] | None = None
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def independence_and_splits(t: Tree) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(i_0, i_1, ..., i_alpha), where i_k counts the independent k-sets of
     t, and the sizes min(s, n - s) of the smaller side of every edge,
-    ascending; pass adj = adjacency(t) if already built.
+    ascending.
 
     Rooted at vertex 0, each vertex keeps two polynomials of its subtree:
     `take` over the independent sets that contain it (x times the product of
@@ -165,7 +165,7 @@ def independence_and_splits(
     field.  Removing the edge above a vertex leaves its subtree on one
     side."""
     n = t.n
-    adj = adj or adjacency(t)
+    adj = adjacency(t)
     parent = [-1] * n
     order = bfs_order(adj, 0, parent)
     x = 1 << n

@@ -22,9 +22,10 @@ enumeration takes n <= ENUM_MAX_N.
 from __future__ import annotations
 
 import json
+from operator import itemgetter
 
 from .errors import CapExceededError, GraphError, InternalError
-from .graphs import Record, Tree, _code_from_adj, bfs_order, is_int
+from .graphs import Graph, Record, Tree, _code_from_adj, adjacency, bfs_order, is_int
 
 ENUM_MAX_N = 18
 BUILD_MAX_VERTICES = 10_000
@@ -168,10 +169,7 @@ def gen_star_connection(spec: StarConnectionSpec) -> Tree:
     # Tree-ness of the gluing structure, with targeted messages before the
     # generic Tree validation would fire: the star-gluing incidence graph
     # built so far is a forest iff |E| = #vertices - #components.
-    adj: list[list[int]] = [[] for _ in range(r + t)]
-    for k, gv in edges:
-        adj[k].append(gv)
-        adj[gv].append(k)
+    adj = adjacency(Graph(r + t, edges))
     parent = [-1] * (r + t)
     components = 0
     for v in range(r + t):
@@ -262,30 +260,25 @@ def _next_rooted(s: list[int], p: int) -> None:
         s[i] = s[i - (p - q)]
 
 
-def _edges_and_adj_from_levels(s: list[int]):
-    n = len(s)
-    last = [0] * n
-    edges = []
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for i in range(1, n):
-        par = last[s[i] - 1]
-        edges.append((par, i))
-        adj[par].append(i)
-        adj[i].append(par)
-        last[s[i]] = i
-    return edges, adj
-
-
-def _free_tree_edge_sets(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+def _free_tree_edge_sets(n: int) -> list[Tree]:
+    """The free trees on n vertices, sorted by canonical code: each Tree is
+    built once from its level sequence, and its code is read from it.  The
+    name is older than the return type; benchmark traces time this step
+    under it."""
     coded = []
     for s in _free_tree_level_sequences(n):
-        edges, adj = _edges_and_adj_from_levels(s)
-        coded.append((_code_from_adj(n, adj), tuple(edges)))
-    coded.sort()
+        last = [0] * n  # a vertex's parent is the last vertex before it one level up
+        edges = []
+        for i in range(1, n):
+            edges.append((last[s[i] - 1], i))
+            last[s[i]] = i
+        t = Tree(n, tuple(edges))
+        coded.append((_code_from_adj(n, adjacency(t)), t))
+    coded.sort(key=itemgetter(0))  # on the code alone: Trees do not order
     for (a, _), (b, _) in zip(coded, coded[1:]):
         if a == b:
             raise InternalError(f"free-tree enumeration met the code {a} twice at n = {n}")
-    return tuple(edges for _, edges in coded)
+    return [t for _, t in coded]
 
 
 def enumerate_free_trees(n: int) -> list[Tree]:
@@ -293,11 +286,11 @@ def enumerate_free_trees(n: int) -> list[Tree]:
     in canonical-code order.
 
     Each representative is labeled by its WROM level sequence (vertex 0 a
-    center, the rest in preorder), so A000055(n) sequences are visited and
-    each tree's canonical code is computed once, to sort them; a code met
-    twice is an InternalError."""
+    center, the rest in preorder) and built once from it, so A000055(n)
+    sequences are visited and each tree's canonical code is computed once,
+    to sort them; a code met twice is an InternalError."""
     if not is_int(n) or n < 1:
         raise GraphError(f"tree order must be a positive integer, got {n!r}")
     if n > ENUM_MAX_N:
         raise CapExceededError(f"enumeration capped at n <= {ENUM_MAX_N}, got {n}")
-    return [Tree(n, e) for e in _free_tree_edge_sets(n)]
+    return _free_tree_edge_sets(n)

@@ -167,13 +167,12 @@ class Tree(Graph):
 
 
 def adjacency(g: Graph) -> list[list[int]]:
-    """Adjacency lists; each neighbor list sorted ascending."""
+    """Adjacency lists, each ascending with no sort: g.edges is sorted with
+    u < v in each pair, so w's smaller neighbors come first, then the rest."""
     adj: list[list[int]] = [[] for _ in range(g.n)]
     for u, v in g.edges:
         adj[u].append(v)
         adj[v].append(u)
-    for a in adj:
-        a.sort()
     return adj
 
 

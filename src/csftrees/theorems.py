@@ -58,7 +58,7 @@ from .generators import (
     gen_spider,
     gen_star_connection,
 )
-from .graphs import Record, Tree, adjacency, canonical_code, degrees, is_int, trees_isomorphic
+from .graphs import Record, Tree, canonical_code, degrees, is_int, trees_isomorphic
 from .partitions import partitions_desc
 
 LEAVES_RHO = "LEAVES_RHO"
@@ -455,13 +455,11 @@ def _verdict_suffix(lv, cw, sm) -> str:
 def _survey_payload(t: Tree):
     """Per-tree work unit: decomposition facts, the chain data, the exact
     X-invariant key (i(T; x), edge splits) and alpha = deg i(T; x), which
-    must equal alpha_mis.  The three walks share one set of adjacency
-    lists; alpha_mis stays an independent algorithm."""
-    adj = adjacency(t)
-    d = leaf_decomposition(t, adj)
-    key = independence_and_splits(t, adj)
+    must equal alpha_mis, which stays an independent algorithm."""
+    d = leaf_decomposition(t)
+    key = independence_and_splits(t)
     alpha = len(key[0]) - 1
-    mis = alpha_mis(t, adj)
+    mis = alpha_mis(t)
     if alpha != mis:
         raise InternalError(f"deg i(T; x) = {alpha} but alpha_mis = {mis} for edges {t.edges}")
     return tree_facts(t, d), chain_sequence(d), chain_holds(d), key, alpha
@@ -570,6 +568,15 @@ def _x_equal_groups(trees: list[Tree], by_key: dict, alpha: list[int]) -> list[l
     return groups
 
 
+def _check_survey_n(n) -> None:
+    """survey's range check, which the CLI also runs before it opens a file."""
+    bad_n = f"survey needs an integer n with 3 <= n <= {ENUM_MAX_N}"
+    if not is_int(n) or n < 3:
+        raise GraphError(bad_n)
+    if n > ENUM_MAX_N:
+        raise CapExceededError(bad_n)
+
+
 def survey(n: int) -> SurveyReport:
     """Replay the pairwise checkers over all non-isomorphic trees on n
     vertices (3 <= n <= ENUM_MAX_N), cross-check every Applicable claim
@@ -604,11 +611,7 @@ def survey(n: int) -> SurveyReport:
     Everything runs in one process, so the report depends on n alone.  The
     per-pair CSV rows are not stored: the report's pair_rows() rebuilds
     them from the class pairs' cells and the X-equal groups when called."""
-    bad_n = f"survey needs an integer n with 3 <= n <= {ENUM_MAX_N}"
-    if not is_int(n) or n < 3:
-        raise GraphError(bad_n)
-    if n > ENUM_MAX_N:
-        raise CapExceededError(bad_n)
+    _check_survey_n(n)
     trees = enumerate_free_trees(n)
     num = len(trees)
     chain_viol = []

@@ -410,6 +410,23 @@ def test_survey_csv_cap_exits_before_the_survey(tmp_path, capsys, monkeypatch):
     assert not csvp.exists()
 
 
+def test_survey_csv_path_that_cannot_be_opened_fails_first(tmp_path, capsys, monkeypatch):
+    """The --csv file is opened before the survey runs: a path that cannot
+    be opened fails the request with one error line, no report file and no
+    stdout."""
+    def no_survey(n):
+        raise AssertionError("survey ran")
+
+    monkeypatch.setattr(theorems, "survey", no_survey)
+    out, csvp = tmp_path / "rep.json", tmp_path / "missing" / "rows.csv"
+    for argv in (["--out", str(out)], []):
+        assert main(["survey", "--n", "5", *argv, "--csv", str(csvp)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert not out.exists()
+
+
 def test_spider_build(capsys):
     assert main(["spider", "--legs", "2,2,2"]) == 0
     assert capsys.readouterr().out == "n 7\n0 1\n0 3\n0 5\n1 2\n3 4\n5 6\n"
@@ -531,6 +548,25 @@ def test_enumerate_lists_trees_in_canonical_code_order(capsys):
 def test_missing_file_is_domain_error(capsys):
     assert main(["compute", "--input", "/nonexistent/x.txt", "--basis", "m"]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "--input", "{bad}", "--basis", "p"],
+        ["decompose", "--input", "{bad}"],
+        ["compare", "--a", "{good}", "--b", "{bad}"],
+        ["starconn", "--spec", "{bad}"],
+    ],
+)
+def test_non_utf8_input_is_domain_error(tmp_path, capsys, argv):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xffn 3\n0 1\n1 2\n")
+    files = {"bad": str(bad), "good": _write(tmp_path, "p3.txt", P3)}
+    assert main([arg.format(**files) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {bad}: not UTF-8 text (invalid start byte)\n"
 
 
 def test_usage_errors_exit_2(capsys):

@@ -4,6 +4,8 @@ import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _oracles import prufer_tree, relabel
 from csftrees.errors import GraphError
@@ -113,6 +115,35 @@ def test_degrees_adjacency_components():
     assert adjacency(g) == [[1], [0, 2], [1], [], []]
     assert not is_connected(g)
     assert is_connected(Graph(1)) and is_connected(Graph(3, ((0, 2), (1, 2))))
+
+
+@st.composite
+def _shuffled_graphs(draw):
+    """A random simple graph on n <= 12 vertices whose edges come in a
+    random order, each pair in a random orientation."""
+    n = draw(st.integers(0, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.permutations(pairs))[: draw(st.integers(0, len(pairs)))]
+    return n, [(v, u) if draw(st.booleans()) else (u, v) for u, v in chosen]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_shuffled_graphs())
+def test_adjacency_lists_ascend_for_any_edge_order(drawn):
+    """adjacency does not sort: each list ascends because Graph sorts its
+    edges, whatever order and orientation they are given in."""
+    n, edges = drawn
+    adj = adjacency(Graph(n, edges))
+    for v in range(n):
+        assert adj[v] == sorted({u for e in edges for u in e if v in e and u != v})
+
+
+def test_adjacency_lists_ascend_on_enumerated_trees():
+    for n in range(1, 11):
+        for t in enumerate_free_trees(n):
+            adj = adjacency(t)
+            for v in range(n):
+                assert adj[v] == sorted({u for e in t.edges for u in e if v in e and u != v})
 
 
 def test_bfs_order_walks_one_component():
