@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import nullcontext
 
@@ -86,23 +87,15 @@ def _cmd_compare(args) -> int:
         "x_equal": csf_equal(ta, tb),
     }
     if args.theorems:
-        from .theorems import (
-            _componentwise_verdict,
-            _leaves_verdict,
-            _sum_verdict,
-            tree_facts,
-            verdict_to_json_dict,
-        )
+        from .theorems import _pair_verdicts, tree_facts, verdict_to_json_dict
 
         if ta.n != tb.n:
             raise GraphError(f"--theorems needs equal vertex counts, got {ta.n} and {tb.n}")
         if trees_isomorphic(ta, tb):
             raise GraphError("--theorems needs non-isomorphic trees")
         # Non-isomorphic trees of equal size have n >= 4, as LEAVES_RHO needs.
-        fa, fb = tree_facts(ta), tree_facts(tb)
         report["theorems"] = [
-            verdict_to_json_dict(verdict(fa, fb))
-            for verdict in (_leaves_verdict, _componentwise_verdict, _sum_verdict)
+            verdict_to_json_dict(v) for v in _pair_verdicts(tree_facts(ta), tree_facts(tb))
         ]
     _emit_json(report, args.out)
     return 0
@@ -124,13 +117,20 @@ def _cmd_survey(args) -> int:
             f"got {args.n}"
         )
     # A --csv path that cannot be opened fails the request before the survey
-    # runs and before any report is written.
-    with open(args.csv, "w", encoding="utf-8", newline="") if args.csv else nullcontext() as fh:
-        rep = survey(args.n)
-        _emit_json(survey_report_to_json_dict(rep), args.out)
-        if args.csv:
-            fh.write(",".join(SURVEY_CSV_HEADER) + "\n")
-            fh.writelines(f"{row}\n" for row in rep.pair_rows())
+    # runs and before any report is written; a request that fails after
+    # opening it removes it again.
+    fh = open(args.csv, "w", encoding="utf-8", newline="") if args.csv else None
+    try:
+        with fh or nullcontext():
+            rep = survey(args.n)
+            _emit_json(survey_report_to_json_dict(rep), args.out)
+            if fh:
+                fh.write(",".join(SURVEY_CSV_HEADER) + "\n")
+                fh.writelines(f"{row}\n" for row in rep.pair_rows())
+    except BaseException:
+        if fh:
+            os.remove(args.csv)
+        raise
     return 0
 
 

@@ -26,9 +26,11 @@ Two known weaknesses are handled explicitly rather than papered over:
 
 * The LEAVES_RHO case-4 bound (b1-b2 > ceil((rho2-rho1)/k) for every
   admissible k >= 3) does not force strictness of the block maxima: the
-  5-tooth comb versus P10 satisfies it with both maxima equal to 5.  The
-  checker additionally requires m1 > m2 and otherwise reports the tie in
-  ``detail`` as NotApplicable.
+  5-tooth comb versus P10 satisfies it with both maxima equal to 5, and
+  from n = 14 on it can hold with the maxima reversed (b = 7, rho = 0
+  against the spider (11, 1, 1), b = 3, rho = 9: m = (7, 8)).  The checker
+  additionally requires m1 > m2 and otherwise reports NotApplicable, with
+  the tie or the reversal in ``detail``.
 * spider_M_formula reproduces its closed form verbatim even though it
   disagrees with the exact independence number already on legs (1,1,1);
   spider_audit pairs it with the alpha_mis oracle instead of correcting it.
@@ -122,13 +124,15 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-def _check_pair_pre(t1: Tree, t2: Tree, min_n: int = 1) -> None:
+def _pair_facts(t1: Tree, t2: Tree, min_n: int = 1) -> tuple[TreeFacts, TreeFacts]:
+    """Both trees' facts, once the pair is one that the checkers accept."""
     if t1.n != t2.n:
         raise GraphError(f"vertex counts differ: {t1.n} != {t2.n}")
     if t1.n < min_n:
         raise GraphError(f"checker needs n >= {min_n}, got {t1.n}")
     if trees_isomorphic(t1, t2):
         raise GraphError("trees are isomorphic")
+    return tree_facts(t1), tree_facts(t2)
 
 
 def _leaves_verdict(f1: TreeFacts, f2: TreeFacts) -> TheoremVerdict:
@@ -138,73 +142,51 @@ def _leaves_verdict(f1: TreeFacts, f2: TreeFacts) -> TheoremVerdict:
     swapped = b1 < b2
     if swapped:
         f1, f2, b1, b2 = f2, f1, b2, b1
-    note = "inputs swapped so that b1 > b2; " if swapped else ""
-    if not (f1.is_path and f2.is_path):
-        bad = [name for name, f in (("t1", f1), ("t2", f2)) if not f.is_path]
-        return _not_applicable(
-            LEAVES_RHO, note + f"rho-induced subgraph is not a path for {', '.join(bad)}", swapped
-        )
     r1, r2 = f1.rho, f2.rho
-    m1 = b1 + _ceil_div(r1, 2)
-    m2 = b2 + _ceil_div(r2, 2)
-    diff = b1 - b2
-    if r1 == r2:
-        _check_strict(LEAVES_RHO, m1, m2)
-        return TheoremVerdict(
-            LEAVES_RHO, APPLICABLE, 1, m1, m2, swapped, note + f"rho1 = rho2 = {r1}"
-        )
-    if r1 > r2:
-        _check_strict(LEAVES_RHO, m1, m2)
-        return TheoremVerdict(
-            LEAVES_RHO, APPLICABLE, 2, m1, m2, swapped, note + f"rho1 = {r1} > rho2 = {r2}"
-        )
-    delta = r2 - r1
+    m1, m2 = b1 + _ceil_div(r1, 2), b2 + _ceil_div(r2, 2)
+    diff, delta = b1 - b2, r2 - r1
     half = _ceil_div(delta, 2)
-    if diff > half:
-        _check_strict(LEAVES_RHO, m1, m2)
-        return TheoremVerdict(
-            LEAVES_RHO,
-            APPLICABLE,
-            3,
-            m1,
-            m2,
-            swapped,
-            note + f"b1-b2 = {diff} > ceil((rho2-rho1)/2) = {half}",
-        )
-    # Case 4: the admissible k (k >= 3, k/(k-2) <= delta < k*(b1-b2)) form the
-    # integer ray [k0, oo) once delta >= 2, and ceil(delta/k) is nonincreasing
-    # in k, so the whole family passes iff its smallest member does.
-    if delta < 2:
-        return _not_applicable(
-            LEAVES_RHO, note + f"no case applies (rho2-rho1 = {delta} admits no k >= 3)", swapped
-        )
-    k0 = max(4 if delta == 2 else 3, delta // diff + 1)
-    bound = _ceil_div(delta, k0)
-    if diff > bound:
-        if m1 > m2:
-            return TheoremVerdict(
-                LEAVES_RHO,
-                APPLICABLE,
-                4,
-                m1,
-                m2,
-                swapped,
-                note + f"b1-b2 = {diff} > ceil((rho2-rho1)/k) for all k >= {k0} "
-                f"(hardest: ceil({delta}/{k0}) = {bound})",
+    # Each branch sets (case, why); case None refuses, with why as the reason.
+    if not (f1.is_path and f2.is_path):
+        bad = ", ".join(name for name, f in (("t1", f1), ("t2", f2)) if not f.is_path)
+        case, why = None, f"rho-induced subgraph is not a path for {bad}"
+    elif r1 == r2:
+        case, why = 1, f"rho1 = rho2 = {r1}"
+    elif r1 > r2:
+        case, why = 2, f"rho1 = {r1} > rho2 = {r2}"
+    elif diff > half:
+        case, why = 3, f"b1-b2 = {diff} > ceil((rho2-rho1)/2) = {half}"
+    elif delta < 2:
+        case, why = None, f"no case applies (rho2-rho1 = {delta} admits no k >= 3)"
+    else:
+        # Case 4: the admissible k (k >= 3, k/(k-2) <= delta < k*(b1-b2)) form
+        # the integer ray [k0, oo) once delta >= 2, and ceil(delta/k) is
+        # nonincreasing in k, so the whole family passes iff its smallest
+        # member does.  Passing does not order the block maxima by itself.
+        k0 = max(4 if delta == 2 else 3, delta // diff + 1)
+        bound = _ceil_div(delta, k0)
+        if diff <= bound:
+            case, why = None, (
+                f"case-4 bound fails at k = {k0}: {diff} <= ceil({delta}/{k0}) = {bound}; "
+                "the sign-flipped reading ceil((rho1-rho2)/k) <= 0 would accept every k — "
+                "readings diverge"
             )
-        return _not_applicable(
-            LEAVES_RHO,
-            note + f"case-4 bound holds for all k >= {k0}, but the block maxima tie "
-            f"(m1 = m2 = {m1}); the bound does not force a strict conclusion",
-            swapped,
-        )
-    return _not_applicable(
-        LEAVES_RHO,
-        note + f"case-4 bound fails at k = {k0}: {diff} <= ceil({delta}/{k0}) = {bound}; "
-        f"the sign-flipped reading ceil((rho1-rho2)/k) <= 0 would accept every k — "
-        "readings diverge",
-        swapped,
-    )
+        elif m1 <= m2:
+            order = f"tie (m1 = m2 = {m1})" if m1 == m2 else f"are reversed (m1 = {m1} < m2 = {m2})"
+            case, why = None, (
+                f"case-4 bound holds for all k >= {k0}, but the block maxima {order}; "
+                "the bound does not force a strict conclusion"
+            )
+        else:
+            case, why = 4, (
+                f"b1-b2 = {diff} > ceil((rho2-rho1)/k) for all k >= {k0} "
+                f"(hardest: ceil({delta}/{k0}) = {bound})"
+            )
+    note = "inputs swapped so that b1 > b2; " if swapped else ""
+    if case is None:
+        return _not_applicable(LEAVES_RHO, note + why, swapped)
+    _check_strict(LEAVES_RHO, m1, m2)
+    return TheoremVerdict(LEAVES_RHO, APPLICABLE, case, m1, m2, swapped, note + why)
 
 
 def _componentwise_verdict(f1: TreeFacts, f2: TreeFacts) -> TheoremVerdict:
@@ -217,15 +199,8 @@ def _componentwise_verdict(f1: TreeFacts, f2: TreeFacts) -> TheoremVerdict:
             m2 = sum(x for x, _ in b)
             _check_strict(COMPONENTWISE, m1, m2)
             note = "inputs swapped; " if swapped else ""
-            return TheoremVerdict(
-                COMPONENTWISE,
-                APPLICABLE,
-                None,
-                m1,
-                m2,
-                swapped,
-                note + f"levelwise b >= and eta <= holds: {a} dominates {b}",
-            )
+            why = f"levelwise b >= and eta <= holds: {a} dominates {b}"
+            return TheoremVerdict(COMPONENTWISE, APPLICABLE, None, m1, m2, swapped, note + why)
     return _not_applicable(
         COMPONENTWISE, f"no levelwise dominance in either orientation: {s1} vs {s2}"
     )
@@ -249,32 +224,28 @@ def _sum_verdict(f1: TreeFacts, f2: TreeFacts) -> TheoremVerdict:
         fwd = sum(a[j] - b[j] for j in range(r) if j not in rev)
         if back < fwd:
             note = "inputs swapped; " if swapped else ""
-            return TheoremVerdict(
-                SUMMED,
-                APPLICABLE,
-                None,
-                sum(a),
-                sum(b),
-                swapped,
-                note + f"reversed levels {rev}: deficit {back} < surplus {fwd} (b: {a} vs {b})",
-            )
+            why = f"reversed levels {rev}: deficit {back} < surplus {fwd} (b: {a} vs {b})"
+            return TheoremVerdict(SUMMED, APPLICABLE, None, sum(a), sum(b), swapped, note + why)
         reasons.append(f"{tag}: deficit {back} >= surplus {fwd}")
     return _not_applicable(SUMMED, "; ".join(reasons))
 
 
+def _pair_verdicts(f1: TreeFacts, f2: TreeFacts) -> tuple[TheoremVerdict, ...]:
+    """The three pairwise verdicts; each checker is looked up by name at call
+    time, so a wrapper set on this module's attribute sees every call."""
+    return _leaves_verdict(f1, f2), _componentwise_verdict(f1, f2), _sum_verdict(f1, f2)
+
+
 def thm_leaves_check(t1: Tree, t2: Tree) -> TheoremVerdict:
-    _check_pair_pre(t1, t2, min_n=4)
-    return _leaves_verdict(tree_facts(t1), tree_facts(t2))
+    return _leaves_verdict(*_pair_facts(t1, t2, min_n=4))
 
 
 def thm_componentwise_check(t1: Tree, t2: Tree) -> TheoremVerdict:
-    _check_pair_pre(t1, t2)
-    return _componentwise_verdict(tree_facts(t1), tree_facts(t2))
+    return _componentwise_verdict(*_pair_facts(t1, t2))
 
 
 def thm_sum_check(t1: Tree, t2: Tree) -> TheoremVerdict:
-    _check_pair_pre(t1, t2)
-    return _sum_verdict(tree_facts(t1), tree_facts(t2))
+    return _sum_verdict(*_pair_facts(t1, t2))
 
 
 def _verified_counts(spec: StarConnectionSpec, t: Tree) -> tuple[int, int]:
@@ -323,15 +294,8 @@ def star_connection_distinct(a: StarConnectionSpec, b: StarConnectionSpec) -> Th
     m2 = _formula_M(second, c2[1])
     _check_strict(STAR_COUNT, m1, m2)
     note = "inputs swapped; " if swapped else ""
-    return TheoremVerdict(
-        STAR_COUNT,
-        APPLICABLE,
-        None,
-        m1,
-        m2,
-        swapped,
-        note + f"{first.num_stars} < {second.num_stars} stars on {va} vertices",
-    )
+    why = f"{first.num_stars} < {second.num_stars} stars on {va} vertices"
+    return TheoremVerdict(STAR_COUNT, APPLICABLE, None, m1, m2, swapped, note + why)
 
 
 def spider_M_formula(spec: SpiderSpec) -> int:
@@ -523,7 +487,7 @@ def _key_verdicts(fa: TreeFacts, fb: TreeFacts, ma: int, mb: int):
     blocks (ma, mb), and what the survey keeps of them: the suffix of the
     pair's CSV rows and its soundness violations as (theorem id, reason)
     tuples, first if the pair is X-equal, then if it is not."""
-    verdicts = (_leaves_verdict(fa, fb), _componentwise_verdict(fa, fb), _sum_verdict(fa, fb))
+    verdicts = _pair_verdicts(fa, fb)
     if_equal, if_distinct = [], []
     for v in verdicts:
         if v.status != APPLICABLE:

@@ -22,6 +22,10 @@ from csftrees.theorems import SURVEY_CSV_HEADER, survey, survey_report_to_json_d
 P3 = "n 3\n0 1\n1 2\n"
 P4 = "n 4\n0 1\n1 2\n2 3\n"
 S4 = "n 4\n0 1\n0 2\n0 3\n"
+REVERSED14 = (
+    "n 14\n0 1\n0 7\n0 13\n1 2\n1 6\n2 3\n2 5\n3 4\n7 8\n7 10\n7 12\n8 9\n10 11\n"
+)
+SPIDER_11_1_1 = "n 14\n0 1\n0 12\n0 13\n1 2\n2 3\n3 4\n4 5\n5 6\n6 7\n7 8\n8 9\n9 10\n10 11\n"
 TWO_S3 = '{"stars": [3, 3], "gluings": [{"stars": [0, 1]}]}\n'
 
 
@@ -248,6 +252,49 @@ def test_compare_theorems_preconditions(tmp_path, capsys):
     assert "non-isomorphic" in capsys.readouterr().err
 
 
+def test_compare_theorems_reports_reversed_maxima(tmp_path, capsys):
+    """A case-4 refusal whose block maxima are reversed says so (m = (7, 8))
+    instead of calling them a tie."""
+    a = _write(tmp_path, "a.txt", REVERSED14)
+    b = _write(tmp_path, "b.txt", SPIDER_11_1_1)
+    assert main(["compare", "--a", a, "--b", b, "--theorems"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["x_equal"] is False
+    lv = rep["theorems"][0]
+    assert (lv["theorem"], lv["status"], lv["m1"], lv["m2"]) == (
+        "LEAVES_RHO", "NotApplicable", None, None)
+    assert lv["detail"] == (
+        "case-4 bound holds for all k >= 3, but the block maxima are reversed "
+        "(m1 = 7 < m2 = 8); the bound does not force a strict conclusion")
+
+
+def test_pair_checkers_are_called_through_module_attributes(tmp_path, capsys, monkeypatch):
+    """survey and compare --theorems both look the three checkers up on the
+    theorems module at call time, so a wrapper set there sees every call:
+    the same nonzero number per checker in a survey, one each in compare."""
+    names = ("_leaves_verdict", "_componentwise_verdict", "_sum_verdict")
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name):
+        real = getattr(theorems, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(theorems, name, wrapper)
+
+    for name in names:
+        counted(name)
+    survey(8)
+    assert len(set(calls.values())) == 1 and calls[names[0]] > 0
+    calls.update(dict.fromkeys(names, 0))
+    a, b = _write(tmp_path, "a.txt", P4), _write(tmp_path, "b.txt", S4)
+    assert main(["compare", "--a", a, "--b", b, "--theorems"]) == 0
+    capsys.readouterr()
+    assert calls == dict.fromkeys(names, 1)
+
+
 def test_survey_stdout(capsys):
     assert main(["survey", "--n", "4"]) == 0
     assert json.loads(capsys.readouterr().out) == survey_report_to_json_dict(survey(4))
@@ -425,6 +472,28 @@ def test_survey_csv_path_that_cannot_be_opened_fails_first(tmp_path, capsys, mon
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert not out.exists()
+
+
+def test_survey_failing_after_the_csv_is_opened_removes_it(tmp_path, capsys, monkeypatch):
+    """A request that fails after opening the --csv file removes it, with
+    the same exit code and single error line: a report path that cannot be
+    written (exit 1) and a failed internal check in the survey (exit 3)."""
+    csvp = tmp_path / "rows.csv"
+    out = tmp_path / "missing" / "rep.json"
+    assert main(["survey", "--n", "5", "--out", str(out), "--csv", str(csvp)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: [Errno 2] ") and captured.err.count("\n") == 1
+    assert not csvp.exists()
+
+    def failing_survey(n):
+        raise InternalError("survey failed")
+
+    monkeypatch.setattr(theorems, "survey", failing_survey)
+    assert main(["survey", "--n", "5", "--csv", str(csvp)]) == 3
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: internal check failed: survey failed\n")
+    assert not csvp.exists()
 
 
 def test_spider_build(capsys):

@@ -54,6 +54,8 @@ def _tree(n, *edges):
 # comb: path 0-1-2-3-4 with one extra leaf hanging off every spine vertex
 COMB10 = _tree(10, *((i, i + 1) for i in range(4)), *((i, i + 5) for i in range(5)))
 COMB8 = _tree(8, (0, 1), (1, 2), (2, 3), (0, 4), (1, 5), (2, 6), (3, 7))
+REVERSED14 = _tree(14, (0, 1), (0, 7), (0, 13), (1, 2), (1, 6), (2, 3), (2, 5), (3, 4), (7, 8),
+                   (7, 10), (7, 12), (8, 9), (10, 11))
 
 
 def test_tree_facts():
@@ -180,6 +182,20 @@ def test_leaves_tie_is_not_applicable():
     assert "block maxima tie (m1 = m2 = 5)" in v.detail
     assert alpha_mis(COMB10) == alpha_mis(gen_path(10)) == 5
     assert not csf_equal(COMB10, gen_path(10))
+
+
+def test_leaves_reversed_maxima_are_not_a_tie():
+    """From n = 14 on the case-4 bound can hold with m1 < m2: b = 7, rho = 0
+    against the (11, 1, 1)-spider, b = 3, rho = 9, gives m = (7, 8).  The
+    refusal names both maxima, in either input order."""
+    spider = gen_spider((11, 1, 1))
+    assert alpha_mis(REVERSED14) == 7 and alpha_mis(spider) == 8
+    for t1, t2, swapped in ((REVERSED14, spider, False), (spider, REVERSED14, True)):
+        v = thm_leaves_check(t1, t2)
+        assert (v.status, v.case_id, v.m1, v.m2, v.swapped) == (
+            NOT_APPLICABLE, None, None, None, swapped)
+        assert "block maxima are reversed (m1 = 7 < m2 = 8)" in v.detail
+        assert "tie" not in v.detail
 
 
 def test_leaves_equal_leaf_counts():
