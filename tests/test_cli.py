@@ -319,6 +319,10 @@ SURVEY_DIGESTS = {
         "cf76f48d0fe1ed086ea2f382e6013c38e3d05f10c3e08b42192373eff797b8b3"),
     10: ("75545a3f8a56049c6ead977d7f18da4b9adb237c8b624fa63e2ab6d681cd712d",
          "1698b83f51412eaffc6a115660fe57a02cb3b7dc7fe66ee9014f45cbdb0f3729"),
+    11: ("df1e1a6cebd8886c9c06c96a8e639c545c94456653ac3901a73e4d3f53ecf34a",
+         "9a6421fd5eedd3bdf65b1e2989699e2c05fbc7f16032b2209dccb2b400026d59"),
+    12: ("54db2e6a12d8d2824fabb1dabd40b44a82c48e25b9fa6bcfaa9da7de8710dcba",
+         "d58bddf01a4463f837bf30ea9fe7755262acf4a067d73d2e31c9e00c85cacac6"),
 }
 
 

@@ -54,6 +54,16 @@ def test_decomposition_goldens(tree, counts, term_alpha):
     assert len(d.levels) == len(counts)
 
 
+def test_pairing_inside_a_level():
+    """The path 6-7 is a two-vertex component of the second level's forest,
+    which still has vertex 2 of degree 2: the smaller id 6 goes to b."""
+    t = Tree(11, ((0, 1), (0, 6), (0, 10), (1, 2), (2, 3), (3, 4), (4, 5), (6, 7), (7, 8), (8, 9)))
+    d = leaf_decomposition(t)
+    levels = tuple((lvl.leaf_vertices, lvl.neighbor_vertices) for lvl in d.levels)
+    assert levels == (((5, 9, 10), (0, 4, 8)), ((1, 3, 6), (2, 7)))
+    assert d.terminal_alpha == 0
+
+
 def test_chain_example_alpha():
     spec = StarConnectionSpec((4, 5, 3, 4), (Gluing((0, 1)), Gluing((1, 2)), Gluing((2, 3))))
     t = gen_star_connection(spec)
@@ -61,7 +71,7 @@ def test_chain_example_alpha():
 
 
 def test_levels_partition_vertices():
-    for n in range(1, 11):
+    for n in range(1, 13):
         for t in enumerate_free_trees(n):
             d = leaf_decomposition(t)
             seen = []
@@ -115,7 +125,7 @@ def test_independence_and_splits_are_coefficients_of_x():
 def test_greedy_witness():
     """The b-vertices of all levels form a maximum independent set that, for
     n >= 3, contains every leaf."""
-    for n in range(1, 11):
+    for n in range(1, 13):
         for t in enumerate_free_trees(n):
             d = leaf_decomposition(t)
             members = {v for lvl in d.levels for v in lvl.leaf_vertices}
