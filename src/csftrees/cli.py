@@ -116,6 +116,8 @@ def _cmd_survey(args) -> int:
             f"survey --csv capped at n <= {SURVEY_CSV_MAX_N} (one row per tree pair), "
             f"got {args.n}"
         )
+    if args.out and args.csv and os.path.realpath(args.out) == os.path.realpath(args.csv):
+        raise GraphError(f"survey --out and --csv name the same file: {args.csv}")
     # A --csv path that cannot be opened fails the request before the survey
     # runs and before any report is written; a request that fails after
     # opening it removes it again.

@@ -1,20 +1,17 @@
 """Leaf decomposition, the rho statistic, and independence numbers.
 
-The decomposition peels a tree level by level: level i records the leaves of
-the current forest F_i (the b-side) and the vertices adjacent to a leaf (the
-eta-side), removes both, and repeats. The peeling stops when the remaining
-forest has maximum degree <= 1; its vertices form one final level via the
-pairing correction: isolated vertices all count as b, and each surviving edge
-contributes one endpoint to b and one to eta (alpha = number of degree-1
-vertices in that terminal forest, always even).
-
-The same pairing is applied to any two-vertex component that appears *inside*
-an earlier level (both endpoints are leaves of F_i, but counting both as b
-would double-count the component): the smaller-id endpoint goes to b, the
-other to eta. With that convention the level vertex sets partition V, every
-level has b_i >= eta_i, and the greedy witness (all b-vertices) is a maximum
-independent set — sum(b_i) = alpha(T) for every tree, which alpha_mis
-cross-checks by dynamic programming.
+The decomposition peels a tree level by level, every level by one rule:
+in the current forest F_i each vertex of degree 1 goes to the b-side and
+its neighbor to the eta-side, except that a two-vertex component (both
+endpoints leaves, so counting both as b would double-count it) puts only
+its smaller id in b and the other in eta. The level is removed and the
+peeling repeats. The last level is the one where no vertex of F_i has
+degree 2 or more: its isolated vertices go to b as well, and terminal_alpha
+is twice its eta count (the degree-1 vertices of that forest). With that
+rule the level vertex sets partition V, every level has b_i >= eta_i, and
+the greedy witness (all b-vertices) is a maximum independent set:
+sum(b_i) = alpha(T) for every tree, which alpha_mis cross-checks by
+dynamic programming.
 
 rho = n - b_1 - eta_1 uses the first level only; its vertex set V(rho) is
 everything that is neither a leaf nor a leaf-neighbor, and is_path reports
@@ -23,7 +20,7 @@ vertex set of a tree induces a forest, so is_path counts on the tree's edge
 list: rho - 1 edges inside V(rho) and no inside degree above 2.
 
 Two exact invariants of the chromatic symmetric function come from one
-post-order pass (independence_and_splits): the independence polynomial
+children-first pass (independence_and_splits): the independence polynomial
 i(T; x), since [m_(k,1^(n-k))] X_T = (n-k)! i_k, and the sorted edge splits
 min(s, n - s), since [p_(n-a,a)] X_T = (-1)^n times the number of edges whose
 removal leaves sides of sizes a and n - a.  Trees that differ in either have
@@ -50,48 +47,32 @@ class LeafDecomposition(Record):
 
 def leaf_decomposition(t: Tree) -> LeafDecomposition:
     """The levels of t, peeled from neighbor sets built from t.edges."""
-    n = t.n
-    adjsets: list[set[int]] = [set() for _ in range(n)]
+    adjsets: list[set[int]] = [set() for _ in range(t.n)]
     for u, v in t.edges:
         adjsets[u].add(v)
         adjsets[v].add(u)
-    alive = set(range(n))
+    alive = set(range(t.n))
     levels: list[LeafLevel] = []
-    terminal_alpha = 0
     while alive:
-        maxdeg = max(len(adjsets[v]) for v in alive)
-        if maxdeg <= 1:
-            pairs = sorted(
-                (v, next(iter(adjsets[v])))
-                for v in alive
-                if adjsets[v] and v < next(iter(adjsets[v]))
-            )
-            isolated = [v for v in alive if not adjsets[v]]
-            b_set = sorted(isolated + [u for u, _ in pairs])
-            eta_set = sorted(w for _, w in pairs)
-            terminal_alpha = 2 * len(pairs)
-            levels.append(LeafLevel(len(b_set), len(eta_set), tuple(b_set), tuple(eta_set)))
-            break
-        leaves = {v for v in alive if len(adjsets[v]) == 1}
+        last = all(len(adjsets[v]) <= 1 for v in alive)
         b_set, eta_set = set(), set()
-        for v in leaves:
-            u = next(iter(adjsets[v]))
-            if u in leaves:  # two-vertex component inside this level
-                b_set.add(min(u, v))
-                eta_set.add(max(u, v))
-            else:
+        for v in alive:
+            if len(adjsets[v]) == 1:
+                (u,) = adjsets[v]
+                if v < u or len(adjsets[u]) > 1:  # a two-vertex component: smaller id to b
+                    b_set.add(v)
+                    eta_set.add(u)
+            elif last:  # isolated
                 b_set.add(v)
-                eta_set.add(u)
-        removed = b_set | eta_set
         levels.append(
             LeafLevel(len(b_set), len(eta_set), tuple(sorted(b_set)), tuple(sorted(eta_set)))
         )
+        removed = b_set | eta_set
         for v in removed:
             for w in adjsets[v]:
                 adjsets[w].discard(v)
-            adjsets[v] = set()
         alive -= removed
-    return LeafDecomposition(tuple(levels), terminal_alpha)
+    return LeafDecomposition(tuple(levels), 2 * levels[-1].eta if last else 0)
 
 
 def padded_levels(s1, s2) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
@@ -109,20 +90,20 @@ def rho_data(t: Tree, d: LeafDecomposition | None = None) -> RhoData:
     if t.n < 2:
         raise GraphError("rho_data needs n >= 2")
     lvl1 = (d or leaf_decomposition(t)).levels[0]
-    rest = sorted(set(range(t.n)) - set(lvl1.leaf_vertices) - set(lvl1.neighbor_vertices))
-    rho = t.n - lvl1.b - lvl1.eta
+    peeled = set(lvl1.leaf_vertices + lvl1.neighbor_vertices)
+    rest = tuple(v for v in range(t.n) if v not in peeled)
+    rho = len(rest)
     # V(rho) induces a forest, so it is a path iff it has rho - 1 inside
     # edges (one component) and no inside degree above 2.
-    inside = set(rest)
     deg = [0] * t.n
     edges = 0
     for u, v in t.edges:
-        if u in inside and v in inside:
+        if u not in peeled and v not in peeled:
             deg[u] += 1
             deg[v] += 1
             edges += 1
     path = rho <= 1 or (edges == rho - 1 and max(deg) <= 2)
-    return RhoData(rho, tuple(rest), path)
+    return RhoData(rho, rest, path)
 
 
 def alpha_mis(g: Graph) -> int:
@@ -136,17 +117,14 @@ def alpha_mis(g: Graph) -> int:
     orders = [bfs_order(adj, root, parent) for root in range(n) if parent[root] == -1]
     if g.num_edges != n - len(orders):
         raise GraphError("alpha_mis needs an acyclic graph")
-    take = [0] * n
+    take = [1] * n
     skip = [0] * n
     total = 0
     for order in orders:
-        for v in reversed(order):
-            t_in, t_out = 1, 0
-            for w in adj[v]:
-                if parent[w] == v:
-                    t_in += skip[w]
-                    t_out += max(take[w], skip[w])
-            take[v], skip[v] = t_in, t_out
+        for v in reversed(order[1:]):
+            p = parent[v]
+            take[p] += skip[v]
+            skip[p] += max(take[v], skip[v])
         total += max(take[order[0]], skip[order[0]])
     return total
 
@@ -157,33 +135,31 @@ def independence_and_splits(t: Tree) -> tuple[tuple[int, ...], tuple[int, ...]]:
     ascending.
 
     Rooted at vertex 0, each vertex keeps two polynomials of its subtree:
-    `take` over the independent sets that contain it (x times the product of
-    its children's sets that avoid them) and `total` over all of them.  A
-    polynomial is packed one coefficient per n-bit field of an int, so a
-    product is one int multiplication: every coefficient counts k-sets of at
-    most n vertices, so it stays below 2^n and never carries into the next
-    field.  Removing the edge above a vertex leaves its subtree on one
-    side."""
+    `take` over the independent sets that contain it and `skip` over those
+    that avoid it.  In reverse breadth-first order each vertex is final
+    when it is reached and folds into its parent: the parent's take gains
+    the factor skip, its skip the factor take + skip.  A polynomial is
+    packed one coefficient per n-bit field of an int, so a product is one
+    int multiplication: every coefficient counts k-sets of at most n
+    vertices, so it stays below 2^n and never carries into the next field.
+    Removing the edge above a vertex leaves its subtree on one side."""
     n = t.n
     adj = adjacency(t)
     parent = [-1] * n
     order = bfs_order(adj, 0, parent)
     x = 1 << n
-    take = [0] * n
-    total = [0] * n
+    take = [x] * n
+    skip = [1] * n
     size = [1] * n
     splits = []
-    for v in reversed(order):
-        t_in, t_out = x, 1
-        for w in adj[v]:
-            if parent[w] == v:
-                t_in *= total[w] - take[w]
-                t_out *= total[w]
-                size[v] += size[w]
-                splits.append(min(size[w], n - size[w]))
-        take[v], total[v] = t_in, t_in + t_out
+    for v in reversed(order[1:]):
+        p = parent[v]
+        take[p] *= skip[v]
+        skip[p] *= take[v] + skip[v]
+        size[p] += size[v]
+        splits.append(min(size[v], n - size[v]))
     mask = x - 1
-    poly, coeffs = total[0], []
+    poly, coeffs = take[0] + skip[0], []
     while poly:
         coeffs.append(poly & mask)
         poly >>= n

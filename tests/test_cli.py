@@ -500,6 +500,25 @@ def test_survey_failing_after_the_csv_is_opened_removes_it(tmp_path, capsys, mon
     assert not csvp.exists()
 
 
+def test_survey_rejects_one_path_for_out_and_csv(tmp_path, capsys, monkeypatch):
+    """--out and --csv naming one file would write the CSV rows over the
+    JSON report: the request fails with one error line before the survey
+    runs and leaves the file as it was, however the two paths are spelt."""
+    def no_survey(n):
+        raise AssertionError("survey ran")
+
+    monkeypatch.setattr(theorems, "survey", no_survey)
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "P"
+    path.write_bytes(b"kept\n")
+    for out, csvp in (("P", "P"), ("./P", "P")):
+        assert main(["survey", "--n", "5", "--out", out, "--csv", csvp]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert path.read_bytes() == b"kept\n"
+
+
 def test_spider_build(capsys):
     assert main(["spider", "--legs", "2,2,2"]) == 0
     assert capsys.readouterr().out == "n 7\n0 1\n0 3\n0 5\n1 2\n3 4\n5 6\n"
