@@ -6,10 +6,15 @@ Python:
     bitmasks: f(S), the type counts of the stable partitions of S, is the
     sum over independent sets B of S that contain min(S) of f(S \\ B) with
     the part |B| added, memoized on S. No partition is listed one by one.
-  * edge_subset_type_counts: signed count over all 2^|E| edge subsets,
-    bucketed by component-size type (sign = parity of |subset|). A
-    depth-first walk decides one edge at a time on a union-find that is
-    undone on the way back, so each subset costs one union, not |E|.
+  * edge_subset_type_counts: signed count over the edge subsets, bucketed
+    by component-size type (sign = parity of |subset|). A depth-first walk
+    decides one edge at a time on a union-find that is undone on the way
+    back. An edge whose ends the edges already taken join cancels: taking
+    it or not gives the same components with opposite signs, so the walk
+    stops there. What is left are Stanley's broken-circuit-free sets, one
+    leaf per acyclic orientation of the graph (5,040 for K_7, against
+    2^21 subsets). A forest has no circuit to prune and still costs
+    2^|E| leaves.
 
 Inside the kernels a type is one packed int in the layout of
 partitions.py: the multiplicity of part size c sits in field c, n.bit_length()
@@ -104,11 +109,14 @@ def edge_subset_type_counts(n: int, edges):
         if e == m:
             tally[key] = tally.get(key, 0) + sign
             return
-        walk(e + 1, key, sign)
+        # An edge inside one component leaves the components as they are, so
+        # taking it cancels skipping it. find does not compress paths and
+        # every union below is undone before walk returns, so a and b are
+        # still the roots after the skip branch.
         a, b = find(edges[e][0]), find(edges[e][1])
         if a == b:
-            walk(e + 1, key, -sign)
             return
+        walk(e + 1, key, sign)
         if size[a] < size[b]:
             a, b = b, a
         sa, sb = size[a], size[b]

@@ -18,15 +18,20 @@ the tree route):
     and the CLI on trees; csf_monomial of a tree is to_monomial of its
     result.
   * Other graphs (cycles, or several components): csf_powersum sums the
-    same expansion over all 2^|E| edge subsets, and csf_monomial counts
-    stable (independent) vertex partitions by block-size type with a subset
-    DP over vertex sets, each stable partition of type lambda contributing
-    (product of part multiplicities!) to [m_lambda].  Both kernels live in
-    _kernels, which these two branches import when they run, so a process
-    that sees only trees never loads it.
-  * Oracles: on trees the 2^|E| sweep (edge_subset_type_counts) and the
-    stable-partition count (stable_type_counts), each called directly,
-    are independent checks of the DP at the sizes where they can run.
+    same expansion with a depth-first edge sweep that stops wherever
+    taking an edge would close a cycle, since there taking and skipping it
+    cancel. It visits one leaf per acyclic orientation (Stanley's
+    broken-circuit-free sets), not one per edge subset; a forest has no
+    cycle to cut and still costs 2^|E|, hence the |E| cap.  csf_monomial
+    counts stable (independent) vertex partitions by block-size type with
+    a subset DP over vertex sets, each stable partition of type lambda
+    contributing (product of part multiplicities!) to [m_lambda].  Both
+    kernels live in _kernels, which these two branches import when they
+    run, so a process that sees only trees never loads it.
+  * Oracles: on trees the edge sweep (edge_subset_type_counts, 2^|E|
+    leaves there) and the stable-partition count (stable_type_counts),
+    each called directly, are independent checks of the DP at the sizes
+    where they can run.
 
 to_monomial changes basis with [m_mu] p_lambda = (number of set partitions
 of lambda's parts whose block sums are mu) * prod m_i(mu)!, counted by one
@@ -133,7 +138,8 @@ def csf_monomial(g: Graph) -> SymmetricFunction:
 
 def csf_powersum(g: Graph) -> SymmetricFunction:
     """X_G in the power-sum basis: the rooted tree DP when g is a tree, the
-    2^|E| signed edge-subset sweep otherwise."""
+    signed edge sweep otherwise, which visits one edge set per acyclic
+    orientation of g (2^|E| on a forest)."""
     if g.n < 1:
         raise GraphError("csf_powersum needs n >= 1")
     if g.n > CSF_POWERSUM_MAX_N:

@@ -337,7 +337,6 @@ class SurveyReport(Record):
         "num_trees",
         "pairs",
         "x_equal_pairs",
-        "skipped_pairs",
         "soundness_violations",
         "verdict_counts",
         "chain_audit_violations",
@@ -354,7 +353,6 @@ def survey_report_to_json_dict(rep: SurveyReport) -> dict:
         "num_trees": rep.num_trees,
         "pairs": rep.pairs,
         "x_equal_pairs": rep.x_equal_pairs,
-        "skipped_pairs": rep.skipped_pairs,
         "soundness_violations": list(rep.soundness_violations),
         "verdict_counts": rep.verdict_counts,
         "chain_audit_violations": list(rep.chain_audit_violations),
@@ -662,7 +660,6 @@ def survey(n: int) -> SurveyReport:
         num_trees=num,
         pairs=num * (num - 1) // 2,
         x_equal_pairs=len(equal_pairs),
-        skipped_pairs=0,
         soundness_violations=tuple(violations),
         verdict_counts=counts,
         chain_audit_violations=tuple(chain_viol),

@@ -2,6 +2,7 @@ import ast
 import hashlib
 import importlib
 import importlib.util
+import itertools
 import json
 import os
 import re
@@ -315,13 +316,13 @@ def test_survey_files_deterministic_across_jobs(tmp_path):
 # sha256 of the survey's JSON report and CSV, frozen so that any drift in
 # the report bytes fails the suite
 SURVEY_DIGESTS = {
-    9: ("40b3052ab05ce1f5d27c6421349eb59475d1ed4ca38ddfd666bd1c523e9d246f",
+    9: ("a71fe650afd56ed10ef7cb7997b0f26a8a5487a153541d03d42b32fe46cc743f",
         "cf76f48d0fe1ed086ea2f382e6013c38e3d05f10c3e08b42192373eff797b8b3"),
-    10: ("75545a3f8a56049c6ead977d7f18da4b9adb237c8b624fa63e2ab6d681cd712d",
+    10: ("43a4747c6b25e92e3b830e852ee46c0420222b58ae93dd2ef90ae0f832a9449e",
          "1698b83f51412eaffc6a115660fe57a02cb3b7dc7fe66ee9014f45cbdb0f3729"),
-    11: ("df1e1a6cebd8886c9c06c96a8e639c545c94456653ac3901a73e4d3f53ecf34a",
+    11: ("054a3372cc37487e8240f3a0aca05784afb7c87fd81a102341db924545793a01",
          "9a6421fd5eedd3bdf65b1e2989699e2c05fbc7f16032b2209dccb2b400026d59"),
-    12: ("54db2e6a12d8d2824fabb1dabd40b44a82c48e25b9fa6bcfaa9da7de8710dcba",
+    12: ("aa37858965c11b9636b1af291da92f9a230af87e47b30ca40d9b72534d98027c",
          "d58bddf01a4463f837bf30ea9fe7755262acf4a067d73d2e31c9e00c85cacac6"),
 }
 
@@ -337,8 +338,8 @@ def test_survey_output_digests(tmp_path, n):
 # sha256 of the survey's JSON report at sizes where trees tie on the
 # invariant key (i(T; x), edge splits), so the tree DP runs on some of them
 SURVEY_JSON_DIGESTS = {
-    13: "facdb9e12ea66b53e5e529961afb1927f81499100293013cf1a755dd93717c3e",
-    14: "d59a57430003121e1c4aef2d841e5ea7b2be023301d18ffe67685397e0291f3d",
+    13: "72b39e36293a0b1bc22311bb2277c194189b0cbb0260ff4a50e76a30742ee094",
+    14: "bfd88c9e63b8e328be51102978ea2a11b5721f94c686bbb8306aeb685f3f4b61",
 }
 
 
@@ -364,6 +365,8 @@ COMPUTE_INPUTS = {
     ),
     # three components: a path, a star and an isolated vertex
     "forest": _edge_text(9, [(0, 1), (1, 2), (2, 3), (4, 5), (4, 6), (4, 7)]),
+    # K_{2,2,2,2}: every pair but (i, i + 4), 24 edges, the sweep's edge cap
+    "dense8": _edge_text(8, [(i, j) for i, j in itertools.combinations(range(8), 2) if j != i + 4]),
 }
 
 # sha256 of `csf compute` stdout, frozen like SURVEY_DIGESTS: the tree DP,
@@ -377,6 +380,8 @@ COMPUTE_DIGESTS = {
     ("graph12", "m"): "2cd40ad8e6a4a4df2f73fd1b282de0098b3af4d05f4b4dabaf1175e47c7615c5",
     ("forest", "p"): "5bb2570ccc81a55da6dab4114b41280e5bd5c738c1bf2c530f4d592fe39cc598",
     ("forest", "m"): "a9c3e2e074f41a25f134f6073b334604beecc45cf9ff52a056f022e386f05ab4",
+    ("dense8", "p"): "43cf4b0b273ff64d3d5dad010c3282d7d53c057f9d813633bc75e63130b9884c",
+    ("dense8", "m"): "c0a0449361530bddeb137521b5cec4ab3ca9a5358f0f1170b9ee1c163583a07c",
 }
 
 

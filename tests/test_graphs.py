@@ -98,7 +98,7 @@ def test_records_are_frozen_values():
                          ((), {"stars": (1, 1, 1)})):
         with pytest.raises(TypeError):  # missing, extra, repeated, unknown
             SpiderSpec(*args, **kwargs)
-    fields = dict(n=4, num_trees=2, pairs=1, x_equal_pairs=0, skipped_pairs=0,
+    fields = dict(n=4, num_trees=2, pairs=1, x_equal_pairs=0,
                   soundness_violations=(), verdict_counts={}, chain_audit_violations=(),
                   spider_audit=(), star_audit=())
     a = SurveyReport(**fields, pair_rows=lambda: iter(["0,1"]))

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import re
 import time
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import (
+    acyclic_orientations,
     coloring_count,
     evaluate_ones,
     monomial_by_stable_partitions,
@@ -23,7 +25,7 @@ from csftrees.decomposition import alpha_mis
 from csftrees.errors import CapExceededError, GraphError
 from csftrees.generators import enumerate_free_trees, gen_path, gen_spider, gen_star
 from csftrees.graphs import Graph, is_tree
-from csftrees.partitions import partitions_desc
+from csftrees.partitions import mult_factorial, partitions_desc
 from csftrees.symfunc import (
     SymmetricFunction,
     csf_equal,
@@ -326,6 +328,33 @@ def test_routes_agree_on_trees():
     for n in range(1, 10):
         for t in enumerate_free_trees(n):
             assert csf_monomial(t).terms == monomial_by_stable_partitions(t).terms
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_complete_graphs(n):
+    """X_{K_n} = n! e_n: [p_lambda] = (-1)^(n - l(lambda)) n!/z_lambda, with
+    z_lambda = prod(lambda) * prod m_i(lambda)!, and csf_monomial is
+    n! m_(1^n)."""
+    g = Graph(n, tuple(itertools.combinations(range(n), 2)))
+    z = {lam: math.prod(lam) * mult_factorial(lam) for lam in partitions_desc(n)}
+    want = {lam: (-1) ** (n - len(lam)) * math.factorial(n) // z[lam] for lam in z}
+    assert dict(csf_powersum(g).terms) == want
+    assert dict(csf_monomial(g).terms) == {(1,) * n: math.factorial(n)}
+
+
+def test_powersum_terms_count_acyclic_orientations():
+    """The identity the sweep's pruning rests on: X_G is a sum over the
+    broken-circuit-free edge sets, one per acyclic orientation, so every
+    [p_lambda] has sign (-1)^(n - l(lambda)) and their absolute values add
+    up to the number of acyclic orientations."""
+    rng = random.Random(2401)
+    for _ in range(60):
+        n = rng.randint(1, 7)
+        pool = list(itertools.combinations(range(n), 2))
+        g = Graph(n, tuple(rng.sample(pool, rng.randint(0, min(len(pool), 12)))))
+        terms = csf_powersum(g).terms
+        assert all(c * (-1) ** (n - len(lam)) > 0 for lam, c in terms)
+        assert sum(abs(c) for _, c in terms) == acyclic_orientations(g)
 
 
 def test_routes_agree_on_cycles_and_random_graphs():

@@ -395,7 +395,7 @@ def test_spider_audit_cap():
 def test_survey_smallest():
     rep = survey(3)
     assert isinstance(rep, SurveyReport)
-    assert (rep.num_trees, rep.pairs, rep.x_equal_pairs, rep.skipped_pairs) == (1, 0, 0, 0)
+    assert (rep.num_trees, rep.pairs, rep.x_equal_pairs) == (1, 0, 0)
     assert list(rep.pair_rows()) == []
     assert rep.soundness_violations == ()
 
@@ -454,7 +454,7 @@ def test_survey_audit_row_counts():
 def test_survey_json_key_order():
     keys = list(survey_report_to_json_dict(survey(4)).keys())
     assert keys == [
-        "n", "num_trees", "pairs", "x_equal_pairs", "skipped_pairs",
+        "n", "num_trees", "pairs", "x_equal_pairs",
         "soundness_violations", "verdict_counts", "chain_audit_violations",
         "spider_audit", "star_audit",
     ]
