@@ -13,6 +13,15 @@ the greedy witness (all b-vertices) is a maximum independent set:
 sum(b_i) = alpha(T) for every tree, which alpha_mis cross-checks by
 dynamic programming.
 
+Each level reads only its frontier: the alive vertices of degree 1 and of
+degree 0. Every vertex of degree 1 leaves on its own level (to b, or to
+eta as the larger id of a two-vertex component), and a vertex of degree 0
+never changes, so the next level's leaves are among the vertices whose
+degree just fell: the neighbors of eta left alive. A level is the last one
+exactly when its frontier holds every alive vertex. Each vertex and edge
+is touched a bounded number of times, so the peel costs O(n log n), the
+log from sorting each level's vertex tuples.
+
 rho = n - b_1 - eta_1 uses the first level only; its vertex set V(rho) is
 everything that is neither a leaf nor a leaf-neighbor, and is_path reports
 whether the induced subgraph is a path (vacuously true for rho <= 1). Any
@@ -46,32 +55,39 @@ class LeafDecomposition(Record):
 
 
 def leaf_decomposition(t: Tree) -> LeafDecomposition:
-    """The levels of t, peeled from neighbor sets built from t.edges."""
+    """The levels of t, peeled from neighbor sets built from t.edges; each
+    level reads only its frontier (see the module docstring)."""
     adjsets: list[set[int]] = [set() for _ in range(t.n)]
     for u, v in t.edges:
         adjsets[u].add(v)
         adjsets[v].add(u)
-    alive = set(range(t.n))
+    alive = t.n
+    leaves = [v for v in range(alive) if len(adjsets[v]) == 1]
+    isolated = [v for v in range(alive) if not adjsets[v]]
     levels: list[LeafLevel] = []
     while alive:
-        last = all(len(adjsets[v]) <= 1 for v in alive)
-        b_set, eta_set = set(), set()
-        for v in alive:
-            if len(adjsets[v]) == 1:
-                (u,) = adjsets[v]
-                if v < u or len(adjsets[u]) > 1:  # a two-vertex component: smaller id to b
-                    b_set.add(v)
-                    eta_set.add(u)
-            elif last:  # isolated
-                b_set.add(v)
-        levels.append(
-            LeafLevel(len(b_set), len(eta_set), tuple(sorted(b_set)), tuple(sorted(eta_set)))
-        )
-        removed = b_set | eta_set
-        for v in removed:
-            for w in adjsets[v]:
-                adjsets[w].discard(v)
-        alive -= removed
+        last = len(leaves) + len(isolated) == alive
+        b, eta = [], set()
+        for v in leaves:
+            (u,) = adjsets[v]
+            if v < u or len(adjsets[u]) > 1:  # a two-vertex component: smaller id to b
+                b.append(v)
+                eta.add(u)
+        if last:
+            b += isolated
+        levels.append(LeafLevel(len(b), len(eta), tuple(sorted(b)), tuple(sorted(eta))))
+        removed = eta.union(b)
+        alive -= len(removed)
+        # A b-vertex's one neighbor is in eta, so every alive vertex that
+        # loses a neighbor is a neighbor of eta.
+        touched = set()
+        for u in eta:
+            for w in adjsets[u]:
+                if w not in removed:
+                    adjsets[w].discard(u)
+                    touched.add(w)
+        leaves = [w for w in touched if len(adjsets[w]) == 1]
+        isolated += [w for w in touched if not adjsets[w]]
     return LeafDecomposition(tuple(levels), 2 * levels[-1].eta if last else 0)
 
 

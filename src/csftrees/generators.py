@@ -125,7 +125,7 @@ class StarConnectionSpec(Record):
     def from_json(cls, text: str) -> "StarConnectionSpec":
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise GraphError(f"malformed star connection spec: {exc}") from None
         if not isinstance(data, dict) or "stars" not in data or "gluings" not in data:
             raise GraphError('star connection spec must be {"stars": [..], "gluings": [..]}')
@@ -178,17 +178,23 @@ def gen_star_connection(spec: StarConnectionSpec) -> Tree:
             components += 1
     if len(edges) != r + t - components:
         # A pair of stars shares two vertices only if both are in two or
-        # more gluings (adj[k] lists star k's gluings), so only those count.
-        shared: dict[tuple[int, int], int] = {}
-        for g in spec.gluings:
-            stars = sorted(k for k in g.stars if len(adj[k]) > 1)
-            for i, a in enumerate(stars):
-                for b in stars[i + 1 :]:
-                    shared[a, b] = shared.get((a, b), 0) + 1
-        twice = [pair for pair, count in shared.items() if count > 1]
-        if twice:
-            a, b = min(twice)
-            raise GraphError(f"stars {a} and {b} share {shared[a, b]} vertices (at most 1 allowed)")
+        # more gluings (adj[k] lists star k's gluings, adj[r + gi] gluing
+        # gi's stars), so only those count. The first star a, ascending,
+        # with a later star b in two of its gluings names the smallest pair.
+        for a in range(r):
+            if len(adj[a]) < 2:
+                continue
+            shared: dict[int, int] = {}
+            for g in adj[a]:
+                for b in adj[g]:
+                    if b > a and len(adj[b]) > 1:
+                        shared[b] = shared.get(b, 0) + 1
+            twice = [b for b, count in shared.items() if count > 1]
+            if twice:
+                b = min(twice)
+                raise GraphError(
+                    f"stars {a} and {b} share {shared[b]} vertices (at most 1 allowed)"
+                )
         raise GraphError("gluing structure contains a cycle")
     if components != 1:
         raise GraphError("gluing structure is not connected")

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 from csftrees import symfunc, theorems
 from csftrees._kernels import stable_type_counts
-from csftrees.decomposition import LeafDecomposition
+from csftrees.decomposition import LeafDecomposition, LeafLevel
 from csftrees.errors import GraphError
 from csftrees.generators import Gluing, StarConnectionSpec, enumerate_free_trees
 from csftrees.graphs import Graph, Tree, _code_from_adj, is_int
@@ -374,6 +374,38 @@ def p_to_m_reference(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
     a sub-multiset of the parts, then the rest of the slots recursively."""
     runs = tuple((val, len(list(grp))) for val, grp in itertools.groupby(lam))
     return _slot_assignments(runs, tuple(mu))
+
+
+def leaf_decomposition_reference(t: Tree) -> LeafDecomposition:
+    """The leaf decomposition by the rule as stated: every level scans all
+    alive vertices, first to see whether none has degree 2 or more (the
+    last level), then for the degree-1 vertices and their neighbors."""
+    adjsets: list[set[int]] = [set() for _ in range(t.n)]
+    for u, v in t.edges:
+        adjsets[u].add(v)
+        adjsets[v].add(u)
+    alive = set(range(t.n))
+    levels: list[LeafLevel] = []
+    while alive:
+        last = all(len(adjsets[v]) <= 1 for v in alive)
+        b_set, eta_set = set(), set()
+        for v in alive:
+            if len(adjsets[v]) == 1:
+                (u,) = adjsets[v]
+                if v < u or len(adjsets[u]) > 1:  # a two-vertex component: smaller id to b
+                    b_set.add(v)
+                    eta_set.add(u)
+            elif last:  # isolated
+                b_set.add(v)
+        levels.append(
+            LeafLevel(len(b_set), len(eta_set), tuple(sorted(b_set)), tuple(sorted(eta_set)))
+        )
+        removed = b_set | eta_set
+        for v in removed:
+            for w in adjsets[v]:
+                adjsets[w].discard(v)
+        alive -= removed
+    return LeafDecomposition(tuple(levels), 2 * levels[-1].eta if last else 0)
 
 
 def alpha_from_decomposition(d: LeafDecomposition) -> int:

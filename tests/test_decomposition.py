@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 
@@ -7,7 +8,9 @@ from _oracles import (
     alpha_from_decomposition,
     edge_splits_bruteforce,
     independent_set_counts_bruteforce,
+    leaf_decomposition_reference,
     mis_bruteforce,
+    prufer_tree,
     relabel,
     rho_path_bruteforce,
 )
@@ -52,6 +55,30 @@ def test_decomposition_goldens(tree, counts, term_alpha):
     assert d.level_counts() == counts
     assert d.terminal_alpha == term_alpha
     assert len(d.levels) == len(counts)
+
+
+def test_long_path_peels_in_linear_time():
+    """P_50000 has 12,500 levels; a peel that scans every alive vertex on
+    every level takes about n^2 / 8 steps here, over 15 s."""
+    t = gen_path(50_000)
+    start = time.perf_counter()
+    d = leaf_decomposition(t)
+    assert time.perf_counter() - start < 2.0
+    assert d.level_counts() == ((2, 2),) * 12_500
+    assert d.terminal_alpha == 0
+
+
+def test_peel_matches_reference():
+    """The frontier peel against the per-level scan of every alive vertex:
+    every tree with n <= 12 and seeded random labeled trees with n <= 300."""
+    for n in range(1, 13):
+        for t in enumerate_free_trees(n):
+            assert leaf_decomposition(t) == leaf_decomposition_reference(t)
+    rng = random.Random(25)
+    for _ in range(300):
+        n = rng.randint(2, 300)
+        t = prufer_tree([rng.randrange(n) for _ in range(n - 2)])
+        assert leaf_decomposition(t) == leaf_decomposition_reference(t)
 
 
 def test_pairing_inside_a_level():

@@ -149,12 +149,20 @@ def test_star_connection_message_precedence(sizes, gluings, msg):
     assert str(exc.value) == msg
 
 
-def test_share_search_skips_stars_in_one_gluing():
-    """3,333 S_3's in one gluing plus the gluing (0, 1): only stars 0 and 1
-    are in two gluings, so the share search looks at one pair, not 5.5
-    million."""
-    r = 3333
-    spec = StarConnectionSpec((3,) * r, (Gluing(tuple(range(r))), Gluing((0, 1))))
+@pytest.mark.parametrize(
+    "spec",
+    [
+        # 3,333 S_3's in one gluing plus the gluing (0, 1): only stars 0 and 1
+        # are in two gluings, so the share search looks at one pair, not 5.5
+        # million
+        StarConnectionSpec((3,) * 3333, (Gluing(tuple(range(3333))), Gluing((0, 1)))),
+        # 4,999 S_3's in two gluings that each hold every star: the search
+        # stops at star 0, not after counting 2 x 12.5 million pairs
+        StarConnectionSpec((3,) * 4999, (Gluing(tuple(range(4999))),) * 2),
+    ],
+    ids=["one_shared_pair", "every_pair_shared"],
+)
+def test_share_search_skips_stars_in_one_gluing(spec):
     start = time.perf_counter()
     with pytest.raises(GraphError) as exc:
         gen_star_connection(spec)
@@ -179,7 +187,12 @@ def test_star_connection_json():
     spec = StarConnectionSpec.from_json(text)
     assert spec.star_sizes == (4, 5, 3, 4)
     assert spec.gluings == (Gluing((0, 1)), Gluing((1, 2)), Gluing((2, 3)))
-    for bad in ["[]", '{"stars": [3, 3]}', '{"stars": [3,3], "gluings": [{"at": [0,1]}]}']:
+    for bad in [
+        "[]",
+        '{"stars": [3, 3]}',
+        '{"stars": [3,3], "gluings": [{"at": [0,1]}]}',
+        "[" * 100_000 + "]" * 100_000,
+    ]:
         with pytest.raises(GraphError):
             StarConnectionSpec.from_json(bad)
 
