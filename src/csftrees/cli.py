@@ -31,7 +31,7 @@ import sys
 from contextlib import nullcontext
 
 from .errors import CapExceededError, GraphError, InternalError
-from .graphs import Tree, parse_edge_list, parse_int, serialize, trees_isomorphic
+from .graphs import Tree, _parse_edges, parse_edge_list, parse_int, serialize, trees_isomorphic
 
 
 def _read(path: str) -> str:
@@ -55,8 +55,7 @@ def _emit_json(obj, out: str | None) -> None:
 
 
 def _read_tree(path: str) -> Tree:
-    g = parse_edge_list(_read(path))
-    return Tree(g.n, g.edges)
+    return Tree(*_parse_edges(_read(path)))  # the Graph checks run once, in Tree
 
 
 def _cmd_compute(args) -> int:

@@ -10,8 +10,8 @@ degree 2 or more: its isolated vertices go to b as well, and terminal_alpha
 is twice its eta count (the degree-1 vertices of that forest). With that
 rule the level vertex sets partition V, every level has b_i >= eta_i, and
 the greedy witness (all b-vertices) is a maximum independent set:
-sum(b_i) = alpha(T) for every tree, which alpha_mis cross-checks by
-dynamic programming.
+sum(b_i) = alpha(T) for every tree, which the survey checks against
+deg i(T; x) on every tree and the tests against alpha_mis.
 
 Each level reads only its frontier: the alive vertices of degree 1 and of
 degree 0. Every vertex of degree 1 leaves on its own level (to b, or to
@@ -34,7 +34,7 @@ i(T; x), since [m_(k,1^(n-k))] X_T = (n-k)! i_k, and the sorted edge splits
 min(s, n - s), since [p_(n-a,a)] X_T = (-1)^n times the number of edges whose
 removal leaves sides of sizes a and n - a.  Trees that differ in either have
 different X; the survey runs the full tree DP only where both tie.  The
-degree of i(T; x) is alpha(T), which alpha_mis computes independently.
+degree of i(T; x) is alpha(T), the survey's check on the peel's sum(b_i).
 """
 
 from __future__ import annotations

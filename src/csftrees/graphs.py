@@ -221,6 +221,10 @@ def parse_int(token: str) -> int:
 
 
 def parse_edge_list(text: str) -> Graph:
+    return Graph(*_parse_edges(text))
+
+
+def _parse_edges(text: str) -> tuple[int, tuple[tuple[int, int], ...]]:
     n_header: int | None = None
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
@@ -266,7 +270,7 @@ def parse_edge_list(text: str) -> Graph:
                 raise GraphError(f"edge ({u},{v}) has endpoint >= declared n={n}")
     else:
         n = 1 + max((v for _, v in edges), default=-1)
-    return Graph(n, tuple(edges))
+    return n, tuple(edges)
 
 
 def serialize(g: Graph) -> str:

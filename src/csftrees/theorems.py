@@ -100,7 +100,7 @@ def verdict_to_json_dict(v: TheoremVerdict) -> dict:
 class TreeFacts(Record):
     """Everything the pairwise checkers need to know about one tree."""
 
-    __slots__ = ("n", "levels", "rho", "is_path")
+    __slots__ = ("levels", "rho", "is_path")
 
 
 def tree_facts(t: Tree, d: LeafDecomposition | None = None) -> TreeFacts:
@@ -111,7 +111,7 @@ def tree_facts(t: Tree, d: LeafDecomposition | None = None) -> TreeFacts:
         rho, path = rd.rho, rd.is_path
     else:
         rho, path = 0, True
-    return TreeFacts(t.n, d.level_counts(), rho, path)
+    return TreeFacts(d.level_counts(), rho, path)
 
 
 def _check_strict(theorem: str, m1: int, m2: int) -> None:
@@ -325,8 +325,6 @@ def spider_audit(spec: SpiderSpec) -> tuple[int, int, bool]:
     return formula, oracle, formula == oracle
 
 
-
-
 class SurveyReport(Record):
     """What survey(n) found.  pair_rows() yields the CSV lines
     (SURVEY_CSV_HEADER columns, no line terminator), one per pair in (a, b)
@@ -415,16 +413,16 @@ def _verdict_suffix(lv, cw, sm) -> str:
 
 
 def _survey_payload(t: Tree):
-    """Per-tree work unit: decomposition facts, the chain data, the exact
-    X-invariant key (i(T; x), edge splits) and alpha = deg i(T; x), which
-    must equal alpha_mis, which stays an independent algorithm."""
+    """Per-tree work unit: decomposition facts, the chain sequence if the
+    chain fails (else None) and the exact X-invariant key (i(T; x), edge
+    splits).  deg i(T; x) must equal the peel's sum of b_i."""
     d = leaf_decomposition(t)
+    facts = tree_facts(t, d)
     key = independence_and_splits(t)
-    alpha = len(key[0]) - 1
-    mis = alpha_mis(t)
-    if alpha != mis:
-        raise InternalError(f"deg i(T; x) = {alpha} but alpha_mis = {mis} for edges {t.edges}")
-    return tree_facts(t, d), chain_sequence(d), chain_holds(d), key, alpha
+    degree, blocks = len(key[0]) - 1, sum(b for b, _ in facts.levels)
+    if degree != blocks:
+        raise InternalError(f"deg i(T; x) = {degree} but sum of b_i = {blocks} for edges {t.edges}")
+    return facts, None if chain_holds(d) else chain_sequence(d), key
 
 
 def _spider_audit_rows(n: int) -> list[dict]:
@@ -480,12 +478,13 @@ def _star_audit_rows(n: int) -> list[dict]:
     return rows
 
 
-def _key_verdicts(fa: TreeFacts, fb: TreeFacts, ma: int, mb: int):
-    """The three verdicts on an ordered pair with facts (fa, fb) and max
-    blocks (ma, mb), and what the survey keeps of them: the suffix of the
-    pair's CSV rows and its soundness violations as (theorem id, reason)
-    tuples, first if the pair is X-equal, then if it is not."""
+def _key_verdicts(fa: TreeFacts, fb: TreeFacts):
+    """The three verdicts on an ordered pair with facts (fa, fb), and what
+    the survey keeps of them: the suffix of the pair's CSV rows and its
+    soundness violations as (theorem id, reason) tuples, first if the pair
+    is X-equal, then if it is not.  A max block is the facts' sum of b_i."""
     verdicts = _pair_verdicts(fa, fb)
+    ma, mb = sum(b for b, _ in fa.levels), sum(b for b, _ in fb.levels)
     if_equal, if_distinct = [], []
     for v in verdicts:
         if v.status != APPLICABLE:
@@ -502,18 +501,19 @@ def _key_verdicts(fa: TreeFacts, fb: TreeFacts, ma: int, mb: int):
     return verdicts, (_verdict_suffix(*verdicts), tuple(if_equal), tuple(if_distinct))
 
 
-def _x_equal_groups(trees: list[Tree], by_key: dict, alpha: list[int]) -> list[list[int]]:
+def _x_equal_groups(trees: list[Tree], by_key: dict) -> list[list[int]]:
     """The groups of two or more X-equal trees, each ascending, from the
     trees' indices bucketed by key.  Trees with different keys have
     different X, so the tree DP runs only in buckets of two or more trees;
     there the full p-terms decide (a dict keyed by the terms, so a hash
     never decides alone), and the max block read from their hooks must
-    equal alpha.  The CSF engine is imported only for such a bucket: no
-    two trees tie for n <= 10."""
+    equal deg i(T; x), the bucket's.  The CSF engine is imported only for
+    such a bucket: no two trees tie for n <= 10."""
     groups = []
-    for members in by_key.values():
+    for key, members in by_key.items():
         if len(members) < 2:
             continue
+        degree = len(key[0]) - 1
         from .symfunc import _hook_max_block, _tree_powersum_terms
 
         by_terms: dict[tuple, list[int]] = {}
@@ -521,9 +521,9 @@ def _x_equal_groups(trees: list[Tree], by_key: dict, alpha: list[int]) -> list[l
             t = trees[i]
             terms = _tree_powersum_terms(t)
             hook = _hook_max_block(t.n, terms)
-            if hook != alpha[i]:
+            if hook != degree:
                 raise InternalError(
-                    f"tree {i}: max block {hook} from the p-terms, deg i(T; x) = {alpha[i]}"
+                    f"tree {i}: max block {hook} from the p-terms, deg i(T; x) = {degree}"
                 )
             by_terms.setdefault(terms, []).append(i)
         groups.extend(g for g in by_terms.values() if len(g) > 1)
@@ -548,15 +548,15 @@ def survey(n: int) -> SurveyReport:
     tree, sorted by canonical code), and tree indices are positions in that
     order.  Each tree gets two exact coefficient families of X from one
     small DP (independence_and_splits): i(T; x) and its edge splits.  alpha,
-    the largest block every claimed maximum is checked against, is
-    deg i(T; x), cross-checked against alpha_mis on every tree.  Trees whose
-    keys differ have different X; only inside buckets of two or more trees
-    does the full tree DP run, and there X-equality is decided on the exact
+    the largest block every claimed maximum is checked against, is the sum
+    of b_i, which must equal deg i(T; x) on every tree.  Trees whose keys
+    differ have different X; only inside buckets of two or more trees does
+    the full tree DP run, and there X-equality is decided on the exact
     p-terms (the change of basis is invertible), whose hook coefficients
     must give alpha again.  A key match alone never makes a pair X-equal.
 
-    The checkers read only TreeFacts, so the trees are grouped into classes
-    by (facts, alpha), and the verdicts, their CSV cells and their
+    The checkers read only TreeFacts, which fix alpha, so the trees are
+    grouped into fact classes, and the verdicts, their CSV cells and their
     soundness problems are computed once per ordered class pair.  No loop
     runs over tree pairs:
       * verdict_counts weighs each unordered class pair by its number of
@@ -567,8 +567,6 @@ def survey(n: int) -> SurveyReport:
       * The soundness violations come from the pairs inside those groups
         and the tree pairs of the ordered class pairs that have a problem
         even when X differs, listed in (a, b) order.
-    alpha is part of the class so that the claimed-m check stays exact for
-    every pair without assuming that alpha is a function of the facts.
 
     Everything runs in one process, so the report depends on n alone.  The
     per-pair CSV rows are not stored: the report's pair_rows() rebuilds
@@ -578,19 +576,18 @@ def survey(n: int) -> SurveyReport:
     num = len(trees)
     chain_viol = []
     by_key: dict[tuple, list[int]] = {}
-    classes: dict[tuple, int] = {}
-    cls, alpha = [], []
+    classes: dict[TreeFacts, int] = {}
+    cls = []
     for i, t in enumerate(trees):
-        facts, sequence, holds, key, max_block = _survey_payload(t)
-        if not holds:
-            chain_viol.append({"tree": i, "sequence": list(sequence)})
+        facts, failed_chain, key = _survey_payload(t)
+        if failed_chain is not None:
+            chain_viol.append({"tree": i, "sequence": list(failed_chain)})
         by_key.setdefault(key, []).append(i)
-        cls.append(classes.setdefault((facts, max_block), len(classes)))
-        alpha.append(max_block)
+        cls.append(classes.setdefault(facts, len(classes)))
 
     x_id = list(range(num))  # X-equal trees share an id
     equal_pairs: list[tuple[int, int]] = []
-    for group in _x_equal_groups(trees, by_key, alpha):
+    for group in _x_equal_groups(trees, by_key):
         for i in group:
             x_id[i] = group[0]
         equal_pairs.extend(combinations(group, 2))
@@ -620,8 +617,7 @@ def survey(n: int) -> SurveyReport:
                 orders = [(x, y) for x, y in ((a, b), (b, a)) if members[x][0] < members[y][-1]]
             outcome = None
             for x, y in orders:
-                (fx, mx), (fy, my) = class_of[x], class_of[y]
-                verdicts, memo[x * k + y] = _key_verdicts(fx, fy, mx, my)
+                verdicts, memo[x * k + y] = _key_verdicts(class_of[x], class_of[y])
                 seen = [(v.status, v.case_id) for v in verdicts]
                 if outcome is not None and seen != outcome:
                     raise InternalError(

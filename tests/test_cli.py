@@ -176,6 +176,25 @@ def test_decompose_rejects_non_tree(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["decompose", "compare"])
+def test_each_tree_file_is_validated_once(tmp_path, capsys, monkeypatch, command):
+    checked = []
+    check = graphs.Graph.__post_init__
+
+    def counted(self):
+        checked.append(self.n)
+        check(self)
+
+    monkeypatch.setattr(graphs.Graph, "__post_init__", counted)
+    a = _write(tmp_path, "a.txt", P4)
+    if command == "decompose":
+        argv, files = ["decompose", "--input", a], 1
+    else:
+        argv, files = ["compare", "--a", a, "--b", _write(tmp_path, "b.txt", S4), "--theorems"], 2
+    assert main(argv) == 0
+    assert checked == [4] * files
+
+
 def test_compare_plain(tmp_path, capsys):
     a = _write(tmp_path, "a.txt", P4)
     b = _write(tmp_path, "b.txt", S4)

@@ -12,7 +12,13 @@ from _oracles import (
     survey_class_loop_reference,
     survey_pairwise_reference,
 )
-from csftrees.decomposition import alpha_mis, independence_and_splits, leaf_decomposition
+from csftrees.decomposition import (
+    alpha_mis,
+    chain_holds,
+    chain_sequence,
+    independence_and_splits,
+    leaf_decomposition,
+)
 from csftrees.errors import CapExceededError, GraphError, InternalError
 from csftrees.generators import (
     Gluing,
@@ -60,7 +66,7 @@ REVERSED14 = _tree(14, (0, 1), (0, 7), (0, 13), (1, 2), (1, 6), (2, 3), (2, 5), 
 
 def test_tree_facts():
     f = tree_facts(gen_path(7))
-    assert (f.n, f.levels, f.rho, f.is_path) == (7, ((2, 2), (2, 1)), 3, True)
+    assert (f.levels, f.rho, f.is_path) == (((2, 2), (2, 1)), 3, True)
     f1 = tree_facts(gen_path(1))
     assert (f1.rho, f1.is_path) == (0, True)
 
@@ -110,14 +116,48 @@ def test_survey_payloads_reuse_the_enumerated_trees(tree_builds):
 
 
 def test_survey_payload_max_block_is_max_block_from_csf():
+    # the survey reads each max block as the sum of b_i of the facts
     from csftrees import theorems
     from csftrees.symfunc import max_block_from_csf
 
     for n in range(1, 12):
         for t in enumerate_free_trees(n):
-            payload = theorems._survey_payload(t)
-            assert payload[3] == independence_and_splits(t)
-            assert payload[4] == max_block_from_csf(csf_powersum(t))
+            facts, failed_chain, key = theorems._survey_payload(t)
+            assert facts == tree_facts(t)
+            assert key == independence_and_splits(t)
+            d = leaf_decomposition(t)
+            assert failed_chain == (None if chain_holds(d) else chain_sequence(d))
+            assert sum(b for b, _ in facts.levels) == max_block_from_csf(csf_powersum(t))
+
+
+def test_survey_payload_builds_the_chain_sequence_only_where_the_chain_fails(monkeypatch):
+    from csftrees import theorems
+
+    calls = []
+    real = theorems.chain_sequence
+
+    def counted(d):
+        calls.append(d)
+        return real(d)
+
+    monkeypatch.setattr(theorems, "chain_sequence", counted)
+    failed = [t for t in enumerate_free_trees(12) if theorems._survey_payload(t)[1] is not None]
+    assert len(calls) == len(failed) == 1
+
+
+@pytest.mark.parametrize("n", range(7, 11))
+def test_survey_calls_alpha_mis_only_in_the_audits(monkeypatch, n):
+    from csftrees import theorems
+
+    calls = []
+
+    def counted(g):
+        calls.append(g.n)
+        return alpha_mis(g)
+
+    monkeypatch.setattr(theorems, "alpha_mis", counted)
+    rep = survey(n)
+    assert len(calls) == len(rep.spider_audit) + len(rep.star_audit)
 
 
 def test_verdict_json_shape():
@@ -490,8 +530,8 @@ def test_survey_rows_are_rebuilt_on_each_call():
 def _patch_payloads(monkeypatch, n, edit, ref_edit=None):
     """Make theorems._survey_payload return edit(index, payload) for the
     index-th tree of enumerate_free_trees(n), and _oracles.reference_payload
-    return ref_edit(index, payload) if given.  Both payloads hold the max
-    block at index 4."""
+    return ref_edit(index, payload) if given.  The survey's payload holds
+    the key at index 2, the reference's the max block at index 4."""
     import _oracles
     from csftrees import theorems
 
@@ -521,28 +561,44 @@ def _patch_terms(monkeypatch, n, fake):
 
 
 def test_survey_reports_a_wrong_max_block_like_the_reference(monkeypatch):
-    # the last tree that shares its facts with an earlier one, so a memo keyed
-    # on the facts alone would reuse the earlier tree's checks for it; its
-    # alpha is raised after the alpha_mis check, in survey and oracle alike
+    # LEAVES_RHO claims m1 one too high on every pair that holds the facts
+    # of the last tree sharing its facts with an earlier one, in survey and
+    # oracle alike: the survey checks the claim once per class pair and
+    # reports it for every tree of the class
+    from csftrees import theorems
+
     facts = [tree_facts(t) for t in enumerate_free_trees(9)]
-    bad = max(i for i, f in enumerate(facts) if f in facts[:i])
+    bad = facts[max(i for i, f in enumerate(facts) if f in facts[:i])]
+    real = theorems._leaves_verdict
 
-    def edit(i, p):
-        return (*p[:4], p[4] + 1) if i == bad else p
+    def off_by_one(f1, f2):
+        v = real(f1, f2)
+        if v.status != APPLICABLE or bad not in (f1, f2):
+            return v
+        return TheoremVerdict(
+            v.theorem_id, v.status, v.case_id, v.m1 + 1, v.m2, v.swapped, v.detail
+        )
 
-    _patch_payloads(monkeypatch, 9, edit, edit)
+    monkeypatch.setattr(theorems, "_leaves_verdict", off_by_one)
     rep, ref = survey(9), survey_pairwise_reference(9)
     assert rep.soundness_violations
-    assert all(bad in (v["a"], v["b"]) for v in rep.soundness_violations)
+    assert all(
+        bad in (facts[v["a"]], facts[v["b"]]) and v["theorem"] == "LEAVES_RHO"
+        for v in rep.soundness_violations
+    )
+    flagged = {i for v in rep.soundness_violations for i in (v["a"], v["b"])}
+    assert {i for i, f in enumerate(facts) if f == bad} <= flagged
     assert list(rep.soundness_violations) == list(ref.soundness_violations)
     _assert_same_survey(rep, ref)
 
 
-def test_survey_with_every_key_equal_runs_the_dp_on_every_tree(monkeypatch):
+def test_survey_with_one_key_per_degree_runs_the_dp_on_every_tied_tree(monkeypatch):
+    # every tree gets a key that holds only deg i(T; x), so the trees of
+    # each degree tie; only the star, alone with degree n - 1, stays apart
     from csftrees import symfunc
 
     clean = survey(7)
-    _patch_payloads(monkeypatch, 7, lambda i, p: (*p[:3], "one key", p[4]))
+    _patch_payloads(monkeypatch, 7, lambda i, p: (*p[:2], ((None,) * len(p[2][0]), ())))
     calls = []
     real = symfunc._tree_powersum_terms
 
@@ -552,7 +608,7 @@ def test_survey_with_every_key_equal_runs_the_dp_on_every_tree(monkeypatch):
 
     monkeypatch.setattr(symfunc, "_tree_powersum_terms", counted)
     rep = survey(7)
-    assert len(calls) == len(set(calls)) == rep.num_trees == 11
+    assert len(calls) == len(set(calls)) == rep.num_trees - 1 == 10
     assert rep.x_equal_pairs == 0
     assert survey_report_to_json_dict(rep) == survey_report_to_json_dict(clean)
     _assert_same_survey(rep, clean)
@@ -560,12 +616,14 @@ def test_survey_with_every_key_equal_runs_the_dp_on_every_tree(monkeypatch):
 
 
 def test_survey_x_equality_compares_full_terms(monkeypatch):
-    # Trees 0 and last get tree 0's p-terms, and the last tree tree 0's
-    # alpha to match them.  Tree 1, whose alpha is tree 0's, gets terms that
-    # differ from them in two coefficients by +-(2^61 - 1): the tuples hash
-    # equal in CPython and the hook coefficients, hence alpha, are unchanged
-    # (neither partition has a part 1, and the two changes cancel in the
-    # coefficient sum).  All three share one key.
+    # Trees 0 and last get tree 0's p-terms, and all three of 0, 1 and last
+    # tree 0's key.  Tree 1, whose alpha is tree 0's, gets terms that differ
+    # from them in two coefficients by +-(2^61 - 1): the tuples hash equal
+    # in CPython and the hook coefficients, hence the max block, are
+    # unchanged (neither partition has a part 1, and the two changes cancel
+    # in the coefficient sum).  The survey reads the last tree's max block
+    # from its facts, so the references get its own alpha back in place of
+    # the one their hooks read from tree 0's terms.
     trees = enumerate_free_trees(7)
     last = len(trees) - 1
     alpha = [alpha_mis(t) for t in trees]
@@ -582,7 +640,8 @@ def test_survey_x_equality_compares_full_terms(monkeypatch):
     _patch_payloads(
         monkeypatch,
         7,
-        lambda i, p: (*p[:3], key, alpha[0]) if i in (0, 1, last) else p,
+        lambda i, p: (*p[:2], key) if i in (0, 1, last) else p,
+        lambda i, p: (*p[:4], alpha[last]) if i == last else p,
     )
     rep, ref = survey(7), survey_pairwise_reference(7)
     assert rep.x_equal_pairs == ref.x_equal_pairs == 1
@@ -595,7 +654,7 @@ def test_survey_x_equality_compares_full_terms(monkeypatch):
     assert equal_rows == [["0", str(last), "true"]]
 
 
-def test_survey_rejects_an_alpha_that_alpha_mis_contradicts(monkeypatch):
+def test_survey_rejects_a_degree_that_the_peel_contradicts(monkeypatch):
     from csftrees import theorems
 
     real = theorems.independence_and_splits
@@ -606,19 +665,20 @@ def test_survey_rejects_an_alpha_that_alpha_mis_contradicts(monkeypatch):
         return (ind + (1,), splits) if t.edges == star else (ind, splits)
 
     monkeypatch.setattr(theorems, "independence_and_splits", one_more)
-    with pytest.raises(InternalError, match="deg i\\(T; x\\) = 7 but alpha_mis = 6"):
+    with pytest.raises(InternalError, match="deg i\\(T; x\\) = 7 but sum of b_i = 6"):
         survey(7)
 
 
 def test_survey_rejects_p_terms_whose_max_block_is_not_alpha(monkeypatch):
-    # trees 0 and last tie on the key, and the last gets tree 0's p-terms,
-    # whose hooks give alpha 4 where deg i(T; x) = 6
+    # trees 0 and last tie on tree 0's key, of degree 4, and the last
+    # tree's own p-terms give its max block 6
     trees = enumerate_free_trees(7)
     last = len(trees) - 1
-    _patch_terms(monkeypatch, 7, {last: csf_powersum(trees[0]).terms})
     key = independence_and_splits(trees[0])
-    _patch_payloads(monkeypatch, 7, lambda i, p: (*p[:3], key, p[4]) if i in (0, last) else p)
-    with pytest.raises(InternalError, match=f"tree {last}: max block 4 from the p-terms"):
+    _patch_payloads(monkeypatch, 7, lambda i, p: (*p[:2], key) if i in (0, last) else p)
+    with pytest.raises(
+        InternalError, match=f"tree {last}: max block 6 from the p-terms, deg i\\(T; x\\) = 4"
+    ):
         survey(7)
 
 
