@@ -31,7 +31,7 @@ import sys
 from contextlib import nullcontext
 
 from .errors import CapExceededError, GraphError, InternalError
-from .graphs import Tree, _parse_edges, parse_edge_list, parse_int, serialize, trees_isomorphic
+from .graphs import Tree, _parse_edges, parse_edge_list, parse_int, serialize
 
 
 def _read(path: str) -> str:
@@ -86,16 +86,9 @@ def _cmd_compare(args) -> int:
         "x_equal": csf_equal(ta, tb),
     }
     if args.theorems:
-        from .theorems import _pair_verdicts, tree_facts, verdict_to_json_dict
+        from .theorems import _pair_facts, _pair_verdicts, verdict_to_json_dict
 
-        if ta.n != tb.n:
-            raise GraphError(f"--theorems needs equal vertex counts, got {ta.n} and {tb.n}")
-        if trees_isomorphic(ta, tb):
-            raise GraphError("--theorems needs non-isomorphic trees")
-        # Non-isomorphic trees of equal size have n >= 4, as LEAVES_RHO needs.
-        report["theorems"] = [
-            verdict_to_json_dict(v) for v in _pair_verdicts(tree_facts(ta), tree_facts(tb))
-        ]
+        report["theorems"] = [verdict_to_json_dict(v) for v in _pair_verdicts(*_pair_facts(ta, tb))]
     _emit_json(report, args.out)
     return 0
 

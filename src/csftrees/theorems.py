@@ -71,8 +71,6 @@ STAR_COUNT = "STAR_COUNT"
 APPLICABLE = "Applicable"
 NOT_APPLICABLE = "NotApplicable"
 
-SPIDER_AUDIT_MAX_VERTICES = 24
-
 
 class TheoremVerdict(Record):
     __slots__ = ("theorem_id", "status", "case_id", "m1", "m2", "swapped", "detail")
@@ -124,14 +122,14 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-def _pair_facts(t1: Tree, t2: Tree, min_n: int = 1) -> tuple[TreeFacts, TreeFacts]:
-    """Both trees' facts, once the pair is one that the checkers accept."""
+def _pair_facts(t1: Tree, t2: Tree) -> tuple[TreeFacts, TreeFacts]:
+    """Both trees' facts, once the pair is one that the checkers accept:
+    equal vertex counts, then non-isomorphic.  Such trees have n >= 4, as
+    LEAVES_RHO needs."""
     if t1.n != t2.n:
-        raise GraphError(f"vertex counts differ: {t1.n} != {t2.n}")
-    if t1.n < min_n:
-        raise GraphError(f"checker needs n >= {min_n}, got {t1.n}")
+        raise GraphError(f"the checkers need equal vertex counts, got {t1.n} and {t2.n}")
     if trees_isomorphic(t1, t2):
-        raise GraphError("trees are isomorphic")
+        raise GraphError("the checkers need non-isomorphic trees")
     return tree_facts(t1), tree_facts(t2)
 
 
@@ -237,7 +235,7 @@ def _pair_verdicts(f1: TreeFacts, f2: TreeFacts) -> tuple[TheoremVerdict, ...]:
 
 
 def thm_leaves_check(t1: Tree, t2: Tree) -> TheoremVerdict:
-    return _leaves_verdict(*_pair_facts(t1, t2, min_n=4))
+    return _leaves_verdict(*_pair_facts(t1, t2))
 
 
 def thm_componentwise_check(t1: Tree, t2: Tree) -> TheoremVerdict:
@@ -314,12 +312,9 @@ def spider_M_formula(spec: SpiderSpec) -> int:
 
 
 def spider_audit(spec: SpiderSpec) -> tuple[int, int, bool]:
-    if not isinstance(spec, SpiderSpec):
-        spec = SpiderSpec(tuple(spec))
-    if spec.num_vertices > SPIDER_AUDIT_MAX_VERTICES:
-        raise CapExceededError(
-            f"spider audit capped at {SPIDER_AUDIT_MAX_VERTICES} vertices, got {spec.num_vertices}"
-        )
+    """(spider_M_formula, alpha_mis, whether they agree) for every spider
+    that gen_spider builds, i.e. up to BUILD_MAX_VERTICES vertices; past
+    that, gen_spider's CapExceededError."""
     formula = spider_M_formula(spec)
     oracle = alpha_mis(gen_spider(spec))
     return formula, oracle, formula == oracle

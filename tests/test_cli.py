@@ -16,7 +16,7 @@ import pytest
 import csftrees
 from csftrees import _kernels, cli, graphs, symfunc, theorems
 from csftrees.cli import main
-from csftrees.errors import InternalError
+from csftrees.errors import GraphError, InternalError
 from csftrees.graphs import Tree, parse_edge_list
 from csftrees.theorems import SURVEY_CSV_HEADER, survey, survey_report_to_json_dict
 
@@ -263,13 +263,21 @@ def test_compare_theorems_computes_facts_once(tmp_path, capsys, monkeypatch):
 
 
 def test_compare_theorems_preconditions(tmp_path, capsys):
+    """compare --theorems and the three checkers refuse each pair with one text."""
     a = _write(tmp_path, "a.txt", P4)
     b = _write(tmp_path, "b.txt", P3)
-    assert main(["compare", "--a", a, "--b", b, "--theorems"]) == 1
-    assert "equal vertex counts" in capsys.readouterr().err
     c = _write(tmp_path, "c.txt", "n 4\n3 2\n2 1\n1 0\n")
-    assert main(["compare", "--a", a, "--b", c, "--theorems"]) == 1
-    assert "non-isomorphic" in capsys.readouterr().err
+    checks = (theorems.thm_leaves_check, theorems.thm_componentwise_check, theorems.thm_sum_check)
+    for x, y, reason in ((a, b, "equal vertex counts"), (a, c, "non-isomorphic"),
+                         (b, b, "non-isomorphic")):
+        assert main(["compare", "--a", x, "--b", y, "--theorems"]) == 1
+        err = capsys.readouterr().err
+        assert reason in err
+        ta, tb = cli._read_tree(x), cli._read_tree(y)
+        for check in checks:
+            with pytest.raises(GraphError) as exc:
+                check(ta, tb)
+            assert err == f"error: {exc.value}\n"
 
 
 def test_compare_theorems_reports_reversed_maxima(tmp_path, capsys):
@@ -560,11 +568,12 @@ def test_spider_audit(capsys):
 
 
 def test_build_cap_exits_fast(tmp_path, capsys):
-    for legs in ("500000,500000,1", "1000000000,1,1"):
+    for legs, extra in itertools.product(("500000,500000,1", "1000000000,1,1"), ([], ["--audit"])):
         start = time.perf_counter()
-        assert main(["spider", "--legs", legs]) == 1
+        assert main(["spider", "--legs", legs] + extra) == 1
         assert time.perf_counter() - start < 1.0
-        assert capsys.readouterr().err.startswith("error: spider capped at 10000 vertices")
+        err = capsys.readouterr().err
+        assert err.startswith("error: spider capped at 10000 vertices") and err.count("\n") == 1
     spec = _write(tmp_path, "big.json", '{"stars": [3, 1000000000], "gluings": [{"stars": [0, 1]}]}')
     for extra in ([], ["--audit"]):
         start = time.perf_counter()

@@ -1,5 +1,6 @@
 import random
 import sys
+import time
 from itertools import combinations
 
 import pytest
@@ -81,9 +82,9 @@ def test_survey_decomposes_each_tree_once(monkeypatch):
 
     calls = []
 
-    def counted(t, *adj):
+    def counted(t):
         calls.append(t.n)
-        return leaf_decomposition(t, *adj)
+        return leaf_decomposition(t)
 
     monkeypatch.setattr(decomposition, "leaf_decomposition", counted)
     monkeypatch.setattr(theorems, "leaf_decomposition", counted)
@@ -254,12 +255,12 @@ def test_leaves_rho_not_path():
 
 
 def test_pair_prechecks():
-    with pytest.raises(GraphError, match="vertex counts differ: 5 != 6"):
+    with pytest.raises(GraphError, match="^the checkers need equal vertex counts, got 5 and 6$"):
         thm_leaves_check(gen_path(5), gen_path(6))
-    with pytest.raises(GraphError, match="trees are isomorphic"):
+    with pytest.raises(GraphError, match="^the checkers need non-isomorphic trees$"):
         thm_leaves_check(gen_path(6), relabel(gen_path(6), (5, 4, 3, 2, 1, 0)))
-    with pytest.raises(GraphError, match="checker needs n >= 4, got 3"):
-        thm_leaves_check(gen_path(3), gen_path(3))  # below min n before iso check
+    with pytest.raises(GraphError, match="^the checkers need non-isomorphic trees$"):
+        thm_leaves_check(gen_path(3), gen_path(3))  # no valid pair has n < 4
 
 
 # -------------------------------------------------------------- COMPONENTWISE
@@ -412,7 +413,8 @@ def test_spider_formula_parity_cases():
 
 @pytest.mark.parametrize(
     "legs, expected",
-    [((1, 1, 1), (1, 3, False)), ((2, 2, 2), (3, 4, False)), ((4, 2, 2), (4, 5, False))],
+    [((1, 1, 1), (1, 3, False)), ((2, 2, 2), (3, 4, False)), ((4, 2, 2), (4, 5, False)),
+     ((12, 12, 1), (12, 13, False))],
 )
 def test_spider_audit_goldens(legs, expected):
     assert spider_audit(legs) == expected
@@ -426,8 +428,12 @@ def test_spider_audit_oracle_agreement():
 
 
 def test_spider_audit_cap():
-    with pytest.raises(CapExceededError, match="spider audit capped at 24 vertices, got 26"):
-        spider_audit((12, 12, 1))
+    # the audit takes every spider that gen_spider builds, and only those
+    start = time.perf_counter()
+    assert spider_audit((3333, 3333, 3333)) == (4999, 5001, False)
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(CapExceededError, match="^spider capped at 10000 vertices, got 10001$"):
+        spider_audit((3333, 3333, 3334))
 
 
 # --------------------------------------------------------------------- survey
@@ -660,8 +666,8 @@ def test_survey_rejects_a_degree_that_the_peel_contradicts(monkeypatch):
     real = theorems.independence_and_splits
     star = enumerate_free_trees(7)[-1].edges
 
-    def one_more(t, *adj):
-        ind, splits = real(t, *adj)
+    def one_more(t):
+        ind, splits = real(t)
         return (ind + (1,), splits) if t.edges == star else (ind, splits)
 
     monkeypatch.setattr(theorems, "independence_and_splits", one_more)
