@@ -120,7 +120,7 @@ def _cmd_survey(args) -> int:
             _emit_json(survey_report_to_json_dict(rep), args.out)
             if fh:
                 fh.write(",".join(SURVEY_CSV_HEADER) + "\n")
-                fh.writelines(f"{row}\n" for row in rep.pair_rows())
+                fh.writelines(rep.pair_rows())
     except BaseException:
         if fh:
             os.remove(args.csv)

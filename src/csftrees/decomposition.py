@@ -35,9 +35,16 @@ min(s, n - s), since [p_(n-a,a)] X_T = (-1)^n times the number of edges whose
 removal leaves sides of sizes a and n - a.  Trees that differ in either have
 different X; the survey runs the full tree DP only where both tie.  The
 degree of i(T; x) is alpha(T), the survey's check on the peel's sum(b_i).
+
+leaf_decomposition, rho_data and independence_and_splits take a Tree and
+are thin entries over folds (_peel, _rho_is_path, _independence_and_splits)
+that take only an edge list, or a parent array and a top-down order, so
+the survey runs the same folds on its rows without building Trees.
 """
 
 from __future__ import annotations
+
+from operator import ge
 
 from .errors import GraphError
 from .graphs import Graph, Record, Tree, adjacency, bfs_order
@@ -55,16 +62,30 @@ class LeafDecomposition(Record):
 
 
 def leaf_decomposition(t: Tree) -> LeafDecomposition:
-    """The levels of t, peeled from neighbor sets built from t.edges; each
-    level reads only its frontier (see the module docstring)."""
-    adjsets: list[set[int]] = [set() for _ in range(t.n)]
-    for u, v in t.edges:
+    """The levels of t, each with its vertices (see _peel)."""
+    levels, last = _peel(t.n, t.edges)
+    return LeafDecomposition(
+        tuple(
+            LeafLevel(len(b), len(eta), tuple(sorted(b)), tuple(sorted(eta))) for b, eta in levels
+        ),
+        2 * len(levels[-1][1]) if last else 0,
+    )
+
+
+def _peel(n: int, edges) -> tuple[list[tuple[list[int], set[int]]], bool]:
+    """The levels of the tree on 0..n-1 with these edges, as (b-vertices,
+    eta-vertices), peeled from neighbor sets; each level reads only its
+    frontier (see the module docstring).  Also whether the final level met
+    the last-level rule (its frontier held every alive vertex), which is
+    when terminal_alpha counts its eta-vertices."""
+    adjsets: list[set[int]] = [set() for _ in range(n)]
+    for u, v in edges:
         adjsets[u].add(v)
         adjsets[v].add(u)
-    alive = t.n
+    alive = n
     leaves = [v for v in range(alive) if len(adjsets[v]) == 1]
     isolated = [v for v in range(alive) if not adjsets[v]]
-    levels: list[LeafLevel] = []
+    levels = []
     while alive:
         last = len(leaves) + len(isolated) == alive
         b, eta = [], set()
@@ -75,7 +96,7 @@ def leaf_decomposition(t: Tree) -> LeafDecomposition:
                 eta.add(u)
         if last:
             b += isolated
-        levels.append(LeafLevel(len(b), len(eta), tuple(sorted(b)), tuple(sorted(eta))))
+        levels.append((b, eta))
         removed = eta.union(b)
         alive -= len(removed)
         # A b-vertex's one neighbor is in eta, so every alive vertex that
@@ -88,7 +109,7 @@ def leaf_decomposition(t: Tree) -> LeafDecomposition:
                     touched.add(w)
         leaves = [w for w in touched if len(adjsets[w]) == 1]
         isolated += [w for w in touched if not adjsets[w]]
-    return LeafDecomposition(tuple(levels), 2 * levels[-1].eta if last else 0)
+    return levels, last
 
 
 def padded_levels(s1, s2) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
@@ -108,18 +129,22 @@ def rho_data(t: Tree, d: LeafDecomposition | None = None) -> RhoData:
     lvl1 = (d or leaf_decomposition(t)).levels[0]
     peeled = set(lvl1.leaf_vertices + lvl1.neighbor_vertices)
     rest = tuple(v for v in range(t.n) if v not in peeled)
-    rho = len(rest)
-    # V(rho) induces a forest, so it is a path iff it has rho - 1 inside
-    # edges (one component) and no inside degree above 2.
-    deg = [0] * t.n
-    edges = 0
-    for u, v in t.edges:
+    return RhoData(len(rest), rest, _rho_is_path(t.n, t.edges, peeled))
+
+
+def _rho_is_path(n: int, edges, peeled: set[int]) -> bool:
+    """Whether the vertices outside `peeled` induce a path in the tree on
+    0..n-1 with these edges.  They induce a forest, so a path iff rho - 1
+    inside edges (one component) and no inside degree above 2."""
+    rho = n - len(peeled)
+    deg = [0] * n
+    inside = 0
+    for u, v in edges:
         if u not in peeled and v not in peeled:
             deg[u] += 1
             deg[v] += 1
-            edges += 1
-    path = rho <= 1 or (edges == rho - 1 and max(deg) <= 2)
-    return RhoData(rho, rest, path)
+            inside += 1
+    return rho <= 1 or (inside == rho - 1 and max(deg) <= 2)
 
 
 def alpha_mis(g: Graph) -> int:
@@ -148,21 +173,26 @@ def alpha_mis(g: Graph) -> int:
 def independence_and_splits(t: Tree) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(i_0, i_1, ..., i_alpha), where i_k counts the independent k-sets of
     t, and the sizes min(s, n - s) of the smaller side of every edge,
-    ascending.
+    ascending; folded over t rooted at vertex 0 in breadth-first order."""
+    parent = [-1] * t.n
+    order = bfs_order(adjacency(t), 0, parent)
+    return _independence_and_splits(parent, order)
 
-    Rooted at vertex 0, each vertex keeps two polynomials of its subtree:
-    `take` over the independent sets that contain it and `skip` over those
-    that avoid it.  In reverse breadth-first order each vertex is final
-    when it is reached and folds into its parent: the parent's take gains
-    the factor skip, its skip the factor take + skip.  A polynomial is
-    packed one coefficient per n-bit field of an int, so a product is one
-    int multiplication: every coefficient counts k-sets of at most n
-    vertices, so it stays below 2^n and never carries into the next field.
-    Removing the edge above a vertex leaves its subtree on one side."""
-    n = t.n
-    adj = adjacency(t)
-    parent = [-1] * n
-    order = bfs_order(adj, 0, parent)
+
+def _independence_and_splits(parent, order) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """independence_and_splits of the tree rooted at vertex 0 whose
+    vertices are `order`, each after its parent parent[v].
+
+    Each vertex keeps two polynomials of its subtree: `take` over the
+    independent sets that contain it and `skip` over those that avoid it.
+    In reverse order each vertex is final when it is reached and folds into
+    its parent: the parent's take gains the factor skip, its skip the
+    factor take + skip.  A polynomial is packed one coefficient per n-bit
+    field of an int, so a product is one int multiplication: every
+    coefficient counts k-sets of at most n vertices, so it stays below 2^n
+    and never carries into the next field.  Removing the edge above a
+    vertex leaves its subtree on one side."""
+    n = len(order)
     x = 1 << n
     take = [x] * n
     skip = [1] * n
@@ -183,18 +213,16 @@ def independence_and_splits(t: Tree) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(coeffs), tuple(splits)
 
 
-def chain_sequence(d: LeafDecomposition) -> tuple[int, ...]:
-    """b_1, eta_1, b_2, eta_2, ... flattened."""
-    out: list[int] = []
-    for lvl in d.levels:
-        out.extend((lvl.b, lvl.eta))
-    return tuple(out)
+def chain_sequence(levels) -> tuple[int, ...]:
+    """b_1, eta_1, b_2, eta_2, ... flattened, from the (b, eta) level counts
+    (LeafDecomposition.level_counts(), TreeFacts.levels)."""
+    return tuple(x for level in levels for x in level)
 
 
-def chain_holds(d: LeafDecomposition) -> bool:
+def chain_holds(levels) -> bool:
     """Whether b_1 >= eta_1 >= b_2 >= eta_2 >= ... (audited, not assumed)."""
-    seq = chain_sequence(d)
-    return all(seq[i] >= seq[i + 1] for i in range(len(seq) - 1))
+    seq = chain_sequence(levels)
+    return all(map(ge, seq, seq[1:]))
 
 
 def decomposition_to_json_dict(d: LeafDecomposition) -> dict:

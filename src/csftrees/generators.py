@@ -12,7 +12,9 @@ it): the center(s) come first, then the legs/stars in spec order.
 
 Free trees are enumerated directly, one center-rooted level sequence per
 tree (the WROM algorithm of Wright, Richmond, Odlyzko & McKay, 1986), and
-sorted by canonical code.
+sorted by canonical code.  Each is kept as a row, the sequence's parent
+list, and its code is read from the row, so the walk builds no Tree;
+enumerate_free_trees builds one validated Tree per row.
 
 Caps (CapExceededError): spiders and star connections are built only up to
 BUILD_MAX_VERTICES vertices, checked on the spec before any edge exists;
@@ -22,10 +24,9 @@ enumeration takes n <= ENUM_MAX_N.
 from __future__ import annotations
 
 import json
-from operator import itemgetter
 
 from .errors import CapExceededError, GraphError, InternalError
-from .graphs import Graph, Record, Tree, _code_from_adj, adjacency, bfs_order, is_int
+from .graphs import Graph, Record, Tree, adjacency, bfs_order, is_int
 
 ENUM_MAX_N = 18
 BUILD_MAX_VERTICES = 10_000
@@ -266,25 +267,60 @@ def _next_rooted(s: list[int], p: int) -> None:
         s[i] = s[i - (p - q)]
 
 
-def _free_tree_edge_sets(n: int) -> list[Tree]:
-    """The free trees on n vertices, sorted by canonical code: each Tree is
-    built once from its level sequence, and its code is read from it.  The
-    name is older than the return type; benchmark traces time this step
-    under it."""
+def _free_tree_edge_sets(n: int) -> list[tuple[int, ...]]:
+    """The free trees on n vertices as rows, sorted by canonical code.  A
+    row is the parent list of a WROM level sequence: row[0] = 0 for the
+    root, a center, and row[v] < v, the last vertex before v one level up,
+    so reversed index order is a post-order.  Its code is read from the row
+    (_row_code); no Tree is built.  The name is older than the return type;
+    benchmark traces time this step under it."""
     coded = []
     for s in _free_tree_level_sequences(n):
         last = [0] * n  # a vertex's parent is the last vertex before it one level up
-        edges = []
+        row = [0] * n
         for i in range(1, n):
-            edges.append((last[s[i] - 1], i))
+            row[i] = last[s[i] - 1]
             last[s[i]] = i
-        t = Tree(n, tuple(edges))
-        coded.append((_code_from_adj(n, adjacency(t)), t))
-    coded.sort(key=itemgetter(0))  # on the code alone: Trees do not order
+        row = tuple(row)
+        coded.append((_row_code(row), row))
+    coded.sort()
     for (a, _), (b, _) in zip(coded, coded[1:]):
         if a == b:
             raise InternalError(f"free-tree enumeration met the code {a} twice at n = {n}")
-    return [t for _, t in coded]
+    return [row for _, row in coded]
+
+
+def _row_code(row: tuple[int, ...]) -> str:
+    """The canonical code of a row's tree (graphs._code_from_adj), folded
+    children first in reversed index order.  Vertex 0 is a center, and a
+    second center can only be vertex 1, which roots the first and deepest
+    of vertex 0's subtrees: it is one exactly when every other subtree of
+    vertex 0 is less deep than vertex 1's."""
+    n = len(row)
+    kids: list[list[str]] = [[] for _ in range(n)]
+    height = [0] * n
+    for v in range(n - 1, 0, -1):
+        mine = kids[v]
+        mine.sort()
+        p = row[v]
+        kids[p].append("(" + "".join(mine) + ")")
+        if height[p] <= height[v]:
+            height[p] = height[v] + 1
+    top = kids[0]
+    top.sort()
+    code = "(" + "".join(top) + ")"
+    if n == 1 or max((height[v] + 1 for v in range(2, n) if row[v] == 0), default=0) > height[1]:
+        return code
+    first = "(" + "".join(kids[1]) + ")"
+    top.remove(first)
+    mine = kids[1] + ["(" + "".join(top) + ")"]
+    mine.sort()
+    return min(code, "(" + "".join(mine) + ")")
+
+
+def _row_tree(row: tuple[int, ...]) -> Tree:
+    """The validated Tree of a row."""
+    return Tree(len(row), tuple(zip(row[1:], range(1, len(row)))))
 
 
 def enumerate_free_trees(n: int) -> list[Tree]:
@@ -299,4 +335,4 @@ def enumerate_free_trees(n: int) -> list[Tree]:
         raise GraphError(f"tree order must be a positive integer, got {n!r}")
     if n > ENUM_MAX_N:
         raise CapExceededError(f"enumeration capped at n <= {ENUM_MAX_N}, got {n}")
-    return _free_tree_edge_sets(n)
+    return [_row_tree(row) for row in _free_tree_edge_sets(n)]

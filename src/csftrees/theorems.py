@@ -19,8 +19,11 @@ function itself, so an unsound verdict cannot pass silently: the largest
 block is deg i(T; x), the largest k with [m_(k,1^(n-k))] X nonzero, and
 X-equality is decided on exact coefficients of X (the invariant key of
 independence_and_splits, and the full p-terms of the tree DP where keys
-tie).  The checkers run once per ordered pair of fact classes, and the
-counts come from class sizes, so no loop runs over the tree pairs.
+tie).  Each checker is a rule, which returns its verdict as a plain tuple
+with the detail as a callable, and a wrapper that formats the
+TheoremVerdict; the survey calls the rules once per ordered pair of fact
+classes, and the counts come from class sizes, so no loop runs over the
+tree pairs.
 
 Two known weaknesses are handled explicitly rather than papered over:
 
@@ -42,10 +45,12 @@ from itertools import combinations
 
 from .decomposition import (
     LeafDecomposition,
+    _independence_and_splits,
+    _peel,
+    _rho_is_path,
     alpha_mis,
     chain_holds,
     chain_sequence,
-    independence_and_splits,
     leaf_decomposition,
     padded_levels,
     rho_data,
@@ -56,7 +61,8 @@ from .generators import (
     Gluing,
     SpiderSpec,
     StarConnectionSpec,
-    enumerate_free_trees,
+    _free_tree_edge_sets,
+    _row_tree,
     gen_spider,
     gen_star_connection,
 )
@@ -75,12 +81,6 @@ NOT_APPLICABLE = "NotApplicable"
 class TheoremVerdict(Record):
     __slots__ = ("theorem_id", "status", "case_id", "m1", "m2", "swapped", "detail")
     _defaults = (None, None, None, False, "")
-
-
-def _not_applicable(theorem_id: str, detail: str, swapped: bool = False) -> TheoremVerdict:
-    # all positional, so it skips Record's binding step: the survey builds
-    # three verdicts per ordered class pair
-    return TheoremVerdict(theorem_id, NOT_APPLICABLE, None, None, None, swapped, detail)
 
 
 def verdict_to_json_dict(v: TheoremVerdict) -> dict:
@@ -133,10 +133,12 @@ def _pair_facts(t1: Tree, t2: Tree) -> tuple[TreeFacts, TreeFacts]:
     return tree_facts(t1), tree_facts(t2)
 
 
-def _leaves_verdict(f1: TreeFacts, f2: TreeFacts) -> TheoremVerdict:
+def _leaves_rule(f1: TreeFacts, f2: TreeFacts) -> tuple:
+    """LEAVES_RHO on two trees' facts as (status, case, m1, m2, swapped,
+    why): why() is the detail, which _verdict prefixes with the swap note."""
     b1, b2 = f1.levels[0][0], f2.levels[0][0]
     if b1 == b2:
-        return _not_applicable(LEAVES_RHO, f"equal leaf counts b = {b1}")
+        return NOT_APPLICABLE, None, None, None, False, lambda: f"equal leaf counts b = {b1}"
     swapped = b1 < b2
     if swapped:
         f1, f2, b1, b2 = f2, f1, b2, b1
@@ -144,18 +146,19 @@ def _leaves_verdict(f1: TreeFacts, f2: TreeFacts) -> TheoremVerdict:
     m1, m2 = b1 + _ceil_div(r1, 2), b2 + _ceil_div(r2, 2)
     diff, delta = b1 - b2, r2 - r1
     half = _ceil_div(delta, 2)
-    # Each branch sets (case, why); case None refuses, with why as the reason.
+    # Each branch sets (case, why); case None refuses, with why() as the reason.
     if not (f1.is_path and f2.is_path):
-        bad = ", ".join(name for name, f in (("t1", f1), ("t2", f2)) if not f.is_path)
-        case, why = None, f"rho-induced subgraph is not a path for {bad}"
+        case, why = None, lambda: "rho-induced subgraph is not a path for " + ", ".join(
+            name for name, f in (("t1", f1), ("t2", f2)) if not f.is_path
+        )
     elif r1 == r2:
-        case, why = 1, f"rho1 = rho2 = {r1}"
+        case, why = 1, lambda: f"rho1 = rho2 = {r1}"
     elif r1 > r2:
-        case, why = 2, f"rho1 = {r1} > rho2 = {r2}"
+        case, why = 2, lambda: f"rho1 = {r1} > rho2 = {r2}"
     elif diff > half:
-        case, why = 3, f"b1-b2 = {diff} > ceil((rho2-rho1)/2) = {half}"
+        case, why = 3, lambda: f"b1-b2 = {diff} > ceil((rho2-rho1)/2) = {half}"
     elif delta < 2:
-        case, why = None, f"no case applies (rho2-rho1 = {delta} admits no k >= 3)"
+        case, why = None, lambda: f"no case applies (rho2-rho1 = {delta} admits no k >= 3)"
     else:
         # Case 4: the admissible k (k >= 3, k/(k-2) <= delta < k*(b1-b2)) form
         # the integer ray [k0, oo) once delta >= 2, and ceil(delta/k) is
@@ -164,68 +167,94 @@ def _leaves_verdict(f1: TreeFacts, f2: TreeFacts) -> TheoremVerdict:
         k0 = max(4 if delta == 2 else 3, delta // diff + 1)
         bound = _ceil_div(delta, k0)
         if diff <= bound:
-            case, why = None, (
+            case, why = None, lambda: (
                 f"case-4 bound fails at k = {k0}: {diff} <= ceil({delta}/{k0}) = {bound}; "
                 "the sign-flipped reading ceil((rho1-rho2)/k) <= 0 would accept every k — "
                 "readings diverge"
             )
         elif m1 <= m2:
-            order = f"tie (m1 = m2 = {m1})" if m1 == m2 else f"are reversed (m1 = {m1} < m2 = {m2})"
-            case, why = None, (
-                f"case-4 bound holds for all k >= {k0}, but the block maxima {order}; "
-                "the bound does not force a strict conclusion"
+            case, why = None, lambda: (
+                f"case-4 bound holds for all k >= {k0}, but the block maxima "
+                + (f"tie (m1 = m2 = {m1})" if m1 == m2 else f"are reversed (m1 = {m1} < m2 = {m2})")
+                + "; the bound does not force a strict conclusion"
             )
         else:
-            case, why = 4, (
+            case, why = 4, lambda: (
                 f"b1-b2 = {diff} > ceil((rho2-rho1)/k) for all k >= {k0} "
                 f"(hardest: ceil({delta}/{k0}) = {bound})"
             )
-    note = "inputs swapped so that b1 > b2; " if swapped else ""
     if case is None:
-        return _not_applicable(LEAVES_RHO, note + why, swapped)
+        return NOT_APPLICABLE, None, None, None, swapped, why
     _check_strict(LEAVES_RHO, m1, m2)
-    return TheoremVerdict(LEAVES_RHO, APPLICABLE, case, m1, m2, swapped, note + why)
+    return APPLICABLE, case, m1, m2, swapped, why
 
 
-def _componentwise_verdict(f1: TreeFacts, f2: TreeFacts) -> TheoremVerdict:
+def _componentwise_rule(f1: TreeFacts, f2: TreeFacts) -> tuple:
+    """COMPONENTWISE as (status, case, m1, m2, swapped, why); see _leaves_rule."""
     s1, s2 = padded_levels(f1.levels, f2.levels)
     if s1 == s2:
-        return _not_applicable(COMPONENTWISE, "identical level sequences")
+        return NOT_APPLICABLE, None, None, None, False, lambda: "identical level sequences"
     for a, b, swapped in ((s1, s2, False), (s2, s1, True)):
-        if all(ba >= bb and ea <= eb for (ba, ea), (bb, eb) in zip(a, b)):
-            m1 = sum(x for x, _ in a)
-            m2 = sum(x for x, _ in b)
+        for (ba, ea), (bb, eb) in zip(a, b):
+            if ba < bb or ea > eb:
+                break
+        else:
+            m1 = sum([x for x, _ in a])
+            m2 = sum([x for x, _ in b])
             _check_strict(COMPONENTWISE, m1, m2)
-            note = "inputs swapped; " if swapped else ""
-            why = f"levelwise b >= and eta <= holds: {a} dominates {b}"
-            return TheoremVerdict(COMPONENTWISE, APPLICABLE, None, m1, m2, swapped, note + why)
-    return _not_applicable(
-        COMPONENTWISE, f"no levelwise dominance in either orientation: {s1} vs {s2}"
+            return APPLICABLE, None, m1, m2, swapped, lambda: (
+                f"levelwise b >= and eta <= holds: {a} dominates {b}"
+            )
+    return NOT_APPLICABLE, None, None, None, False, lambda: (
+        f"no levelwise dominance in either orientation: {s1} vs {s2}"
     )
 
 
-def _sum_verdict(f1: TreeFacts, f2: TreeFacts) -> TheoremVerdict:
+def _sum_rule(f1: TreeFacts, f2: TreeFacts) -> tuple:
+    """SUMMED as (status, case, m1, m2, swapped, why); see _leaves_rule."""
     s1, s2 = padded_levels(f1.levels, f2.levels)
     r = len(s1)
     b1 = [x for x, _ in s1]
     b2 = [x for x, _ in s2]
     if b1 == b2:
-        return _not_applicable(SUMMED, f"identical b sequences {b1}")
-    reasons = []
+        return NOT_APPLICABLE, None, None, None, False, lambda: f"identical b sequences {b1}"
+    reasons = []  # (orientation, template, value, value), formatted only by why()
     for a, b, swapped in ((b1, b2, False), (b2, b1, True)):
         tag = "swapped" if swapped else "as given"
         rev = [i for i in range(r) if a[i] <= b[i]]
         if not 1 <= len(rev) <= r - 1:
-            reasons.append(f"{tag}: |reversed set| = {len(rev)} outside 1..{r - 1}")
+            reasons.append((tag, "|reversed set| = {} outside 1..{}", len(rev), r - 1))
             continue
-        back = sum(b[i] - a[i] for i in rev)
-        fwd = sum(a[j] - b[j] for j in range(r) if j not in rev)
+        back = sum([b[i] - a[i] for i in rev])
+        fwd = sum(a) - sum(b) + back  # the other levels' a - b
         if back < fwd:
-            note = "inputs swapped; " if swapped else ""
-            why = f"reversed levels {rev}: deficit {back} < surplus {fwd} (b: {a} vs {b})"
-            return TheoremVerdict(SUMMED, APPLICABLE, None, sum(a), sum(b), swapped, note + why)
-        reasons.append(f"{tag}: deficit {back} >= surplus {fwd}")
-    return _not_applicable(SUMMED, "; ".join(reasons))
+            return APPLICABLE, None, sum(a), sum(b), swapped, lambda: (
+                f"reversed levels {rev}: deficit {back} < surplus {fwd} (b: {a} vs {b})"
+            )
+        reasons.append((tag, "deficit {} >= surplus {}", back, fwd))
+    return NOT_APPLICABLE, None, None, None, False, lambda: "; ".join(
+        f"{tag}: {text.format(x, y)}" for tag, text, x, y in reasons
+    )
+
+
+def _verdict(theorem: str, swap_note: str, rule: tuple) -> TheoremVerdict:
+    """The TheoremVerdict of a rule's tuple; an exchange of the inputs
+    prefixes the detail with swap_note."""
+    status, case, m1, m2, swapped, why = rule
+    detail = (swap_note if swapped else "") + why()
+    return TheoremVerdict(theorem, status, case, m1, m2, swapped, detail)
+
+
+def _leaves_verdict(f1: TreeFacts, f2: TreeFacts) -> TheoremVerdict:
+    return _verdict(LEAVES_RHO, "inputs swapped so that b1 > b2; ", _leaves_rule(f1, f2))
+
+
+def _componentwise_verdict(f1: TreeFacts, f2: TreeFacts) -> TheoremVerdict:
+    return _verdict(COMPONENTWISE, "inputs swapped; ", _componentwise_rule(f1, f2))
+
+
+def _sum_verdict(f1: TreeFacts, f2: TreeFacts) -> TheoremVerdict:
+    return _verdict(SUMMED, "inputs swapped; ", _sum_rule(f1, f2))
 
 
 def _pair_verdicts(f1: TreeFacts, f2: TreeFacts) -> tuple[TheoremVerdict, ...]:
@@ -285,7 +314,7 @@ def star_connection_distinct(a: StarConnectionSpec, b: StarConnectionSpec) -> Th
         raise GraphError(f"vertex counts differ: {va} != {vb}")
     r, s = a.num_stars, b.num_stars
     if r == s:
-        return _not_applicable(STAR_COUNT, f"equal star counts r = s = {r}")
+        return TheoremVerdict(STAR_COUNT, NOT_APPLICABLE, detail=f"equal star counts r = s = {r}")
     swapped = r > s
     (first, c1), (second, c2) = ((b, cb), (a, ca)) if swapped else ((a, ca), (b, cb))
     m1 = _formula_M(first, c1[1])
@@ -321,9 +350,11 @@ def spider_audit(spec: SpiderSpec) -> tuple[int, int, bool]:
 
 
 class SurveyReport(Record):
-    """What survey(n) found.  pair_rows() yields the CSV lines
-    (SURVEY_CSV_HEADER columns, no line terminator), one per pair in (a, b)
-    order, each built only when read; it is left out of equality and repr."""
+    """What survey(n) found.  pair_rows() yields the CSV text after the
+    header (SURVEY_CSV_HEADER columns) as one block per first tree a: the
+    rows of the pairs (a, b), b > a, ascending, each ending in a line
+    break, so "".join(pair_rows()) is the whole body.  Each block is built
+    only when read; pair_rows is left out of equality and repr."""
 
     __slots__ = (
         "n",
@@ -386,38 +417,22 @@ def _cell(x) -> str:
     return str(x)
 
 
-def _verdict_suffix(lv, cw, sm) -> str:
-    """The 13 cells of a CSV row after a, b and x_equal, each after a comma
-    (no cell holds a comma, a quote or a line break, so none is quoted)."""
-    cells = (
-        lv.status,
-        _cell(lv.case_id),
-        _cell(lv.m1),
-        _cell(lv.m2),
-        _cell(lv.swapped),
-        cw.status,
-        _cell(cw.m1),
-        _cell(cw.m2),
-        _cell(cw.swapped),
-        sm.status,
-        _cell(sm.m1),
-        _cell(sm.m2),
-        _cell(sm.swapped),
-    )
-    return "," + ",".join(cells)
-
-
-def _survey_payload(t: Tree):
-    """Per-tree work unit: decomposition facts, the chain sequence if the
-    chain fails (else None) and the exact X-invariant key (i(T; x), edge
-    splits).  deg i(T; x) must equal the peel's sum of b_i."""
-    d = leaf_decomposition(t)
-    facts = tree_facts(t, d)
-    key = independence_and_splits(t)
-    degree, blocks = len(key[0]) - 1, sum(b for b, _ in facts.levels)
+def _survey_payload(row: tuple[int, ...]):
+    """Per-tree work unit on a row (generators._free_tree_edge_sets): the
+    tree's facts, its chain sequence if the chain fails (else None) and
+    its exact X-invariant key (i(T; x), edge splits), all folded over the
+    parent list.  deg i(T; x) must equal the peel's sum of b_i."""
+    n = len(row)
+    edges = tuple(zip(row[1:], range(1, n)))
+    levels, _ = _peel(n, edges)
+    counts = tuple((len(b), len(eta)) for b, eta in levels)
+    b1, eta1 = levels[0]
+    facts = TreeFacts(counts, n - len(b1) - len(eta1), _rho_is_path(n, edges, eta1.union(b1)))
+    key = _independence_and_splits(row, range(n))
+    degree, blocks = len(key[0]) - 1, sum(b for b, _ in counts)
     if degree != blocks:
-        raise InternalError(f"deg i(T; x) = {degree} but sum of b_i = {blocks} for edges {t.edges}")
-    return facts, None if chain_holds(d) else chain_sequence(d), key
+        raise InternalError(f"deg i(T; x) = {degree} but sum of b_i = {blocks} for parents {row}")
+    return facts, None if chain_holds(counts) else chain_sequence(counts), key
 
 
 def _spider_audit_rows(n: int) -> list[dict]:
@@ -473,37 +488,44 @@ def _star_audit_rows(n: int) -> list[dict]:
     return rows
 
 
-def _key_verdicts(fa: TreeFacts, fb: TreeFacts):
-    """The three verdicts on an ordered pair with facts (fa, fb), and what
-    the survey keeps of them: the suffix of the pair's CSV rows and its
-    soundness violations as (theorem id, reason) tuples, first if the pair
-    is X-equal, then if it is not.  A max block is the facts' sum of b_i."""
-    verdicts = _pair_verdicts(fa, fb)
-    ma, mb = sum(b for b, _ in fa.levels), sum(b for b, _ in fb.levels)
-    if_equal, if_distinct = [], []
-    for v in verdicts:
-        if v.status != APPLICABLE:
+def _class_pair(fa: TreeFacts, fb: TreeFacts, ma: int, mb: int):
+    """What the survey keeps of the three rules on an ordered class pair
+    with facts (fa, fb) and max blocks (ma, mb): each verdict's status and
+    case; the 13 cells of the pair's CSV rows after a, b and x_equal, each
+    after a comma (no cell holds a comma, a quote or a line break, so none
+    is quoted); and, for each Applicable verdict, its theorem and the
+    problems of its claim."""
+    lv, cw, sm = _leaves_rule(fa, fb), _componentwise_rule(fa, fb), _sum_rule(fa, fb)
+    checks = []
+    for theorem, (status, _, m1, m2, swapped, _) in (
+        (LEAVES_RHO, lv), (COMPONENTWISE, cw), (SUMMED, sm)
+    ):
+        if status != APPLICABLE:
             continue
-        hi, lo = (mb, ma) if v.swapped else (ma, mb)
+        hi, lo = (mb, ma) if swapped else (ma, mb)
         problems = []
-        if v.m1 != hi or v.m2 != lo:
-            problems.append(f"claimed m = ({v.m1}, {v.m2}) but max blocks are ({hi}, {lo})")
-        if not (v.m1 is not None and v.m2 is not None and v.m1 > v.m2):
-            problems.append(f"m1 = {v.m1} is not strictly greater than m2 = {v.m2}")
-        if_equal.append((v.theorem_id, "; ".join(["csf_equal is true", *problems])))
-        if problems:
-            if_distinct.append((v.theorem_id, "; ".join(problems)))
-    return verdicts, (_verdict_suffix(*verdicts), tuple(if_equal), tuple(if_distinct))
+        if m1 != hi or m2 != lo:
+            problems.append(f"claimed m = ({m1}, {m2}) but max blocks are ({hi}, {lo})")
+        if not (m1 is not None and m2 is not None and m1 > m2):
+            problems.append(f"m1 = {m1} is not strictly greater than m2 = {m2}")
+        checks.append((theorem, problems))
+    suffix = (
+        f",{lv[0]},{_cell(lv[1])},{_cell(lv[2])},{_cell(lv[3])},{_cell(lv[4])}"
+        f",{cw[0]},{_cell(cw[2])},{_cell(cw[3])},{_cell(cw[4])}"
+        f",{sm[0]},{_cell(sm[2])},{_cell(sm[3])},{_cell(sm[4])}"
+    )
+    return (lv[:2], cw[:2], sm[:2]), (suffix, checks)
 
 
-def _x_equal_groups(trees: list[Tree], by_key: dict) -> list[list[int]]:
+def _x_equal_groups(rows: list[tuple[int, ...]], by_key: dict) -> list[list[int]]:
     """The groups of two or more X-equal trees, each ascending, from the
     trees' indices bucketed by key.  Trees with different keys have
-    different X, so the tree DP runs only in buckets of two or more trees;
-    there the full p-terms decide (a dict keyed by the terms, so a hash
-    never decides alone), and the max block read from their hooks must
-    equal deg i(T; x), the bucket's.  The CSF engine is imported only for
-    such a bucket: no two trees tie for n <= 10."""
+    different X, so the tree DP runs only in buckets of two or more trees,
+    the only trees whose Tree is built; there the full p-terms decide (a
+    dict keyed by the terms, so a hash never decides alone), and the max
+    block read from their hooks must equal deg i(T; x), the bucket's.  The
+    CSF engine is imported only for such a bucket: no two trees tie for
+    n <= 10."""
     groups = []
     for key, members in by_key.items():
         if len(members) < 2:
@@ -513,9 +535,8 @@ def _x_equal_groups(trees: list[Tree], by_key: dict) -> list[list[int]]:
 
         by_terms: dict[tuple, list[int]] = {}
         for i in members:
-            t = trees[i]
-            terms = _tree_powersum_terms(t)
-            hook = _hook_max_block(t.n, terms)
+            terms = _tree_powersum_terms(_row_tree(rows[i]))
+            hook = _hook_max_block(len(rows[i]), terms)
             if hook != degree:
                 raise InternalError(
                     f"tree {i}: max block {hook} from the p-terms, deg i(T; x) = {degree}"
@@ -539,10 +560,12 @@ def survey(n: int) -> SurveyReport:
     vertices (3 <= n <= ENUM_MAX_N), cross-check every Applicable claim
     against the CSF, and run the chain/spider/star audits for the same n.
 
-    The trees come from enumerate_free_trees (one WROM level sequence per
-    tree, sorted by canonical code), and tree indices are positions in that
-    order.  Each tree gets two exact coefficient families of X from one
-    small DP (independence_and_splits): i(T; x) and its edge splits.  alpha,
+    The trees are the rows of generators._free_tree_edge_sets (one WROM
+    level sequence per tree, as a parent list, sorted by canonical code),
+    and tree indices are positions in that order; every per-tree fold runs
+    on the row, and a Tree is built only for a tree whose key ties.  Each
+    tree gets two exact coefficient families of X from one small DP
+    (independence_and_splits): i(T; x) and its edge splits.  alpha,
     the largest block every claimed maximum is checked against, is the sum
     of b_i, which must equal deg i(T; x) on every tree.  Trees whose keys
     differ have different X; only inside buckets of two or more trees does
@@ -551,9 +574,9 @@ def survey(n: int) -> SurveyReport:
     must give alpha again.  A key match alone never makes a pair X-equal.
 
     The checkers read only TreeFacts, which fix alpha, so the trees are
-    grouped into fact classes, and the verdicts, their CSV cells and their
-    soundness problems are computed once per ordered class pair.  No loop
-    runs over tree pairs:
+    grouped into fact classes, and the checkers' rules (no TheoremVerdict,
+    no detail prose), their CSV cells and their soundness problems run
+    once per ordered class pair.  No loop runs over tree pairs:
       * verdict_counts weighs each unordered class pair by its number of
         tree pairs, |A| |B| or C(|A|, 2).  That needs the status and case of
         each verdict to be the same in both orders of the pair, which is
@@ -565,42 +588,43 @@ def survey(n: int) -> SurveyReport:
 
     Everything runs in one process, so the report depends on n alone.  The
     per-pair CSV rows are not stored: the report's pair_rows() rebuilds
-    them from the class pairs' cells and the X-equal groups when called."""
+    them, a block per first tree, from the class pairs' cells and the
+    X-equal groups when called."""
     _check_survey_n(n)
-    trees = enumerate_free_trees(n)
-    num = len(trees)
+    rows = _free_tree_edge_sets(n)
+    num = len(rows)
     chain_viol = []
     by_key: dict[tuple, list[int]] = {}
     classes: dict[TreeFacts, int] = {}
     cls = []
-    for i, t in enumerate(trees):
-        facts, failed_chain, key = _survey_payload(t)
+    for i, row in enumerate(rows):
+        facts, failed_chain, key = _survey_payload(row)
         if failed_chain is not None:
             chain_viol.append({"tree": i, "sequence": list(failed_chain)})
         by_key.setdefault(key, []).append(i)
         cls.append(classes.setdefault(facts, len(classes)))
 
-    x_id = list(range(num))  # X-equal trees share an id
+    later: dict[int, list[int]] = {}  # the X-equal trees after each tree
     equal_pairs: list[tuple[int, int]] = []
-    for group in _x_equal_groups(trees, by_key):
-        for i in group:
-            x_id[i] = group[0]
+    for group in _x_equal_groups(rows, by_key):
+        for pos, i in enumerate(group):
+            later[i] = group[pos + 1 :]
         equal_pairs.extend(combinations(group, 2))
 
     members: list[list[int]] = [[] for _ in classes]
     for i, c in enumerate(cls):
         members[c].append(i)
     class_of = list(classes)
+    blocks = [sum(b for b, _ in f.levels) for f in class_of]
     k = len(class_of)
     counts = {
         LEAVES_RHO: {"case1": 0, "case2": 0, "case3": 0, "case4": 0, "not_applicable": 0},
         COMPONENTWISE: {"applicable": 0, "not_applicable": 0},
         SUMMED: {"applicable": 0, "not_applicable": 0},
     }
-    # memo[a * k + b]: (CSV suffix, problems if X-equal, problems if not) of
-    # the ordered class pair (a, b), for the pairs that hold a tree pair
-    # i < j with i in class a and j in class b: those whose first tree in a
-    # precedes the last one in b
+    # memo[a * k + b]: (CSV suffix, checks) of the ordered class pair (a, b),
+    # for the pairs that hold a tree pair i < j with i in class a and j in
+    # class b: those whose first tree in a precedes the last one in b
     memo: list = [None] * (k * k)
     for a in range(k):
         for b in range(a, k):
@@ -612,8 +636,7 @@ def survey(n: int) -> SurveyReport:
                 orders = [(x, y) for x, y in ((a, b), (b, a)) if members[x][0] < members[y][-1]]
             outcome = None
             for x, y in orders:
-                verdicts, memo[x * k + y] = _key_verdicts(class_of[x], class_of[y])
-                seen = [(v.status, v.case_id) for v in verdicts]
+                seen, memo[x * k + y] = _class_pair(class_of[x], class_of[y], blocks[x], blocks[y])
                 if outcome is not None and seen != outcome:
                     raise InternalError(
                         f"a verdict's status or case depends on the order of classes {a}, {b}"
@@ -628,23 +651,34 @@ def survey(n: int) -> SurveyReport:
 
     flagged = set(equal_pairs)
     for key, entry in enumerate(memo):
-        if entry is not None and entry[2]:
+        if entry is not None and any(problems for _, problems in entry[1]):
             firsts, seconds = members[key // k], members[key % k]
             flagged.update((i, j) for i in firsts for j in seconds if i < j)
     violations = []
     for i, j in sorted(flagged):
-        entry = memo[cls[i] * k + cls[j]]
-        for theorem, reason in entry[1] if x_id[i] == x_id[j] else entry[2]:
-            violations.append({"a": i, "b": j, "theorem": theorem, "reason": reason})
+        x_equal = j in later.get(i, ())
+        for theorem, problems in memo[cls[i] * k + cls[j]][1]:
+            if x_equal or problems:
+                reason = "; ".join(["csf_equal is true", *problems] if x_equal else problems)
+                violations.append({"a": i, "b": j, "theorem": theorem, "reason": reason})
 
     suffix = [entry and entry[0] for entry in memo]
 
     def pair_rows():
-        for i in range(num):
-            xi, base = x_id[i], cls[i] * k
-            cells = suffix[base : base + k]
-            for j in range(i + 1, num):
-                yield f"{i},{j},{'true' if x_id[j] == xi else 'false'}{cells[cls[j]]}"
+        # tails[c]: (i, the row tails "j,false<cells>\n" for j > i), built
+        # at the first tree i of class c and dropped at its last; each tree
+        # of c reads a slice of it
+        tails: dict[int, tuple[int, list[str]]] = {}
+        for i in range(num - 1):
+            c = cls[i]
+            cells = suffix[c * k : c * k + k]
+            if c not in tails:
+                tails[c] = (i, [f"{j},false{cells[cls[j]]}\n" for j in range(i + 1, num)])
+            first, tail = tails.pop(c) if i == members[c][-1] else tails[c]
+            part = tail[i - first :]
+            for j in later.get(i, ()):
+                part[j - i - 1] = f"{j},true{cells[cls[j]]}\n"
+            yield f"{i}," + f"{i},".join(part)
 
     return SurveyReport(
         n=n,

@@ -468,21 +468,22 @@ def reference_payload(t: Graph):
     terms = symfunc._tree_powersum_terms(t)
     return (
         theorems.tree_facts(t, d),
-        theorems.chain_sequence(d),
-        theorems.chain_holds(d),
+        theorems.chain_sequence(d.level_counts()),
+        theorems.chain_holds(d.level_counts()),
         terms,
         symfunc._hook_max_block(t.n, terms),
     )
 
 
 def survey_pairwise_reference(n: int) -> theorems.SurveyReport:
-    """theorems.survey(n) computed pair by pair, rows stored as they come:
-    all three checkers run on every tree pair, X-equality compares the two
-    trees' full p-terms directly and every Applicable claim is checked
-    against both trees' max blocks read from those terms. The payloads come
-    from reference_payload; the checkers and audits are looked up on the
-    theorems module at call time, so a test that patches one patches both
-    routes."""
+    """theorems.survey(n) computed pair by pair, rows (each ending in a line
+    break) stored as they come: all three checkers run on every tree pair,
+    X-equality compares the two trees' full p-terms directly and every
+    Applicable claim is checked against both trees' max blocks read from
+    those terms. The payloads come from reference_payload; the checkers and
+    audits are looked up on the theorems module at call time, and each
+    checker looks up the rule that the survey calls there too, so a test
+    that patches a rule patches both routes."""
     trees = enumerate_free_trees(n)
     payloads = [reference_payload(t) for t in trees]
     facts = [p[0] for p in payloads]
@@ -531,7 +532,7 @@ def survey_pairwise_reference(n: int) -> theorems.SurveyReport:
             cells += [lv.status, lv.case_id, lv.m1, lv.m2, lv.swapped]
             for v in (cw, sm):
                 cells += [v.status, v.m1, v.m2, v.swapped]
-            rows.append(",".join(_csv_cell(c) for c in cells))
+            rows.append(",".join(_csv_cell(c) for c in cells) + "\n")
     return theorems.SurveyReport(
         n=n,
         num_trees=len(trees),
@@ -621,7 +622,7 @@ def survey_class_loop_reference(n: int) -> theorems.SurveyReport:
             si, bi, base = str(i), bucket[i], cls[i] * k
             for j in range(i + 1, num):
                 x_eq = "true" if bi == bucket[j] else "false"
-                yield ",".join((si, str(j), x_eq) + memo[base + cls[j]][1])
+                yield ",".join((si, str(j), x_eq) + memo[base + cls[j]][1]) + "\n"
 
     counts = {
         "LEAVES_RHO": {"case1": 0, "case2": 0, "case3": 0, "case4": 0, "not_applicable": 0},

@@ -297,10 +297,11 @@ def test_compare_theorems_reports_reversed_maxima(tmp_path, capsys):
 
 
 def test_pair_checkers_are_called_through_module_attributes(tmp_path, capsys, monkeypatch):
-    """survey and compare --theorems both look the three checkers up on the
-    theorems module at call time, so a wrapper set there sees every call:
-    the same nonzero number per checker in a survey, one each in compare."""
-    names = ("_leaves_verdict", "_componentwise_verdict", "_sum_verdict")
+    """survey and compare --theorems both look the three checkers' rules up
+    on the theorems module at call time (compare through the checkers), so
+    a wrapper set there sees every call: the same nonzero number per rule
+    in a survey, one each in compare."""
+    names = ("_leaves_rule", "_componentwise_rule", "_sum_rule")
     calls = dict.fromkeys(names, 0)
 
     def counted(name):

@@ -244,13 +244,13 @@ def test_enumerate_matches_the_rooted_sequence_route(n):
 @pytest.mark.parametrize("n", range(1, 13))
 def test_enumeration_codes_one_sequence_per_tree(monkeypatch, n):
     coded = []
-    real = generators._code_from_adj
+    real = generators._row_code
 
-    def code(k, adj):
-        coded.append(k)
-        return real(k, adj)
+    def code(row):
+        coded.append(row)
+        return real(row)
 
-    monkeypatch.setattr(generators, "_code_from_adj", code)
+    monkeypatch.setattr(generators, "_row_code", code)
     assert len(generators._free_tree_edge_sets(n)) == len(coded) == FREE_TREE_COUNTS[n - 1]
 
 

@@ -25,13 +25,14 @@ from csftrees.generators import (
     Gluing,
     SpiderSpec,
     StarConnectionSpec,
+    _free_tree_edge_sets,
     enumerate_free_trees,
     gen_path,
     gen_spider,
     gen_star,
     gen_star_connection,
 )
-from csftrees.graphs import Tree
+from csftrees.graphs import Tree, canonical_code
 from csftrees.symfunc import csf_equal, csf_powersum
 from csftrees.theorems import (
     APPLICABLE,
@@ -81,13 +82,14 @@ def test_survey_decomposes_each_tree_once(monkeypatch):
     from csftrees import decomposition, theorems
 
     calls = []
+    real = decomposition._peel
 
-    def counted(t):
-        calls.append(t.n)
-        return leaf_decomposition(t)
+    def counted(n, edges):
+        calls.append(n)
+        return real(n, edges)
 
-    monkeypatch.setattr(decomposition, "leaf_decomposition", counted)
-    monkeypatch.setattr(theorems, "leaf_decomposition", counted)
+    monkeypatch.setattr(decomposition, "_peel", counted)
+    monkeypatch.setattr(theorems, "_peel", counted)
     rep = survey(7)
     assert len(calls) == rep.num_trees == 11
 
@@ -109,26 +111,10 @@ def tree_builds(monkeypatch):
 def test_survey_payloads_reuse_the_enumerated_trees(tree_builds):
     from csftrees import theorems
 
-    trees = enumerate_free_trees(8)
-    tree_builds.clear()
-    for t in trees:
-        theorems._survey_payload(t)
+    rows = _free_tree_edge_sets(8)
+    for row in rows:
+        theorems._survey_payload(row)
     assert tree_builds == []
-
-
-def test_survey_payload_max_block_is_max_block_from_csf():
-    # the survey reads each max block as the sum of b_i of the facts
-    from csftrees import theorems
-    from csftrees.symfunc import max_block_from_csf
-
-    for n in range(1, 12):
-        for t in enumerate_free_trees(n):
-            facts, failed_chain, key = theorems._survey_payload(t)
-            assert facts == tree_facts(t)
-            assert key == independence_and_splits(t)
-            d = leaf_decomposition(t)
-            assert failed_chain == (None if chain_holds(d) else chain_sequence(d))
-            assert sum(b for b, _ in facts.levels) == max_block_from_csf(csf_powersum(t))
 
 
 def test_survey_payload_builds_the_chain_sequence_only_where_the_chain_fails(monkeypatch):
@@ -137,13 +123,54 @@ def test_survey_payload_builds_the_chain_sequence_only_where_the_chain_fails(mon
     calls = []
     real = theorems.chain_sequence
 
-    def counted(d):
-        calls.append(d)
-        return real(d)
+    def counted(levels):
+        calls.append(levels)
+        return real(levels)
 
     monkeypatch.setattr(theorems, "chain_sequence", counted)
-    failed = [t for t in enumerate_free_trees(12) if theorems._survey_payload(t)[1] is not None]
+    rows = _free_tree_edge_sets(12)
+    failed = [row for row in rows if theorems._survey_payload(row)[1] is not None]
     assert len(calls) == len(failed) == 1
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_rows_match_the_tree_route(n):
+    # the code, facts, chain and key folded over each row are those of the
+    # validated Tree built from the same level sequence
+    from csftrees import generators, theorems
+
+    rows = set(_free_tree_edge_sets(n))
+    for s in generators._free_tree_level_sequences(n):
+        # a vertex's parent is the last vertex before it one level up
+        parents = [max(j for j in range(i) if s[j] == s[i] - 1) for i in range(1, n)]
+        row = (0, *parents)
+        rows.remove(row)
+        t = Tree(n, tuple(zip(parents, range(1, n))))
+        assert generators._row_code(row) == canonical_code(t)
+        facts, failed_chain, key = theorems._survey_payload(row)
+        assert facts == tree_facts(t)
+        assert key == independence_and_splits(t)
+        levels = leaf_decomposition(t).level_counts()
+        assert failed_chain == (None if chain_holds(levels) else chain_sequence(levels))
+    assert not rows
+
+
+def test_survey_payload_max_block_is_max_block_from_csf():
+    # the survey reads each max block as the sum of b_i of the facts
+    from csftrees import theorems
+    from csftrees.symfunc import max_block_from_csf
+
+    for n in range(1, 12):
+        for row, t in zip(_free_tree_edge_sets(n), enumerate_free_trees(n)):
+            facts = theorems._survey_payload(row)[0]
+            assert sum(b for b, _ in facts.levels) == max_block_from_csf(csf_powersum(t))
+
+
+def test_survey_builds_trees_only_for_the_audits_and_tied_keys(tree_builds):
+    # 40 of the 3,159 trees on 14 vertices share their key (i(T; x), edge
+    # splits) with another; the audits build 255 spiders and star connections
+    survey(14)
+    assert len(tree_builds) == 40 + 255
 
 
 @pytest.mark.parametrize("n", range(7, 11))
@@ -373,7 +400,7 @@ def test_star_connections_are_built_once(tree_builds):
     assert tree_builds == [13]
     tree_builds.clear()
     survey(10)
-    assert len(tree_builds) == 106 + 25 + 24  # trees, spiders, star-connection specs
+    assert len(tree_builds) == 25 + 24  # spiders, star-connection specs; the 106 trees are rows
 
 
 def test_star_connection_equal_star_counts():
@@ -507,14 +534,15 @@ def test_survey_json_key_order():
 
 
 def _assert_same_survey(rep, ref):
-    """Equal reports, and equal CSV rows compared line by line (pair_rows is
-    left out of the record equality)."""
+    """Equal reports, and equal CSV text (pair_rows is left out of the
+    record equality; the survey yields a block per first tree, the
+    references a row at a time)."""
     assert rep == ref
-    rows, ref_rows = list(rep.pair_rows()), list(ref.pair_rows())
-    assert len(rows) == len(ref_rows) == rep.pairs
-    for row, ref_row in zip(rows, ref_rows):
-        assert row.count(",") == len(SURVEY_CSV_HEADER) - 1
-        assert row == ref_row
+    text = "".join(rep.pair_rows())
+    assert text == "".join(ref.pair_rows())
+    rows = text.splitlines()
+    assert len(rows) == rep.pairs
+    assert all(row.count(",") == len(SURVEY_CSV_HEADER) - 1 for row in rows)
 
 
 @pytest.mark.parametrize("n", range(3, 11))
@@ -535,22 +563,22 @@ def test_survey_rows_are_rebuilt_on_each_call():
 
 def _patch_payloads(monkeypatch, n, edit, ref_edit=None):
     """Make theorems._survey_payload return edit(index, payload) for the
-    index-th tree of enumerate_free_trees(n), and _oracles.reference_payload
-    return ref_edit(index, payload) if given.  The survey's payload holds
-    the key at index 2, the reference's the max block at index 4."""
+    index-th row of _free_tree_edge_sets(n), and _oracles.reference_payload
+    return ref_edit(index, payload) for the index-th tree of
+    enumerate_free_trees(n) if given.  The survey's payload holds the key
+    at index 2, the reference's the max block at index 4."""
     import _oracles
     from csftrees import theorems
 
-    index = {t.edges: i for i, t in enumerate(enumerate_free_trees(n))}
-    for module, name, fn in (
-        (theorems, "_survey_payload", edit),
-        (_oracles, "reference_payload", ref_edit),
-    ):
-        if fn is not None:
-            real = getattr(module, name)
-            monkeypatch.setattr(
-                module, name, lambda t, real=real, fn=fn: fn(index[t.edges], real(t))
-            )
+    index = {row: i for i, row in enumerate(_free_tree_edge_sets(n))}
+    real = theorems._survey_payload
+    monkeypatch.setattr(theorems, "_survey_payload", lambda row: edit(index[row], real(row)))
+    if ref_edit is not None:
+        index_t = {t.edges: i for i, t in enumerate(enumerate_free_trees(n))}
+        real_ref = _oracles.reference_payload
+        monkeypatch.setattr(
+            _oracles, "reference_payload", lambda t: ref_edit(index_t[t.edges], real_ref(t))
+        )
 
 
 def _patch_terms(monkeypatch, n, fake):
@@ -575,17 +603,15 @@ def test_survey_reports_a_wrong_max_block_like_the_reference(monkeypatch):
 
     facts = [tree_facts(t) for t in enumerate_free_trees(9)]
     bad = facts[max(i for i, f in enumerate(facts) if f in facts[:i])]
-    real = theorems._leaves_verdict
+    real = theorems._leaves_rule
 
     def off_by_one(f1, f2):
-        v = real(f1, f2)
-        if v.status != APPLICABLE or bad not in (f1, f2):
-            return v
-        return TheoremVerdict(
-            v.theorem_id, v.status, v.case_id, v.m1 + 1, v.m2, v.swapped, v.detail
-        )
+        status, case, m1, m2, swapped, why = real(f1, f2)
+        if status != APPLICABLE or bad not in (f1, f2):
+            return status, case, m1, m2, swapped, why
+        return status, case, m1 + 1, m2, swapped, why
 
-    monkeypatch.setattr(theorems, "_leaves_verdict", off_by_one)
+    monkeypatch.setattr(theorems, "_leaves_rule", off_by_one)
     rep, ref = survey(9), survey_pairwise_reference(9)
     assert rep.soundness_violations
     assert all(
@@ -656,21 +682,65 @@ def test_survey_x_equality_compares_full_terms(monkeypatch):
     assert equal == [v for v in ref.soundness_violations if "csf_equal is true" in v["reason"]]
     _assert_same_survey(rep, ref)
     _assert_same_survey(rep, survey_class_loop_reference(7))
-    equal_rows = [row.split(",")[:3] for row in rep.pair_rows() if row.split(",")[2] == "true"]
+    rows = "".join(rep.pair_rows()).splitlines()
+    equal_rows = [row.split(",")[:3] for row in rows if row.split(",")[2] == "true"]
     assert equal_rows == [["0", str(last), "true"]]
+
+
+def test_survey_blocks_mark_every_pair_of_an_x_equal_group(monkeypatch):
+    # three trees of one alpha get the first one's key and p-terms, so they
+    # form one X-equal group; its three pairs' rows must read true inside
+    # the blocks of the first two trees
+    trees = enumerate_free_trees(8)
+    alpha = [alpha_mis(t) for t in trees]
+    same = [i for i, a in enumerate(alpha) if a == alpha[0]]
+    group = (same[0], same[len(same) // 2], same[-1])
+    terms = csf_powersum(trees[group[0]]).terms
+    key = independence_and_splits(trees[group[0]])
+    _patch_terms(monkeypatch, 8, dict.fromkeys(group, terms))
+    _patch_payloads(monkeypatch, 8, lambda i, p: (*p[:2], key) if i in group else p)
+    rep, ref = survey(8), survey_pairwise_reference(8)
+    assert rep.x_equal_pairs == 3
+    assert "".join(rep.pair_rows()) == "".join(ref.pair_rows())
+    rows = [row.split(",") for row in "".join(rep.pair_rows()).splitlines()]
+    assert [(int(a), int(b)) for a, b, x, *_ in rows if x == "true"] == list(combinations(group, 2))
+    _assert_same_survey(rep, ref)
+
+
+@pytest.mark.parametrize("n", range(4, 12))
+def test_rules_match_their_verdicts(n):
+    # on every ordered pair of fact classes, each rule's tuple holds its
+    # checker's verdict: status, case, m1, m2, swapped and, from why(), the
+    # detail after the swap note
+    from csftrees import theorems
+
+    classes = list(dict.fromkeys(tree_facts(t) for t in enumerate_free_trees(n)))
+    checkers = (
+        (theorems._leaves_rule, theorems._leaves_verdict, "inputs swapped so that b1 > b2; "),
+        (theorems._componentwise_rule, theorems._componentwise_verdict, "inputs swapped; "),
+        (theorems._sum_rule, theorems._sum_verdict, "inputs swapped; "),
+    )
+    for fa in classes:
+        for fb in classes:
+            for rule, checker, note in checkers:
+                status, case, m1, m2, swapped, why = rule(fa, fb)
+                v = checker(fa, fb)
+                assert (v.status, v.case_id, v.m1, v.m2) == (status, case, m1, m2)
+                assert v.swapped == swapped
+                assert v.detail == (note if swapped else "") + why()
 
 
 def test_survey_rejects_a_degree_that_the_peel_contradicts(monkeypatch):
     from csftrees import theorems
 
-    real = theorems.independence_and_splits
-    star = enumerate_free_trees(7)[-1].edges
+    real = theorems._independence_and_splits
+    star = _free_tree_edge_sets(7)[-1]
 
-    def one_more(t):
-        ind, splits = real(t)
-        return (ind + (1,), splits) if t.edges == star else (ind, splits)
+    def one_more(parent, order):
+        ind, splits = real(parent, order)
+        return (ind + (1,), splits) if parent == star else (ind, splits)
 
-    monkeypatch.setattr(theorems, "independence_and_splits", one_more)
+    monkeypatch.setattr(theorems, "_independence_and_splits", one_more)
     with pytest.raises(InternalError, match="deg i\\(T; x\\) = 7 but sum of b_i = 6"):
         survey(7)
 
@@ -692,13 +762,13 @@ def test_survey_rejects_a_verdict_that_depends_on_the_order(monkeypatch):
     # verdict_counts weighs a class pair by its tree pairs in both orders
     from csftrees import theorems
 
-    real = theorems._sum_verdict
+    real = theorems._sum_rule
 
     def one_sided(f1, f2):
         v = real(f1, f2)
-        return TheoremVerdict(v.theorem_id, NOT_APPLICABLE) if v.swapped else v
+        return (NOT_APPLICABLE, None, None, None, False, v[5]) if v[4] else v
 
-    monkeypatch.setattr(theorems, "_sum_verdict", one_sided)
+    monkeypatch.setattr(theorems, "_sum_rule", one_sided)
     with pytest.raises(InternalError, match="depends on the order of classes"):
         survey(7)
 
