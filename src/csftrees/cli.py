@@ -184,12 +184,12 @@ def _cmd_starconn(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    from .generators import enumerate_free_trees
+    from .generators import _free_tree_edge_sets, enumerate_free_trees
 
-    trees = enumerate_free_trees(args.n)
-    if args.count_only:
-        _emit(f"{len(trees)}\n", None)
+    if args.count_only:  # the rows alone: no Tree is built
+        _emit(f"{len(_free_tree_edge_sets(args.n))}\n", None)
         return 0
+    trees = enumerate_free_trees(args.n)
     _emit_json([{"n": t.n, "edges": [list(e) for e in t.edges]} for t in trees], None)
     return 0
 

@@ -40,6 +40,8 @@ leaf_decomposition, rho_data and independence_and_splits take a Tree and
 are thin entries over folds (_peel, _rho_is_path, _independence_and_splits)
 that take only an edge list, or a parent array and a top-down order, so
 the survey runs the same folds on its rows without building Trees.
+rho_data reads level 1 straight from _peel; theorems._facts folds the
+checkers' facts from one _peel and one _rho_is_path.
 """
 
 from __future__ import annotations
@@ -122,12 +124,12 @@ class RhoData(Record):
     __slots__ = ("rho", "rho_vertices", "is_path")
 
 
-def rho_data(t: Tree, d: LeafDecomposition | None = None) -> RhoData:
-    """rho and V(rho) of t; pass d = leaf_decomposition(t) if already built."""
+def rho_data(t: Tree) -> RhoData:
+    """rho and V(rho) of t, from the first level of its peel."""
     if t.n < 2:
         raise GraphError("rho_data needs n >= 2")
-    lvl1 = (d or leaf_decomposition(t)).levels[0]
-    peeled = set(lvl1.leaf_vertices + lvl1.neighbor_vertices)
+    b1, eta1 = _peel(t.n, t.edges)[0][0]
+    peeled = eta1.union(b1)
     rest = tuple(v for v in range(t.n) if v not in peeled)
     return RhoData(len(rest), rest, _rho_is_path(t.n, t.edges, peeled))
 

@@ -274,6 +274,10 @@ def _free_tree_edge_sets(n: int) -> list[tuple[int, ...]]:
     so reversed index order is a post-order.  Its code is read from the row
     (_row_code); no Tree is built.  The name is older than the return type;
     benchmark traces time this step under it."""
+    if not is_int(n) or n < 1:
+        raise GraphError(f"tree order must be a positive integer, got {n!r}")
+    if n > ENUM_MAX_N:
+        raise CapExceededError(f"enumeration capped at n <= {ENUM_MAX_N}, got {n}")
     coded = []
     for s in _free_tree_level_sequences(n):
         last = [0] * n  # a vertex's parent is the last vertex before it one level up
@@ -331,8 +335,4 @@ def enumerate_free_trees(n: int) -> list[Tree]:
     center, the rest in preorder) and built once from it, so A000055(n)
     sequences are visited and each tree's canonical code is computed once,
     to sort them; a code met twice is an InternalError."""
-    if not is_int(n) or n < 1:
-        raise GraphError(f"tree order must be a positive integer, got {n!r}")
-    if n > ENUM_MAX_N:
-        raise CapExceededError(f"enumeration capped at n <= {ENUM_MAX_N}, got {n}")
     return [_row_tree(row) for row in _free_tree_edge_sets(n)]

@@ -7,8 +7,9 @@ Four checkers, identified by theorem id:
   SUMMED          aggregate dominance with a bounded reversed-index set
   STAR_COUNT      star connections on the same vertex set with r < s stars
 
-The closed-form spider block maximum (spider_M_formula) is audited, not
-used as a checker; see below.
+The checkers read only TreeFacts, which _facts folds from an edge list
+for tree_facts and the survey's rows alike.  The closed-form spider block
+maximum (spider_M_formula) is audited, not used as a checker; see below.
 
 Applicable verdicts claim the maximal independent blocks satisfy m1 > m2,
 with the pair oriented internally (``swapped`` records an exchange of the
@@ -44,16 +45,13 @@ from __future__ import annotations
 from itertools import combinations
 
 from .decomposition import (
-    LeafDecomposition,
     _independence_and_splits,
     _peel,
     _rho_is_path,
     alpha_mis,
     chain_holds,
     chain_sequence,
-    leaf_decomposition,
     padded_levels,
-    rho_data,
 )
 from .errors import CapExceededError, GraphError, InternalError
 from .generators import (
@@ -66,7 +64,7 @@ from .generators import (
     gen_spider,
     gen_star_connection,
 )
-from .graphs import Record, Tree, canonical_code, degrees, is_int, trees_isomorphic
+from .graphs import Record, Tree, degrees, is_int, trees_isomorphic
 from .partitions import partitions_desc
 
 LEAVES_RHO = "LEAVES_RHO"
@@ -101,15 +99,17 @@ class TreeFacts(Record):
     __slots__ = ("levels", "rho", "is_path")
 
 
-def tree_facts(t: Tree, d: LeafDecomposition | None = None) -> TreeFacts:
-    """Facts of t; pass d = leaf_decomposition(t) if already built."""
-    d = d or leaf_decomposition(t)
-    if t.n >= 2:
-        rd = rho_data(t, d)
-        rho, path = rd.rho, rd.is_path
-    else:
-        rho, path = 0, True
-    return TreeFacts(d.level_counts(), rho, path)
+def _facts(n: int, edges) -> TreeFacts:
+    """The facts of the tree on 0..n-1 with these edges, from one peel: the
+    (b, eta) counts of its levels, and rho and is_path from the first."""
+    levels, _ = _peel(n, edges)
+    b1, eta1 = levels[0]
+    counts = tuple((len(b), len(eta)) for b, eta in levels)
+    return TreeFacts(counts, n - len(b1) - len(eta1), _rho_is_path(n, edges, eta1.union(b1)))
+
+
+def tree_facts(t: Tree) -> TreeFacts:
+    return _facts(t.n, t.edges)
 
 
 def _check_strict(theorem: str, m1: int, m2: int) -> None:
@@ -423,16 +423,12 @@ def _survey_payload(row: tuple[int, ...]):
     its exact X-invariant key (i(T; x), edge splits), all folded over the
     parent list.  deg i(T; x) must equal the peel's sum of b_i."""
     n = len(row)
-    edges = tuple(zip(row[1:], range(1, n)))
-    levels, _ = _peel(n, edges)
-    counts = tuple((len(b), len(eta)) for b, eta in levels)
-    b1, eta1 = levels[0]
-    facts = TreeFacts(counts, n - len(b1) - len(eta1), _rho_is_path(n, edges, eta1.union(b1)))
-    key = _independence_and_splits(row, range(n))
-    degree, blocks = len(key[0]) - 1, sum(b for b, _ in counts)
+    facts = _facts(n, tuple(zip(row[1:], range(1, n))))
+    levels, key = facts.levels, _independence_and_splits(row, range(n))
+    degree, blocks = len(key[0]) - 1, sum(b for b, _ in levels)
     if degree != blocks:
         raise InternalError(f"deg i(T; x) = {degree} but sum of b_i = {blocks} for parents {row}")
-    return facts, None if chain_holds(counts) else chain_sequence(counts), key
+    return facts, None if chain_holds(levels) else chain_sequence(levels), key
 
 
 def _spider_audit_rows(n: int) -> list[dict]:
@@ -457,11 +453,12 @@ def _compositions(total: int, r: int, minpart: int):
 
 def _star_audit_rows(n: int) -> list[dict]:
     """Formula-vs-oracle rows for the star connections on n vertices that the
-    survey samples: all chains (stars glued in a row at distinct vertices) and
-    all bouquets (every star glued at one shared vertex), deduplicated up to
-    isomorphism."""
+    survey samples, one per isomorphism class: the chains (stars glued in a
+    row), each the caterpillar on its centers and gluing vertices, so only
+    its reversal gives the same tree and the smaller sizes of the two are
+    kept; and the bouquets (every star glued at one shared vertex, never a
+    caterpillar), one per partition."""
     rows = []
-    seen = set()
     for r in range(2, n):
         total = n + r - 1  # sum of star sizes; each of r-1 merges saves a vertex
         if 3 * r > total:
@@ -469,6 +466,7 @@ def _star_audit_rows(n: int) -> list[dict]:
         specs = [
             StarConnectionSpec(comp, tuple(Gluing((i, i + 1)) for i in range(r - 1)))
             for comp in _compositions(total, r, 3)
+            if comp <= comp[::-1]
         ]
         if r >= 3:
             specs.extend(
@@ -477,13 +475,7 @@ def _star_audit_rows(n: int) -> list[dict]:
                 if len(parts) == r and parts[-1] >= 3
             )
         for spec in specs:
-            t = gen_star_connection(spec)
-            code = canonical_code(t)
-            if code in seen:
-                continue
-            seen.add(code)
-            m = _formula_M(spec, _verified_counts(spec, t)[1])
-            a = alpha_mis(t)
+            _, _, m, a = star_connection_audit(spec)
             rows.append({"stars": list(spec.star_sizes), "formula": m, "alpha": a, "agrees": m == a})
     return rows
 

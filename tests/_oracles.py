@@ -13,12 +13,17 @@ import math
 import random
 from functools import lru_cache
 
-from csftrees import symfunc, theorems
+from csftrees import decomposition, symfunc, theorems
 from csftrees._kernels import stable_type_counts
-from csftrees.decomposition import LeafDecomposition, LeafLevel
+from csftrees.decomposition import LeafDecomposition, LeafLevel, alpha_mis
 from csftrees.errors import GraphError
-from csftrees.generators import Gluing, StarConnectionSpec, enumerate_free_trees
-from csftrees.graphs import Graph, Tree, _code_from_adj, is_int
+from csftrees.generators import (
+    Gluing,
+    StarConnectionSpec,
+    enumerate_free_trees,
+    gen_star_connection,
+)
+from csftrees.graphs import Graph, Tree, _code_from_adj, canonical_code, is_int
 from csftrees.partitions import mult_factorial, partitions_desc
 from csftrees.symfunc import BASIS_POWERSUM, SymmetricFunction
 
@@ -418,6 +423,39 @@ def star_connection_M(spec: StarConnectionSpec) -> int:
     return theorems._formula_M(spec, theorems.star_connection_counts(spec)[1])
 
 
+def star_audit_rows_reference(n: int) -> list[dict]:
+    """theorems._star_audit_rows(n) by building every candidate: each chain
+    composition and each bouquet partition into star sizes >= 3 is built,
+    and a tree whose canonical code was met before is dropped.  M is the
+    closed form sum(n_k - 1) - (r - 1), alpha the forest DP's."""
+    rows = []
+    seen = set()
+    for r in range(2, n):
+        total = n + r - 1
+        if 3 * r > total:
+            break
+        specs = [
+            StarConnectionSpec(comp, tuple(Gluing((i, i + 1)) for i in range(r - 1)))
+            for comp in theorems._compositions(total, r, 3)
+        ]
+        if r >= 3:
+            specs.extend(
+                StarConnectionSpec(parts, (Gluing(tuple(range(r))),))
+                for parts in partitions_desc(total)
+                if len(parts) == r and parts[-1] >= 3
+            )
+        for spec in specs:
+            t = gen_star_connection(spec)
+            code = canonical_code(t)
+            if code in seen:
+                continue
+            seen.add(code)
+            m = sum(k - 1 for k in spec.star_sizes) - (r - 1)
+            a = alpha_mis(t)
+            rows.append({"stars": list(spec.star_sizes), "formula": m, "alpha": a, "agrees": m == a})
+    return rows
+
+
 def random_star_spec(rng: random.Random, max_vertices: int = 20) -> StarConnectionSpec:
     """A valid random StarConnectionSpec whose tree has <= max_vertices
     vertices. The gluing structure is a random tree over the stars (parents
@@ -464,10 +502,10 @@ def reference_payload(t: Graph):
     their hook coefficients, all looked up at call time: the tree DP and
     the hooks on the symfunc module, where survey finds them too, the rest
     on the theorems module."""
-    d = theorems.leaf_decomposition(t)
+    d = decomposition.leaf_decomposition(t)
     terms = symfunc._tree_powersum_terms(t)
     return (
-        theorems.tree_facts(t, d),
+        theorems.tree_facts(t),
         theorems.chain_sequence(d.level_counts()),
         theorems.chain_holds(d.level_counts()),
         terms,

@@ -226,9 +226,9 @@ def test_compare_theorems(tmp_path, capsys):
 
 
 def test_compare_theorems_computes_facts_once(tmp_path, capsys, monkeypatch):
-    """Each tree's code and leaf decomposition are computed once per request,
-    and the verdicts are those of the public checkers."""
-    calls = {"canonical_code": 0, "leaf_decomposition": 0}
+    """Each tree's code and leaf peel are computed once per request, and the
+    verdicts are those of the public checkers."""
+    calls = {"canonical_code": 0, "_peel": 0}
 
     def counted(module, name):
         real = getattr(module, name)
@@ -240,13 +240,13 @@ def test_compare_theorems_computes_facts_once(tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     counted(graphs, "canonical_code")
-    counted(theorems, "leaf_decomposition")
+    counted(theorems, "_peel")
     text_a = "n 8\n0 1\n1 2\n2 3\n3 4\n4 5\n5 6\n6 7\n"
     text_b = "n 8\n0 1\n0 2\n0 3\n3 4\n4 5\n4 6\n6 7\n"
     a, b = _write(tmp_path, "a.txt", text_a), _write(tmp_path, "b.txt", text_b)
     assert main(["compare", "--a", a, "--b", b, "--theorems"]) == 0
     out = capsys.readouterr().out
-    assert calls == {"canonical_code": 2, "leaf_decomposition": 2}
+    assert calls == {"canonical_code": 2, "_peel": 2}
     monkeypatch.undo()
     ta, tb = (Tree(g.n, g.edges) for g in map(parse_edge_list, (text_a, text_b)))
     expected = {
@@ -368,6 +368,7 @@ def test_survey_output_digests(tmp_path, n):
 SURVEY_JSON_DIGESTS = {
     13: "72b39e36293a0b1bc22311bb2277c194189b0cbb0260ff4a50e76a30742ee094",
     14: "bfd88c9e63b8e328be51102978ea2a11b5721f94c686bbb8306aeb685f3f4b61",
+    15: "17fd74584d74fadcf293d2b4c06db3262f0a02c71f042dcfd5bf03fcbf6099b4",
 }
 
 

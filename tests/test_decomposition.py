@@ -37,6 +37,7 @@ from csftrees.generators import (
 from csftrees.graphs import Graph, Tree, degrees
 from csftrees.partitions import partitions_desc
 from csftrees.symfunc import _hook_max_block, _tree_powersum_terms
+from csftrees.theorems import tree_facts
 
 
 @pytest.mark.parametrize(
@@ -182,13 +183,15 @@ def test_chain_inequalities_first_failure():
 
 
 def test_relabeling_invariance():
+    # the level counts, and the whole facts (rho and is_path too)
     rng = random.Random(2024)
-    for n in range(2, 9):
+    for n in range(2, 10):
         for t in enumerate_free_trees(n):
             perm = list(range(n))
             rng.shuffle(perm)
             t2 = relabel(t, perm)
             assert leaf_decomposition(t2).level_counts() == leaf_decomposition(t).level_counts()
+            assert tree_facts(t2) == tree_facts(t)
 
 
 def test_rho_data_goldens():
@@ -199,8 +202,6 @@ def test_rho_data_goldens():
     assert rho_data(gen_star(4)).is_path
     assert rho_data(gen_path(2)).rho == 0
     assert rho_data(gen_path(5)).rho == 1 and rho_data(gen_path(5)).is_path
-    t = gen_path(7)
-    assert rho_data(t, leaf_decomposition(t)) == rho_data(t)
 
 
 def test_rho_set_may_be_disconnected():

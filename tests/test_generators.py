@@ -280,9 +280,13 @@ def test_enumerate_bounds(monkeypatch):
     def no_enumeration(n):
         raise AssertionError(f"enumerated n = {n} before the cap check")
 
-    monkeypatch.setattr(generators, "_free_tree_edge_sets", no_enumeration)
-    with pytest.raises(CapExceededError, match="n <= 18, got 19"):
-        enumerate_free_trees(19)
+    # the checks run on the rows, so the row list and the Trees share them
+    monkeypatch.setattr(generators, "_free_tree_level_sequences", no_enumeration)
+    for enumerate_n in (enumerate_free_trees, generators._free_tree_edge_sets):
+        with pytest.raises(GraphError, match="positive integer, got 0"):
+            enumerate_n(0)
+        with pytest.raises(CapExceededError, match="n <= 18, got 19"):
+            enumerate_n(19)
 
 
 def test_enumerate_shapes_present():

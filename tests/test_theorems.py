@@ -9,6 +9,7 @@ from _oracles import (
     mis_bruteforce,
     random_star_spec,
     relabel,
+    star_audit_rows_reference,
     star_connection_M,
     survey_class_loop_reference,
     survey_pairwise_reference,
@@ -71,11 +72,6 @@ def test_tree_facts():
     assert (f.levels, f.rho, f.is_path) == (((2, 2), (2, 1)), 3, True)
     f1 = tree_facts(gen_path(1))
     assert (f1.rho, f1.is_path) == (0, True)
-
-
-def test_tree_facts_reuses_a_given_decomposition():
-    for t in enumerate_free_trees(8):
-        assert tree_facts(t, leaf_decomposition(t)) == tree_facts(t)
 
 
 def test_survey_decomposes_each_tree_once(monkeypatch):
@@ -168,9 +164,10 @@ def test_survey_payload_max_block_is_max_block_from_csf():
 
 def test_survey_builds_trees_only_for_the_audits_and_tied_keys(tree_builds):
     # 40 of the 3,159 trees on 14 vertices share their key (i(T; x), edge
-    # splits) with another; the audits build 255 spiders and star connections
+    # splits) with another; the audits build 94 spiders and 93 star
+    # connections, one per row
     survey(14)
-    assert len(tree_builds) == 40 + 255
+    assert len(tree_builds) == 40 + 187
 
 
 @pytest.mark.parametrize("n", range(7, 11))
@@ -400,7 +397,26 @@ def test_star_connections_are_built_once(tree_builds):
     assert tree_builds == [13]
     tree_builds.clear()
     survey(10)
-    assert len(tree_builds) == 25 + 24  # spiders, star-connection specs; the 106 trees are rows
+    assert len(tree_builds) == 25 + 15  # spiders, star connections; the 106 trees are rows
+
+
+@pytest.mark.parametrize("n", range(3, 19))
+def test_star_audit_rows_match_the_code_dedup(monkeypatch, n):
+    # one built star connection per row, and the rows of building every
+    # candidate and dropping repeated canonical codes
+    from csftrees import theorems
+
+    built = []
+
+    def counted(spec):
+        built.append(spec)
+        return gen_star_connection(spec)
+
+    monkeypatch.setattr(theorems, "gen_star_connection", counted)
+    rows = theorems._star_audit_rows(n)
+    assert len(built) == len(rows)
+    monkeypatch.undo()
+    assert rows == star_audit_rows_reference(n)
 
 
 def test_star_connection_equal_star_counts():
