@@ -24,24 +24,25 @@ log from sorting each level's vertex tuples.
 
 rho = n - b_1 - eta_1 uses the first level only; its vertex set V(rho) is
 everything that is neither a leaf nor a leaf-neighbor, and is_path reports
-whether the induced subgraph is a path (vacuously true for rho <= 1). Any
-vertex set of a tree induces a forest, so is_path counts on the tree's edge
-list: rho - 1 edges inside V(rho) and no inside degree above 2.
+whether the induced subgraph is a path (vacuously true for rho <= 1).  The
+peel answers it on the way: after the first level the alive vertices are
+V(rho) and their neighbor sets its induced adjacency, a forest, so it is a
+path iff its degrees sum to 2(rho - 1) with none above 2.
 
 Two exact invariants of the chromatic symmetric function come from one
-children-first pass (independence_and_splits): the independence polynomial
-i(T; x), since [m_(k,1^(n-k))] X_T = (n-k)! i_k, and the sorted edge splits
-min(s, n - s), since [p_(n-a,a)] X_T = (-1)^n times the number of edges whose
-removal leaves sides of sizes a and n - a.  Trees that differ in either have
-different X; the survey runs the full tree DP only where both tie.  The
-degree of i(T; x) is alpha(T), the survey's check on the peel's sum(b_i).
+children-first pass (_independence_and_splits): the independence
+polynomial i(T; x), since [m_(k,1^(n-k))] X_T = (n-k)! i_k, and the sorted
+edge splits min(s, n - s), since [p_(n-a,a)] X_T = (-1)^n times the number
+of edges whose removal leaves sides of sizes a and n - a.  Trees that
+differ in either have different X; the survey runs the full tree DP only
+where both tie.  The degree of i(T; x) is alpha(T), the survey's check on
+the peel's sum(b_i).
 
-leaf_decomposition, rho_data and independence_and_splits take a Tree and
-are thin entries over folds (_peel, _rho_is_path, _independence_and_splits)
-that take only an edge list, or a parent array and a top-down order, so
-the survey runs the same folds on its rows without building Trees.
-rho_data reads level 1 straight from _peel; theorems._facts folds the
-checkers' facts from one _peel and one _rho_is_path.
+leaf_decomposition and rho_data take a Tree and are thin entries over
+_peel, which takes only an edge list; _independence_and_splits, like the
+tree DP, takes a rooted walk (a parent array and a top-down order), so the
+survey runs the same folds on its rows without building Trees.
+theorems._facts folds the checkers' facts from one _peel.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ class LeafDecomposition(Record):
 
 def leaf_decomposition(t: Tree) -> LeafDecomposition:
     """The levels of t, each with its vertices (see _peel)."""
-    levels, last = _peel(t.n, t.edges)
+    levels, last, _ = _peel(t.n, t.edges)
     return LeafDecomposition(
         tuple(
             LeafLevel(len(b), len(eta), tuple(sorted(b)), tuple(sorted(eta))) for b, eta in levels
@@ -74,12 +75,13 @@ def leaf_decomposition(t: Tree) -> LeafDecomposition:
     )
 
 
-def _peel(n: int, edges) -> tuple[list[tuple[list[int], set[int]]], bool]:
-    """The levels of the tree on 0..n-1 with these edges, as (b-vertices,
-    eta-vertices), peeled from neighbor sets; each level reads only its
-    frontier (see the module docstring).  Also whether the final level met
-    the last-level rule (its frontier held every alive vertex), which is
-    when terminal_alpha counts its eta-vertices."""
+def _peel(n: int, edges) -> tuple[list[tuple[list[int], set[int]]], bool, bool]:
+    """The levels of the tree on 0..n-1 with these edges (read once), as
+    (b-vertices, eta-vertices), peeled from neighbor sets; each level reads
+    only its frontier (see the module docstring).  Also whether the final
+    level met the last-level rule (its frontier held every alive vertex),
+    which is when terminal_alpha counts its eta-vertices, and whether V(rho)
+    induces a path, read once the first level is removed."""
     adjsets: list[set[int]] = [set() for _ in range(n)]
     for u, v in edges:
         adjsets[u].add(v)
@@ -88,6 +90,7 @@ def _peel(n: int, edges) -> tuple[list[tuple[list[int], set[int]]], bool]:
     leaves = [v for v in range(alive) if len(adjsets[v]) == 1]
     isolated = [v for v in range(alive) if not adjsets[v]]
     levels = []
+    is_path = None
     while alive:
         last = len(leaves) + len(isolated) == alive
         b, eta = [], set()
@@ -111,7 +114,14 @@ def _peel(n: int, edges) -> tuple[list[tuple[list[int], set[int]]], bool]:
                     touched.add(w)
         leaves = [w for w in touched if len(adjsets[w]) == 1]
         isolated += [w for w in touched if not adjsets[w]]
-    return levels, last
+        if is_path is None:
+            # The alive vertices are V(rho) and their sets its induced
+            # adjacency, a forest: a path iff rho - 1 edges, no degree above 2.
+            inside = [len(adjsets[v]) for v in range(n) if v not in removed]
+            is_path = len(inside) <= 1 or (
+                sum(inside) == 2 * len(inside) - 2 and max(inside) <= 2
+            )
+    return levels, last, is_path
 
 
 def padded_levels(s1, s2) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
@@ -128,25 +138,11 @@ def rho_data(t: Tree) -> RhoData:
     """rho and V(rho) of t, from the first level of its peel."""
     if t.n < 2:
         raise GraphError("rho_data needs n >= 2")
-    b1, eta1 = _peel(t.n, t.edges)[0][0]
+    levels, _, is_path = _peel(t.n, t.edges)
+    b1, eta1 = levels[0]
     peeled = eta1.union(b1)
     rest = tuple(v for v in range(t.n) if v not in peeled)
-    return RhoData(len(rest), rest, _rho_is_path(t.n, t.edges, peeled))
-
-
-def _rho_is_path(n: int, edges, peeled: set[int]) -> bool:
-    """Whether the vertices outside `peeled` induce a path in the tree on
-    0..n-1 with these edges.  They induce a forest, so a path iff rho - 1
-    inside edges (one component) and no inside degree above 2."""
-    rho = n - len(peeled)
-    deg = [0] * n
-    inside = 0
-    for u, v in edges:
-        if u not in peeled and v not in peeled:
-            deg[u] += 1
-            deg[v] += 1
-            inside += 1
-    return rho <= 1 or (inside == rho - 1 and max(deg) <= 2)
+    return RhoData(len(rest), rest, is_path)
 
 
 def alpha_mis(g: Graph) -> int:
@@ -172,18 +168,11 @@ def alpha_mis(g: Graph) -> int:
     return total
 
 
-def independence_and_splits(t: Tree) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(i_0, i_1, ..., i_alpha), where i_k counts the independent k-sets of
-    t, and the sizes min(s, n - s) of the smaller side of every edge,
-    ascending; folded over t rooted at vertex 0 in breadth-first order."""
-    parent = [-1] * t.n
-    order = bfs_order(adjacency(t), 0, parent)
-    return _independence_and_splits(parent, order)
-
-
 def _independence_and_splits(parent, order) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """independence_and_splits of the tree rooted at vertex 0 whose
-    vertices are `order`, each after its parent parent[v].
+    """(i_0, i_1, ..., i_alpha), where i_k counts the independent k-sets,
+    and the sizes min(s, n - s) of the smaller side of every edge,
+    ascending, of the tree whose vertices are `order`, each after its
+    parent parent[v] (order[0] the root).
 
     Each vertex keeps two polynomials of its subtree: `take` over the
     independent sets that contain it and `skip` over those that avoid it.

@@ -322,11 +322,6 @@ def _row_code(row: tuple[int, ...]) -> str:
     return min(code, "(" + "".join(mine) + ")")
 
 
-def _row_tree(row: tuple[int, ...]) -> Tree:
-    """The validated Tree of a row."""
-    return Tree(len(row), tuple(zip(row[1:], range(1, len(row)))))
-
-
 def enumerate_free_trees(n: int) -> list[Tree]:
     """One representative per isomorphism class of trees on n vertices,
     in canonical-code order.
@@ -335,4 +330,4 @@ def enumerate_free_trees(n: int) -> list[Tree]:
     center, the rest in preorder) and built once from it, so A000055(n)
     sequences are visited and each tree's canonical code is computed once,
     to sort them; a code met twice is an InternalError."""
-    return [_row_tree(row) for row in _free_tree_edge_sets(n)]
+    return [Tree(n, tuple(zip(row[1:], range(1, n)))) for row in _free_tree_edge_sets(n)]

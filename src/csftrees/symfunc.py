@@ -151,7 +151,9 @@ def csf_powersum(g: Graph) -> SymmetricFunction:
             f"csf_powersum capped at |E| <= {CSF_POWERSUM_MAX_EDGES}, got {g.num_edges}"
         )
     if is_tree(g):
-        return SymmetricFunction(g.n, BASIS_POWERSUM, _tree_powersum_terms(g))
+        parent = [-1] * g.n
+        order = bfs_order(adjacency(g), 0, parent)
+        return SymmetricFunction(g.n, BASIS_POWERSUM, _tree_powersum_terms(parent, order))
     from ._kernels import edge_subset_type_counts
 
     signed = edge_subset_type_counts(g.n, g.edges)
@@ -160,16 +162,20 @@ def csf_powersum(g: Graph) -> SymmetricFunction:
     return SymmetricFunction(g.n, BASIS_POWERSUM, terms)
 
 
-def _tree_powersum_terms(g: Graph) -> tuple[tuple[tuple[int, ...], int], ...]:
+def _tree_powersum_terms(parent, order) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Signed edge-subset expansion of a tree, summed by a rooted DP; the
     terms come back canonical (descending partitions, no zero coefficient).
 
-    Rooted at vertex 0, each vertex keeps a sparse table over the edge
-    subsets S of its subtree: the key is (size of the vertex's own component
-    in S, sizes of the components already closed off), the value the sum of
-    (-1)^|S| over the subsets with that key.  Each child edge is either left
-    out of S, which closes the child's open component (sign +), or put in S,
-    which merges it into the parent's component (sign -).
+    The tree is a rooted walk: its vertices are `order`, each after its
+    parent parent[v] (order[0] the root), as csf_powersum's breadth-first
+    walk from vertex 0 or a survey row in index order.  In reverse order
+    each vertex merges its children's tables, which are final by then, in
+    the order the walk lists them.  Each vertex keeps a sparse table over
+    the edge subsets S of its subtree: the key is (size of the vertex's own
+    component in S, sizes of the components already closed off), the value
+    the sum of (-1)^|S| over the subsets with that key.  Each child edge is
+    either left out of S, which closes the child's open component (sign +),
+    or put in S, which merges it into the parent's component (sign -).
 
     A key is one int in the packed layout of partitions.py: field 0 holds
     the open size and field c the number of closed components of size c.
@@ -177,19 +183,17 @@ def _tree_powersum_terms(g: Graph) -> tuple[tuple[tuple[int, ...], int], ...]:
     child with the child's open size b moved from field 0 to field b.  With
     field 0 empty, larger keys are exactly the larger partitions in
     descending lexicographic order, so the root's keys are sorted as ints."""
-    n = g.n
+    n = len(order)
     width = n.bit_length()
     mask = (1 << width) - 1
     unit = [1 << (width * c) for c in range(n + 1)]
-    adj = adjacency(g)
-    parent = [-1] * n
-    order = bfs_order(adj, 0, parent)
+    kids: list[list[int]] = [[] for _ in range(n)]
+    for v in order[1:]:
+        kids[parent[v]].append(v)
     tables: list[dict | None] = [None] * n
     for v in reversed(order):
         cur = {1: 1}
-        for c in adj[v]:
-            if parent[c] != v:
-                continue
+        for c in kids[v]:
             child = [(k, k - (k & mask) + unit[k & mask], y) for k, y in tables[c].items() if y]
             tables[c] = None
             nxt: dict[int, int] = {}
@@ -204,7 +208,7 @@ def _tree_powersum_terms(g: Graph) -> tuple[tuple[tuple[int, ...], int], ...]:
             cur = nxt
         tables[v] = cur
     closed: dict[int, int] = {}
-    for k, x in tables[0].items():
+    for k, x in tables[order[0]].items():
         key = k - (k & mask) + unit[k & mask]
         closed[key] = closed.get(key, 0) + x
     decode = partition_keys(n)

@@ -19,7 +19,7 @@ cross-checks each claim against coefficients of the chromatic symmetric
 function itself, so an unsound verdict cannot pass silently: the largest
 block is deg i(T; x), the largest k with [m_(k,1^(n-k))] X nonzero, and
 X-equality is decided on exact coefficients of X (the invariant key of
-independence_and_splits, and the full p-terms of the tree DP where keys
+_independence_and_splits, and the full p-terms of the tree DP where keys
 tie).  Each checker is a rule, which returns its verdict as a plain tuple
 with the detail as a callable, and a wrapper that formats the
 TheoremVerdict; the survey calls the rules once per ordered pair of fact
@@ -47,7 +47,6 @@ from itertools import combinations
 from .decomposition import (
     _independence_and_splits,
     _peel,
-    _rho_is_path,
     alpha_mis,
     chain_holds,
     chain_sequence,
@@ -60,7 +59,6 @@ from .generators import (
     SpiderSpec,
     StarConnectionSpec,
     _free_tree_edge_sets,
-    _row_tree,
     gen_spider,
     gen_star_connection,
 )
@@ -100,12 +98,14 @@ class TreeFacts(Record):
 
 
 def _facts(n: int, edges) -> TreeFacts:
-    """The facts of the tree on 0..n-1 with these edges, from one peel: the
-    (b, eta) counts of its levels, and rho and is_path from the first."""
-    levels, _ = _peel(n, edges)
+    """The facts of the tree on 0..n-1 with these edges (any iterable, read
+    once), from one peel: the (b, eta) counts of its levels, rho from the
+    first, and whether V(rho) induces a path, which the peel reads off its
+    neighbor sets once the first level is gone."""
+    levels, _, is_path = _peel(n, edges)
     b1, eta1 = levels[0]
     counts = tuple((len(b), len(eta)) for b, eta in levels)
-    return TreeFacts(counts, n - len(b1) - len(eta1), _rho_is_path(n, edges, eta1.union(b1)))
+    return TreeFacts(counts, n - len(b1) - len(eta1), is_path)
 
 
 def tree_facts(t: Tree) -> TreeFacts:
@@ -423,7 +423,7 @@ def _survey_payload(row: tuple[int, ...]):
     its exact X-invariant key (i(T; x), edge splits), all folded over the
     parent list.  deg i(T; x) must equal the peel's sum of b_i."""
     n = len(row)
-    facts = _facts(n, tuple(zip(row[1:], range(1, n))))
+    facts = _facts(n, zip(row[1:], range(1, n)))
     levels, key = facts.levels, _independence_and_splits(row, range(n))
     degree, blocks = len(key[0]) - 1, sum(b for b, _ in levels)
     if degree != blocks:
@@ -513,11 +513,11 @@ def _x_equal_groups(rows: list[tuple[int, ...]], by_key: dict) -> list[list[int]
     """The groups of two or more X-equal trees, each ascending, from the
     trees' indices bucketed by key.  Trees with different keys have
     different X, so the tree DP runs only in buckets of two or more trees,
-    the only trees whose Tree is built; there the full p-terms decide (a
-    dict keyed by the terms, so a hash never decides alone), and the max
-    block read from their hooks must equal deg i(T; x), the bucket's.  The
-    CSF engine is imported only for such a bucket: no two trees tie for
-    n <= 10."""
+    on each row in index order (a rooted walk, so no Tree is built); there
+    the full p-terms decide (a dict keyed by the terms, so a hash never
+    decides alone), and the max block read from their hooks must equal
+    deg i(T; x), the bucket's.  The CSF engine is imported only for such a
+    bucket: no two trees tie for n <= 10."""
     groups = []
     for key, members in by_key.items():
         if len(members) < 2:
@@ -527,7 +527,7 @@ def _x_equal_groups(rows: list[tuple[int, ...]], by_key: dict) -> list[list[int]
 
         by_terms: dict[tuple, list[int]] = {}
         for i in members:
-            terms = _tree_powersum_terms(_row_tree(rows[i]))
+            terms = _tree_powersum_terms(rows[i], range(len(rows[i])))
             hook = _hook_max_block(len(rows[i]), terms)
             if hook != degree:
                 raise InternalError(
@@ -555,9 +555,9 @@ def survey(n: int) -> SurveyReport:
     The trees are the rows of generators._free_tree_edge_sets (one WROM
     level sequence per tree, as a parent list, sorted by canonical code),
     and tree indices are positions in that order; every per-tree fold runs
-    on the row, and a Tree is built only for a tree whose key ties.  Each
-    tree gets two exact coefficient families of X from one small DP
-    (independence_and_splits): i(T; x) and its edge splits.  alpha,
+    on the row, the tree DP included, and a Tree is built only for the
+    audits.  Each tree gets two exact coefficient families of X from one
+    small DP (_independence_and_splits): i(T; x) and its edge splits.  alpha,
     the largest block every claimed maximum is checked against, is the sum
     of b_i, which must equal deg i(T; x) on every tree.  Trees whose keys
     differ have different X; only inside buckets of two or more trees does

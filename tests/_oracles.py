@@ -61,6 +61,25 @@ def prufer_tree(seq) -> Tree:
     return Tree(n, tuple(edges))
 
 
+def rooted(g: Graph) -> tuple[list[int], list[int]]:
+    """The breadth-first walk (parent, order) of a connected graph from
+    vertex 0, neighbors taken in edge order: the rooted walk that the tree
+    kernels take (parent[0] = 0, each vertex listed after its parent)."""
+    adj: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    parent = [-1] * g.n
+    parent[0] = 0
+    order = [0]
+    for v in order:
+        for w in adj[v]:
+            if parent[w] == -1:
+                parent[w] = v
+                order.append(w)
+    return parent, order
+
+
 def evaluate_ones(f: SymmetricFunction, r: int) -> int:
     """Value at x_1 = ... = x_r = 1, all other variables 0 (exact): r^len
     for p_lambda, and for m_lambda the distinct arrangements of lambda's
@@ -312,24 +331,14 @@ def tree_powersum_reference(g: Graph) -> tuple[tuple[tuple[int, ...], int], ...]
     """The tree DP of symfunc._tree_powersum_terms with tuple keys: each
     table maps (open size, descending closed sizes) to a signed count. The
     terms come back descending, zeros dropped."""
-    adj = [[] for _ in range(g.n)]
-    for u, v in g.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    parent = [-1] * g.n
-    parent[0] = 0
-    order = [0]
-    for v in order:
-        for w in adj[v]:
-            if parent[w] == -1:
-                parent[w] = v
-                order.append(w)
+    parent, order = rooted(g)
+    kids: list[list[int]] = [[] for _ in range(g.n)]
+    for v in order[1:]:
+        kids[parent[v]].append(v)
     tables: list = [None] * g.n
     for v in reversed(order):
         cur = {(1, ()): 1}
-        for c in adj[v]:
-            if parent[c] != v:
-                continue
+        for c in kids[v]:
             nxt: dict = {}
             for (a, closed), x in cur.items():
                 for (b, sub), y in tables[c].items():
@@ -503,7 +512,7 @@ def reference_payload(t: Graph):
     the hooks on the symfunc module, where survey finds them too, the rest
     on the theorems module."""
     d = decomposition.leaf_decomposition(t)
-    terms = symfunc._tree_powersum_terms(t)
+    terms = symfunc._tree_powersum_terms(*rooted(t))
     return (
         theorems.tree_facts(t),
         theorems.chain_sequence(d.level_counts()),

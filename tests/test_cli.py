@@ -71,7 +71,7 @@ def test_compute_out_file_matches_stdout(tmp_path, capsys):
     stdout = capsys.readouterr().out
     outfile = str(tmp_path / "f.json")
     assert main(["compute", "--input", path, "--basis", "m", "--out", outfile]) == 0
-    assert open(outfile).read() == stdout
+    assert Path(outfile).read_text() == stdout
 
 
 def test_compute_accepts_non_tree(tmp_path, capsys):
@@ -335,7 +335,7 @@ def test_survey_files_deterministic_across_jobs(tmp_path):
         out = str(tmp_path / f"rep{jobs}.json")
         csvp = str(tmp_path / f"rows{jobs}.csv")
         assert main(["survey", "--n", "6", "--jobs", jobs, "--out", out, "--csv", csvp]) == 0
-        paths[jobs] = (open(out, "rb").read(), open(csvp, "rb").read())
+        paths[jobs] = (Path(out).read_bytes(), Path(csvp).read_bytes())
     assert paths["1"] == paths["2"]
     header = paths["1"][1].decode().splitlines()[0]
     assert header == ",".join(SURVEY_CSV_HEADER)

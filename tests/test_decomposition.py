@@ -13,13 +13,14 @@ from _oracles import (
     prufer_tree,
     relabel,
     rho_path_bruteforce,
+    rooted,
 )
 from csftrees.decomposition import (
+    _independence_and_splits,
     alpha_mis,
     chain_holds,
     chain_sequence,
     decomposition_to_json_dict,
-    independence_and_splits,
     leaf_decomposition,
     padded_levels,
     rho_data,
@@ -125,12 +126,12 @@ def test_block_sum_is_independence_number():
 def test_independence_and_splits_by_brute_force():
     for n in range(1, 10):
         for t in enumerate_free_trees(n):
-            assert independence_and_splits(t) == (
+            assert _independence_and_splits(*rooted(t)) == (
                 independent_set_counts_bruteforce(t),
                 edge_splits_bruteforce(t),
             )
-    assert independence_and_splits(gen_path(4)) == ((1, 4, 3), (1, 1, 2))
-    assert independence_and_splits(gen_star(5)) == ((1, 5, 6, 4, 1), (1, 1, 1, 1))
+    assert _independence_and_splits(*rooted(gen_path(4))) == ((1, 4, 3), (1, 1, 2))
+    assert _independence_and_splits(*rooted(gen_star(5))) == ((1, 5, 6, 4, 1), (1, 1, 1, 1))
 
 
 def test_independence_and_splits_are_coefficients_of_x():
@@ -139,8 +140,9 @@ def test_independence_and_splits_are_coefficients_of_x():
     splits a; and deg i(T; x) = alpha_mis = the max block of the p-terms."""
     for n in range(1, 13):
         for t in enumerate_free_trees(n):
-            ind, splits = independence_and_splits(t)
-            terms = _tree_powersum_terms(t)
+            walk = rooted(t)
+            ind, splits = _independence_and_splits(*walk)
+            terms = _tree_powersum_terms(*walk)
             for k in range(1, n + 1):
                 hook = sum(c * math.perm(parts.count(1), n - k) for parts, c in terms)
                 assert hook == math.factorial(n - k) * (ind[k] if k < len(ind) else 0)
@@ -215,13 +217,27 @@ def test_rho_set_may_be_disconnected():
 
 
 def test_rho_path_rule_matches_induced_subgraph():
-    """rho - 1 inside edges and inside degrees <= 2, counted on the edge
-    list, against a flood fill of the induced subgraph."""
-    for n in range(2, 12):
-        for t in enumerate_free_trees(n):
-            r = rho_data(t)
-            assert (r.rho_vertices, r.is_path) == rho_path_bruteforce(t)
-            assert r.rho == len(r.rho_vertices)
+    """rho - 1 inside edges and inside degrees <= 2, read off the peel's
+    neighbor sets once its first level is gone, against a flood fill of the
+    induced subgraph: every tree with n <= 11 and seeded random labeled
+    trees with n = 12..60, through rho_data and tree_facts alike."""
+    rng = random.Random(31)
+    randoms = [
+        prufer_tree([rng.randrange(n) for _ in range(n - 2)])
+        for n in range(12, 61)
+        for _ in range(20)
+    ]
+    kinds = set()
+    for t in [t for n in range(2, 12) for t in enumerate_free_trees(n)] + randoms:
+        r = rho_data(t)
+        expected = rho_path_bruteforce(t)
+        assert (r.rho_vertices, r.is_path) == expected
+        assert r.rho == len(r.rho_vertices)
+        assert tree_facts(t).is_path == expected[1]
+        if t.n >= 12:
+            kinds.add((r.rho > 1, r.is_path))
+    # the random trees hold long paths and non-paths alike
+    assert kinds == {(False, True), (True, True), (True, False)}
     # spider (3,3,3): V(rho) induces a claw, connected with rho - 1 edges
     r = rho_data(gen_spider((3, 3, 3)))
     assert (r.rho, r.is_path) == (4, False)

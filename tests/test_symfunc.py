@@ -16,6 +16,7 @@ from _oracles import (
     monomial_by_stable_partitions,
     p_to_m_reference,
     prufer_tree,
+    rooted,
     stable_partitions,
     tree_powersum_reference,
 )
@@ -23,7 +24,13 @@ from csftrees import _kernels, symfunc
 from csftrees._kernels import edge_subset_type_counts, stable_type_counts
 from csftrees.decomposition import alpha_mis
 from csftrees.errors import CapExceededError, GraphError
-from csftrees.generators import enumerate_free_trees, gen_path, gen_spider, gen_star
+from csftrees.generators import (
+    _free_tree_edge_sets,
+    enumerate_free_trees,
+    gen_path,
+    gen_spider,
+    gen_star,
+)
 from csftrees.graphs import Graph, is_tree
 from csftrees.partitions import mult_factorial, partitions_desc
 from csftrees.symfunc import (
@@ -152,11 +159,14 @@ def _assert_canonical(n: int, terms) -> None:
 
 
 def test_packed_dp_matches_tuple_keyed_dp():
+    # on each tree's breadth-first walk, and on its row in index order as
+    # the survey passes it
     for n in range(1, 12):
-        for t in enumerate_free_trees(n):
-            terms = symfunc._tree_powersum_terms(t)
+        for row, t in zip(_free_tree_edge_sets(n), enumerate_free_trees(n)):
+            terms = symfunc._tree_powersum_terms(*rooted(t))
             _assert_canonical(n, terms)
             assert terms == tree_powersum_reference(t)
+            assert symfunc._tree_powersum_terms(row, range(n)) == terms
 
 
 def _prufer_trees(min_n: int, max_n: int):
@@ -168,7 +178,7 @@ def _prufer_trees(min_n: int, max_n: int):
 @settings(max_examples=25, deadline=None)
 @given(_prufer_trees(12, 18))
 def test_packed_dp_matches_tuple_keyed_dp_on_random_trees(g):
-    terms = symfunc._tree_powersum_terms(g)
+    terms = symfunc._tree_powersum_terms(*rooted(g))
     _assert_canonical(g.n, terms)
     assert terms == tree_powersum_reference(g)
     assert csf_powersum(g).terms == terms

@@ -9,16 +9,17 @@ from _oracles import (
     mis_bruteforce,
     random_star_spec,
     relabel,
+    rooted,
     star_audit_rows_reference,
     star_connection_M,
     survey_class_loop_reference,
     survey_pairwise_reference,
 )
 from csftrees.decomposition import (
+    _independence_and_splits,
     alpha_mis,
     chain_holds,
     chain_sequence,
-    independence_and_splits,
     leaf_decomposition,
 )
 from csftrees.errors import CapExceededError, GraphError, InternalError
@@ -145,7 +146,7 @@ def test_rows_match_the_tree_route(n):
         assert generators._row_code(row) == canonical_code(t)
         facts, failed_chain, key = theorems._survey_payload(row)
         assert facts == tree_facts(t)
-        assert key == independence_and_splits(t)
+        assert key == _independence_and_splits(*rooted(t))
         levels = leaf_decomposition(t).level_counts()
         assert failed_chain == (None if chain_holds(levels) else chain_sequence(levels))
     assert not rows
@@ -162,12 +163,12 @@ def test_survey_payload_max_block_is_max_block_from_csf():
             assert sum(b for b, _ in facts.levels) == max_block_from_csf(csf_powersum(t))
 
 
-def test_survey_builds_trees_only_for_the_audits_and_tied_keys(tree_builds):
-    # 40 of the 3,159 trees on 14 vertices share their key (i(T; x), edge
-    # splits) with another; the audits build 94 spiders and 93 star
-    # connections, one per row
+def test_survey_builds_trees_only_for_the_audits(tree_builds):
+    # the audits build 94 spiders and 93 star connections, one per row; the
+    # 40 of the 3,159 trees on 14 vertices that share their key (i(T; x),
+    # edge splits) with another run the tree DP on their rows
     survey(14)
-    assert len(tree_builds) == 40 + 187
+    assert len(tree_builds) == 187
 
 
 @pytest.mark.parametrize("n", range(7, 11))
@@ -597,16 +598,23 @@ def _patch_payloads(monkeypatch, n, edit, ref_edit=None):
         )
 
 
+def _walk_edges(parent, order) -> tuple[tuple[int, int], ...]:
+    """The edges of a rooted walk, sorted as Tree.edges holds them."""
+    return tuple(sorted((min(parent[v], v), max(parent[v], v)) for v in order[1:]))
+
+
 def _patch_terms(monkeypatch, n, fake):
-    """Make symfunc._tree_powersum_terms, which the survey and both
-    references call, return fake[index] for the trees of
-    enumerate_free_trees(n) listed in fake."""
+    """Make symfunc._tree_powersum_terms, which the survey (on rows) and
+    both references (on breadth-first walks) call, return fake[index] for
+    the trees of enumerate_free_trees(n) listed in fake."""
     from csftrees import symfunc
 
     index = {t.edges: i for i, t in enumerate(enumerate_free_trees(n))}
     real = symfunc._tree_powersum_terms
     monkeypatch.setattr(
-        symfunc, "_tree_powersum_terms", lambda t: fake.get(index[t.edges]) or real(t)
+        symfunc,
+        "_tree_powersum_terms",
+        lambda parent, order: fake.get(index[_walk_edges(parent, order)]) or real(parent, order),
     )
 
 
@@ -650,9 +658,9 @@ def test_survey_with_one_key_per_degree_runs_the_dp_on_every_tied_tree(monkeypat
     calls = []
     real = symfunc._tree_powersum_terms
 
-    def counted(t):
-        calls.append(t.edges)
-        return real(t)
+    def counted(parent, order):
+        calls.append(_walk_edges(parent, order))
+        return real(parent, order)
 
     monkeypatch.setattr(symfunc, "_tree_powersum_terms", counted)
     rep = survey(7)
@@ -684,7 +692,7 @@ def test_survey_x_equality_compares_full_terms(monkeypatch):
     )
     assert hash(twin) == hash(terms) and twin != terms
     _patch_terms(monkeypatch, 7, {0: terms, 1: twin, last: terms})
-    key = independence_and_splits(trees[0])
+    key = _independence_and_splits(*rooted(trees[0]))
     _patch_payloads(
         monkeypatch,
         7,
@@ -712,7 +720,7 @@ def test_survey_blocks_mark_every_pair_of_an_x_equal_group(monkeypatch):
     same = [i for i, a in enumerate(alpha) if a == alpha[0]]
     group = (same[0], same[len(same) // 2], same[-1])
     terms = csf_powersum(trees[group[0]]).terms
-    key = independence_and_splits(trees[group[0]])
+    key = _independence_and_splits(*rooted(trees[group[0]]))
     _patch_terms(monkeypatch, 8, dict.fromkeys(group, terms))
     _patch_payloads(monkeypatch, 8, lambda i, p: (*p[:2], key) if i in group else p)
     rep, ref = survey(8), survey_pairwise_reference(8)
@@ -766,7 +774,7 @@ def test_survey_rejects_p_terms_whose_max_block_is_not_alpha(monkeypatch):
     # tree's own p-terms give its max block 6
     trees = enumerate_free_trees(7)
     last = len(trees) - 1
-    key = independence_and_splits(trees[0])
+    key = _independence_and_splits(*rooted(trees[0]))
     _patch_payloads(monkeypatch, 7, lambda i, p: (*p[:2], key) if i in (0, last) else p)
     with pytest.raises(
         InternalError, match=f"tree {last}: max block 6 from the p-terms, deg i\\(T; x\\) = 4"
