@@ -50,7 +50,7 @@ from __future__ import annotations
 from operator import ge
 
 from .errors import GraphError
-from .graphs import Graph, Record, Tree, adjacency, bfs_order
+from .graphs import Graph, Record, Tree, forest_walk
 
 
 class LeafLevel(Record):
@@ -146,26 +146,20 @@ def rho_data(t: Tree) -> RhoData:
 
 
 def alpha_mis(g: Graph) -> int:
-    """Independence number of a forest by include/exclude DP per component.
-
-    A simple graph is a forest iff |E| = n - #components; the components
-    are counted by the same traversal that orders the DP."""
-    n = g.n
-    adj = adjacency(g)
-    parent = [-1] * n
-    orders = [bfs_order(adj, root, parent) for root in range(n) if parent[root] == -1]
-    if g.num_edges != n - len(orders):
+    """Independence number of a forest by an include/exclude DP over its
+    walk (graphs.forest_walk), summed over the roots (their own parents)."""
+    walk = forest_walk(g)
+    if walk is None:
         raise GraphError("alpha_mis needs an acyclic graph")
-    take = [1] * n
-    skip = [0] * n
-    total = 0
-    for order in orders:
-        for v in reversed(order[1:]):
-            p = parent[v]
+    parent, order = walk
+    take = [1] * g.n
+    skip = [0] * g.n
+    for v in reversed(order):
+        p = parent[v]
+        if p != v:
             take[p] += skip[v]
             skip[p] += max(take[v], skip[v])
-        total += max(take[order[0]], skip[order[0]])
-    return total
+    return sum(max(take[v], skip[v]) for v in order if parent[v] == v)
 
 
 def _independence_and_splits(parent, order) -> tuple[tuple[int, ...], tuple[int, ...]]:

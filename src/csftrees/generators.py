@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 
 from .errors import CapExceededError, GraphError, InternalError
-from .graphs import Graph, Record, Tree, adjacency, bfs_order, is_int
+from .graphs import Graph, Record, Tree, adjacency, forest_walk, is_int
 
 ENUM_MAX_N = 18
 BUILD_MAX_VERTICES = 10_000
@@ -169,15 +169,10 @@ def gen_star_connection(spec: StarConnectionSpec) -> Tree:
 
     # Tree-ness of the gluing structure, with targeted messages before the
     # generic Tree validation would fire: the star-gluing incidence graph
-    # built so far is a forest iff |E| = #vertices - #components.
-    adj = adjacency(Graph(r + t, edges))
-    parent = [-1] * (r + t)
-    components = 0
-    for v in range(r + t):
-        if parent[v] == -1:
-            bfs_order(adj, v, parent)
-            components += 1
-    if len(edges) != r + t - components:
+    # built so far is a tree iff a forest with r + t - 1 edges.
+    structure = Graph(r + t, edges)
+    if forest_walk(structure) is None:
+        adj = adjacency(structure)
         # A pair of stars shares two vertices only if both are in two or
         # more gluings (adj[k] lists star k's gluings, adj[r + gi] gluing
         # gi's stars), so only those count. The first star a, ascending,
@@ -197,7 +192,7 @@ def gen_star_connection(spec: StarConnectionSpec) -> Tree:
                     f"stars {a} and {b} share {shared[b]} vertices (at most 1 allowed)"
                 )
         raise GraphError("gluing structure contains a cycle")
-    if components != 1:
+    if len(edges) != r + t - 1:
         raise GraphError("gluing structure is not connected")
 
     nxt = r + t

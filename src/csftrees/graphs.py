@@ -159,10 +159,10 @@ class Tree(Graph):
         n, m = self.n, self.num_edges
         if n == 0:
             raise GraphError("a tree needs at least one vertex")
-        # n - 1 edges and connected rule out a cycle.
+        # With n - 1 edges, a cycle is the same as a second component.
         if m != n - 1:
             raise GraphError(f"tree on {n} vertices needs {n - 1} edges, got {m}")
-        if not is_connected(self):
+        if forest_walk(self) is None:
             raise GraphError("graph is not connected")
 
 
@@ -200,16 +200,22 @@ def bfs_order(adj: list[list[int]], root: int, parent: list[int]) -> list[int]:
     return order
 
 
-def is_connected(g: Graph) -> bool:
-    """True for graphs with one component; vacuously true for n <= 1."""
-    if g.n <= 1:
-        return True
-    return len(bfs_order(adjacency(g), 0, [-1] * g.n)) == g.n
-
-
-def is_tree(g: Graph) -> bool:
-    """n >= 1, n - 1 edges and connected (which together rule out a cycle)."""
-    return g.n >= 1 and g.num_edges == g.n - 1 and is_connected(g)
+def forest_walk(g: Graph) -> tuple[list[int], list[int]] | None:
+    """The walk (parent, order) of g if g is a forest, else None: the
+    breadth-first walks of its components in turn, each from its smallest
+    vertex, its own parent.  A simple graph is a forest iff |E| = n -
+    #components."""
+    adj = adjacency(g)
+    parent = [-1] * g.n
+    order: list[int] = []
+    components = 0
+    for root in range(g.n):
+        if parent[root] == -1:
+            order += bfs_order(adj, root, parent)
+            components += 1
+    if g.num_edges != g.n - components:
+        return None
+    return parent, order
 
 
 def parse_int(token: str) -> int:

@@ -7,35 +7,34 @@ integer partitions of its weight n, tagged with a basis:
     "p"   power sum
 
 Which route computes X_G depends on the graph, never on how it was built
-(a Tree is a Graph, and any Graph with n - 1 edges and one component takes
-the tree route):
+(a Tree is a Graph): forests take the DP, graphs with cycles the kernels.
 
-  * Trees: csf_powersum runs a rooted tree DP over Stanley's signed
-    edge-subset expansion
-    X_G = sum over S subset of E of (-1)^|S| p_(component sizes of S).
-    Its tables are bounded by the partitions of n, not by 2^|E| (under
-    0.1 s at n = 25), and it is the engine behind csf_equal, the survey
-    and the CLI on trees; csf_monomial of a tree is to_monomial of its
-    result.
-  * Other graphs (cycles, or several components): csf_powersum sums the
-    same expansion with a depth-first edge sweep that stops wherever
-    taking an edge would close a cycle, since there taking and skipping it
-    cancel. It visits one leaf per acyclic orientation (Stanley's
-    broken-circuit-free sets), not one per edge subset; a forest has no
-    cycle to cut and still costs 2^|E|, hence the |E| cap.  csf_monomial
-    counts stable (independent) vertex partitions by block-size type with
-    a subset DP over vertex sets, each stable partition of type lambda
-    contributing (product of part multiplicities!) to [m_lambda].  Both
-    kernels live in _kernels, which these two branches import when they
-    run, so a process that sees only trees never loads it.
-  * Oracles: on trees the edge sweep (edge_subset_type_counts, 2^|E|
+  * Forests (graphs.forest_walk): csf_powersum runs a rooted DP over
+    Stanley's signed edge-subset expansion
+    X_G = sum over S subset of E of (-1)^|S| p_(component sizes of S),
+    one table per component, multiplied, as X of a disjoint union is the
+    product of its parts' X.  Its tables are bounded by the partitions of
+    n, not by 2^|E| (under 0.1 s at n = 25), and it is the engine behind
+    csf_equal, the survey and the CLI on forests; csf_monomial of a forest
+    is to_monomial of its result.
+  * Graphs with cycles: csf_powersum sums the same expansion with a
+    depth-first edge sweep that stops wherever taking an edge would close
+    a cycle, since there taking and skipping it cancel. It visits one leaf
+    per acyclic orientation (Stanley's broken-circuit-free sets), not one
+    per edge subset.  csf_monomial counts stable (independent) vertex
+    partitions by block-size type with a subset DP over vertex sets, each
+    stable partition of type lambda contributing (product of part
+    multiplicities!) to [m_lambda].  Both kernels live in _kernels, which
+    these two branches import when they run, so a process that sees only
+    forests never loads it.
+  * Oracles: on forests the edge sweep (edge_subset_type_counts, 2^|E|
     leaves there) and the stable-partition count (stable_type_counts),
     each called directly, are independent checks of the DP at the sizes
     where they can run.
 
 to_monomial changes basis with [m_mu] p_lambda = (number of set partitions
 of lambda's parts whose block sums are mu) * prod m_i(mu)!, counted by one
-DP per p-term over the multisets of block sums.  The tree DP, both kernels
+DP per p-term over the multisets of block sums.  The forest DP, both kernels
 and to_monomial all key their tables by packed ints in the one layout of
 partitions.py (field c counts the parts equal to c).
 
@@ -49,7 +48,7 @@ included.
 
 Caps: csf_powersum needs n <= CSF_POWERSUM_MAX_N and |E| <=
 CSF_POWERSUM_MAX_EDGES (checked before any partition table is built);
-csf_monomial and to_monomial need n <= CSF_MONOMIAL_MAX_N (on a tree,
+csf_monomial and to_monomial need n <= CSF_MONOMIAL_MAX_N (on a forest,
 csf_monomial reports the cap of whichever of the two it hits first).
 
 Term order is canonical everywhere: partitions in descending lexicographic
@@ -61,7 +60,7 @@ from __future__ import annotations
 from math import perm
 
 from .errors import CapExceededError, GraphError
-from .graphs import Graph, Record, adjacency, bfs_order, is_int, is_tree
+from .graphs import Graph, Record, forest_walk, is_int
 from .partitions import mult_factorial, partition_keys, partitions_desc
 
 BASIS_MONOMIAL = "m"
@@ -114,11 +113,11 @@ class SymmetricFunction(Record):
 
 
 def csf_monomial(g: Graph) -> SymmetricFunction:
-    """X_G in the monomial basis: to_monomial of the tree DP when g is a
-    tree (so its caps apply), stable-partition counting otherwise."""
+    """X_G in the monomial basis: to_monomial of the forest DP when g is a
+    forest (so its caps apply), stable-partition counting otherwise."""
     if g.n < 1:
         raise GraphError("csf_monomial needs n >= 1")
-    if is_tree(g):
+    if forest_walk(g) is not None:
         return to_monomial(csf_powersum(g))
     if g.n > CSF_MONOMIAL_MAX_N:
         raise CapExceededError(
@@ -137,9 +136,9 @@ def csf_monomial(g: Graph) -> SymmetricFunction:
 
 
 def csf_powersum(g: Graph) -> SymmetricFunction:
-    """X_G in the power-sum basis: the rooted tree DP when g is a tree, the
-    signed edge sweep otherwise, which visits one edge set per acyclic
-    orientation of g (2^|E| on a forest)."""
+    """X_G in the power-sum basis: the rooted DP over g's walk when g is a
+    forest, the signed edge sweep otherwise, which visits one edge set per
+    acyclic orientation of g."""
     if g.n < 1:
         raise GraphError("csf_powersum needs n >= 1")
     if g.n > CSF_POWERSUM_MAX_N:
@@ -150,10 +149,9 @@ def csf_powersum(g: Graph) -> SymmetricFunction:
         raise CapExceededError(
             f"csf_powersum capped at |E| <= {CSF_POWERSUM_MAX_EDGES}, got {g.num_edges}"
         )
-    if is_tree(g):
-        parent = [-1] * g.n
-        order = bfs_order(adjacency(g), 0, parent)
-        return SymmetricFunction(g.n, BASIS_POWERSUM, _tree_powersum_terms(parent, order))
+    walk = forest_walk(g)
+    if walk is not None:
+        return SymmetricFunction(g.n, BASIS_POWERSUM, _tree_powersum_terms(*walk))
     from ._kernels import edge_subset_type_counts
 
     signed = edge_subset_type_counts(g.n, g.edges)
@@ -163,33 +161,36 @@ def csf_powersum(g: Graph) -> SymmetricFunction:
 
 
 def _tree_powersum_terms(parent, order) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Signed edge-subset expansion of a tree, summed by a rooted DP; the
+    """Signed edge-subset expansion of a forest, summed by a rooted DP; the
     terms come back canonical (descending partitions, no zero coefficient).
 
-    The tree is a rooted walk: its vertices are `order`, each after its
-    parent parent[v] (order[0] the root), as csf_powersum's breadth-first
-    walk from vertex 0 or a survey row in index order.  In reverse order
-    each vertex merges its children's tables, which are final by then, in
-    the order the walk lists them.  Each vertex keeps a sparse table over
-    the edge subsets S of its subtree: the key is (size of the vertex's own
-    component in S, sizes of the components already closed off), the value
-    the sum of (-1)^|S| over the subsets with that key.  Each child edge is
-    either left out of S, which closes the child's open component (sign +),
-    or put in S, which merges it into the parent's component (sign -).
+    The forest is a walk: its vertices are `order`, each after its parent
+    parent[v], a root its own parent, as graphs.forest_walk gives it or a
+    survey row in index order.  In reverse order each vertex merges its
+    children's tables, which are final by then, in the order the walk lists
+    them.  Each vertex keeps a sparse table over the edge subsets S of its
+    subtree: the key is (size of the vertex's own component in S, sizes of
+    the components already closed off), the value the sum of (-1)^|S| over
+    the subsets with that key.  Each child edge is either left out of S,
+    which closes the child's open component (sign +), or put in S, which
+    merges it into the parent's component (sign -).  The roots' tables,
+    closed, are multiplied: X of a disjoint union is the product of X's.
 
     A key is one int in the packed layout of partitions.py: field 0 holds
     the open size and field c the number of closed components of size c.
     Merging is then addition: kept = parent + child, and cut = parent +
-    child with the child's open size b moved from field 0 to field b.  With
+    child with the child's open size b moved from field 0 to field b, and a
+    product adds keys.  With
     field 0 empty, larger keys are exactly the larger partitions in
-    descending lexicographic order, so the root's keys are sorted as ints."""
+    descending lexicographic order, so the closed keys are sorted as ints."""
     n = len(order)
     width = n.bit_length()
     mask = (1 << width) - 1
     unit = [1 << (width * c) for c in range(n + 1)]
     kids: list[list[int]] = [[] for _ in range(n)]
-    for v in order[1:]:
-        kids[parent[v]].append(v)
+    for v in order:
+        if parent[v] != v:
+            kids[parent[v]].append(v)
     tables: list[dict | None] = [None] * n
     for v in reversed(order):
         cur = {1: 1}
@@ -207,10 +208,14 @@ def _tree_powersum_terms(parent, order) -> tuple[tuple[tuple[int, ...], int], ..
                     nxt[key] = get(key, 0) - xy
             cur = nxt
         tables[v] = cur
-    closed: dict[int, int] = {}
-    for k, x in tables[order[0]].items():
-        key = k - (k & mask) + unit[k & mask]
-        closed[key] = closed.get(key, 0) + x
+    closed = {0: 1}
+    for root in [v for v in order if parent[v] == v]:
+        nxt = {}
+        for k, x in tables[root].items():
+            k += unit[k & mask] - (k & mask)  # close the root's component
+            for k0, y in closed.items():
+                nxt[k0 + k] = nxt.get(k0 + k, 0) + x * y
+        closed = nxt
     decode = partition_keys(n)
     return tuple((decode[key], closed[key]) for key in sorted(closed, reverse=True) if closed[key])
 
@@ -261,17 +266,17 @@ def to_monomial(f: SymmetricFunction) -> SymmetricFunction:
 
 def csf_equal(a: Graph, b: Graph) -> bool:
     """True iff the chromatic symmetric functions coincide (unequal n: False).
-    Two trees are compared in the p basis through the tree DP, and two
-    graphs that are not trees through csf_monomial.  A tree and a non-tree
-    always differ, so nothing is counted: X fixes |E| as -[p_(2,1^(n-2))],
-    and a graph with n - 1 edges that is not a tree is disconnected, so its
-    [p_(n)] is 0 where a tree's is (-1)^(n-1)."""
+    Two forests are compared in the p basis through the forest DP, and two
+    graphs with cycles through csf_monomial.  A forest and a graph with a
+    cycle always differ, so nothing is counted: X at 1^k is the chromatic
+    polynomial, whose k^(n-1) coefficient is -|E| and whose lowest power
+    of k is k^(#components), so X fixes |E| = n - #components."""
     if a.n != b.n:
         return False
-    a_tree = is_tree(a)
-    if a_tree != is_tree(b):
+    a_forest = forest_walk(a) is not None
+    if a_forest != (forest_walk(b) is not None):
         return False
-    if a_tree:
+    if a_forest:
         return csf_powersum(a).terms == csf_powersum(b).terms
     return csf_monomial(a).terms == csf_monomial(b).terms
 

@@ -23,7 +23,7 @@ from csftrees.generators import (
     enumerate_free_trees,
     gen_star_connection,
 )
-from csftrees.graphs import Graph, Tree, _code_from_adj, canonical_code, is_int
+from csftrees.graphs import Graph, Tree, _code_from_adj, canonical_code, forest_walk, is_int
 from csftrees.partitions import mult_factorial, partitions_desc
 from csftrees.symfunc import BASIS_POWERSUM, SymmetricFunction
 
@@ -59,25 +59,6 @@ def prufer_tree(seq) -> Tree:
     v = heapq.heappop(heap)
     edges.append((u, v))
     return Tree(n, tuple(edges))
-
-
-def rooted(g: Graph) -> tuple[list[int], list[int]]:
-    """The breadth-first walk (parent, order) of a connected graph from
-    vertex 0, neighbors taken in edge order: the rooted walk that the tree
-    kernels take (parent[0] = 0, each vertex listed after its parent)."""
-    adj: list[list[int]] = [[] for _ in range(g.n)]
-    for u, v in g.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    parent = [-1] * g.n
-    parent[0] = 0
-    order = [0]
-    for v in order:
-        for w in adj[v]:
-            if parent[w] == -1:
-                parent[w] = v
-                order.append(w)
-    return parent, order
 
 
 def evaluate_ones(f: SymmetricFunction, r: int) -> int:
@@ -277,8 +258,8 @@ def stable_partitions(g: Graph):
 def monomial_by_stable_partitions(g: Graph) -> SymmetricFunction:
     """X_G in the m basis from the stable-partition counting DP, called
     directly whatever g is: [m_lambda] X_G = (stable partitions of type
-    lambda) * prod m_i(lambda)!.  csf_monomial sends a tree to the tree DP,
-    so this is the route the DP is checked against; the counting DP itself
+    lambda) * prod m_i(lambda)!.  csf_monomial sends a forest to the DP, so
+    this is the route the DP is checked against; the counting DP itself
     is checked against stable_partitions_rgs in test_kernels and
     test_symfunc, and that stream against stable_partitions_bruteforce."""
     counts = stable_type_counts(g.n, g.edges)
@@ -331,7 +312,7 @@ def tree_powersum_reference(g: Graph) -> tuple[tuple[tuple[int, ...], int], ...]
     """The tree DP of symfunc._tree_powersum_terms with tuple keys: each
     table maps (open size, descending closed sizes) to a signed count. The
     terms come back descending, zeros dropped."""
-    parent, order = rooted(g)
+    parent, order = forest_walk(g)
     kids: list[list[int]] = [[] for _ in range(g.n)]
     for v in order[1:]:
         kids[parent[v]].append(v)
@@ -512,7 +493,7 @@ def reference_payload(t: Graph):
     the hooks on the symfunc module, where survey finds them too, the rest
     on the theorems module."""
     d = decomposition.leaf_decomposition(t)
-    terms = symfunc._tree_powersum_terms(*rooted(t))
+    terms = symfunc._tree_powersum_terms(*forest_walk(t))
     return (
         theorems.tree_facts(t),
         theorems.chain_sequence(d.level_counts()),

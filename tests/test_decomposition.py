@@ -13,7 +13,6 @@ from _oracles import (
     prufer_tree,
     relabel,
     rho_path_bruteforce,
-    rooted,
 )
 from csftrees.decomposition import (
     _independence_and_splits,
@@ -35,7 +34,7 @@ from csftrees.generators import (
     gen_star,
     gen_star_connection,
 )
-from csftrees.graphs import Graph, Tree, degrees
+from csftrees.graphs import Graph, Tree, degrees, forest_walk
 from csftrees.partitions import partitions_desc
 from csftrees.symfunc import _hook_max_block, _tree_powersum_terms
 from csftrees.theorems import tree_facts
@@ -126,12 +125,12 @@ def test_block_sum_is_independence_number():
 def test_independence_and_splits_by_brute_force():
     for n in range(1, 10):
         for t in enumerate_free_trees(n):
-            assert _independence_and_splits(*rooted(t)) == (
+            assert _independence_and_splits(*forest_walk(t)) == (
                 independent_set_counts_bruteforce(t),
                 edge_splits_bruteforce(t),
             )
-    assert _independence_and_splits(*rooted(gen_path(4))) == ((1, 4, 3), (1, 1, 2))
-    assert _independence_and_splits(*rooted(gen_star(5))) == ((1, 5, 6, 4, 1), (1, 1, 1, 1))
+    assert _independence_and_splits(*forest_walk(gen_path(4))) == ((1, 4, 3), (1, 1, 2))
+    assert _independence_and_splits(*forest_walk(gen_star(5))) == ((1, 5, 6, 4, 1), (1, 1, 1, 1))
 
 
 def test_independence_and_splits_are_coefficients_of_x():
@@ -140,7 +139,7 @@ def test_independence_and_splits_are_coefficients_of_x():
     splits a; and deg i(T; x) = alpha_mis = the max block of the p-terms."""
     for n in range(1, 13):
         for t in enumerate_free_trees(n):
-            walk = rooted(t)
+            walk = forest_walk(t)
             ind, splits = _independence_and_splits(*walk)
             terms = _tree_powersum_terms(*walk)
             for k in range(1, n + 1):

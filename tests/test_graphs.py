@@ -18,7 +18,7 @@ from csftrees.graphs import (
     canonical_code,
     bfs_order,
     degrees,
-    is_connected,
+    forest_walk,
     parse_edge_list,
     serialize,
     trees_isomorphic,
@@ -113,8 +113,15 @@ def test_degrees_adjacency_components():
     g = Graph(5, ((0, 1), (1, 2)))
     assert degrees(g) == [1, 2, 1, 0, 0]
     assert adjacency(g) == [[1], [0, 2], [1], [], []]
-    assert not is_connected(g)
-    assert is_connected(Graph(1)) and is_connected(Graph(3, ((0, 2), (1, 2))))
+    # a forest's walk: each component breadth-first from its smallest
+    # vertex, which is its own parent
+    assert forest_walk(g) == ([0, 0, 1, 3, 4], [0, 1, 2, 3, 4])
+    assert forest_walk(Graph(6, ((0, 4), (1, 3), (3, 5), (4, 2)))) == (
+        [0, 1, 4, 1, 0, 3], [0, 4, 2, 1, 3, 5])
+    assert forest_walk(Graph(3, ((0, 1), (1, 2), (0, 2)))) is None  # a triangle
+    assert forest_walk(Graph(5, ((0, 1), (1, 2), (0, 2), (3, 4)))) is None
+    assert forest_walk(Graph(1)) == ([0], [0])
+    assert forest_walk(Graph(0)) == ([], [])
 
 
 @st.composite

@@ -16,7 +16,6 @@ from _oracles import (
     monomial_by_stable_partitions,
     p_to_m_reference,
     prufer_tree,
-    rooted,
     stable_partitions,
     tree_powersum_reference,
 )
@@ -31,7 +30,7 @@ from csftrees.generators import (
     gen_spider,
     gen_star,
 )
-from csftrees.graphs import Graph, is_tree
+from csftrees.graphs import Graph, forest_walk
 from csftrees.partitions import mult_factorial, partitions_desc
 from csftrees.symfunc import (
     SymmetricFunction,
@@ -163,7 +162,7 @@ def test_packed_dp_matches_tuple_keyed_dp():
     # the survey passes it
     for n in range(1, 12):
         for row, t in zip(_free_tree_edge_sets(n), enumerate_free_trees(n)):
-            terms = symfunc._tree_powersum_terms(*rooted(t))
+            terms = symfunc._tree_powersum_terms(*forest_walk(t))
             _assert_canonical(n, terms)
             assert terms == tree_powersum_reference(t)
             assert symfunc._tree_powersum_terms(row, range(n)) == terms
@@ -178,26 +177,98 @@ def _prufer_trees(min_n: int, max_n: int):
 @settings(max_examples=25, deadline=None)
 @given(_prufer_trees(12, 18))
 def test_packed_dp_matches_tuple_keyed_dp_on_random_trees(g):
-    terms = symfunc._tree_powersum_terms(*rooted(g))
+    terms = symfunc._tree_powersum_terms(*forest_walk(g))
     _assert_canonical(g.n, terms)
     assert terms == tree_powersum_reference(g)
     assert csf_powersum(g).terms == terms
 
 
-def test_trees_take_the_dp_and_cycles_the_sweep(monkeypatch):
+def test_forests_take_the_dp_and_cycles_the_sweep(monkeypatch):
     calls = []
 
-    def sweep(n, edges):
-        calls.append(n)
-        return edge_subset_type_counts(n, edges)
+    def counted(kernel):
+        def run(n, edges):
+            calls.append(n)
+            return kernel(n, edges)
+        return run
 
-    monkeypatch.setattr(_kernels, "edge_subset_type_counts", sweep)
+    monkeypatch.setattr(_kernels, "edge_subset_type_counts", counted(edge_subset_type_counts))
+    monkeypatch.setattr(_kernels, "stable_type_counts", counted(stable_type_counts))
     csf_powersum(gen_path(6))
     csf_powersum(Graph(7, gen_star(7).edges))  # a tree, though not built as a Tree
+    csf_powersum(Graph(4, ((0, 1),)))  # a forest of three trees
+    csf_monomial(Graph(4, ((0, 1),)))
+    csf_powersum(Graph(3))
     assert calls == []
     csf_powersum(_cycle(5))
-    csf_powersum(Graph(4, ((0, 1),)))  # a forest is not a tree
-    assert calls == [5, 4]
+    csf_powersum(Graph(6, ((0, 1), (1, 2), (0, 2), (3, 4))))  # a cycle and a forest
+    assert calls == [5, 6]
+
+
+def test_forests_with_n_up_to_6_match_the_sweep_and_stable_partitions():
+    """Every labeled forest with n <= 6: the DP against the 2^|E| sweep and
+    the stable-partition count."""
+    checked = 0
+    for n in range(1, 7):
+        pool = list(itertools.combinations(range(n), 2))
+        for k in range(n):
+            for es in itertools.combinations(pool, k):
+                g = Graph(n, es)
+                if forest_walk(g) is None:
+                    continue
+                dp = csf_powersum(g)
+                assert dict(dp.terms) == _sweep(g)
+                assert to_monomial(dp).terms == monomial_by_stable_partitions(g).terms
+                checked += 1
+    assert checked == 1 + 2 + 7 + 38 + 291 + 2932  # labeled forests, OEIS A001858
+
+
+def _random_forests(max_n: int):
+    """Prüfer trees with some of their edges dropped."""
+    return _prufer_trees(3, max_n).flatmap(
+        lambda t: st.sets(st.sampled_from(t.edges), min_size=1).map(
+            lambda dropped: Graph(t.n, tuple(e for e in t.edges if e not in dropped))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_random_forests(18))
+def test_dp_on_random_forests_matches_the_sweep_and_stable_partitions(g):
+    """Up to 16 edges against the sweep; the stable-partition count, which
+    grows with 2^n, up to n = 12."""
+    dp = csf_powersum(g)
+    _assert_canonical(g.n, dp.terms)
+    assert dict(dp.terms) == _sweep(g)
+    if g.n <= 12:
+        assert to_monomial(dp).terms == monomial_by_stable_partitions(g).terms
+
+
+def test_forest_of_two_paths_on_25_vertices_is_the_product_of_the_paths():
+    """P12 + P13, 23 edges, on which the 2^|E| sweep took over 5 s; X of a
+    disjoint union is the product of the parts' X."""
+    forest = Graph(25, tuple((i, i + 1) for i in range(11))
+                   + tuple((i, i + 1) for i in range(12, 24)))
+    t0 = time.perf_counter()
+    terms = csf_powersum(forest).terms
+    assert time.perf_counter() - t0 < 2.0
+    product: dict = {}
+    for a, x in csf_powersum(gen_path(12)).terms:
+        for b, y in csf_powersum(gen_path(13)).terms:
+            key = tuple(sorted(a + b, reverse=True))
+            product[key] = product.get(key, 0) + x * y
+    assert dict(terms) == {key: c for key, c in product.items() if c}
+    _assert_canonical(25, terms)
+
+
+def test_forests_report_the_tree_caps():
+    """csf_monomial of a forest is to_monomial of its p-terms, so it hits
+    whichever of the two caps comes first, as on a tree."""
+    with pytest.raises(CapExceededError, match=re.escape("to_monomial capped at n <= 14, got 15")):
+        csf_monomial(Graph(15, tuple((i, i + 1) for i in range(13))))
+    with pytest.raises(CapExceededError,
+                       match=re.escape("csf_powersum capped at n <= 25, got 30")):
+        csf_monomial(Graph(30, ((0, 1), (2, 3))))
+    with pytest.raises(GraphError):
+        csf_equal(Graph(0), Graph(0))
 
 
 def test_csf_monomial_counts_stable_partitions_only_off_trees(monkeypatch):
@@ -215,21 +286,24 @@ def test_csf_monomial_counts_stable_partitions_only_off_trees(monkeypatch):
     assert calls == [5]
 
 
-def test_csf_equal_of_tree_and_non_tree_counts_nothing(monkeypatch):
-    """X fixes |E| and connectedness, so a tree and a graph that is not a
-    tree always differ: checked on every graph with n <= 5 against the
-    counting route, then csf_equal must answer without a kernel call.  Two
-    graphs that are not trees still take the counting route."""
+def test_csf_equal_of_forest_and_graph_with_cycles_counts_nothing(monkeypatch):
+    """X fixes |E| and the number of components, both read from the
+    chromatic polynomial X(1^k), so a forest and a graph with a cycle
+    always differ: checked on every graph with n <= 5 against the counting
+    route, then csf_equal must answer without a kernel call.  Two forests
+    take the DP, and two graphs with cycles the counting route."""
     for n in range(1, 6):
         pool = list(itertools.combinations(range(n), 2))
         graphs = [Graph(n, es) for k in range(len(pool) + 1)
                   for es in itertools.combinations(pool, k)]
-        trees = {monomial_by_stable_partitions(g).terms for g in graphs if is_tree(g)}
-        others = {monomial_by_stable_partitions(g).terms for g in graphs if not is_tree(g)}
-        assert trees and not trees & others
+        forests = {monomial_by_stable_partitions(g).terms
+                   for g in graphs if forest_walk(g) is not None}
+        others = {monomial_by_stable_partitions(g).terms
+                  for g in graphs if forest_walk(g) is None}
+        assert forests and not forests & others
 
     def no_counting(n, edges):
-        raise AssertionError("a kernel ran to compare a tree with a non-tree")
+        raise AssertionError("a kernel ran to compare a forest with a graph with a cycle")
 
     monkeypatch.setattr(_kernels, "stable_type_counts", no_counting)
     monkeypatch.setattr(_kernels, "edge_subset_type_counts", no_counting)
@@ -238,12 +312,15 @@ def test_csf_equal_of_tree_and_non_tree_counts_nothing(monkeypatch):
         (gen_path(14), _cycle(14)),
         (gen_star(15), _cycle(15)),  # beyond csf_monomial's cap
         (gen_path(6), triangle_and_path),
-        (gen_star(6), Graph(6, ((0, 1), (2, 3)))),
+        # four edges each: two paths against a triangle and an edge
+        (Graph(6, ((0, 1), (1, 2), (3, 4), (4, 5))), Graph(6, ((0, 1), (1, 2), (0, 2), (3, 4)))),
     ]
-    for tree, other in pairs:
-        assert not csf_equal(tree, other)
-        assert not csf_equal(other, tree)
+    for forest, other in pairs:
+        assert not csf_equal(forest, other)
+        assert not csf_equal(other, forest)
     assert csf_equal(gen_path(1), Graph(1))  # one vertex, no edge: a tree
+    assert csf_equal(Graph(6, ((0, 1), (2, 3))), Graph(6, ((4, 5), (1, 2))))
+    assert not csf_equal(Graph(4, ((0, 1), (1, 2))), Graph(4, ((0, 1), (2, 3))))
 
     calls = []
 
@@ -252,7 +329,7 @@ def test_csf_equal_of_tree_and_non_tree_counts_nothing(monkeypatch):
         return stable_type_counts(n, edges)
 
     monkeypatch.setattr(_kernels, "stable_type_counts", counting)
-    assert not csf_equal(_cycle(4), Graph(4, ((0, 1), (2, 3))))
+    assert not csf_equal(_cycle(4), Graph(4, ((0, 1), (1, 2), (0, 2), (2, 3))))
     assert calls == [4, 4]
 
 
@@ -279,8 +356,8 @@ def _graphs_with_cycles(max_n: int, max_edges: int):
 def test_random_graphs_counting_dp_and_sweep_agree(g):
     """On any graph, cycles allowed, and on random trees, which the graph
     strategy alone rarely draws: the stable-partition DP matches the
-    partition-by-partition stream, and the 2^|E| sweep (or, on a tree, the
-    tree DP) matches it after the change of basis."""
+    partition-by-partition stream, and the 2^|E| sweep (or, on a forest,
+    the DP) matches it after the change of basis."""
     tally = {}
     for p in stable_partitions(g):
         typ = tuple(sorted(map(len, p), reverse=True))

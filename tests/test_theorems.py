@@ -9,7 +9,6 @@ from _oracles import (
     mis_bruteforce,
     random_star_spec,
     relabel,
-    rooted,
     star_audit_rows_reference,
     star_connection_M,
     survey_class_loop_reference,
@@ -34,7 +33,7 @@ from csftrees.generators import (
     gen_star,
     gen_star_connection,
 )
-from csftrees.graphs import Tree, canonical_code
+from csftrees.graphs import Tree, canonical_code, forest_walk
 from csftrees.symfunc import csf_equal, csf_powersum
 from csftrees.theorems import (
     APPLICABLE,
@@ -146,7 +145,7 @@ def test_rows_match_the_tree_route(n):
         assert generators._row_code(row) == canonical_code(t)
         facts, failed_chain, key = theorems._survey_payload(row)
         assert facts == tree_facts(t)
-        assert key == _independence_and_splits(*rooted(t))
+        assert key == _independence_and_splits(*forest_walk(t))
         levels = leaf_decomposition(t).level_counts()
         assert failed_chain == (None if chain_holds(levels) else chain_sequence(levels))
     assert not rows
@@ -692,7 +691,7 @@ def test_survey_x_equality_compares_full_terms(monkeypatch):
     )
     assert hash(twin) == hash(terms) and twin != terms
     _patch_terms(monkeypatch, 7, {0: terms, 1: twin, last: terms})
-    key = _independence_and_splits(*rooted(trees[0]))
+    key = _independence_and_splits(*forest_walk(trees[0]))
     _patch_payloads(
         monkeypatch,
         7,
@@ -720,7 +719,7 @@ def test_survey_blocks_mark_every_pair_of_an_x_equal_group(monkeypatch):
     same = [i for i, a in enumerate(alpha) if a == alpha[0]]
     group = (same[0], same[len(same) // 2], same[-1])
     terms = csf_powersum(trees[group[0]]).terms
-    key = _independence_and_splits(*rooted(trees[group[0]]))
+    key = _independence_and_splits(*forest_walk(trees[group[0]]))
     _patch_terms(monkeypatch, 8, dict.fromkeys(group, terms))
     _patch_payloads(monkeypatch, 8, lambda i, p: (*p[:2], key) if i in group else p)
     rep, ref = survey(8), survey_pairwise_reference(8)
@@ -774,7 +773,7 @@ def test_survey_rejects_p_terms_whose_max_block_is_not_alpha(monkeypatch):
     # tree's own p-terms give its max block 6
     trees = enumerate_free_trees(7)
     last = len(trees) - 1
-    key = _independence_and_splits(*rooted(trees[0]))
+    key = _independence_and_splits(*forest_walk(trees[0]))
     _patch_payloads(monkeypatch, 7, lambda i, p: (*p[:2], key) if i in (0, last) else p)
     with pytest.raises(
         InternalError, match=f"tree {last}: max block 6 from the p-terms, deg i\\(T; x\\) = 4"
