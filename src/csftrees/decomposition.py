@@ -40,8 +40,8 @@ the peel's sum(b_i).
 
 leaf_decomposition and rho_data take a Tree and are thin entries over
 _peel, which takes only an edge list; _independence_and_splits, like the
-tree DP, takes a rooted walk (a parent array and a top-down order), so the
-survey runs the same folds on its rows without building Trees.
+tree DP and alpha_mis, takes a row (see graphs), so the survey runs the
+same folds on its rows without building Trees.
 theorems._facts folds the checkers' facts from one _peel.
 """
 
@@ -147,26 +147,26 @@ def rho_data(t: Tree) -> RhoData:
 
 def alpha_mis(g: Graph) -> int:
     """Independence number of a forest by an include/exclude DP over its
-    walk (graphs.forest_walk), summed over the roots (their own parents)."""
-    walk = forest_walk(g)
-    if walk is None:
+    row (graphs.forest_walk), summed over the roots (their own parents)."""
+    row = forest_walk(g)
+    if row is None:
         raise GraphError("alpha_mis needs an acyclic graph")
-    parent, order = walk
-    take = [1] * g.n
-    skip = [0] * g.n
-    for v in reversed(order):
-        p = parent[v]
+    n = len(row)
+    take = [1] * n
+    skip = [0] * n
+    for v in range(n - 1, -1, -1):
+        p = row[v]
         if p != v:
             take[p] += skip[v]
             skip[p] += max(take[v], skip[v])
-    return sum(max(take[v], skip[v]) for v in order if parent[v] == v)
+    return sum(max(take[v], skip[v]) for v in range(n) if row[v] == v)
 
 
-def _independence_and_splits(parent, order) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _independence_and_splits(row) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(i_0, i_1, ..., i_alpha), where i_k counts the independent k-sets,
     and the sizes min(s, n - s) of the smaller side of every edge,
-    ascending, of the tree whose vertices are `order`, each after its
-    parent parent[v] (order[0] the root).
+    ascending, of the tree whose row this is (row[v] < v the parent of
+    vertex v >= 1, vertex 0 the root).
 
     Each vertex keeps two polynomials of its subtree: `take` over the
     independent sets that contain it and `skip` over those that avoid it.
@@ -177,14 +177,14 @@ def _independence_and_splits(parent, order) -> tuple[tuple[int, ...], tuple[int,
     coefficient counts k-sets of at most n vertices, so it stays below 2^n
     and never carries into the next field.  Removing the edge above a
     vertex leaves its subtree on one side."""
-    n = len(order)
+    n = len(row)
     x = 1 << n
     take = [x] * n
     skip = [1] * n
     size = [1] * n
     splits = []
-    for v in reversed(order[1:]):
-        p = parent[v]
+    for v in range(n - 1, 0, -1):
+        p = row[v]
         take[p] *= skip[v]
         skip[p] *= take[v] + skip[v]
         size[p] += size[v]

@@ -13,8 +13,8 @@ it): the center(s) come first, then the legs/stars in spec order.
 Free trees are enumerated directly, one center-rooted level sequence per
 tree (the WROM algorithm of Wright, Richmond, Odlyzko & McKay, 1986), and
 sorted by canonical code.  Each is kept as a row, the sequence's parent
-list, and its code is read from the row, so the walk builds no Tree;
-enumerate_free_trees builds one validated Tree per row.
+list, and its code is read from the row by graphs._row_code, so the walk
+builds no Tree; enumerate_free_trees builds one validated Tree per row.
 
 Caps (CapExceededError): spiders and star connections are built only up to
 BUILD_MAX_VERTICES vertices, checked on the spec before any edge exists;
@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 
 from .errors import CapExceededError, GraphError, InternalError
-from .graphs import Graph, Record, Tree, adjacency, forest_walk, is_int
+from .graphs import Graph, Record, Tree, _row_code, adjacency, forest_walk, is_int
 
 ENUM_MAX_N = 18
 BUILD_MAX_VERTICES = 10_000
@@ -267,8 +267,8 @@ def _free_tree_edge_sets(n: int) -> list[tuple[int, ...]]:
     row is the parent list of a WROM level sequence: row[0] = 0 for the
     root, a center, and row[v] < v, the last vertex before v one level up,
     so reversed index order is a post-order.  Its code is read from the row
-    (_row_code); no Tree is built.  The name is older than the return type;
-    benchmark traces time this step under it."""
+    (graphs._row_code); no Tree is built.  The name is older than the
+    return type; benchmark traces time this step under it."""
     if not is_int(n) or n < 1:
         raise GraphError(f"tree order must be a positive integer, got {n!r}")
     if n > ENUM_MAX_N:
@@ -287,34 +287,6 @@ def _free_tree_edge_sets(n: int) -> list[tuple[int, ...]]:
         if a == b:
             raise InternalError(f"free-tree enumeration met the code {a} twice at n = {n}")
     return [row for _, row in coded]
-
-
-def _row_code(row: tuple[int, ...]) -> str:
-    """The canonical code of a row's tree (graphs._code_from_adj), folded
-    children first in reversed index order.  Vertex 0 is a center, and a
-    second center can only be vertex 1, which roots the first and deepest
-    of vertex 0's subtrees: it is one exactly when every other subtree of
-    vertex 0 is less deep than vertex 1's."""
-    n = len(row)
-    kids: list[list[str]] = [[] for _ in range(n)]
-    height = [0] * n
-    for v in range(n - 1, 0, -1):
-        mine = kids[v]
-        mine.sort()
-        p = row[v]
-        kids[p].append("(" + "".join(mine) + ")")
-        if height[p] <= height[v]:
-            height[p] = height[v] + 1
-    top = kids[0]
-    top.sort()
-    code = "(" + "".join(top) + ")"
-    if n == 1 or max((height[v] + 1 for v in range(2, n) if row[v] == 0), default=0) > height[1]:
-        return code
-    first = "(" + "".join(kids[1]) + ")"
-    top.remove(first)
-    mine = kids[1] + ["(" + "".join(top) + ")"]
-    mine.sort()
-    return min(code, "(" + "".join(mine) + ")")
 
 
 def enumerate_free_trees(n: int) -> list[Tree]:

@@ -7,11 +7,15 @@ with no field of its own: Tree(n, edges) runs Graph's checks and then
 requires n >= 1, n - 1 edges and one component. Record equality also
 compares the class, so a Tree never equals a Graph with the same edges.
 
+A rooted tree or forest has one shape, the row: row[i] <= i is vertex i's
+parent and a root is its own, so reversed index order is children first.
+forest_walk gives a forest's row (its breadth-first walks, relabeled).
+
 Canonical form for trees is the AHU parenthesis code rooted at the tree's
 center: peel leaf layers until one or two vertices remain; with two centers,
 take the lexicographically smaller of the two rooted codes. Equal codes are
 equivalent to isomorphism, which is what the enumeration and the pairwise
-surveys rely on.
+surveys rely on.  _row_code, on a row rooted at a center, is the one fold.
 
 Edge-list text format: lines "u v"; blank lines and lines starting with '#'
 are ignored; an optional header "n <k>" (first content line) declares the
@@ -23,7 +27,7 @@ integers (parse_int). Without a header, n is one plus the maximum vertex id
 from __future__ import annotations
 
 import re
-from operator import attrgetter
+from operator import attrgetter, eq
 
 from .errors import GraphError
 
@@ -184,38 +188,37 @@ def degrees(g: Graph) -> list[int]:
     return deg
 
 
-def bfs_order(adj: list[list[int]], root: int, parent: list[int]) -> list[int]:
-    """Vertices reachable from `root` in breadth-first order.
-
-    Sets parent[root] = root and parent[w] to the vertex that reached w.
-    Vertices whose parent entry is not -1 on entry count as visited, so one
-    `parent` list shared over calls walks a forest component by component."""
-    parent[root] = root
-    order = [root]
-    for v in order:
-        for w in adj[v]:
-            if parent[w] == -1:
-                parent[w] = v
-                order.append(w)
-    return order
-
-
-def forest_walk(g: Graph) -> tuple[list[int], list[int]] | None:
-    """The walk (parent, order) of g if g is a forest, else None: the
-    breadth-first walks of its components in turn, each from its smallest
-    vertex, its own parent.  A simple graph is a forest iff |E| = n -
-    #components."""
-    adj = adjacency(g)
-    parent = [-1] * g.n
+def _walk_row(adj: list[list[int]], roots) -> list[int]:
+    """The breadth-first walks from `roots` in turn, skipping a root an
+    earlier walk reached, as a row: vertex i of the row is the i-th vertex
+    visited and row[i] the index of its parent, a root its own parent, so
+    row[i] <= i and reversed index order is children first."""
+    parent = [-1] * len(adj)
     order: list[int] = []
-    components = 0
-    for root in range(g.n):
+    for root in roots:
         if parent[root] == -1:
-            order += bfs_order(adj, root, parent)
-            components += 1
-    if g.num_edges != g.n - components:
+            parent[root] = root
+            walk = [root]
+            for v in walk:
+                for w in adj[v]:
+                    if parent[w] == -1:
+                        parent[w] = v
+                        walk.append(w)
+            order += walk
+    index = [0] * len(adj)
+    for i, v in enumerate(order):
+        index[v] = i
+    return [index[parent[v]] for v in order]
+
+
+def forest_walk(g: Graph) -> list[int] | None:
+    """g's row (_walk_row from every vertex in turn, so each component is
+    walked from its smallest vertex) if g is a forest, else None.  A simple
+    graph is a forest iff |E| = n - #components, the number of roots."""
+    if g.num_edges >= max(g.n, 1):
         return None
-    return parent, order
+    row = _walk_row(adjacency(g), range(g.n))
+    return row if g.num_edges == g.n - sum(map(eq, row, range(g.n))) else None
 
 
 def parse_int(token: str) -> int:
@@ -307,30 +310,44 @@ def _centers(n: int, adj: list[list[int]]) -> list[int]:
 
 def _code_from_adj(n: int, adj: list[list[int]]) -> str:
     """AHU parenthesis code rooted at the center; with two centers, the
-    smaller of the codes rooted at each.
-
-    One BFS from the first center c1 gives every subtree's code.  Rooted at
-    the second center c2, the children of c2 are its children under c1 plus
-    c1's side without c2, which is c1 with its other children; so the
-    second code is assembled from the same subtree codes."""
+    smaller of the codes rooted at each (_row_code of the walk from the
+    first center, which visits the second, listed first, as vertex 1)."""
     centers = _centers(n, adj)
-    root = centers[0]
-    parent = [-1] * n
-    order = bfs_order(adj, root, parent)
-    code = ["()"] * n
-    for v in reversed(order):
-        kids = [code[w] for w in adj[v] if parent[w] == v]
-        if kids:
-            kids.sort()
-            code[v] = "(" + "".join(kids) + ")"
-    if len(centers) == 1:
-        return code[root]
-    other = centers[1]
-    side = "(" + "".join(sorted(code[w] for w in adj[root] if w != other)) + ")"
-    kids = [code[w] for w in adj[other] if w != root]
-    kids.append(side)
-    kids.sort()
-    return min(code[root], "(" + "".join(kids) + ")")
+    if len(centers) == 2:
+        first, second = centers
+        adj = adj.copy()
+        adj[first] = [second] + [w for w in adj[first] if w != second]
+    return _row_code(_walk_row(adj, centers[:1]))
+
+
+def _row_code(row) -> str:
+    """The canonical code of a row's tree, folded children first in
+    reversed index order.  The row must have a center at vertex 0 and a
+    second center, if any, at vertex 1 (a WROM row roots its first and
+    deepest subtree there; _code_from_adj walks the second center first).
+    Vertex 1 is a center exactly when every other subtree of vertex 0 is
+    less deep than vertex 1's; rooted there, its children are its own plus
+    vertex 0 with its other children."""
+    n = len(row)
+    kids: list[list[str]] = [[] for _ in range(n)]
+    height = [0] * n
+    for v in range(n - 1, 0, -1):
+        mine = kids[v]
+        mine.sort()
+        p = row[v]
+        kids[p].append("(" + "".join(mine) + ")")
+        if height[p] <= height[v]:
+            height[p] = height[v] + 1
+    top = kids[0]
+    top.sort()
+    code = "(" + "".join(top) + ")"
+    if n == 1 or max((height[v] + 1 for v in range(2, n) if row[v] == 0), default=0) > height[1]:
+        return code
+    first = "(" + "".join(kids[1]) + ")"
+    top.remove(first)
+    mine = kids[1] + ["(" + "".join(top) + ")"]
+    mine.sort()
+    return min(code, "(" + "".join(mine) + ")")
 
 
 def canonical_code(t: Tree) -> str:

@@ -11,12 +11,13 @@ Which route computes X_G depends on the graph, never on how it was built
 
   * Forests (graphs.forest_walk): csf_powersum runs a rooted DP over
     Stanley's signed edge-subset expansion
-    X_G = sum over S subset of E of (-1)^|S| p_(component sizes of S),
-    one table per component, multiplied, as X of a disjoint union is the
-    product of its parts' X.  Its tables are bounded by the partitions of
-    n, not by 2^|E| (under 0.1 s at n = 25), and it is the engine behind
-    csf_equal, the survey and the CLI on forests; csf_monomial of a forest
-    is to_monomial of its result.
+    X_G = sum over S subset of E of (-1)^|S| p_(component sizes of S)
+    on the forest's row, one table per component, multiplied, as X of a
+    disjoint union is the product of its parts' X.  Its tables are
+    bounded by the partitions of n, not by 2^|E| (under 0.1 s at n = 25),
+    and it is the engine behind csf_equal, the survey and the CLI on
+    forests; csf_monomial of a forest is to_monomial of its result.  Every
+    entry walks a graph once and hands that row to _powersum.
   * Graphs with cycles: csf_powersum sums the same expansion with a
     depth-first edge sweep that stops wherever taking an edge would close
     a cycle, since there taking and skipping it cancel. It visits one leaf
@@ -117,8 +118,9 @@ def csf_monomial(g: Graph) -> SymmetricFunction:
     forest (so its caps apply), stable-partition counting otherwise."""
     if g.n < 1:
         raise GraphError("csf_monomial needs n >= 1")
-    if forest_walk(g) is not None:
-        return to_monomial(csf_powersum(g))
+    row = forest_walk(g)
+    if row is not None:
+        return to_monomial(_powersum(g, row))
     if g.n > CSF_MONOMIAL_MAX_N:
         raise CapExceededError(
             f"csf_monomial capped at n <= {CSF_MONOMIAL_MAX_N}, got {g.n}"
@@ -136,9 +138,15 @@ def csf_monomial(g: Graph) -> SymmetricFunction:
 
 
 def csf_powersum(g: Graph) -> SymmetricFunction:
-    """X_G in the power-sum basis: the rooted DP over g's walk when g is a
+    """X_G in the power-sum basis: the rooted DP over g's row when g is a
     forest, the signed edge sweep otherwise, which visits one edge set per
     acyclic orientation of g."""
+    return _powersum(g, forest_walk(g))
+
+
+def _powersum(g: Graph, row: list[int] | None) -> SymmetricFunction:
+    """csf_powersum of g, given its row forest_walk(g), so a caller that
+    has already walked g does not walk it again."""
     if g.n < 1:
         raise GraphError("csf_powersum needs n >= 1")
     if g.n > CSF_POWERSUM_MAX_N:
@@ -149,9 +157,8 @@ def csf_powersum(g: Graph) -> SymmetricFunction:
         raise CapExceededError(
             f"csf_powersum capped at |E| <= {CSF_POWERSUM_MAX_EDGES}, got {g.num_edges}"
         )
-    walk = forest_walk(g)
-    if walk is not None:
-        return SymmetricFunction(g.n, BASIS_POWERSUM, _tree_powersum_terms(*walk))
+    if row is not None:
+        return SymmetricFunction(g.n, BASIS_POWERSUM, _tree_powersum_terms(row))
     from ._kernels import edge_subset_type_counts
 
     signed = edge_subset_type_counts(g.n, g.edges)
@@ -160,20 +167,20 @@ def csf_powersum(g: Graph) -> SymmetricFunction:
     return SymmetricFunction(g.n, BASIS_POWERSUM, terms)
 
 
-def _tree_powersum_terms(parent, order) -> tuple[tuple[tuple[int, ...], int], ...]:
+def _tree_powersum_terms(row) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Signed edge-subset expansion of a forest, summed by a rooted DP; the
     terms come back canonical (descending partitions, no zero coefficient).
 
-    The forest is a walk: its vertices are `order`, each after its parent
-    parent[v], a root its own parent, as graphs.forest_walk gives it or a
-    survey row in index order.  In reverse order each vertex merges its
-    children's tables, which are final by then, in the order the walk lists
-    them.  Each vertex keeps a sparse table over the edge subsets S of its
-    subtree: the key is (size of the vertex's own component in S, sizes of
-    the components already closed off), the value the sum of (-1)^|S| over
-    the subsets with that key.  Each child edge is either left out of S,
-    which closes the child's open component (sign +), or put in S, which
-    merges it into the parent's component (sign -).  The roots' tables,
+    The forest is a row: row[v] <= v is the parent of vertex v, a root its
+    own parent, as graphs.forest_walk gives it or as a survey row is.  In
+    reversed index order each vertex merges its children's tables, which
+    are final by then, in index order.  Each vertex keeps a sparse table
+    over the edge subsets S of its subtree: the key is (size of the
+    vertex's own component in S, sizes of the components already closed
+    off), the value the sum of (-1)^|S| over the subsets with that key.
+    Each child edge is either left out of S, which closes the child's open
+    component (sign +), or put in S, which merges it into the parent's
+    component (sign -).  The roots' tables,
     closed, are multiplied: X of a disjoint union is the product of X's.
 
     A key is one int in the packed layout of partitions.py: field 0 holds
@@ -183,16 +190,16 @@ def _tree_powersum_terms(parent, order) -> tuple[tuple[tuple[int, ...], int], ..
     product adds keys.  With
     field 0 empty, larger keys are exactly the larger partitions in
     descending lexicographic order, so the closed keys are sorted as ints."""
-    n = len(order)
+    n = len(row)
     width = n.bit_length()
     mask = (1 << width) - 1
     unit = [1 << (width * c) for c in range(n + 1)]
     kids: list[list[int]] = [[] for _ in range(n)]
-    for v in order:
-        if parent[v] != v:
-            kids[parent[v]].append(v)
+    for v in range(n):
+        if row[v] != v:
+            kids[row[v]].append(v)
     tables: list[dict | None] = [None] * n
-    for v in reversed(order):
+    for v in range(n - 1, -1, -1):
         cur = {1: 1}
         for c in kids[v]:
             child = [(k, k - (k & mask) + unit[k & mask], y) for k, y in tables[c].items() if y]
@@ -209,7 +216,7 @@ def _tree_powersum_terms(parent, order) -> tuple[tuple[tuple[int, ...], int], ..
             cur = nxt
         tables[v] = cur
     closed = {0: 1}
-    for root in [v for v in order if parent[v] == v]:
+    for root in [v for v in range(n) if row[v] == v]:
         nxt = {}
         for k, x in tables[root].items():
             k += unit[k & mask] - (k & mask)  # close the root's component
@@ -273,11 +280,11 @@ def csf_equal(a: Graph, b: Graph) -> bool:
     of k is k^(#components), so X fixes |E| = n - #components."""
     if a.n != b.n:
         return False
-    a_forest = forest_walk(a) is not None
-    if a_forest != (forest_walk(b) is not None):
+    row_a, row_b = forest_walk(a), forest_walk(b)
+    if (row_a is None) != (row_b is None):
         return False
-    if a_forest:
-        return csf_powersum(a).terms == csf_powersum(b).terms
+    if row_a is not None:
+        return _powersum(a, row_a).terms == _powersum(b, row_b).terms
     return csf_monomial(a).terms == csf_monomial(b).terms
 
 

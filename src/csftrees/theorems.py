@@ -424,7 +424,7 @@ def _survey_payload(row: tuple[int, ...]):
     parent list.  deg i(T; x) must equal the peel's sum of b_i."""
     n = len(row)
     facts = _facts(n, zip(row[1:], range(1, n)))
-    levels, key = facts.levels, _independence_and_splits(row, range(n))
+    levels, key = facts.levels, _independence_and_splits(row)
     degree, blocks = len(key[0]) - 1, sum(b for b, _ in levels)
     if degree != blocks:
         raise InternalError(f"deg i(T; x) = {degree} but sum of b_i = {blocks} for parents {row}")
@@ -513,7 +513,7 @@ def _x_equal_groups(rows: list[tuple[int, ...]], by_key: dict) -> list[list[int]
     """The groups of two or more X-equal trees, each ascending, from the
     trees' indices bucketed by key.  Trees with different keys have
     different X, so the tree DP runs only in buckets of two or more trees,
-    on each row in index order (a rooted walk, so no Tree is built); there
+    on each row as it is (the DP's one input, so no Tree is built); there
     the full p-terms decide (a dict keyed by the terms, so a hash never
     decides alone), and the max block read from their hooks must equal
     deg i(T; x), the bucket's.  The CSF engine is imported only for such a
@@ -527,7 +527,7 @@ def _x_equal_groups(rows: list[tuple[int, ...]], by_key: dict) -> list[list[int]
 
         by_terms: dict[tuple, list[int]] = {}
         for i in members:
-            terms = _tree_powersum_terms(rows[i], range(len(rows[i])))
+            terms = _tree_powersum_terms(rows[i])
             hook = _hook_max_block(len(rows[i]), terms)
             if hook != degree:
                 raise InternalError(

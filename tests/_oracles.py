@@ -23,7 +23,7 @@ from csftrees.generators import (
     enumerate_free_trees,
     gen_star_connection,
 )
-from csftrees.graphs import Graph, Tree, _code_from_adj, canonical_code, forest_walk, is_int
+from csftrees.graphs import Graph, Tree, _centers, canonical_code, forest_walk, is_int
 from csftrees.partitions import mult_factorial, partitions_desc
 from csftrees.symfunc import BASIS_POWERSUM, SymmetricFunction
 
@@ -304,20 +304,48 @@ def free_tree_codes_reference(n: int) -> list[str]:
             adj[par].append(i)
             adj[i].append(par)
             last[s[i]] = i
-        codes.add(_code_from_adj(n, adj))
+        codes.add(ahu_code_reference(n, adj))
     return sorted(codes)
+
+
+def ahu_code_reference(n: int, adj: list[list[int]]) -> str:
+    """The AHU code of a tree from its adjacency lists, independent of the
+    package's row fold: every subtree's code from one breadth-first walk
+    from the first center; with a second center, the code rooted there too
+    (its children under the first center, plus the first center with its
+    other children), and the smaller of the two."""
+    root, *other = _centers(n, adj)
+    parent = [-1] * n
+    parent[root] = root
+    order = [root]
+    for v in order:
+        for w in adj[v]:
+            if parent[w] == -1:
+                parent[w] = v
+                order.append(w)
+    code = ["()"] * n
+    for v in reversed(order):
+        kids = sorted(code[w] for w in adj[v] if parent[w] == v)
+        if kids:
+            code[v] = "(" + "".join(kids) + ")"
+    if not other:
+        return code[root]
+    (second,) = other
+    side = "(" + "".join(sorted(code[w] for w in adj[root] if w != second)) + ")"
+    kids = sorted([code[w] for w in adj[second] if w != root] + [side])
+    return min(code[root], "(" + "".join(kids) + ")")
 
 
 def tree_powersum_reference(g: Graph) -> tuple[tuple[tuple[int, ...], int], ...]:
     """The tree DP of symfunc._tree_powersum_terms with tuple keys: each
     table maps (open size, descending closed sizes) to a signed count. The
     terms come back descending, zeros dropped."""
-    parent, order = forest_walk(g)
+    row = forest_walk(g)
     kids: list[list[int]] = [[] for _ in range(g.n)]
-    for v in order[1:]:
-        kids[parent[v]].append(v)
+    for v in range(1, g.n):
+        kids[row[v]].append(v)
     tables: list = [None] * g.n
-    for v in reversed(order):
+    for v in reversed(range(g.n)):
         cur = {(1, ()): 1}
         for c in kids[v]:
             nxt: dict = {}
@@ -493,7 +521,7 @@ def reference_payload(t: Graph):
     the hooks on the symfunc module, where survey finds them too, the rest
     on the theorems module."""
     d = decomposition.leaf_decomposition(t)
-    terms = symfunc._tree_powersum_terms(*forest_walk(t))
+    terms = symfunc._tree_powersum_terms(forest_walk(t))
     return (
         theorems.tree_facts(t),
         theorems.chain_sequence(d.level_counts()),

@@ -125,12 +125,12 @@ def test_block_sum_is_independence_number():
 def test_independence_and_splits_by_brute_force():
     for n in range(1, 10):
         for t in enumerate_free_trees(n):
-            assert _independence_and_splits(*forest_walk(t)) == (
+            assert _independence_and_splits(forest_walk(t)) == (
                 independent_set_counts_bruteforce(t),
                 edge_splits_bruteforce(t),
             )
-    assert _independence_and_splits(*forest_walk(gen_path(4))) == ((1, 4, 3), (1, 1, 2))
-    assert _independence_and_splits(*forest_walk(gen_star(5))) == ((1, 5, 6, 4, 1), (1, 1, 1, 1))
+    assert _independence_and_splits(forest_walk(gen_path(4))) == ((1, 4, 3), (1, 1, 2))
+    assert _independence_and_splits(forest_walk(gen_star(5))) == ((1, 5, 6, 4, 1), (1, 1, 1, 1))
 
 
 def test_independence_and_splits_are_coefficients_of_x():
@@ -139,9 +139,9 @@ def test_independence_and_splits_are_coefficients_of_x():
     splits a; and deg i(T; x) = alpha_mis = the max block of the p-terms."""
     for n in range(1, 13):
         for t in enumerate_free_trees(n):
-            walk = forest_walk(t)
-            ind, splits = _independence_and_splits(*walk)
-            terms = _tree_powersum_terms(*walk)
+            row = forest_walk(t)
+            ind, splits = _independence_and_splits(row)
+            terms = _tree_powersum_terms(row)
             for k in range(1, n + 1):
                 hook = sum(c * math.perm(parts.count(1), n - k) for parts, c in terms)
                 assert hook == math.factorial(n - k) * (ind[k] if k < len(ind) else 0)

@@ -7,16 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import prufer_tree, relabel
+from _oracles import ahu_code_reference, prufer_tree, relabel
 from csftrees.errors import GraphError
-from csftrees.generators import enumerate_free_trees, gen_path, gen_star
+from csftrees.generators import enumerate_free_trees, gen_path, gen_spider, gen_star
 from csftrees.graphs import (
     Graph,
     Tree,
     _centers,
+    _walk_row,
     adjacency,
     canonical_code,
-    bfs_order,
     degrees,
     forest_walk,
     parse_edge_list,
@@ -113,15 +113,17 @@ def test_degrees_adjacency_components():
     g = Graph(5, ((0, 1), (1, 2)))
     assert degrees(g) == [1, 2, 1, 0, 0]
     assert adjacency(g) == [[1], [0, 2], [1], [], []]
-    # a forest's walk: each component breadth-first from its smallest
-    # vertex, which is its own parent
-    assert forest_walk(g) == ([0, 0, 1, 3, 4], [0, 1, 2, 3, 4])
-    assert forest_walk(Graph(6, ((0, 4), (1, 3), (3, 5), (4, 2)))) == (
-        [0, 1, 4, 1, 0, 3], [0, 4, 2, 1, 3, 5])
+    # a forest's row: each component breadth-first from its smallest
+    # vertex, which is its own parent, relabeled in visiting order
+    assert forest_walk(g) == [0, 0, 1, 3, 4]
+    # visits 0, 4, 2, then 1, 3, 5
+    assert forest_walk(Graph(6, ((0, 4), (1, 3), (3, 5), (4, 2)))) == [0, 0, 1, 3, 3, 4]
     assert forest_walk(Graph(3, ((0, 1), (1, 2), (0, 2)))) is None  # a triangle
     assert forest_walk(Graph(5, ((0, 1), (1, 2), (0, 2), (3, 4)))) is None
-    assert forest_walk(Graph(1)) == ([0], [0])
-    assert forest_walk(Graph(0)) == ([], [])
+    # a triangle and two isolated vertices: |E| < n, caught by the count
+    assert forest_walk(Graph(5, ((0, 1), (1, 2), (0, 2)))) is None
+    assert forest_walk(Graph(1)) == [0]
+    assert forest_walk(Graph(0)) == []
 
 
 @st.composite
@@ -153,14 +155,47 @@ def test_adjacency_lists_ascend_on_enumerated_trees():
                 assert adj[v] == sorted({u for e in t.edges for u in e if v in e and u != v})
 
 
-def test_bfs_order_walks_one_component():
+def test_walk_row_walks_the_roots_in_turn():
     adj = adjacency(Graph(6, ((0, 1), (0, 2), (2, 3), (4, 5))))
-    parent = [-1] * 6
-    assert bfs_order(adj, 2, parent) == [2, 0, 3, 1]
-    assert parent == [2, 0, 2, 2, -1, -1]
-    # a shared parent list skips what earlier calls reached
-    assert bfs_order(adj, 5, parent) == [5, 4]
-    assert parent == [2, 0, 2, 2, 5, 5]
+    # from 2 the walk visits 2, 0, 3, 1; root 0 is already reached and
+    # skipped; from 5 it visits 5, 4
+    assert _walk_row(adj, [2, 0, 5, 4]) == [0, 0, 0, 1, 4, 4]
+    # only what the roots reach is walked
+    assert _walk_row(adj, [5]) == [0, 0]
+    assert _walk_row(adj, [3]) == [0, 0, 1, 2]  # the path 3, 2, 0, 1
+    assert _walk_row(adj, []) == []
+
+
+def _components_and_cycle(n: int, edges) -> tuple[int, bool]:
+    """The number of components and whether there is a cycle, by union-find."""
+    root = list(range(n))
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    components, cycle = n, False
+    for u, v in edges:
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            cycle = True
+        else:
+            root[ru] = rv
+            components -= 1
+    return components, cycle
+
+
+@settings(max_examples=300, deadline=None)
+@given(_shuffled_graphs())
+def test_forest_walk_is_a_row_exactly_on_forests(drawn):
+    n, edges = drawn
+    row = forest_walk(Graph(n, edges))
+    components, cycle = _components_and_cycle(n, edges)
+    assert (row is None) == cycle
+    if row is not None:
+        assert len(row) == n and all(row[i] <= i for i in range(n))
+        assert sum(row[i] == i for i in range(n)) == components
 
 
 def test_relabel():
@@ -248,6 +283,32 @@ def test_canonical_code_relabeling_invariant():
             for perm in perms:
                 rt = relabel(t, perm)
                 assert canonical_code(rt) == code
+
+
+def _assert_code_is_the_reference(t: Tree) -> None:
+    assert canonical_code(t) == ahu_code_reference(t.n, adjacency(t))
+
+
+def test_canonical_code_matches_the_adjacency_reference():
+    """The row fold against an independent AHU fold over adjacency lists:
+    every tree on up to 12 vertices under seeded relabelings, seeded
+    Prüfer trees, and bicentral paths and spiders (the two-center branch)."""
+    rng = random.Random(33)
+    for n in range(1, 13):
+        for t in enumerate_free_trees(n):
+            for _ in range(5):
+                _assert_code_is_the_reference(relabel(t, rng.sample(range(n), n)))
+    for n in range(2, 61):
+        for _ in range(5):
+            _assert_code_is_the_reference(prufer_tree([rng.randrange(n) for _ in range(n - 2)]))
+    for n in range(2, 61, 2):
+        _assert_code_is_the_reference(relabel(gen_path(n), rng.sample(range(n), n)))
+    for k in range(1, 12):
+        for legs in ((k + 1, k, 1), (k + 1, k, k), (k + 2, k + 1, k, 1)):
+            spider = gen_spider(legs)
+            assert len(_centers(spider.n, adjacency(spider))) == 2
+            _assert_code_is_the_reference(spider)
+            _assert_code_is_the_reference(relabel(spider, rng.sample(range(spider.n), spider.n)))
 
 
 def test_canonical_code_separates_classes():

@@ -162,10 +162,10 @@ def test_packed_dp_matches_tuple_keyed_dp():
     # the survey passes it
     for n in range(1, 12):
         for row, t in zip(_free_tree_edge_sets(n), enumerate_free_trees(n)):
-            terms = symfunc._tree_powersum_terms(*forest_walk(t))
+            terms = symfunc._tree_powersum_terms(forest_walk(t))
             _assert_canonical(n, terms)
             assert terms == tree_powersum_reference(t)
-            assert symfunc._tree_powersum_terms(row, range(n)) == terms
+            assert symfunc._tree_powersum_terms(row) == terms
 
 
 def _prufer_trees(min_n: int, max_n: int):
@@ -177,7 +177,7 @@ def _prufer_trees(min_n: int, max_n: int):
 @settings(max_examples=25, deadline=None)
 @given(_prufer_trees(12, 18))
 def test_packed_dp_matches_tuple_keyed_dp_on_random_trees(g):
-    terms = symfunc._tree_powersum_terms(*forest_walk(g))
+    terms = symfunc._tree_powersum_terms(forest_walk(g))
     _assert_canonical(g.n, terms)
     assert terms == tree_powersum_reference(g)
     assert csf_powersum(g).terms == terms
@@ -284,6 +284,40 @@ def test_csf_monomial_counts_stable_partitions_only_off_trees(monkeypatch):
     assert calls == []
     csf_monomial(_cycle(5))
     assert calls == [5]
+
+
+def test_each_forest_is_walked_once_per_call(monkeypatch):
+    """csf_equal and csf_monomial hand the row they route on to the DP, so
+    each forest is walked once per call; a graph with |E| >= n cannot be a
+    forest and is not walked at all."""
+    from csftrees import graphs
+
+    path, spider, forest = gen_path(7), gen_spider((2, 2, 2)), Graph(6, ((0, 1), (2, 3)))
+    cycle, kite = _cycle(5), Graph(5, ((0, 1), (1, 2), (0, 2), (2, 3), (3, 4)))
+    calls = []
+    real = graphs._walk_row
+
+    def counted(adj, roots):
+        calls.append(len(adj))
+        return real(adj, roots)
+
+    monkeypatch.setattr(graphs, "_walk_row", counted)
+    assert not csf_equal(path, spider)
+    assert calls == [7, 7]
+    csf_monomial(forest)
+    csf_powersum(forest)
+    assert calls == [7, 7, 6, 6]
+    del calls[:]
+    assert not csf_equal(cycle, kite)
+    assert csf_equal(cycle, _cycle(5))
+    for g in (cycle, kite):
+        csf_monomial(g)
+        csf_powersum(g)
+        assert forest_walk(g) is None
+    assert calls == []
+    assert forest_walk(Graph(0)) == []
+    with pytest.raises(GraphError, match="csf_powersum needs n >= 1"):
+        csf_equal(Graph(0), Graph(0))
 
 
 def test_csf_equal_of_forest_and_graph_with_cycles_counts_nothing(monkeypatch):

@@ -33,7 +33,7 @@ from csftrees.generators import (
     gen_star,
     gen_star_connection,
 )
-from csftrees.graphs import Tree, canonical_code, forest_walk
+from csftrees.graphs import Tree, _row_code, canonical_code, forest_walk
 from csftrees.symfunc import csf_equal, csf_powersum
 from csftrees.theorems import (
     APPLICABLE,
@@ -142,10 +142,10 @@ def test_rows_match_the_tree_route(n):
         row = (0, *parents)
         rows.remove(row)
         t = Tree(n, tuple(zip(parents, range(1, n))))
-        assert generators._row_code(row) == canonical_code(t)
+        assert _row_code(row) == canonical_code(t)
         facts, failed_chain, key = theorems._survey_payload(row)
         assert facts == tree_facts(t)
-        assert key == _independence_and_splits(*forest_walk(t))
+        assert key == _independence_and_splits(forest_walk(t))
         levels = leaf_decomposition(t).level_counts()
         assert failed_chain == (None if chain_holds(levels) else chain_sequence(levels))
     assert not rows
@@ -597,23 +597,20 @@ def _patch_payloads(monkeypatch, n, edit, ref_edit=None):
         )
 
 
-def _walk_edges(parent, order) -> tuple[tuple[int, int], ...]:
-    """The edges of a rooted walk, sorted as Tree.edges holds them."""
-    return tuple(sorted((min(parent[v], v), max(parent[v], v)) for v in order[1:]))
-
-
 def _patch_terms(monkeypatch, n, fake):
-    """Make symfunc._tree_powersum_terms, which the survey (on rows) and
-    both references (on breadth-first walks) call, return fake[index] for
-    the trees of enumerate_free_trees(n) listed in fake."""
+    """Make symfunc._tree_powersum_terms, which the survey (on its rows) and
+    both references (on forest_walk rows) call, return fake[index] for the
+    trees of enumerate_free_trees(n) listed in fake.  A tree is found by
+    its code: a forest_walk row is relabeled, so its edges are not the
+    Tree's."""
     from csftrees import symfunc
 
-    index = {t.edges: i for i, t in enumerate(enumerate_free_trees(n))}
+    index = {canonical_code(t): i for i, t in enumerate(enumerate_free_trees(n))}
     real = symfunc._tree_powersum_terms
     monkeypatch.setattr(
         symfunc,
         "_tree_powersum_terms",
-        lambda parent, order: fake.get(index[_walk_edges(parent, order)]) or real(parent, order),
+        lambda row: fake.get(index[_row_code(row)]) or real(row),
     )
 
 
@@ -657,9 +654,9 @@ def test_survey_with_one_key_per_degree_runs_the_dp_on_every_tied_tree(monkeypat
     calls = []
     real = symfunc._tree_powersum_terms
 
-    def counted(parent, order):
-        calls.append(_walk_edges(parent, order))
-        return real(parent, order)
+    def counted(row):
+        calls.append(_row_code(row))
+        return real(row)
 
     monkeypatch.setattr(symfunc, "_tree_powersum_terms", counted)
     rep = survey(7)
@@ -691,7 +688,7 @@ def test_survey_x_equality_compares_full_terms(monkeypatch):
     )
     assert hash(twin) == hash(terms) and twin != terms
     _patch_terms(monkeypatch, 7, {0: terms, 1: twin, last: terms})
-    key = _independence_and_splits(*forest_walk(trees[0]))
+    key = _independence_and_splits(forest_walk(trees[0]))
     _patch_payloads(
         monkeypatch,
         7,
@@ -719,7 +716,7 @@ def test_survey_blocks_mark_every_pair_of_an_x_equal_group(monkeypatch):
     same = [i for i, a in enumerate(alpha) if a == alpha[0]]
     group = (same[0], same[len(same) // 2], same[-1])
     terms = csf_powersum(trees[group[0]]).terms
-    key = _independence_and_splits(*forest_walk(trees[group[0]]))
+    key = _independence_and_splits(forest_walk(trees[group[0]]))
     _patch_terms(monkeypatch, 8, dict.fromkeys(group, terms))
     _patch_payloads(monkeypatch, 8, lambda i, p: (*p[:2], key) if i in group else p)
     rep, ref = survey(8), survey_pairwise_reference(8)
@@ -759,9 +756,9 @@ def test_survey_rejects_a_degree_that_the_peel_contradicts(monkeypatch):
     real = theorems._independence_and_splits
     star = _free_tree_edge_sets(7)[-1]
 
-    def one_more(parent, order):
-        ind, splits = real(parent, order)
-        return (ind + (1,), splits) if parent == star else (ind, splits)
+    def one_more(row):
+        ind, splits = real(row)
+        return (ind + (1,), splits) if row == star else (ind, splits)
 
     monkeypatch.setattr(theorems, "_independence_and_splits", one_more)
     with pytest.raises(InternalError, match="deg i\\(T; x\\) = 7 but sum of b_i = 6"):
@@ -773,7 +770,7 @@ def test_survey_rejects_p_terms_whose_max_block_is_not_alpha(monkeypatch):
     # tree's own p-terms give its max block 6
     trees = enumerate_free_trees(7)
     last = len(trees) - 1
-    key = _independence_and_splits(*forest_walk(trees[0]))
+    key = _independence_and_splits(forest_walk(trees[0]))
     _patch_payloads(monkeypatch, 7, lambda i, p: (*p[:2], key) if i in (0, last) else p)
     with pytest.raises(
         InternalError, match=f"tree {last}: max block 6 from the p-terms, deg i\\(T; x\\) = 4"
