@@ -17,47 +17,33 @@ Python:
     2^|E| leaves.
 
 Inside the kernels a type is one packed int in the layout of
-partitions.py: the multiplicity of part size c sits in field c, n.bit_length()
-bits wide, so adding a part or merging two components is one integer
-addition. The tally is read out in partition_keys order into a list of
-exact ints, so entry r counts the type partitions_desc(n)[r].
+partitions.py: the multiplicity of part size c sits in field c, so adding a
+part or merging two components is one integer addition. Both kernels hand
+their tally to partitions.packed_terms and return its canonical terms,
+((partition, count), ...) in descending order with no zero count.
 """
 
 from __future__ import annotations
 
-import builtins
-
-from .errors import InternalError
-from .partitions import partition_keys
+from .partitions import packed_layout, packed_terms
 
 # The one kernel implementation, named for run reports and benchmarks.
 BACKEND = "python"
 
 
-class TypeCounts(list):
-    """The count list a kernel returns, with one extra method: sum().
-
-    perfbench/trace_child.py reads the number of stable partitions as
-    result.sum(). The benchmark change (ROADMAP item 4) switches that hook
-    to sum(result) and deletes this subclass."""
+class TypeCounts(tuple):
+    """The terms a kernel returns, with one extra method: sum(), the sum of
+    the counts, which perfbench/trace_child.py reads as the number of stable
+    partitions. The benchmark change (ROADMAP item 4) sums the terms in the
+    hook instead and deletes this subclass."""
 
     def sum(self) -> int:
-        return builtins.sum(self)
+        return sum(count for _, count in self)
 
 
-def _dense_counts(n: int, tally: dict[int, int]) -> TypeCounts:
-    """Counts of length p(n), in partitions_desc order, from a tally keyed
-    by packed types."""
-    keys = partition_keys(n)
-    if not tally.keys() <= keys.keys():
-        raise InternalError(f"a kernel tallied a type that is not a partition of {n}")
-    return TypeCounts(tally.get(key, 0) for key in keys)
-
-
-def stable_type_counts(n: int, edges):
-    """Counts of length p(n): entry r counts the stable partitions whose
-    block-size type is partitions_desc(n)[r]."""
-    width = n.bit_length()
+def stable_type_counts(n: int, edges) -> TypeCounts:
+    """Canonical terms: (block-size type, number of stable partitions)."""
+    unit = packed_layout(n)[2]
     nbr = [0] * n
     for u, v in edges:
         nbr[u] |= 1 << v
@@ -76,7 +62,7 @@ def stable_type_counts(n: int, edges):
         stack = [(low, 1, s & ~low & ~nbr[low.bit_length() - 1])]
         while stack:
             block, size, cand = stack.pop()
-            shift = 1 << (width * size)
+            shift = unit[size]
             for key, cnt in f(s ^ block).items():
                 key += shift
                 out[key] = out.get(key, 0) + cnt
@@ -87,12 +73,12 @@ def stable_type_counts(n: int, edges):
         memo[s] = out
         return out
 
-    return _dense_counts(n, f((1 << n) - 1))
+    return TypeCounts(packed_terms(n, f((1 << n) - 1)))
 
 
-def edge_subset_type_counts(n: int, edges):
-    """Signed subset counts by component-size type, same indexing as above."""
-    width = n.bit_length()
+def edge_subset_type_counts(n: int, edges) -> TypeCounts:
+    """Canonical terms: (component-size type, signed count of edge subsets)."""
+    unit = packed_layout(n)[2]
     edges = tuple(edges)
     m = len(edges)
     parent = list(range(n))
@@ -120,12 +106,12 @@ def edge_subset_type_counts(n: int, edges):
         if size[a] < size[b]:
             a, b = b, a
         sa, sb = size[a], size[b]
-        merged = key + (1 << (width * (sa + sb))) - (1 << (width * sa)) - (1 << (width * sb))
+        merged = key + unit[sa + sb] - unit[sa] - unit[sb]
         parent[b] = a
         size[a] = sa + sb
         walk(e + 1, merged, -sign)
         parent[b] = b
         size[a] = sa
 
-    walk(0, n << width, 1)
-    return _dense_counts(n, tally)
+    walk(0, n * unit[1], 1)
+    return TypeCounts(packed_terms(n, tally))

@@ -1,4 +1,4 @@
-"""Integer partition utilities.
+"""Integer partition utilities, and the packed layout of the CSF layer.
 
 Partitions of n are tuples of positive ints in weakly decreasing order. The
 canonical ordering everywhere in this package is *descending lexicographic*:
@@ -7,17 +7,19 @@ built; counts, ranks and unranks are lookups into it.
 
 Packed layout: the tree DP, both kernels and the change of basis key a
 multiset of sizes by one int of fields n.bit_length() bits wide, field c
-holding the number of sizes equal to c. Adding a size c is adding 1 << (width
-* c), and merging two multisets is adding their keys. Field 0 is free for a
-caller's own use (the tree DP keeps its open component there); with it
-empty, larger keys are larger partitions in descending lexicographic order.
-partition_keys decodes such keys.
+holding the number of sizes equal to c. Adding a size c is adding unit[c],
+and merging two multisets is adding their keys. Field 0 is free for a
+caller's own use (the tree DP keeps its open component there). Only this
+module builds the layout (packed_layout) or decodes a key (packed_terms,
+to canonical terms: ((partition, coefficient), ...), descending, no zero).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import perm
+
+from .errors import InternalError
 
 
 @lru_cache(maxsize=None)
@@ -39,11 +41,28 @@ def partitions_desc(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def partition_keys(n: int) -> dict[int, tuple[int, ...]]:
-    """Packed key (field 0 empty) -> partition, for every partition of n,
-    in partitions_desc order."""
+def packed_layout(n: int) -> tuple[int, int, tuple[int, ...]]:
+    """(width, mask, unit) for weight n: the field width, the mask of field
+    0, and unit[c] = 1 << (width * c) for c = 0..n."""
     width = n.bit_length()
-    return {sum(1 << (width * x) for x in parts): parts for parts in partitions_desc(n)}
+    return width, (1 << width) - 1, tuple(1 << (width * c) for c in range(n + 1))
+
+
+@lru_cache(maxsize=None)
+def _partition_keys(n: int) -> dict[int, tuple[int, ...]]:
+    """Packed key (field 0 empty) -> partition, for every partition of n."""
+    unit = packed_layout(n)[2]
+    return {sum(unit[x] for x in parts): parts for parts in partitions_desc(n)}
+
+
+def packed_terms(n: int, tally: dict[int, int]) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The canonical terms of a tally keyed by packed partitions of n. With
+    field 0 empty, larger keys are the larger partitions in descending
+    lexicographic order. Any other key is an InternalError."""
+    decode = _partition_keys(n)
+    if not tally.keys() <= decode.keys():
+        raise InternalError(f"a packed key is not a partition of {n}")
+    return tuple((decode[key], tally[key]) for key in sorted(tally, reverse=True) if tally[key])
 
 
 def num_partitions(n: int) -> int:

@@ -17,7 +17,7 @@ Which route computes X_G depends on the graph, never on how it was built
     bounded by the partitions of n, not by 2^|E| (under 0.1 s at n = 25),
     and it is the engine behind csf_equal, the survey and the CLI on
     forests; csf_monomial of a forest is to_monomial of its result.  Every
-    entry walks a graph once and hands that row to _powersum.
+    entry walks a graph once and hands that row to _powersum or _monomial.
   * Graphs with cycles: csf_powersum sums the same expansion with a
     depth-first edge sweep that stops wherever taking an edge would close
     a cycle, since there taking and skipping it cancel. It visits one leaf
@@ -36,8 +36,8 @@ Which route computes X_G depends on the graph, never on how it was built
 to_monomial changes basis with [m_mu] p_lambda = (number of set partitions
 of lambda's parts whose block sums are mu) * prod m_i(mu)!, counted by one
 DP per p-term over the multisets of block sums.  The forest DP, both kernels
-and to_monomial all key their tables by packed ints in the one layout of
-partitions.py (field c counts the parts equal to c).
+and to_monomial key their tables by packed ints in the layout of
+partitions.py, and all four hand their tally to partitions.packed_terms.
 
 The change of basis is invertible, so equality in the p basis is equality
 of X.  max_block_from_csf reads the independence number from either basis;
@@ -48,9 +48,8 @@ Everything is exact Python int arithmetic, the two kernels' counts
 included.
 
 Caps: csf_powersum needs n <= CSF_POWERSUM_MAX_N and |E| <=
-CSF_POWERSUM_MAX_EDGES (checked before any partition table is built);
-csf_monomial and to_monomial need n <= CSF_MONOMIAL_MAX_N (on a forest,
-csf_monomial reports the cap of whichever of the two it hits first).
+CSF_POWERSUM_MAX_EDGES, csf_monomial and to_monomial n <= CSF_MONOMIAL_MAX_N;
+both entries check their caps before they walk g.
 
 Term order is canonical everywhere: partitions in descending lexicographic
 order, no zero coefficients stored.
@@ -62,7 +61,7 @@ from math import perm
 
 from .errors import CapExceededError, GraphError
 from .graphs import Graph, Record, forest_walk, is_int
-from .partitions import mult_factorial, partition_keys, partitions_desc
+from .partitions import mult_factorial, packed_layout, packed_terms
 
 BASIS_MONOMIAL = "m"
 BASIS_POWERSUM = "p"
@@ -115,56 +114,54 @@ class SymmetricFunction(Record):
 
 def csf_monomial(g: Graph) -> SymmetricFunction:
     """X_G in the monomial basis: to_monomial of the forest DP when g is a
-    forest (so its caps apply), stable-partition counting otherwise."""
+    forest, stable-partition counting otherwise.  The caps are checked
+    before g is walked."""
+    _caps("csf_monomial", g, CSF_MONOMIAL_MAX_N)
+    return _monomial(g, forest_walk(g))
+
+
+def _caps(entry: str, g: Graph, max_n: int) -> None:
     if g.n < 1:
-        raise GraphError("csf_monomial needs n >= 1")
-    row = forest_walk(g)
+        raise GraphError(f"{entry} needs n >= 1")
+    if g.n > max_n:
+        raise CapExceededError(f"{entry} capped at n <= {max_n}, got {g.n}")
+
+
+def _monomial(g: Graph, row: list[int] | None) -> SymmetricFunction:
+    """csf_monomial of g within its caps, given its row forest_walk(g), so
+    a caller that has already walked g does not walk it again."""
     if row is not None:
         return to_monomial(_powersum(g, row))
-    if g.n > CSF_MONOMIAL_MAX_N:
-        raise CapExceededError(
-            f"csf_monomial capped at n <= {CSF_MONOMIAL_MAX_N}, got {g.n}"
-        )
     from ._kernels import stable_type_counts
 
-    counts = stable_type_counts(g.n, g.edges)
-    plist = partitions_desc(g.n)
-    terms = {}
-    for i, cnt in enumerate(counts):
-        if cnt:
-            parts = plist[i]
-            terms[parts] = cnt * mult_factorial(parts)
+    terms = [(parts, c * mult_factorial(parts)) for parts, c in stable_type_counts(g.n, g.edges)]
     return SymmetricFunction(g.n, BASIS_MONOMIAL, terms)
 
 
 def csf_powersum(g: Graph) -> SymmetricFunction:
     """X_G in the power-sum basis: the rooted DP over g's row when g is a
     forest, the signed edge sweep otherwise, which visits one edge set per
-    acyclic orientation of g."""
+    acyclic orientation of g.  The caps are checked before g is walked."""
+    _powersum_caps(g)
     return _powersum(g, forest_walk(g))
 
 
-def _powersum(g: Graph, row: list[int] | None) -> SymmetricFunction:
-    """csf_powersum of g, given its row forest_walk(g), so a caller that
-    has already walked g does not walk it again."""
-    if g.n < 1:
-        raise GraphError("csf_powersum needs n >= 1")
-    if g.n > CSF_POWERSUM_MAX_N:
-        raise CapExceededError(
-            f"csf_powersum capped at n <= {CSF_POWERSUM_MAX_N}, got {g.n}"
-        )
+def _powersum_caps(g: Graph) -> None:
+    _caps("csf_powersum", g, CSF_POWERSUM_MAX_N)
     if g.num_edges > CSF_POWERSUM_MAX_EDGES:
         raise CapExceededError(
             f"csf_powersum capped at |E| <= {CSF_POWERSUM_MAX_EDGES}, got {g.num_edges}"
         )
+
+
+def _powersum(g: Graph, row: list[int] | None) -> SymmetricFunction:
+    """csf_powersum of g within its caps, given its row forest_walk(g), so
+    a caller that has already walked g does not walk it again."""
     if row is not None:
         return SymmetricFunction(g.n, BASIS_POWERSUM, _tree_powersum_terms(row))
     from ._kernels import edge_subset_type_counts
 
-    signed = edge_subset_type_counts(g.n, g.edges)
-    plist = partitions_desc(g.n)
-    terms = {plist[i]: c for i, c in enumerate(signed) if c}
-    return SymmetricFunction(g.n, BASIS_POWERSUM, terms)
+    return SymmetricFunction(g.n, BASIS_POWERSUM, edge_subset_type_counts(g.n, g.edges))
 
 
 def _tree_powersum_terms(row) -> tuple[tuple[tuple[int, ...], int], ...]:
@@ -187,13 +184,9 @@ def _tree_powersum_terms(row) -> tuple[tuple[tuple[int, ...], int], ...]:
     the open size and field c the number of closed components of size c.
     Merging is then addition: kept = parent + child, and cut = parent +
     child with the child's open size b moved from field 0 to field b, and a
-    product adds keys.  With
-    field 0 empty, larger keys are exactly the larger partitions in
-    descending lexicographic order, so the closed keys are sorted as ints."""
+    product adds keys."""
     n = len(row)
-    width = n.bit_length()
-    mask = (1 << width) - 1
-    unit = [1 << (width * c) for c in range(n + 1)]
+    _, mask, unit = packed_layout(n)
     kids: list[list[int]] = [[] for _ in range(n)]
     for v in range(n):
         if row[v] != v:
@@ -223,8 +216,7 @@ def _tree_powersum_terms(row) -> tuple[tuple[tuple[int, ...], int], ...]:
             for k0, y in closed.items():
                 nxt[k0 + k] = nxt.get(k0 + k, 0) + x * y
         closed = nxt
-    decode = partition_keys(n)
-    return tuple((decode[key], closed[key]) for key in sorted(closed, reverse=True) if closed[key])
+    return packed_terms(n, closed)
 
 
 def to_monomial(f: SymmetricFunction) -> SymmetricFunction:
@@ -244,9 +236,7 @@ def to_monomial(f: SymmetricFunction) -> SymmetricFunction:
     if f.basis != BASIS_POWERSUM:
         raise GraphError(f"to_monomial supports basis 'p', not {f.basis!r}")
     n = f.n
-    width = n.bit_length()
-    mask = (1 << width) - 1
-    unit = [1 << (width * c) for c in range(n + 1)]
+    width, mask, unit = packed_layout(n)
     acc: dict[int, int] = {}
     for parts, coeff in f.terms:
         cur = {0: coeff}
@@ -266,9 +256,8 @@ def to_monomial(f: SymmetricFunction) -> SymmetricFunction:
             cur = nxt
         for key, x in cur.items():
             acc[key] = acc.get(key, 0) + x
-    decode = partition_keys(n)
-    out = {decode[key]: x * mult_factorial(decode[key]) for key, x in acc.items() if x}
-    return SymmetricFunction(n, BASIS_MONOMIAL, out)
+    terms = [(parts, x * mult_factorial(parts)) for parts, x in packed_terms(n, acc)]
+    return SymmetricFunction(n, BASIS_MONOMIAL, terms)
 
 
 def csf_equal(a: Graph, b: Graph) -> bool:
@@ -284,8 +273,12 @@ def csf_equal(a: Graph, b: Graph) -> bool:
     if (row_a is None) != (row_b is None):
         return False
     if row_a is not None:
+        _powersum_caps(a)
+        _powersum_caps(b)
         return _powersum(a, row_a).terms == _powersum(b, row_b).terms
-    return csf_monomial(a).terms == csf_monomial(b).terms
+    _caps("csf_monomial", a, CSF_MONOMIAL_MAX_N)
+    _caps("csf_monomial", b, CSF_MONOMIAL_MAX_N)
+    return _monomial(a, row_a).terms == _monomial(b, row_b).terms
 
 
 def max_block_from_csf(f: SymmetricFunction) -> int:

@@ -262,12 +262,10 @@ def monomial_by_stable_partitions(g: Graph) -> SymmetricFunction:
     this is the route the DP is checked against; the counting DP itself
     is checked against stable_partitions_rgs in test_kernels and
     test_symfunc, and that stream against stable_partitions_bruteforce."""
-    counts = stable_type_counts(g.n, g.edges)
     terms = {}
-    for parts, c in zip(partitions_desc(g.n), counts):
-        if c:
-            mults = collections.Counter(parts).values()
-            terms[parts] = c * math.prod(math.factorial(k) for k in mults)
+    for parts, c in stable_type_counts(g.n, g.edges):
+        mults = collections.Counter(parts).values()
+        terms[parts] = c * math.prod(math.factorial(k) for k in mults)
     return SymmetricFunction(g.n, "m", terms)
 
 

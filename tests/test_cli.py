@@ -105,6 +105,19 @@ def test_compute_powersum_caps_n_fast(tmp_path, capsys):
     assert capsys.readouterr().err == "error: csf_powersum capped at n <= 25, got 70\n"
 
 
+def test_compute_checks_the_caps_before_the_walk(tmp_path, capsys, monkeypatch):
+    """A declared n of 10^6 is refused before the graph is walked, in
+    either basis: the walk's adjacency list alone grows with n."""
+    def no_walk(adj, roots):
+        raise AssertionError("a graph past the caps was walked")
+
+    monkeypatch.setattr(graphs, "_walk_row", no_walk)
+    path = _write(tmp_path, "huge.txt", "n 1000000\n0 1\n")
+    for basis, cap in (("p", "csf_powersum capped at n <= 25"), ("m", "csf_monomial capped at n <= 14")):
+        assert main(["compute", "--input", path, "--basis", basis]) == 1
+        assert capsys.readouterr().err == f"error: {cap}, got 1000000\n"
+
+
 def test_internal_error_exits_3(tmp_path, capsys, monkeypatch):
     def broken(g):
         raise InternalError("invariant broken")

@@ -4,10 +4,13 @@ from collections import Counter
 
 import pytest
 
+from csftrees.errors import InternalError
 from csftrees.partitions import (
     falling_factorial,
     mult_factorial,
     num_partitions,
+    packed_layout,
+    packed_terms,
     partitions_desc,
     rank_desc,
     unrank_desc,
@@ -80,3 +83,12 @@ def test_falling_factorial():
     for r in range(8):
         for k in range(r + 1):
             assert falling_factorial(r, k) == math.factorial(r) // math.factorial(r - k)
+
+
+@pytest.mark.parametrize("n", [2, 5, 12])
+def test_packed_terms_refuse_a_key_that_is_not_a_partition_of_n(n):
+    _, _, unit = packed_layout(n)
+    with pytest.raises(InternalError, match=f"not a partition of {n}"):
+        packed_terms(n, {n * unit[1] + 1: 1})  # field 0 set
+    with pytest.raises(InternalError, match=f"not a partition of {n}"):
+        packed_terms(n, {unit[n - 1]: 0})  # a partition of n - 1, even with count 0

@@ -136,9 +136,7 @@ def test_powersum_caps_n_before_any_table():
 
 def _sweep(g: Graph) -> dict:
     """The 2^|E| signed edge-subset sweep, called directly."""
-    plist = partitions_desc(g.n)
-    counts = edge_subset_type_counts(g.n, g.edges)
-    return {plist[i]: int(c) for i, c in enumerate(counts) if c}
+    return dict(edge_subset_type_counts(g.n, g.edges))
 
 
 def test_tree_dp_matches_sweep():
@@ -259,14 +257,20 @@ def test_forest_of_two_paths_on_25_vertices_is_the_product_of_the_paths():
     _assert_canonical(25, terms)
 
 
-def test_forests_report_the_tree_caps():
-    """csf_monomial of a forest is to_monomial of its p-terms, so it hits
-    whichever of the two caps comes first, as on a tree."""
-    with pytest.raises(CapExceededError, match=re.escape("to_monomial capped at n <= 14, got 15")):
-        csf_monomial(Graph(15, tuple((i, i + 1) for i in range(13))))
-    with pytest.raises(CapExceededError,
-                       match=re.escape("csf_powersum capped at n <= 25, got 30")):
-        csf_monomial(Graph(30, ((0, 1), (2, 3))))
+def test_forests_report_the_tree_caps(monkeypatch):
+    """csf_monomial checks its own cap before it walks g, so a forest gets
+    the same message as a graph with cycles, and P25, within csf_powersum's
+    caps, is refused without running the tree DP."""
+    def no_dp(row):
+        raise AssertionError("the tree DP ran past csf_monomial's cap")
+
+    monkeypatch.setattr(symfunc, "_tree_powersum_terms", no_dp)
+    forests = (Graph(15, tuple((i, i + 1) for i in range(13))), Graph(30, ((0, 1), (2, 3))),
+               gen_path(25))
+    for g in forests:
+        with pytest.raises(CapExceededError,
+                           match=re.escape(f"csf_monomial capped at n <= 14, got {g.n}")):
+            csf_monomial(g)
     with pytest.raises(GraphError):
         csf_equal(Graph(0), Graph(0))
 
@@ -315,6 +319,11 @@ def test_each_forest_is_walked_once_per_call(monkeypatch):
         csf_powersum(g)
         assert forest_walk(g) is None
     assert calls == []
+    # a triangle and two isolated vertices against a triangle and an edge:
+    # |E| < n, so each is walked once to route, and not again to count
+    assert not csf_equal(Graph(5, ((0, 1), (1, 2), (0, 2))),
+                         Graph(5, ((0, 1), (1, 2), (0, 2), (3, 4))))
+    assert calls == [5, 5]
     assert forest_walk(Graph(0)) == []
     with pytest.raises(GraphError, match="csf_powersum needs n >= 1"):
         csf_equal(Graph(0), Graph(0))
@@ -396,8 +405,7 @@ def test_random_graphs_counting_dp_and_sweep_agree(g):
     for p in stable_partitions(g):
         typ = tuple(sorted(map(len, p), reverse=True))
         tally[typ] = tally.get(typ, 0) + 1
-    counts = stable_type_counts(g.n, g.edges)
-    assert {part: c for part, c in zip(partitions_desc(g.n), counts) if c} == tally
+    assert dict(stable_type_counts(g.n, g.edges)) == tally
     want = monomial_by_stable_partitions(g).terms
     assert to_monomial(csf_powersum(g)).terms == want
     assert csf_monomial(g).terms == want
