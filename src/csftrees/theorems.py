@@ -19,8 +19,8 @@ cross-checks each claim against coefficients of the chromatic symmetric
 function itself, so an unsound verdict cannot pass silently: the largest
 block is deg i(T; x), the largest k with [m_(k,1^(n-k))] X nonzero, and
 X-equality is decided on exact coefficients of X (the invariant key of
-_independence_and_splits, and the full p-terms of the tree DP where keys
-tie).  Each checker is a rule, which returns its verdict as a plain tuple
+_independence_and_splits, whose digests differ only if the keys do, and
+the full p-terms of the tree DP where digests tie).  Each checker is a rule, which returns its verdict as a plain tuple
 with the detail as a callable, and a wrapper that formats the
 TheoremVerdict; the survey calls the rules once per ordered pair of fact
 classes, and the counts come from class sizes, so no loop runs over the
@@ -41,8 +41,6 @@ Two known weaknesses are handled explicitly rather than papered over:
 """
 
 from __future__ import annotations
-
-from itertools import combinations
 
 from .decomposition import (
     _independence_and_splits,
@@ -509,104 +507,83 @@ def _class_pair(fa: TreeFacts, fb: TreeFacts, ma: int, mb: int):
     return (lv[:2], cw[:2], sm[:2]), (suffix, checks)
 
 
-def _x_equal_groups(rows: list[tuple[int, ...]], by_key: dict) -> list[list[int]]:
-    """The groups of two or more X-equal trees, each ascending, from the
-    trees' indices bucketed by key.  Trees with different keys have
+def _survey_trees(rows):
+    """The survey's per-tree stage: _survey_payload on each row of rows (any
+    iterable, read once), kept as plain lists indexed by tree.  Returns the
+    class id of each tree, ids going to distinct TreeFacts in first-seen
+    order; the facts of each class, in id order; one 64-bit digest
+    hash(key) per tree of its exact key (i(T; x), edge splits, two exact
+    coefficient families of X); deg i(T; x) per tree, which the payload has
+    checked against the sum of b_i; and the chain failures.  No key
+    outlives the call."""
+    classes: dict[TreeFacts, int] = {}
+    cls, digests, degrees, chain_viol = [], [], [], []
+    for i, row in enumerate(rows):
+        facts, failed_chain, key = _survey_payload(row)
+        if failed_chain is not None:
+            chain_viol.append({"tree": i, "sequence": list(failed_chain)})
+        cls.append(classes.setdefault(facts, len(classes)))
+        digests.append(hash(key))
+        degrees.append(len(key[0]) - 1)
+    return cls, list(classes), digests, degrees, chain_viol
+
+
+def _x_equal_groups(rows, digests: list[int], degrees: list[int]) -> list[list[int]]:
+    """The survey's X stage, the one place it decides X-equality: the groups
+    of two or more X-equal trees, each ascending, from the trees' indices
+    bucketed by the digests of their keys.  Trees with different keys have
     different X, so the tree DP runs only in buckets of two or more trees,
-    on each row as it is (the DP's one input, so no Tree is built); there
-    the full p-terms decide (a dict keyed by the terms, so a hash never
-    decides alone), and the max block read from their hooks must equal
-    deg i(T; x), the bucket's.  The CSF engine is imported only for such a
-    bucket: no two trees tie for n <= 10."""
+    on each row as it is (the DP's one input, so no Tree is built).  There
+    the full p-terms decide (the change of basis is invertible; a dict
+    keyed by the terms, so neither a digest nor a hash decides alone, and a
+    digest collision costs DP runs, never a verdict), and the max block
+    read from their hooks must equal the tree's deg i(T; x).  The CSF
+    engine is imported only for such a bucket: no two trees tie for
+    n <= 10."""
+    by_digest: dict[int, list[int]] = {}
+    for i, digest in enumerate(digests):
+        by_digest.setdefault(digest, []).append(i)
     groups = []
-    for key, members in by_key.items():
+    for members in by_digest.values():
         if len(members) < 2:
             continue
-        degree = len(key[0]) - 1
         from .symfunc import _hook_max_block, _tree_powersum_terms
 
         by_terms: dict[tuple, list[int]] = {}
         for i in members:
             terms = _tree_powersum_terms(rows[i])
             hook = _hook_max_block(len(rows[i]), terms)
-            if hook != degree:
+            if hook != degrees[i]:
                 raise InternalError(
-                    f"tree {i}: max block {hook} from the p-terms, deg i(T; x) = {degree}"
+                    f"tree {i}: max block {hook} from the p-terms, deg i(T; x) = {degrees[i]}"
                 )
             by_terms.setdefault(terms, []).append(i)
         groups.extend(g for g in by_terms.values() if len(g) > 1)
     return groups
 
 
-def _check_survey_n(n) -> None:
-    """survey's range check, which the CLI also runs before it opens a file."""
-    bad_n = f"survey needs an integer n with 3 <= n <= {ENUM_MAX_N}"
-    if not is_int(n) or n < 3:
-        raise GraphError(bad_n)
-    if n > ENUM_MAX_N:
-        raise CapExceededError(bad_n)
-
-
-def survey(n: int) -> SurveyReport:
-    """Replay the pairwise checkers over all non-isomorphic trees on n
-    vertices (3 <= n <= ENUM_MAX_N), cross-check every Applicable claim
-    against the CSF, and run the chain/spider/star audits for the same n.
-
-    The trees are the rows of generators._free_tree_edge_sets (one WROM
-    level sequence per tree, as a parent list, sorted by canonical code),
-    and tree indices are positions in that order; every per-tree fold runs
-    on the row, the tree DP included, and a Tree is built only for the
-    audits.  Each tree gets two exact coefficient families of X from one
-    small DP (_independence_and_splits): i(T; x) and its edge splits.  alpha,
-    the largest block every claimed maximum is checked against, is the sum
-    of b_i, which must equal deg i(T; x) on every tree.  Trees whose keys
-    differ have different X; only inside buckets of two or more trees does
-    the full tree DP run, and there X-equality is decided on the exact
-    p-terms (the change of basis is invertible), whose hook coefficients
-    must give alpha again.  A key match alone never makes a pair X-equal.
-
-    The checkers read only TreeFacts, which fix alpha, so the trees are
-    grouped into fact classes, and the checkers' rules (no TheoremVerdict,
-    no detail prose), their CSV cells and their soundness problems run
-    once per ordered class pair.  No loop runs over tree pairs:
-      * verdict_counts weighs each unordered class pair by its number of
-        tree pairs, |A| |B| or C(|A|, 2).  That needs the status and case of
-        each verdict to be the same in both orders of the pair, which is
-        checked wherever both orders hold a tree pair.
-      * x_equal_pairs sums C(|group|, 2) over the groups of X-equal trees.
-      * The soundness violations come from the pairs inside those groups
-        and the tree pairs of the ordered class pairs that have a problem
-        even when X differs, listed in (a, b) order.
-
-    Everything runs in one process, so the report depends on n alone.  The
-    per-pair CSV rows are not stored: the report's pair_rows() rebuilds
-    them, a block per first tree, from the class pairs' cells and the
-    X-equal groups when called."""
-    _check_survey_n(n)
-    rows = _free_tree_edge_sets(n)
-    num = len(rows)
-    chain_viol = []
-    by_key: dict[tuple, list[int]] = {}
-    classes: dict[TreeFacts, int] = {}
-    cls = []
-    for i, row in enumerate(rows):
-        facts, failed_chain, key = _survey_payload(row)
-        if failed_chain is not None:
-            chain_viol.append({"tree": i, "sequence": list(failed_chain)})
-        by_key.setdefault(key, []).append(i)
-        cls.append(classes.setdefault(facts, len(classes)))
-
-    later: dict[int, list[int]] = {}  # the X-equal trees after each tree
-    equal_pairs: list[tuple[int, int]] = []
-    for group in _x_equal_groups(rows, by_key):
-        for pos, i in enumerate(group):
-            later[i] = group[pos + 1 :]
-        equal_pairs.extend(combinations(group, 2))
-
-    members: list[list[int]] = [[] for _ in classes]
+def _survey_class_pairs(cls: list[int], class_of: list[TreeFacts], later: dict):
+    """The survey's class-pair stage, from the class id of each tree, the
+    facts of each class and, for each tree i of an X-equal group, the trees
+    j > i of its group (later[i]).  The checkers read only TreeFacts, which
+    fix alpha, so their rules (no TheoremVerdict, no detail prose), their
+    CSV cells and their soundness problems run once per ordered class pair,
+    and no loop runs over tree pairs.  Returns:
+      * the members of each class, ascending;
+      * the memo: entry a * k + b holds (CSV suffix, checks) of the ordered
+        class pair (a, b) if it holds a tree pair i < j with i in class a
+        and j in class b (its first tree in a precedes its last one in b),
+        else None;
+      * verdict_counts, which weighs each unordered class pair by its
+        number of tree pairs, |A| |B| or C(|A|, 2).  That needs the status
+        and case of each verdict to be the same in both orders of the
+        pair, which is checked wherever both orders hold a tree pair;
+      * the soundness violations, from the X-equal pairs and the tree pairs
+        of the ordered class pairs that have a problem even when X differs,
+        listed in (a, b) order."""
+    members: list[list[int]] = [[] for _ in class_of]
     for i, c in enumerate(cls):
         members[c].append(i)
-    class_of = list(classes)
     blocks = [sum(b for b, _ in f.levels) for f in class_of]
     k = len(class_of)
     counts = {
@@ -614,9 +591,6 @@ def survey(n: int) -> SurveyReport:
         COMPONENTWISE: {"applicable": 0, "not_applicable": 0},
         SUMMED: {"applicable": 0, "not_applicable": 0},
     }
-    # memo[a * k + b]: (CSV suffix, checks) of the ordered class pair (a, b),
-    # for the pairs that hold a tree pair i < j with i in class a and j in
-    # class b: those whose first tree in a precedes the last one in b
     memo: list = [None] * (k * k)
     for a in range(k):
         for b in range(a, k):
@@ -641,7 +615,7 @@ def survey(n: int) -> SurveyReport:
             for theorem, status in ((COMPONENTWISE, cw), (SUMMED, sm)):
                 counts[theorem]["applicable" if status == APPLICABLE else "not_applicable"] += weight
 
-    flagged = set(equal_pairs)
+    flagged = {(i, j) for i, js in later.items() for j in js}
     for key, entry in enumerate(memo):
         if entry is not None and any(problems for _, problems in entry[1]):
             firsts, seconds = members[key // k], members[key % k]
@@ -653,7 +627,48 @@ def survey(n: int) -> SurveyReport:
             if x_equal or problems:
                 reason = "; ".join(["csf_equal is true", *problems] if x_equal else problems)
                 violations.append({"a": i, "b": j, "theorem": theorem, "reason": reason})
+    return members, memo, counts, violations
 
+
+def _check_survey_n(n) -> None:
+    """survey's range check, which the CLI also runs before it opens a file."""
+    bad_n = f"survey needs an integer n with 3 <= n <= {ENUM_MAX_N}"
+    if not is_int(n) or n < 3:
+        raise GraphError(bad_n)
+    if n > ENUM_MAX_N:
+        raise CapExceededError(bad_n)
+
+
+def survey(n: int) -> SurveyReport:
+    """Replay the pairwise checkers over all non-isomorphic trees on n
+    vertices (3 <= n <= ENUM_MAX_N), cross-check every Applicable claim
+    against the CSF, and run the chain/spider/star audits for the same n.
+
+    The trees are the rows of generators._free_tree_edge_sets (one WROM
+    level sequence per tree, as a parent list, sorted by canonical code),
+    and tree indices are positions in that order; every per-tree fold runs
+    on the row, the tree DP included, and a Tree is built only for the
+    audits.  The rows go through three stages, then the report:
+      * _survey_trees: facts, fact classes, key digests and the chain audit;
+      * _x_equal_groups: X-equality, decided on exact p-terms inside the
+        buckets of equal digests; x_equal_pairs counts the pairs inside
+        its groups;
+      * _survey_class_pairs: verdict_counts and the soundness violations,
+        from the checkers' rules once per ordered pair of fact classes,
+        each claimed maximum checked against alpha, the sum of b_i.
+
+    Everything runs in one process, so the report depends on n alone.  The
+    per-pair CSV rows are not stored: the report's pair_rows() rebuilds
+    them, a block per first tree, from the class pairs' cells and the
+    X-equal groups when called."""
+    _check_survey_n(n)
+    rows = _free_tree_edge_sets(n)
+    num = len(rows)
+    cls, class_of, digests, degrees, chain_viol = _survey_trees(rows)
+    groups = _x_equal_groups(rows, digests, degrees)
+    later = {i: group[pos + 1 :] for group in groups for pos, i in enumerate(group)}
+    members, memo, counts, violations = _survey_class_pairs(cls, class_of, later)
+    k = len(members)
     suffix = [entry and entry[0] for entry in memo]
 
     def pair_rows():
@@ -676,7 +691,7 @@ def survey(n: int) -> SurveyReport:
         n=n,
         num_trees=num,
         pairs=num * (num - 1) // 2,
-        x_equal_pairs=len(equal_pairs),
+        x_equal_pairs=sum(map(len, later.values())),
         soundness_violations=tuple(violations),
         verdict_counts=counts,
         chain_audit_violations=tuple(chain_viol),

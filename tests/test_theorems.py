@@ -667,6 +667,41 @@ def test_survey_with_one_key_per_degree_runs_the_dp_on_every_tied_tree(monkeypat
     _assert_same_survey(rep, survey_pairwise_reference(7))
 
 
+def test_survey_with_one_digest_runs_the_dp_once_per_tree(monkeypatch):
+    # every key hashes alike, so all 47 trees on 9 vertices share one
+    # digest bucket; the p-terms still tell every tree apart
+    from csftrees import symfunc
+
+    class Colliding(tuple):
+        def __hash__(self):
+            return 0
+
+    clean = survey(9)
+    _patch_payloads(monkeypatch, 9, lambda i, p: (*p[:2], Colliding(p[2])))
+    calls = []
+    real = symfunc._tree_powersum_terms
+
+    def counted(row):
+        calls.append(_row_code(row))
+        return real(row)
+
+    monkeypatch.setattr(symfunc, "_tree_powersum_terms", counted)
+    rep = survey(9)
+    assert len(calls) == len(set(calls)) == rep.num_trees == 47
+    assert rep.x_equal_pairs == 0
+    assert survey_report_to_json_dict(rep) == survey_report_to_json_dict(clean)
+    _assert_same_survey(rep, clean)
+
+
+def test_survey_trees_reads_its_rows_once():
+    from csftrees import theorems
+
+    rows = _free_tree_edge_sets(8)
+    lists = theorems._survey_trees(row for row in rows)
+    assert lists == theorems._survey_trees(rows)
+    assert len(lists[0]) == len(lists[2]) == 23
+
+
 def test_survey_x_equality_compares_full_terms(monkeypatch):
     # Trees 0 and last get tree 0's p-terms, and all three of 0, 1 and last
     # tree 0's key.  Tree 1, whose alpha is tree 0's, gets terms that differ
