@@ -16,8 +16,9 @@ Which route computes X_G depends on the graph, never on how it was built
     disjoint union is the product of its parts' X.  Its tables are
     bounded by the partitions of n, not by 2^|E| (under 0.1 s at n = 25),
     and it is the engine behind csf_equal, the survey and the CLI on
-    forests; csf_monomial of a forest is to_monomial of its result.  Every
-    entry walks a graph once and hands that row to _powersum or _monomial.
+    forests; csf_monomial of a forest is to_monomial of its result.  Each
+    entry walks each graph once and routes on that row; only the results
+    of csf_powersum, csf_monomial and to_monomial are SymmetricFunctions.
   * Graphs with cycles: csf_powersum sums the same expansion with a
     depth-first edge sweep that stops wherever taking an edge would close
     a cycle, since there taking and skipping it cancel. It visits one leaf
@@ -25,9 +26,9 @@ Which route computes X_G depends on the graph, never on how it was built
     per edge subset.  csf_monomial counts stable (independent) vertex
     partitions by block-size type with a subset DP over vertex sets, each
     stable partition of type lambda contributing (product of part
-    multiplicities!) to [m_lambda].  Both kernels live in _kernels, which
-    these two branches import when they run, so a process that sees only
-    forests never loads it.
+    multiplicities!) to [m_lambda] (_stable_terms).  Both kernels live in
+    _kernels, which these branches import when they run, so a process that
+    sees only forests never loads it.
   * Oracles: on forests the edge sweep (edge_subset_type_counts, 2^|E|
     leaves there) and the stable-partition count (stable_type_counts),
     each called directly, are independent checks of the DP at the sizes
@@ -49,7 +50,9 @@ included.
 
 Caps: csf_powersum needs n <= CSF_POWERSUM_MAX_N and |E| <=
 CSF_POWERSUM_MAX_EDGES, csf_monomial and to_monomial n <= CSF_MONOMIAL_MAX_N;
-both entries check their caps before they walk g.
+_caps is the one check.  Both entries check their caps before they walk g,
+and csf_equal checks the caps of the route it takes, for both graphs,
+before any DP or kernel runs.
 
 Term order is canonical everywhere: partitions in descending lexicographic
 order, no zero coefficients stored.
@@ -117,51 +120,40 @@ def csf_monomial(g: Graph) -> SymmetricFunction:
     forest, stable-partition counting otherwise.  The caps are checked
     before g is walked."""
     _caps("csf_monomial", g, CSF_MONOMIAL_MAX_N)
-    return _monomial(g, forest_walk(g))
-
-
-def _caps(entry: str, g: Graph, max_n: int) -> None:
-    if g.n < 1:
-        raise GraphError(f"{entry} needs n >= 1")
-    if g.n > max_n:
-        raise CapExceededError(f"{entry} capped at n <= {max_n}, got {g.n}")
-
-
-def _monomial(g: Graph, row: list[int] | None) -> SymmetricFunction:
-    """csf_monomial of g within its caps, given its row forest_walk(g), so
-    a caller that has already walked g does not walk it again."""
+    row = forest_walk(g)
     if row is not None:
-        return to_monomial(_powersum(g, row))
-    from ._kernels import stable_type_counts
-
-    terms = [(parts, c * mult_factorial(parts)) for parts, c in stable_type_counts(g.n, g.edges)]
-    return SymmetricFunction(g.n, BASIS_MONOMIAL, terms)
+        return to_monomial(SymmetricFunction(g.n, BASIS_POWERSUM, _tree_powersum_terms(row)))
+    return SymmetricFunction(g.n, BASIS_MONOMIAL, _stable_terms(g))
 
 
 def csf_powersum(g: Graph) -> SymmetricFunction:
     """X_G in the power-sum basis: the rooted DP over g's row when g is a
     forest, the signed edge sweep otherwise, which visits one edge set per
     acyclic orientation of g.  The caps are checked before g is walked."""
-    _powersum_caps(g)
-    return _powersum(g, forest_walk(g))
-
-
-def _powersum_caps(g: Graph) -> None:
-    _caps("csf_powersum", g, CSF_POWERSUM_MAX_N)
-    if g.num_edges > CSF_POWERSUM_MAX_EDGES:
-        raise CapExceededError(
-            f"csf_powersum capped at |E| <= {CSF_POWERSUM_MAX_EDGES}, got {g.num_edges}"
-        )
-
-
-def _powersum(g: Graph, row: list[int] | None) -> SymmetricFunction:
-    """csf_powersum of g within its caps, given its row forest_walk(g), so
-    a caller that has already walked g does not walk it again."""
+    _caps("csf_powersum", g, CSF_POWERSUM_MAX_N, CSF_POWERSUM_MAX_EDGES)
+    row = forest_walk(g)
     if row is not None:
         return SymmetricFunction(g.n, BASIS_POWERSUM, _tree_powersum_terms(row))
     from ._kernels import edge_subset_type_counts
 
     return SymmetricFunction(g.n, BASIS_POWERSUM, edge_subset_type_counts(g.n, g.edges))
+
+
+def _caps(entry: str, g: Graph, max_n: int, max_edges: int | None = None) -> None:
+    if g.n < 1:
+        raise GraphError(f"{entry} needs n >= 1")
+    if g.n > max_n:
+        raise CapExceededError(f"{entry} capped at n <= {max_n}, got {g.n}")
+    if max_edges is not None and g.num_edges > max_edges:
+        raise CapExceededError(f"{entry} capped at |E| <= {max_edges}, got {g.num_edges}")
+
+
+def _stable_terms(g: Graph) -> list[tuple[tuple[int, ...], int]]:
+    """The canonical m-terms of X_G from g's stable partitions: each of type
+    lambda adds prod m_i(lambda)! to [m_lambda]."""
+    from ._kernels import stable_type_counts
+
+    return [(parts, c * mult_factorial(parts)) for parts, c in stable_type_counts(g.n, g.edges)]
 
 
 def _tree_powersum_terms(row) -> tuple[tuple[tuple[int, ...], int], ...]:
@@ -262,23 +254,25 @@ def to_monomial(f: SymmetricFunction) -> SymmetricFunction:
 
 def csf_equal(a: Graph, b: Graph) -> bool:
     """True iff the chromatic symmetric functions coincide (unequal n: False).
-    Two forests are compared in the p basis through the forest DP, and two
-    graphs with cycles through csf_monomial.  A forest and a graph with a
-    cycle always differ, so nothing is counted: X at 1^k is the chromatic
-    polynomial, whose k^(n-1) coefficient is -|E| and whose lowest power
-    of k is k^(#components), so X fixes |E| = n - #components."""
+    Two forests are compared by their p-terms from the forest DP, and two
+    graphs with cycles by their m-terms from the stable partitions, under
+    csf_powersum's and csf_monomial's caps; no SymmetricFunction is built.
+    A forest and a graph with a cycle always differ, so nothing is counted:
+    X at 1^k is the chromatic polynomial, whose k^(n-1) coefficient is -|E|
+    and whose lowest power of k is k^(#components), so X fixes
+    |E| = n - #components."""
     if a.n != b.n:
         return False
     row_a, row_b = forest_walk(a), forest_walk(b)
     if (row_a is None) != (row_b is None):
         return False
     if row_a is not None:
-        _powersum_caps(a)
-        _powersum_caps(b)
-        return _powersum(a, row_a).terms == _powersum(b, row_b).terms
-    _caps("csf_monomial", a, CSF_MONOMIAL_MAX_N)
-    _caps("csf_monomial", b, CSF_MONOMIAL_MAX_N)
-    return _monomial(a, row_a).terms == _monomial(b, row_b).terms
+        for g in (a, b):
+            _caps("csf_powersum", g, CSF_POWERSUM_MAX_N, CSF_POWERSUM_MAX_EDGES)
+        return _tree_powersum_terms(row_a) == _tree_powersum_terms(row_b)
+    for g in (a, b):
+        _caps("csf_monomial", g, CSF_MONOMIAL_MAX_N)
+    return _stable_terms(a) == _stable_terms(b)
 
 
 def max_block_from_csf(f: SymmetricFunction) -> int:

@@ -531,22 +531,24 @@ def _survey_trees(rows):
 def _x_equal_groups(rows, digests: list[int], degrees: list[int]) -> list[list[int]]:
     """The survey's X stage, the one place it decides X-equality: the groups
     of two or more X-equal trees, each ascending, from the trees' indices
-    bucketed by the digests of their keys.  Trees with different keys have
-    different X, so the tree DP runs only in buckets of two or more trees,
-    on each row as it is (the DP's one input, so no Tree is built).  There
-    the full p-terms decide (the change of basis is invertible; a dict
-    keyed by the terms, so neither a digest nor a hash decides alone, and a
-    digest collision costs DP runs, never a verdict), and the max block
-    read from their hooks must equal the tree's deg i(T; x).  The CSF
-    engine is imported only for such a bucket: no two trees tie for
-    n <= 10."""
+    bucketed by the digests of their keys.  Only the digests that two or
+    more trees share get a bucket (adjacent equal values of the sorted
+    digests), in the order of their first tree.  Trees with different keys
+    have different X, so the tree DP runs only in those buckets, on each
+    row as it is (the DP's one input, so no Tree is built).  There the full
+    p-terms decide (the change of basis is invertible; a dict keyed by the
+    terms, so neither a digest nor a hash decides alone, and a digest
+    collision costs DP runs, never a verdict), and the max block read from
+    their hooks must equal the tree's deg i(T; x).  The CSF engine is
+    imported only for such a bucket: no two trees tie for n <= 10."""
+    ordered = sorted(digests)
+    tied = {d for d, e in zip(ordered, ordered[1:]) if d == e}
     by_digest: dict[int, list[int]] = {}
     for i, digest in enumerate(digests):
-        by_digest.setdefault(digest, []).append(i)
+        if digest in tied:
+            by_digest.setdefault(digest, []).append(i)
     groups = []
     for members in by_digest.values():
-        if len(members) < 2:
-            continue
         from .symfunc import _hook_max_block, _tree_powersum_terms
 
         by_terms: dict[tuple, list[int]] = {}

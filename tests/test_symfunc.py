@@ -376,6 +376,47 @@ def test_csf_equal_of_forest_and_graph_with_cycles_counts_nothing(monkeypatch):
     assert calls == [4, 4]
 
 
+def test_csf_equal_builds_no_symmetric_function(monkeypatch):
+    """csf_equal compares the routes' terms; only the public entries build
+    (and validate) a SymmetricFunction: csf_powersum one, csf_monomial of a
+    forest two, the p-result and to_monomial's."""
+    built = []
+    real = SymmetricFunction.__post_init__
+
+    def counted(self):
+        built.append(self.basis)
+        real(self)
+
+    monkeypatch.setattr(SymmetricFunction, "__post_init__", counted)
+    assert not csf_equal(gen_path(7), gen_spider((2, 2, 2)))
+    assert csf_equal(gen_path(7), gen_path(7))
+    assert not csf_equal(_cycle(5), Graph(5, ((0, 1), (1, 2), (0, 2), (2, 3), (3, 4))))
+    assert csf_equal(_cycle(5), _cycle(5))
+    assert built == []
+    csf_monomial(gen_path(7))
+    assert built == ["p", "m"]
+    del built[:]
+    csf_powersum(gen_path(7))
+    assert built == ["p"]
+
+
+def test_csf_equal_checks_both_caps_before_any_kernel(monkeypatch):
+    """Two forests past csf_powersum's n cap and two graphs with cycles past
+    csf_monomial's are refused with the entries' messages before the tree
+    DP or the stable-partition count runs."""
+    def no_kernel(*args):
+        raise AssertionError("a kernel ran past csf_equal's caps")
+
+    monkeypatch.setattr(symfunc, "_tree_powersum_terms", no_kernel)
+    monkeypatch.setattr(_kernels, "stable_type_counts", no_kernel)
+    with pytest.raises(CapExceededError,
+                       match=re.escape("csf_powersum capped at n <= 25, got 26")):
+        csf_equal(gen_path(26), gen_star(26))
+    with pytest.raises(CapExceededError,
+                       match=re.escape("csf_monomial capped at n <= 14, got 15")):
+        csf_equal(_cycle(15), Graph(15, _cycle(15).edges + ((0, 2),)))
+
+
 @settings(max_examples=30, deadline=None)
 @given(_prufer_trees(3, 11))
 def test_dp_sweep_and_stable_partitions_agree(t):
