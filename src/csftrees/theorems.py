@@ -479,12 +479,12 @@ def _star_audit_rows(n: int) -> list[dict]:
 
 
 def _class_pair(fa: TreeFacts, fb: TreeFacts, ma: int, mb: int):
-    """What the survey keeps of the three rules on an ordered class pair
-    with facts (fa, fb) and max blocks (ma, mb): each verdict's status and
-    case; the 13 cells of the pair's CSV rows after a, b and x_equal, each
-    after a comma (no cell holds a comma, a quote or a line break, so none
-    is quoted); and, for each Applicable verdict, its theorem and the
-    problems of its claim."""
+    """The three rules on an ordered class pair with facts (fa, fb) and max
+    blocks (ma, mb), as (outcome, cells, checks): each verdict's status and
+    case; the 13 cells of the pair's CSV rows after a, b and x_equal, one
+    string with each cell after a comma (no cell holds a comma, a quote or
+    a line break, so none is quoted); and, for each Applicable verdict, its
+    theorem and the problems of its claim."""
     lv, cw, sm = _leaves_rule(fa, fb), _componentwise_rule(fa, fb), _sum_rule(fa, fb)
     checks = []
     for theorem, (status, _, m1, m2, swapped, _) in (
@@ -499,12 +499,12 @@ def _class_pair(fa: TreeFacts, fb: TreeFacts, ma: int, mb: int):
         if not (m1 is not None and m2 is not None and m1 > m2):
             problems.append(f"m1 = {m1} is not strictly greater than m2 = {m2}")
         checks.append((theorem, problems))
-    suffix = (
+    cells = (
         f",{lv[0]},{_cell(lv[1])},{_cell(lv[2])},{_cell(lv[3])},{_cell(lv[4])}"
         f",{cw[0]},{_cell(cw[2])},{_cell(cw[3])},{_cell(cw[4])}"
         f",{sm[0]},{_cell(sm[2])},{_cell(sm[3])},{_cell(sm[4])}"
     )
-    return (lv[:2], cw[:2], sm[:2]), (suffix, checks)
+    return (lv[:2], cw[:2], sm[:2]), cells, checks
 
 
 def _survey_trees(rows):
@@ -572,17 +572,17 @@ def _survey_class_pairs(cls: list[int], class_of: list[TreeFacts], later: dict):
     CSV cells and their soundness problems run once per ordered class pair,
     and no loop runs over tree pairs.  Returns:
       * the members of each class, ascending;
-      * the memo: entry a * k + b holds (CSV suffix, checks) of the ordered
-        class pair (a, b) if it holds a tree pair i < j with i in class a
-        and j in class b (its first tree in a precedes its last one in b),
-        else None;
+      * the memo, the survey's one table of CSV cells: entry a * k + b
+        holds the cells of the ordered class pair (a, b) if it holds a tree
+        pair i < j with i in class a and j in class b (its first tree in a
+        precedes its last one in b), else None;
       * verdict_counts, which weighs each unordered class pair by its
         number of tree pairs, |A| |B| or C(|A|, 2).  That needs the status
         and case of each verdict to be the same in both orders of the
         pair, which is checked wherever both orders hold a tree pair;
       * the soundness violations, from the X-equal pairs and the tree pairs
         of the ordered class pairs that have a problem even when X differs,
-        listed in (a, b) order."""
+        listed in (a, b) order; only those class pairs keep their checks."""
     members: list[list[int]] = [[] for _ in class_of]
     for i, c in enumerate(cls):
         members[c].append(i)
@@ -594,6 +594,8 @@ def _survey_class_pairs(cls: list[int], class_of: list[TreeFacts], later: dict):
         SUMMED: {"applicable": 0, "not_applicable": 0},
     }
     memo: list = [None] * (k * k)
+    equal_keys = {cls[i] * k + cls[j] for i, js in later.items() for j in js}
+    checked: dict[int, list] = {}
     for a in range(k):
         for b in range(a, k):
             if b == a:
@@ -604,7 +606,10 @@ def _survey_class_pairs(cls: list[int], class_of: list[TreeFacts], later: dict):
                 orders = [(x, y) for x, y in ((a, b), (b, a)) if members[x][0] < members[y][-1]]
             outcome = None
             for x, y in orders:
-                seen, memo[x * k + y] = _class_pair(class_of[x], class_of[y], blocks[x], blocks[y])
+                key = x * k + y
+                seen, memo[key], checks = _class_pair(class_of[x], class_of[y], blocks[x], blocks[y])
+                if key in equal_keys or any(problems for _, problems in checks):
+                    checked[key] = checks
                 if outcome is not None and seen != outcome:
                     raise InternalError(
                         f"a verdict's status or case depends on the order of classes {a}, {b}"
@@ -618,14 +623,14 @@ def _survey_class_pairs(cls: list[int], class_of: list[TreeFacts], later: dict):
                 counts[theorem]["applicable" if status == APPLICABLE else "not_applicable"] += weight
 
     flagged = {(i, j) for i, js in later.items() for j in js}
-    for key, entry in enumerate(memo):
-        if entry is not None and any(problems for _, problems in entry[1]):
+    for key, checks in checked.items():
+        if any(problems for _, problems in checks):
             firsts, seconds = members[key // k], members[key % k]
             flagged.update((i, j) for i in firsts for j in seconds if i < j)
     violations = []
     for i, j in sorted(flagged):
         x_equal = j in later.get(i, ())
-        for theorem, problems in memo[cls[i] * k + cls[j]][1]:
+        for theorem, problems in checked[cls[i] * k + cls[j]]:
             if x_equal or problems:
                 reason = "; ".join(["csf_equal is true", *problems] if x_equal else problems)
                 violations.append({"a": i, "b": j, "theorem": theorem, "reason": reason})
@@ -654,24 +659,24 @@ def survey(n: int) -> SurveyReport:
       * _survey_trees: facts, fact classes, key digests and the chain audit;
       * _x_equal_groups: X-equality, decided on exact p-terms inside the
         buckets of equal digests; x_equal_pairs counts the pairs inside
-        its groups;
+        its groups; the rows, digests and degrees are freed after it;
       * _survey_class_pairs: verdict_counts and the soundness violations,
         from the checkers' rules once per ordered pair of fact classes,
         each claimed maximum checked against alpha, the sum of b_i.
 
     Everything runs in one process, so the report depends on n alone.  The
     per-pair CSV rows are not stored: the report's pair_rows() rebuilds
-    them, a block per first tree, from the class pairs' cells and the
-    X-equal groups when called."""
+    them, a block per first tree, from the class-pair memo (the one table
+    of CSV cells) and the X-equal groups when called."""
     _check_survey_n(n)
     rows = _free_tree_edge_sets(n)
     num = len(rows)
     cls, class_of, digests, degrees, chain_viol = _survey_trees(rows)
     groups = _x_equal_groups(rows, digests, degrees)
+    del rows, digests, degrees
     later = {i: group[pos + 1 :] for group in groups for pos, i in enumerate(group)}
     members, memo, counts, violations = _survey_class_pairs(cls, class_of, later)
     k = len(members)
-    suffix = [entry and entry[0] for entry in memo]
 
     def pair_rows():
         # tails[c]: (i, the row tails "j,false<cells>\n" for j > i), built
@@ -680,7 +685,7 @@ def survey(n: int) -> SurveyReport:
         tails: dict[int, tuple[int, list[str]]] = {}
         for i in range(num - 1):
             c = cls[i]
-            cells = suffix[c * k : c * k + k]
+            cells = memo[c * k : c * k + k]
             if c not in tails:
                 tails[c] = (i, [f"{j},false{cells[cls[j]]}\n" for j in range(i + 1, num)])
             first, tail = tails.pop(c) if i == members[c][-1] else tails[c]

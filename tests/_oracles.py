@@ -36,9 +36,9 @@ def relabel(g: Graph, perm) -> Graph:
     return type(g)(g.n, tuple((perm[u], perm[v]) for u, v in g.edges))
 
 
-def prufer_tree(seq) -> Tree:
-    """Decode a Prüfer sequence over 0..n-1 (n = len(seq) + 2); the n^(n-2)
-    sequences give every labeled tree once."""
+def _prufer_edges(seq) -> list[tuple[int, int]]:
+    """Decode a Prüfer sequence over 0..n-1 (n = len(seq) + 2) into its
+    tree's edges; the n^(n-2) sequences give every labeled tree once."""
     seq = tuple(seq)
     n = len(seq) + 2
     deg = [1] * n
@@ -58,7 +58,23 @@ def prufer_tree(seq) -> Tree:
     u = heapq.heappop(heap)
     v = heapq.heappop(heap)
     edges.append((u, v))
-    return Tree(n, tuple(edges))
+    return edges
+
+
+def prufer_tree(seq) -> Tree:
+    edges = _prufer_edges(seq)
+    return Tree(len(edges) + 1, tuple(edges))
+
+
+def prufer_adjacency(seq) -> list[list[int]]:
+    """The adjacency lists of the tree a Prüfer sequence encodes, with no
+    Tree built or validated."""
+    edges = _prufer_edges(seq)
+    adj: list[list[int]] = [[] for _ in range(len(edges) + 1)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return adj
 
 
 def evaluate_ones(f: SymmetricFunction, r: int) -> int:

@@ -702,6 +702,55 @@ def test_survey_trees_reads_its_rows_once():
     assert len(lists[0]) == len(lists[2]) == 23
 
 
+def test_survey_class_pair_memo_holds_only_cells():
+    # the memo is the survey's one table of CSV cells: each entry is the 13
+    # cells of an ordered class pair, one string, or None
+    from csftrees import theorems
+
+    rows = _free_tree_edge_sets(12)
+    cls, class_of, digests, degrees, _ = theorems._survey_trees(rows)
+    groups = theorems._x_equal_groups(rows, digests, degrees)
+    later = {i: group[pos + 1 :] for group in groups for pos, i in enumerate(group)}
+    members, memo, _, _ = theorems._survey_class_pairs(cls, class_of, later)
+    assert len(memo) == len(members) ** 2
+    assert all(entry is None or type(entry) is str for entry in memo)
+    cells = [entry for entry in memo if entry is not None]
+    assert cells and all(entry.count(",") == len(SURVEY_CSV_HEADER) - 3 for entry in cells)
+
+
+def test_survey_frees_its_rows_before_the_class_pair_stage(monkeypatch):
+    # the X stage is the rows' last reader; a list subclass can be weakly
+    # referenced, so the wrapped class-pair stage sees whether they are gone
+    import gc
+    import weakref
+
+    from csftrees import theorems
+
+    class Rows(list):
+        pass
+
+    refs, dead = [], []
+    real_rows, real_pairs = theorems._free_tree_edge_sets, theorems._survey_class_pairs
+
+    def rows(n):
+        made = Rows(real_rows(n))
+        refs.append(weakref.ref(made))
+        return made
+
+    def class_pairs(*args):
+        gc.collect()
+        dead.append(len(refs) == 1 and refs[0]() is None)
+        return real_pairs(*args)
+
+    clean = survey(10)
+    monkeypatch.setattr(theorems, "_free_tree_edge_sets", rows)
+    monkeypatch.setattr(theorems, "_survey_class_pairs", class_pairs)
+    rep = survey(10)
+    assert dead == [True]
+    assert survey_report_to_json_dict(rep) == survey_report_to_json_dict(clean)
+    assert "".join(rep.pair_rows()) == "".join(clean.pair_rows())
+
+
 def test_survey_x_equality_compares_full_terms(monkeypatch):
     # Trees 0 and last get tree 0's p-terms, and all three of 0, 1 and last
     # tree 0's key.  Tree 1, whose alpha is tree 0's, gets terms that differ
