@@ -13,8 +13,9 @@ it): the center(s) come first, then the legs/stars in spec order.
 Free trees are enumerated directly, one center-rooted level sequence per
 tree (the WROM algorithm of Wright, Richmond, Odlyzko & McKay, 1986), and
 sorted by canonical code.  Each is kept as a row, the sequence's parent
-list, and its code is read from the row by graphs._row_code, so the walk
-builds no Tree; enumerate_free_trees builds one validated Tree per row.
+list as n bytes, keyed by its code, which graphs._row_code reads from the
+row, so the walk builds no Tree; enumerate_free_trees builds one
+validated Tree per row.
 
 Caps (CapExceededError): spiders and star connections are built only up to
 BUILD_MAX_VERTICES vertices, checked on the spec before any edge exists;
@@ -262,31 +263,30 @@ def _next_rooted(s: list[int], p: int) -> None:
         s[i] = s[i - (p - q)]
 
 
-def _free_tree_edge_sets(n: int) -> list[tuple[int, ...]]:
+def _free_tree_edge_sets(n: int) -> list[bytes]:
     """The free trees on n vertices as rows, sorted by canonical code.  A
-    row is the parent list of a WROM level sequence: row[0] = 0 for the
-    root, a center, and row[v] < v, the last vertex before v one level up,
-    so reversed index order is a post-order.  Its code is read from the row
-    (graphs._row_code); no Tree is built.  The name is older than the
+    row is the parent list of a WROM level sequence as bytes (n <=
+    ENUM_MAX_N < 256): row[0] = 0 for the root, a center, and row[v] < v,
+    the last vertex before v one level up, so reversed index order is a
+    post-order.  Its code (graphs._row_code) keys it, so a code met twice
+    is caught at insertion; no Tree is built.  The name is older than the
     return type; benchmark traces time this step under it."""
     if not is_int(n) or n < 1:
         raise GraphError(f"tree order must be a positive integer, got {n!r}")
     if n > ENUM_MAX_N:
         raise CapExceededError(f"enumeration capped at n <= {ENUM_MAX_N}, got {n}")
-    coded = []
+    by_code: dict[str, bytes] = {}
     for s in _free_tree_level_sequences(n):
         last = [0] * n  # a vertex's parent is the last vertex before it one level up
         row = [0] * n
         for i in range(1, n):
             row[i] = last[s[i] - 1]
             last[s[i]] = i
-        row = tuple(row)
-        coded.append((_row_code(row), row))
-    coded.sort()
-    for (a, _), (b, _) in zip(coded, coded[1:]):
-        if a == b:
-            raise InternalError(f"free-tree enumeration met the code {a} twice at n = {n}")
-    return [row for _, row in coded]
+        code = _row_code(row)
+        if code in by_code:
+            raise InternalError(f"free-tree enumeration met the code {code} twice at n = {n}")
+        by_code[code] = bytes(row)
+    return [by_code[c] for c in sorted(by_code)]
 
 
 def enumerate_free_trees(n: int) -> list[Tree]:

@@ -415,7 +415,7 @@ def _cell(x) -> str:
     return str(x)
 
 
-def _survey_payload(row: tuple[int, ...]):
+def _survey_payload(row: bytes):
     """Per-tree work unit on a row (generators._free_tree_edge_sets): the
     tree's facts, its chain sequence if the chain fails (else None) and
     its exact X-invariant key (i(T; x), edge splits), all folded over the
@@ -425,7 +425,7 @@ def _survey_payload(row: tuple[int, ...]):
     levels, key = facts.levels, _independence_and_splits(row)
     degree, blocks = len(key[0]) - 1, sum(b for b, _ in levels)
     if degree != blocks:
-        raise InternalError(f"deg i(T; x) = {degree} but sum of b_i = {blocks} for parents {row}")
+        raise InternalError(f"deg i(T; x) = {degree} but sum of b_i = {blocks} for parents {list(row)}")
     return facts, None if chain_holds(levels) else chain_sequence(levels), key
 
 

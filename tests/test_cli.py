@@ -639,6 +639,25 @@ def test_starconn_audit(tmp_path, capsys):
     }
 
 
+def test_starconn_audit_exits_3_on_a_tree_that_breaks_the_closed_forms(
+    tmp_path, capsys, monkeypatch
+):
+    real = theorems.gen_star_connection
+
+    def built(spec):  # one leaf more at vertex 0, a center
+        t = real(spec)
+        return Tree(t.n + 1, t.edges + ((0, t.n),))
+
+    monkeypatch.setattr(theorems, "gen_star_connection", built)
+    spec = _write(tmp_path, "spec.json", TWO_S3)
+    assert main(["starconn", "--spec", spec, "--audit"]) == 3
+    assert capsys.readouterr() == (
+        "",
+        "error: internal check failed: star connection built with 6 vertices and excess 1, "
+        "closed forms give 5 and 1\n",
+    )
+
+
 def test_starconn_bad_spec(tmp_path, capsys):
     spec = _write(tmp_path, "spec.json", '{"stars": [3, 3]}')
     assert main(["starconn", "--spec", spec, "--audit"]) == 1

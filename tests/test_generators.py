@@ -195,6 +195,9 @@ def test_star_connection_json():
     ]:
         with pytest.raises(GraphError):
             StarConnectionSpec.from_json(bad)
+    for bad in ['{"stars": 3, "gluings": []}', '{"stars": [3, 3], "gluings": {}}']:
+        with pytest.raises(GraphError, match='"stars" and "gluings" must be lists'):
+            StarConnectionSpec.from_json(bad)
 
 
 def test_prufer_tree():
@@ -252,6 +255,14 @@ def test_enumeration_codes_one_sequence_per_tree(monkeypatch, n):
 
     monkeypatch.setattr(generators, "_row_code", code)
     assert len(generators._free_tree_edge_sets(n)) == len(coded) == FREE_TREE_COUNTS[n - 1]
+
+
+def test_enumeration_rows_are_n_bytes():
+    # a row holds parent indices below n <= ENUM_MAX_N, so each fits a byte
+    assert generators.ENUM_MAX_N < 256
+    for n in range(1, 13):
+        for row in generators._free_tree_edge_sets(n):
+            assert type(row) is bytes and len(row) == n
 
 
 def test_representatives_are_rooted_at_a_center():

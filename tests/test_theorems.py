@@ -139,7 +139,7 @@ def test_rows_match_the_tree_route(n):
     for s in generators._free_tree_level_sequences(n):
         # a vertex's parent is the last vertex before it one level up
         parents = [max(j for j in range(i) if s[j] == s[i] - 1) for i in range(1, n)]
-        row = (0, *parents)
+        row = bytes((0, *parents))
         rows.remove(row)
         t = Tree(n, tuple(zip(parents, range(1, n))))
         assert _row_code(row) == canonical_code(t)
@@ -387,6 +387,22 @@ def test_star_connection_distinct():
     back = star_connection_distinct(CHAIN_4534, two_s7)
     assert (back.status, back.m1, back.m2, back.swapped) == (APPLICABLE, 11, 9, True)
     assert not csf_equal(gen_star_connection(two_s7), gen_star_connection(CHAIN_4534))
+
+
+def test_star_connection_audit_rejects_a_tree_that_breaks_the_closed_forms(monkeypatch):
+    from csftrees import theorems
+
+    real = theorems.gen_star_connection
+
+    def built(spec):  # one leaf more at vertex 0, a center: the excess holds
+        t = real(spec)
+        return Tree(t.n + 1, t.edges + ((0, t.n),))
+
+    monkeypatch.setattr(theorems, "gen_star_connection", built)
+    with pytest.raises(
+        InternalError, match="built with 14 vertices and excess 3, closed forms give 13 and 3"
+    ):
+        star_connection_audit(CHAIN_4534)
 
 
 def test_star_connections_are_built_once(tree_builds):
@@ -832,6 +848,31 @@ def test_rules_match_their_verdicts(n):
                 assert (v.status, v.case_id, v.m1, v.m2) == (status, case, m1, m2)
                 assert v.swapped == swapped
                 assert v.detail == (note if swapped else "") + why()
+
+
+def test_componentwise_rejects_an_applicable_claim_with_equal_maxima():
+    # (3, 1) dominates (3, 2) levelwise with m1 = m2 = 3; the levels of real
+    # trees of equal n partition V, so only hand-made facts get here
+    from csftrees import theorems
+
+    f1, f2 = theorems.TreeFacts(((3, 1),), 0, True), theorems.TreeFacts(((3, 2),), 0, True)
+    with pytest.raises(InternalError, match="COMPONENTWISE: Applicable verdict with m1 = 3 <= m2 = 3"):
+        theorems._componentwise_rule(f1, f2)
+
+
+def test_survey_lists_an_applicable_claim_that_is_not_strict(monkeypatch):
+    # the real rules raise in _check_strict first, so a patched rule is the
+    # only way to reach the survey's own check of m1 > m2
+    from csftrees import theorems
+
+    monkeypatch.setattr(
+        theorems, "_sum_rule", lambda f1, f2: (APPLICABLE, None, 2, 2, False, lambda: "")
+    )
+    rep = survey(6)
+    assert any(
+        v["theorem"] == "SUMMED" and "m1 = 2 is not strictly greater than m2 = 2" in v["reason"]
+        for v in rep.soundness_violations
+    )
 
 
 def test_survey_rejects_a_degree_that_the_peel_contradicts(monkeypatch):
