@@ -20,21 +20,19 @@ function itself, so an unsound verdict cannot pass silently: the largest
 block is deg i(T; x), the largest k with [m_(k,1^(n-k))] X nonzero, and
 X-equality is decided on exact coefficients of X (the invariant key of
 _independence_and_splits, whose digests differ only if the keys do, and
-the full p-terms of the tree DP where digests tie).  Each checker is a rule, which returns its verdict as a plain tuple
-with the detail as a callable, and a wrapper that formats the
-TheoremVerdict; the survey calls the rules once per ordered pair of fact
-classes, and the counts come from class sizes, so no loop runs over the
-tree pairs.
+the full p-terms of the tree DP where digests tie).  Each checker is a
+rule, returning a plain tuple with the detail as a callable, and a
+wrapper that formats the TheoremVerdict; the survey calls the rules once
+per ordered pair of fact classes and weighs the counts by class sizes.
 
 Two known weaknesses are handled explicitly rather than papered over:
 
-* The LEAVES_RHO case-4 bound (b1-b2 > ceil((rho2-rho1)/k) for every
-  admissible k >= 3) does not force strictness of the block maxima: the
-  5-tooth comb versus P10 satisfies it with both maxima equal to 5, and
-  from n = 14 on it can hold with the maxima reversed (b = 7, rho = 0
-  against the spider (11, 1, 1), b = 3, rho = 9: m = (7, 8)).  The checker
-  additionally requires m1 > m2 and otherwise reports NotApplicable, with
-  the tie or the reversal in ``detail``.
+* LEAVES_RHO case 4 is read as b1-b2 > ceil((rho2-rho1)/k) for every
+  admissible k >= 3 (the sign-flipped reading accepts every k), and that
+  bound does not order the block maxima: it passes tied pairs from n = 8
+  and reversed ones from n = 14 (b = 7, rho = 0 against the spider
+  (11, 1, 1), b = 3, rho = 9: m = (7, 8)).  The checker also requires
+  m1 > m2, and its NotApplicable detail names the tie or the reversal.
 * spider_M_formula reproduces its closed form verbatim even though it
   disagrees with the exact independence number already on legs (1,1,1);
   spider_audit pairs it with the alpha_mis oracle instead of correcting it.
@@ -168,13 +166,12 @@ def _leaves_rule(f1: TreeFacts, f2: TreeFacts) -> tuple:
             case, why = None, lambda: (
                 f"case-4 bound fails at k = {k0}: {diff} <= ceil({delta}/{k0}) = {bound}; "
                 "the sign-flipped reading ceil((rho1-rho2)/k) <= 0 would accept every k — "
-                "readings diverge"
+                "readings diverge" + ("" if m1 > m2 else ", and " + _unordered(m1, m2))
             )
         elif m1 <= m2:
             case, why = None, lambda: (
-                f"case-4 bound holds for all k >= {k0}, but the block maxima "
-                + (f"tie (m1 = m2 = {m1})" if m1 == m2 else f"are reversed (m1 = {m1} < m2 = {m2})")
-                + "; the bound does not force a strict conclusion"
+                f"case-4 bound holds for all k >= {k0}, but {_unordered(m1, m2)}"
+                "; the bound does not force a strict conclusion"
             )
         else:
             case, why = 4, lambda: (
@@ -185,6 +182,12 @@ def _leaves_rule(f1: TreeFacts, f2: TreeFacts) -> tuple:
         return NOT_APPLICABLE, None, None, None, swapped, why
     _check_strict(LEAVES_RHO, m1, m2)
     return APPLICABLE, case, m1, m2, swapped, why
+
+
+def _unordered(m1: int, m2: int) -> str:
+    """How block maxima m1 <= m2 fail to order: a tie or a reversal."""
+    how = f"tie (m1 = m2 = {m1})" if m1 == m2 else f"are reversed (m1 = {m1} < m2 = {m2})"
+    return "the block maxima " + how
 
 
 def _componentwise_rule(f1: TreeFacts, f2: TreeFacts) -> tuple:
@@ -417,16 +420,10 @@ def _cell(x) -> str:
 
 def _survey_payload(row: bytes):
     """Per-tree work unit on a row (generators._free_tree_edge_sets): the
-    tree's facts, its chain sequence if the chain fails (else None) and
-    its exact X-invariant key (i(T; x), edge splits), all folded over the
-    parent list.  deg i(T; x) must equal the peel's sum of b_i."""
+    tree's facts and its exact X-invariant key (i(T; x), edge splits),
+    both folded over the parent list."""
     n = len(row)
-    facts = _facts(n, zip(row[1:], range(1, n)))
-    levels, key = facts.levels, _independence_and_splits(row)
-    degree, blocks = len(key[0]) - 1, sum(b for b, _ in levels)
-    if degree != blocks:
-        raise InternalError(f"deg i(T; x) = {degree} but sum of b_i = {blocks} for parents {list(row)}")
-    return facts, None if chain_holds(levels) else chain_sequence(levels), key
+    return _facts(n, zip(row[1:], range(1, n))), _independence_and_splits(row)
 
 
 def _spider_audit_rows(n: int) -> list[dict]:
@@ -478,7 +475,7 @@ def _star_audit_rows(n: int) -> list[dict]:
     return rows
 
 
-def _class_pair(fa: TreeFacts, fb: TreeFacts, ma: int, mb: int):
+def _class_pair(fa: TreeFacts, ma: int, fb: TreeFacts, mb: int):
     """The three rules on an ordered class pair with facts (fa, fb) and max
     blocks (ma, mb), as (outcome, cells, checks): each verdict's status and
     case; the 13 cells of the pair's CSV rows after a, b and x_equal, one
@@ -509,26 +506,27 @@ def _class_pair(fa: TreeFacts, fb: TreeFacts, ma: int, mb: int):
 
 def _survey_trees(rows):
     """The survey's per-tree stage: _survey_payload on each row of rows (any
-    iterable, read once), kept as plain lists indexed by tree.  Returns the
-    class id of each tree, ids going to distinct TreeFacts in first-seen
-    order; the facts of each class, in id order; one 64-bit digest
-    hash(key) per tree of its exact key (i(T; x), edge splits, two exact
-    coefficient families of X); deg i(T; x) per tree, which the payload has
-    checked against the sum of b_i; and the chain failures.  No key
-    outlives the call."""
+    iterable, read once).  Returns two columns, the class id of each tree
+    (ids go to distinct TreeFacts in first-seen order) and a 64-bit digest
+    hash(key) of its exact key (i(T; x), edge splits), and the (facts,
+    alpha = sum of b_i) of each class, alpha read when the class is first
+    seen; each tree's deg i(T; x) must equal it.  No key outlives the call."""
     classes: dict[TreeFacts, int] = {}
-    cls, digests, degrees, chain_viol = [], [], [], []
-    for i, row in enumerate(rows):
-        facts, failed_chain, key = _survey_payload(row)
-        if failed_chain is not None:
-            chain_viol.append({"tree": i, "sequence": list(failed_chain)})
-        cls.append(classes.setdefault(facts, len(classes)))
+    class_of, cls, digests = [], [], []
+    for row in rows:
+        facts, key = _survey_payload(row)
+        c = classes.setdefault(facts, len(classes))
+        if c == len(class_of):
+            class_of.append((facts, sum(b for b, _ in facts.levels)))
+        degree, alpha = len(key[0]) - 1, class_of[c][1]
+        if degree != alpha:
+            raise InternalError(f"deg i(T; x) = {degree} but sum of b_i = {alpha} for parents {list(row)}")
+        cls.append(c)
         digests.append(hash(key))
-        degrees.append(len(key[0]) - 1)
-    return cls, list(classes), digests, degrees, chain_viol
+    return cls, class_of, digests
 
 
-def _x_equal_groups(rows, digests: list[int], degrees: list[int]) -> list[list[int]]:
+def _x_equal_groups(rows, digests: list[int], cls: list[int], alpha: list[int]) -> list[list[int]]:
     """The survey's X stage, the one place it decides X-equality: the groups
     of two or more X-equal trees, each ascending, from the trees' indices
     bucketed by the digests of their keys.  Only the digests that two or
@@ -539,8 +537,8 @@ def _x_equal_groups(rows, digests: list[int], degrees: list[int]) -> list[list[i
     p-terms decide (the change of basis is invertible; a dict keyed by the
     terms, so neither a digest nor a hash decides alone, and a digest
     collision costs DP runs, never a verdict), and the max block read from
-    their hooks must equal the tree's deg i(T; x).  The CSF engine is
-    imported only for such a bucket: no two trees tie for n <= 10."""
+    their hooks must equal alpha[cls[i]], the alpha of the tree's class.  The
+    CSF engine is imported only for such a bucket: none for n <= 10."""
     ordered = sorted(digests)
     tied = {d for d, e in zip(ordered, ordered[1:]) if d == e}
     by_digest: dict[int, list[int]] = {}
@@ -555,22 +553,22 @@ def _x_equal_groups(rows, digests: list[int], degrees: list[int]) -> list[list[i
         for i in members:
             terms = _tree_powersum_terms(rows[i])
             hook = _hook_max_block(len(rows[i]), terms)
-            if hook != degrees[i]:
+            if hook != alpha[cls[i]]:
                 raise InternalError(
-                    f"tree {i}: max block {hook} from the p-terms, deg i(T; x) = {degrees[i]}"
+                    f"tree {i}: max block {hook} from the p-terms, deg i(T; x) = {alpha[cls[i]]}"
                 )
             by_terms.setdefault(terms, []).append(i)
         groups.extend(g for g in by_terms.values() if len(g) > 1)
     return groups
 
 
-def _survey_class_pairs(cls: list[int], class_of: list[TreeFacts], later: dict):
+def _survey_class_pairs(cls: list[int], class_of: list[tuple[TreeFacts, int]], later: dict):
     """The survey's class-pair stage, from the class id of each tree, the
-    facts of each class and, for each tree i of an X-equal group, the trees
-    j > i of its group (later[i]).  The checkers read only TreeFacts, which
-    fix alpha, so their rules (no TheoremVerdict, no detail prose), their
-    CSV cells and their soundness problems run once per ordered class pair,
-    and no loop runs over tree pairs.  Returns:
+    (facts, alpha) of each class and, for each tree i of an X-equal group,
+    the trees j > i of its group (later[i]).  The checkers' rules (no
+    TheoremVerdict, no detail prose), their CSV cells and their claims,
+    checked against alpha, run once per ordered class pair, and no loop
+    runs over tree pairs.  Returns:
       * the members of each class, ascending;
       * the memo, the survey's one table of CSV cells: entry a * k + b
         holds the cells of the ordered class pair (a, b) if it holds a tree
@@ -586,7 +584,6 @@ def _survey_class_pairs(cls: list[int], class_of: list[TreeFacts], later: dict):
     members: list[list[int]] = [[] for _ in class_of]
     for i, c in enumerate(cls):
         members[c].append(i)
-    blocks = [sum(b for b, _ in f.levels) for f in class_of]
     k = len(class_of)
     counts = {
         LEAVES_RHO: {"case1": 0, "case2": 0, "case3": 0, "case4": 0, "not_applicable": 0},
@@ -607,7 +604,7 @@ def _survey_class_pairs(cls: list[int], class_of: list[TreeFacts], later: dict):
             outcome = None
             for x, y in orders:
                 key = x * k + y
-                seen, memo[key], checks = _class_pair(class_of[x], class_of[y], blocks[x], blocks[y])
+                seen, memo[key], checks = _class_pair(*class_of[x], *class_of[y])
                 if key in equal_keys or any(problems for _, problems in checks):
                     checked[key] = checks
                 if outcome is not None and seen != outcome:
@@ -656,13 +653,13 @@ def survey(n: int) -> SurveyReport:
     and tree indices are positions in that order; every per-tree fold runs
     on the row, the tree DP included, and a Tree is built only for the
     audits.  The rows go through three stages, then the report:
-      * _survey_trees: facts, fact classes, key digests and the chain audit;
+      * _survey_trees: each tree's fact class and key digest, and each
+        class's facts (read once by the chain audit) and alpha = sum of b_i;
       * _x_equal_groups: X-equality, decided on exact p-terms inside the
         buckets of equal digests; x_equal_pairs counts the pairs inside
-        its groups; the rows, digests and degrees are freed after it;
+        its groups; the rows and digests are freed after it;
       * _survey_class_pairs: verdict_counts and the soundness violations,
-        from the checkers' rules once per ordered pair of fact classes,
-        each claimed maximum checked against alpha, the sum of b_i.
+        from the checkers' rules once per ordered pair of fact classes.
 
     Everything runs in one process, so the report depends on n alone.  The
     per-pair CSV rows are not stored: the report's pair_rows() rebuilds
@@ -671,9 +668,11 @@ def survey(n: int) -> SurveyReport:
     _check_survey_n(n)
     rows = _free_tree_edge_sets(n)
     num = len(rows)
-    cls, class_of, digests, degrees, chain_viol = _survey_trees(rows)
-    groups = _x_equal_groups(rows, digests, degrees)
-    del rows, digests, degrees
+    cls, class_of, digests = _survey_trees(rows)
+    groups = _x_equal_groups(rows, digests, cls, [alpha for _, alpha in class_of])
+    del rows, digests
+    chains = [None if chain_holds(f.levels) else chain_sequence(f.levels) for f, _ in class_of]
+    chain_viol = [{"tree": i, "sequence": list(chains[c])} for i, c in enumerate(cls) if chains[c]]
     later = {i: group[pos + 1 :] for group in groups for pos, i in enumerate(group)}
     members, memo, counts, violations = _survey_class_pairs(cls, class_of, later)
     k = len(members)

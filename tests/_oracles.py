@@ -184,6 +184,74 @@ def coloring_count(g: Graph, r: int) -> int:
     return total
 
 
+MOD_61 = (1 << 61) - 1
+
+
+def seeded_point(k: int, seed: int) -> list[int]:
+    """k seeded random residues mod 2^61 - 1, a point x_1..x_k."""
+    rng = random.Random(seed)
+    return [rng.randrange(MOD_61) for _ in range(k)]
+
+
+def coloring_value(g: Graph, xs) -> int:
+    """X_g at the point x_1..x_k = xs (every later variable 0), mod 2^61 - 1,
+    by Stanley's definition: the sum over proper colorings c of the product
+    of x_c(v). g must be a forest. Each component is rooted at its smallest
+    vertex, and children fold into parents: f(v, c) = x_c times the product
+    over children u of (S_u - f(u, c)), where S_u = sum over c of f(u, c)
+    (u's subtree colored properly, u's color not c). The value is the
+    product over roots of S_root. O(n k), so it checks every coefficient
+    of X at once at any n."""
+    adj: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    parent = [-1] * g.n
+    seen = [False] * g.n
+    order, roots = [], []
+    for root in range(g.n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        roots.append(root)
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            order.append(v)
+            for w in adj[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    parent[w] = v
+                    stack.append(w)
+    if len(order) - len(roots) != len(g.edges):
+        raise GraphError("coloring_value needs a forest")
+    f = [[x % MOD_61 for x in xs] for _ in range(g.n)]
+    for v in reversed(order):  # children before parents
+        p = parent[v]
+        if p >= 0:
+            total = sum(f[v]) % MOD_61
+            f[p] = [a * (total - b) % MOD_61 for a, b in zip(f[p], f[v])]
+    value = 1
+    for root in roots:
+        value = value * sum(f[root]) % MOD_61
+    return value
+
+
+def powersum_value(terms, xs) -> int:
+    """Power-sum terms ((partition, coeff), ...) at the point xs, mod
+    2^61 - 1, with p_j at xs the sum of x^j."""
+    power: dict[int, int] = {}
+    total = 0
+    for parts, coeff in terms:
+        term = coeff
+        for j in parts:
+            if j not in power:
+                power[j] = sum(pow(x, j, MOD_61) for x in xs) % MOD_61
+            term = term * power[j] % MOD_61
+        total += term
+    return total % MOD_61
+
+
 def acyclic_orientations(g: Graph) -> int:
     """Number of acyclic orientations: each of the 2^|E| orientations is
     tested with Kahn's algorithm (acyclic iff every vertex gets removed)."""

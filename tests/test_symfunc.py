@@ -10,12 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import (
+    MOD_61,
     acyclic_orientations,
     coloring_count,
+    coloring_value,
     evaluate_ones,
     monomial_by_stable_partitions,
     p_to_m_reference,
+    powersum_value,
     prufer_tree,
+    seeded_point,
     stable_partitions,
     tree_powersum_reference,
 )
@@ -572,6 +576,68 @@ def test_evaluate_ones_rejects_bad_r():
         evaluate_ones(f, -1)
     with pytest.raises(GraphError, match=r"r must be a non-negative integer, got 2\.0"):
         evaluate_ones(f, 2.0)
+
+
+# ------------------------------------------ X at a point, by proper colorings
+
+def _dp_at_point(g: Graph, xs) -> int:
+    return powersum_value(symfunc._tree_powersum_terms(forest_walk(g)), xs)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_tree_dp_matches_the_coloring_value_on_every_small_tree(n):
+    # X at n seeded residues mod 2^61 - 1, from the definition and from
+    # the DP's p-terms (p_j -> sum of x^j); k = n variables suffice for
+    # the values to pin down X
+    for i, t in enumerate(enumerate_free_trees(n)):
+        xs = seeded_point(n, 1000 * n + i)
+        assert coloring_value(t, xs) == _dp_at_point(t, xs)
+
+
+def test_tree_dp_matches_the_coloring_value_on_random_trees_and_a_forest():
+    rng = random.Random(18)
+    graphs = [
+        prufer_tree([rng.randrange(n) for _ in range(n - 2)])
+        for n in range(13, 26)
+        for _ in range(3)
+    ]
+    graphs.append(Graph(25, tuple((i, i + 1) for i in range(11))
+                        + tuple((i, i + 1) for i in range(12, 24))))
+    for g in graphs:
+        xs = seeded_point(g.n, rng.randrange(1 << 30))
+        assert coloring_value(g, xs) == _dp_at_point(g, xs)
+
+
+def test_coloring_value_at_zeros_and_ones_counts_colorings():
+    # x = 1^r 0^(n-r) keeps the colorings with colors 1..r, each of weight 1
+    graphs = [t for n in range(1, 8) for t in enumerate_free_trees(n)]
+    graphs += [Graph(5, ((0, 1), (2, 3))), Graph(3)]
+    for g in graphs:
+        for r in range(min(g.n, 4) + 1):
+            assert coloring_value(g, [1] * r + [0] * (g.n - r)) == coloring_count(g, r)
+
+
+def test_coloring_value_is_the_weighted_sum_over_proper_colorings():
+    for n in range(1, 6):
+        xs = seeded_point(n, n)
+        for t in enumerate_free_trees(n):
+            brute = 0
+            for c in itertools.product(range(n), repeat=n):
+                if all(c[u] != c[v] for u, v in t.edges):
+                    brute += math.prod(xs[v] for v in c)
+            assert coloring_value(t, xs) == brute % MOD_61
+
+
+def test_coloring_value_fails_a_dp_with_one_sign_flipped():
+    # the check must see a DP that gets one coefficient's sign wrong
+    for t in (gen_path(8), gen_spider((4, 3, 2)), prufer_tree([3, 3, 7, 0, 9, 9, 1, 4, 4, 2])):
+        xs = seeded_point(t.n, t.n)
+        want = coloring_value(t, xs)
+        terms = symfunc._tree_powersum_terms(forest_walk(t))
+        assert powersum_value(terms, xs) == want
+        for i, (parts, coeff) in enumerate(terms):
+            flipped = terms[:i] + ((parts, -coeff),) + terms[i + 1 :]
+            assert powersum_value(flipped, xs) != want, parts
 
 
 # -------------------------------------------------------------------- extras

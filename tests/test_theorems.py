@@ -1,7 +1,7 @@
 import random
 import sys
 import time
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -41,6 +41,7 @@ from csftrees.theorems import (
     SURVEY_CSV_HEADER,
     SurveyReport,
     TheoremVerdict,
+    TreeFacts,
     spider_M_formula,
     spider_audit,
     star_connection_audit,
@@ -113,7 +114,9 @@ def test_survey_payloads_reuse_the_enumerated_trees(tree_builds):
     assert tree_builds == []
 
 
-def test_survey_payload_builds_the_chain_sequence_only_where_the_chain_fails(monkeypatch):
+def test_survey_builds_the_chain_sequence_once_per_failing_class(monkeypatch):
+    # the chain reads only a tree's levels, so the survey folds it once per
+    # fact class and lists each failing class's trees in index order
     from csftrees import theorems
 
     calls = []
@@ -124,9 +127,15 @@ def test_survey_payload_builds_the_chain_sequence_only_where_the_chain_fails(mon
         return real(levels)
 
     monkeypatch.setattr(theorems, "chain_sequence", counted)
-    rows = _free_tree_edge_sets(12)
-    failed = [row for row in rows if theorems._survey_payload(row)[1] is not None]
-    assert len(calls) == len(failed) == 1
+    for n, classes, trees in ((12, 1, 1), (14, 5, 18)):
+        calls.clear()
+        rep = survey(n)
+        levels = [leaf_decomposition(t).level_counts() for t in enumerate_free_trees(n)]
+        failed = [i for i, lv in enumerate(levels) if not chain_holds(lv)]
+        assert len(calls) == classes and len(failed) == trees
+        assert list(rep.chain_audit_violations) == [
+            {"tree": i, "sequence": list(real(levels[i]))} for i in failed
+        ]
 
 
 @pytest.mark.parametrize("n", range(1, 13))
@@ -143,11 +152,12 @@ def test_rows_match_the_tree_route(n):
         rows.remove(row)
         t = Tree(n, tuple(zip(parents, range(1, n))))
         assert _row_code(row) == canonical_code(t)
-        facts, failed_chain, key = theorems._survey_payload(row)
+        facts, key = theorems._survey_payload(row)
         assert facts == tree_facts(t)
         assert key == _independence_and_splits(forest_walk(t))
         levels = leaf_decomposition(t).level_counts()
-        assert failed_chain == (None if chain_holds(levels) else chain_sequence(levels))
+        assert chain_sequence(facts.levels) == chain_sequence(levels)
+        assert chain_holds(facts.levels) == chain_holds(levels)
     assert not rows
 
 
@@ -261,6 +271,49 @@ def test_leaves_reversed_maxima_are_not_a_tie():
             NOT_APPLICABLE, None, None, None, swapped)
         assert "block maxima are reversed (m1 = 7 < m2 = 8)" in v.detail
         assert "tie" not in v.detail
+
+
+def test_leaves_case4_pairs_whose_maxima_do_not_order_at_n8():
+    """The ordered pairs at n = 8 in case 4's domain (both rho-sets paths,
+    b1 > b2, delta = rho2 - rho1 >= 2, b1 - b2 <= ceil(delta/2)), where
+    m = b + ceil(rho/2) is alpha.  The bound as coded, b1 - b2 >
+    ceil(delta/k) for every admissible k, passes 4 pairs whose maxima tie;
+    the sign-flipped reading, ceil(-delta/k) < b1 - b2, passes every pair
+    of the domain, 2 of them with the maxima reversed.  Without the guard
+    m1 > m2, either reading would claim m1 > m2 there; the checker refuses
+    each pair and names the tie or the reversal."""
+    trees = enumerate_free_trees(8)
+    facts = [tree_facts(t) for t in trees]
+    outcomes = {}  # (coded bound passes, sign of m1 - m2) -> pairs
+    for i, j in permutations(range(len(trees)), 2):
+        f1, f2 = facts[i], facts[j]
+        diff, delta = f1.levels[0][0] - f2.levels[0][0], f2.rho - f1.rho
+        if not (f1.is_path and f2.is_path and diff > 0 and 2 <= delta and diff <= -(-delta // 2)):
+            continue
+        admissible = [k for k in range(3, 40) if k <= delta * (k - 2) and delta < k * diff]
+        coded = all(diff > -(-delta // k) for k in admissible)
+        m1, m2 = f1.levels[0][0] + -(-f1.rho // 2), f2.levels[0][0] + -(-f2.rho // 2)
+        assert (alpha_mis(trees[i]), alpha_mis(trees[j])) == (m1, m2)
+        outcomes.setdefault((coded, (m1 > m2) - (m1 < m2)), []).append((i, j))
+    assert {key: len(pairs) for key, pairs in outcomes.items()} == {
+        (True, 1): 4, (True, 0): 4, (False, 0): 20, (False, -1): 2
+    }
+    coded_ties, flipped_reversals = outcomes[True, 0], outcomes[False, -1]
+    assert coded_ties == [(15, 3), (17, 3), (19, 3), (21, 3)]
+    assert flipped_reversals == [(9, 3), (20, 3)]
+    tie_facts = TreeFacts(((5, 3),), 0, True), TreeFacts(((3, 2), (2, 1)), 3, True)
+    reversal_facts = TreeFacts(((4, 4),), 0, True), TreeFacts(((3, 2), (2, 1)), 3, True)
+    for pairs, expected, alphas, named in (
+        (coded_ties, tie_facts, (5, 5), "block maxima tie (m1 = m2 = 5)"),
+        (flipped_reversals, reversal_facts, (4, 5), "block maxima are reversed (m1 = 4 < m2 = 5)"),
+    ):
+        for i, j in pairs:
+            assert (facts[i], facts[j]) == expected
+            assert (alpha_mis(trees[i]), alpha_mis(trees[j])) == alphas
+            v = thm_leaves_check(trees[i], trees[j])
+            assert (v.status, v.case_id, v.m1, v.m2, v.swapped) == (
+                NOT_APPLICABLE, None, None, None, False)
+            assert named in v.detail
 
 
 def test_leaves_equal_leaf_counts():
@@ -462,6 +515,38 @@ def test_star_connection_random_specs():
         assert star_connection_M(spec) == alpha_mis(t) == mis_bruteforce(t)
 
 
+def test_star_count_formula_is_n_minus_r(monkeypatch):
+    # with N = sum(n_k) - (r - 1) vertices and excess r - 1, the formula
+    # sum(n_k - 1) - excess is N - r, so "r < s stars gives M1 > M2" is
+    # arithmetic; checked on every star connection the survey's audit
+    # builds for n = 5..18 and on 200 random specs
+    from csftrees import theorems
+
+    specs = []
+    real = theorems.star_connection_audit
+    monkeypatch.setattr(
+        theorems, "star_connection_audit", lambda spec: specs.append(spec) or real(spec)
+    )
+    for n in range(5, 19):
+        theorems._star_audit_rows(n)
+    monkeypatch.undo()
+    assert len(specs) == 1570
+    rng = random.Random(1901)
+    specs += [random_star_spec(rng) for _ in range(200)]
+    firsts: dict[int, dict[int, StarConnectionSpec]] = {}  # N -> r -> first spec
+    for spec in specs:
+        nverts, excess = star_connection_counts(spec)
+        assert theorems._formula_M(spec, excess) == nverts - spec.num_stars
+        firsts.setdefault(nverts, {}).setdefault(spec.num_stars, spec)
+    for spec in specs:
+        nverts, r = star_connection_counts(spec)[0], spec.num_stars
+        for s, other in firsts[nverts].items():
+            if s != r:
+                v = star_connection_distinct(spec, other)
+                m = (nverts - min(r, s), nverts - max(r, s))
+                assert (v.status, (v.m1, v.m2), v.swapped) == (APPLICABLE, m, r > s)
+
+
 # --------------------------------------------------------------------- spider
 
 def test_spider_formula_parity_cases():
@@ -593,24 +678,27 @@ def test_survey_rows_are_rebuilt_on_each_call():
     assert list(rep.pair_rows()) == list(rep.pair_rows())
 
 
-def _patch_payloads(monkeypatch, n, edit, ref_edit=None):
-    """Make theorems._survey_payload return edit(index, payload) for the
-    index-th row of _free_tree_edge_sets(n), and _oracles.reference_payload
-    return ref_edit(index, payload) for the index-th tree of
-    enumerate_free_trees(n) if given.  The survey's payload holds the key
-    at index 2, the reference's the max block at index 4."""
-    import _oracles
+class _Colliding(tuple):
+    """A key that hashes to 0: the trees given one share a digest bucket."""
+
+    def __hash__(self):
+        return 0
+
+
+def _patch_payloads(monkeypatch, n, edit):
+    """Make theorems._survey_payload, whose payload is (facts, key), return
+    edit(index, key) as the key of the index-th row of
+    _free_tree_edge_sets(n); the facts stay the row's own."""
     from csftrees import theorems
 
     index = {row: i for i, row in enumerate(_free_tree_edge_sets(n))}
     real = theorems._survey_payload
-    monkeypatch.setattr(theorems, "_survey_payload", lambda row: edit(index[row], real(row)))
-    if ref_edit is not None:
-        index_t = {t.edges: i for i, t in enumerate(enumerate_free_trees(n))}
-        real_ref = _oracles.reference_payload
-        monkeypatch.setattr(
-            _oracles, "reference_payload", lambda t: ref_edit(index_t[t.edges], real_ref(t))
-        )
+
+    def edited(row):
+        facts, key = real(row)
+        return facts, edit(index[row], key)
+
+    monkeypatch.setattr(theorems, "_survey_payload", edited)
 
 
 def _patch_terms(monkeypatch, n, fake):
@@ -666,7 +754,7 @@ def test_survey_with_one_key_per_degree_runs_the_dp_on_every_tied_tree(monkeypat
     from csftrees import symfunc
 
     clean = survey(7)
-    _patch_payloads(monkeypatch, 7, lambda i, p: (*p[:2], ((None,) * len(p[2][0]), ())))
+    _patch_payloads(monkeypatch, 7, lambda i, key: ((None,) * len(key[0]), ()))
     calls = []
     real = symfunc._tree_powersum_terms
 
@@ -688,12 +776,8 @@ def test_survey_with_one_digest_runs_the_dp_once_per_tree(monkeypatch):
     # digest bucket; the p-terms still tell every tree apart
     from csftrees import symfunc
 
-    class Colliding(tuple):
-        def __hash__(self):
-            return 0
-
     clean = survey(9)
-    _patch_payloads(monkeypatch, 9, lambda i, p: (*p[:2], Colliding(p[2])))
+    _patch_payloads(monkeypatch, 9, lambda i, key: _Colliding(key))
     calls = []
     real = symfunc._tree_powersum_terms
 
@@ -713,9 +797,11 @@ def test_survey_trees_reads_its_rows_once():
     from csftrees import theorems
 
     rows = _free_tree_edge_sets(8)
-    lists = theorems._survey_trees(row for row in rows)
-    assert lists == theorems._survey_trees(rows)
-    assert len(lists[0]) == len(lists[2]) == 23
+    cls, class_of, digests = theorems._survey_trees(row for row in rows)
+    assert (cls, class_of, digests) == theorems._survey_trees(rows)
+    assert len(cls) == len(digests) == 23
+    facts = dict.fromkeys(tree_facts(t) for t in enumerate_free_trees(8))
+    assert class_of == [(f, sum(b for b, _ in f.levels)) for f in facts]
 
 
 def test_survey_class_pair_memo_holds_only_cells():
@@ -724,8 +810,8 @@ def test_survey_class_pair_memo_holds_only_cells():
     from csftrees import theorems
 
     rows = _free_tree_edge_sets(12)
-    cls, class_of, digests, degrees, _ = theorems._survey_trees(rows)
-    groups = theorems._x_equal_groups(rows, digests, degrees)
+    cls, class_of, digests = theorems._survey_trees(rows)
+    groups = theorems._x_equal_groups(rows, digests, cls, [alpha for _, alpha in class_of])
     later = {i: group[pos + 1 :] for group in groups for pos, i in enumerate(group)}
     members, memo, _, _ = theorems._survey_class_pairs(cls, class_of, later)
     assert len(memo) == len(members) ** 2
@@ -768,14 +854,19 @@ def test_survey_frees_its_rows_before_the_class_pair_stage(monkeypatch):
 
 
 def test_survey_x_equality_compares_full_terms(monkeypatch):
-    # Trees 0 and last get tree 0's p-terms, and all three of 0, 1 and last
-    # tree 0's key.  Tree 1, whose alpha is tree 0's, gets terms that differ
-    # from them in two coefficients by +-(2^61 - 1): the tuples hash equal
-    # in CPython and the hook coefficients, hence the max block, are
-    # unchanged (neither partition has a part 1, and the two changes cancel
-    # in the coefficient sum).  The survey reads the last tree's max block
-    # from its facts, so the references get its own alpha back in place of
-    # the one their hooks read from tree 0's terms.
+    # Trees 0, 1 and last keep their keys, which all hash to 0, so they
+    # share one digest bucket.  Trees 0 and last get tree 0's p-terms, the
+    # last tree's copy marked so that its hooks read its own alpha, as the
+    # survey's X stage and both references check.  Tree 1, whose alpha is
+    # tree 0's, gets terms that differ from them in two coefficients by
+    # +-(2^61 - 1): the tuples hash equal in CPython and the hook
+    # coefficients, hence the max block, are unchanged (neither partition
+    # has a part 1, and the two changes cancel in the coefficient sum).
+    from csftrees import symfunc
+
+    class Marked(tuple):
+        pass
+
     trees = enumerate_free_trees(7)
     last = len(trees) - 1
     alpha = [alpha_mis(t) for t in trees]
@@ -787,14 +878,14 @@ def test_survey_x_equality_compares_full_terms(monkeypatch):
         for parts, c in terms
     )
     assert hash(twin) == hash(terms) and twin != terms
-    _patch_terms(monkeypatch, 7, {0: terms, 1: twin, last: terms})
-    key = _independence_and_splits(forest_walk(trees[0]))
-    _patch_payloads(
-        monkeypatch,
-        7,
-        lambda i, p: (*p[:2], key) if i in (0, 1, last) else p,
-        lambda i, p: (*p[:4], alpha[last]) if i == last else p,
+    _patch_terms(monkeypatch, 7, {0: terms, 1: twin, last: Marked(terms)})
+    real_hook = symfunc._hook_max_block
+    monkeypatch.setattr(
+        symfunc,
+        "_hook_max_block",
+        lambda n, t: alpha[last] if type(t) is Marked else real_hook(n, t),
     )
+    _patch_payloads(monkeypatch, 7, lambda i, key: _Colliding(key) if i in (0, 1, last) else key)
     rep, ref = survey(7), survey_pairwise_reference(7)
     assert rep.x_equal_pairs == ref.x_equal_pairs == 1
     equal = [v for v in rep.soundness_violations if "csf_equal is true" in v["reason"]]
@@ -818,7 +909,7 @@ def test_survey_blocks_mark_every_pair_of_an_x_equal_group(monkeypatch):
     terms = csf_powersum(trees[group[0]]).terms
     key = _independence_and_splits(forest_walk(trees[group[0]]))
     _patch_terms(monkeypatch, 8, dict.fromkeys(group, terms))
-    _patch_payloads(monkeypatch, 8, lambda i, p: (*p[:2], key) if i in group else p)
+    _patch_payloads(monkeypatch, 8, lambda i, own: key if i in group else own)
     rep, ref = survey(8), survey_pairwise_reference(8)
     assert rep.x_equal_pairs == 3
     assert "".join(rep.pair_rows()) == "".join(ref.pair_rows())
@@ -891,14 +982,15 @@ def test_survey_rejects_a_degree_that_the_peel_contradicts(monkeypatch):
 
 
 def test_survey_rejects_p_terms_whose_max_block_is_not_alpha(monkeypatch):
-    # trees 0 and last tie on tree 0's key, of degree 4, and the last
-    # tree's own p-terms give its max block 6
+    # trees 0 and last keep their keys, which both hash to 0, so they share
+    # a digest bucket; the last tree (the star, alpha 6) gets tree 0's
+    # p-terms, whose hooks give max block 4
     trees = enumerate_free_trees(7)
     last = len(trees) - 1
-    key = _independence_and_splits(forest_walk(trees[0]))
-    _patch_payloads(monkeypatch, 7, lambda i, p: (*p[:2], key) if i in (0, last) else p)
+    _patch_terms(monkeypatch, 7, {last: csf_powersum(trees[0]).terms})
+    _patch_payloads(monkeypatch, 7, lambda i, key: _Colliding(key) if i in (0, last) else key)
     with pytest.raises(
-        InternalError, match=f"tree {last}: max block 6 from the p-terms, deg i\\(T; x\\) = 4"
+        InternalError, match=f"tree {last}: max block 4 from the p-terms, deg i\\(T; x\\) = 6"
     ):
         survey(7)
 
