@@ -123,6 +123,11 @@ class StarConnectionSpec(Record):
     def num_stars(self) -> int:
         return len(self.star_sizes)
 
+    @property
+    def num_vertices(self) -> int:
+        """sum(n_k) - (r - 1): every star puts n_k - 1 edges into the tree."""
+        return sum(self.star_sizes) - (self.num_stars - 1)
+
     @classmethod
     def from_json(cls, text: str) -> "StarConnectionSpec":
         try:
@@ -150,12 +155,10 @@ class StarConnectionSpec(Record):
 def gen_star_connection(spec: StarConnectionSpec) -> Tree:
     r = spec.num_stars
     t = len(spec.gluings)
-    # Every star puts n_k - 1 edges into the result, so a valid spec has
-    # sum(n_k) - (r - 1) vertices; the cap is checked on that count.
-    nverts = sum(spec.star_sizes) - (r - 1)
-    if nverts > BUILD_MAX_VERTICES:
+    # The cap is checked on the vertex count of a valid spec, num_vertices.
+    if spec.num_vertices > BUILD_MAX_VERTICES:
         raise CapExceededError(
-            f"star connection capped at {BUILD_MAX_VERTICES} vertices, got {nverts}"
+            f"star connection capped at {BUILD_MAX_VERTICES} vertices, got {spec.num_vertices}"
         )
     # Star k joins gluing vertex r+gi for each gluing gi it is in; each such
     # join uses up one of its n_k - 1 leaves.

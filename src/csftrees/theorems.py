@@ -5,7 +5,8 @@ Four checkers, identified by theorem id:
   LEAVES_RHO      leaf counts b and path remainders rho (four cases)
   COMPONENTWISE   levelwise dominance of the padded leaf decompositions
   SUMMED          aggregate dominance with a bounded reversed-index set
-  STAR_COUNT      star connections on the same vertex set with r < s stars
+  STAR_COUNT      star connections on the same vertex set with r < s stars,
+                  whose block maxima are M = N - r on N vertices
 
 The checkers read only TreeFacts, which _facts folds from an edge list
 for tree_facts and the survey's rows alike.  The closed-form spider block
@@ -277,12 +278,11 @@ def thm_sum_check(t1: Tree, t2: Tree) -> TheoremVerdict:
 
 
 def _verified_counts(spec: StarConnectionSpec, t: Tree) -> tuple[int, int]:
-    """(vertex count, degree excess of the gluing vertices), both computed by
-    the closed forms sum(n_k) - (r-1) and r-1 and verified on
-    t = gen_star_connection(spec)."""
+    """(vertex count N, degree excess of the gluing vertices), the closed
+    forms spec.num_vertices and r-1 verified on t = gen_star_connection(spec).
+    The block maximum sum(n_k - 1) - (r - 1) is then N - r."""
     r = spec.num_stars
-    nverts = sum(spec.star_sizes) - (r - 1)
-    excess = r - 1
+    nverts, excess = spec.num_vertices, r - 1
     deg = degrees(t)
     built = sum(deg[r + i] - 1 for i in range(len(spec.gluings)))
     if t.n != nverts or built != excess:
@@ -293,37 +293,31 @@ def _verified_counts(spec: StarConnectionSpec, t: Tree) -> tuple[int, int]:
     return nverts, excess
 
 
-def _formula_M(spec: StarConnectionSpec, excess: int) -> int:
-    return sum(k - 1 for k in spec.star_sizes) - excess
-
-
 def star_connection_counts(spec: StarConnectionSpec) -> tuple[int, int]:
     return _verified_counts(spec, gen_star_connection(spec))
 
 
 def star_connection_audit(spec: StarConnectionSpec) -> tuple[int, int, int, int]:
-    """(vertex count, degree excess, M, alpha_mis), all from one built tree."""
+    """(vertex count N, degree excess, M = N - r, alpha_mis), all from one
+    built tree."""
     t = gen_star_connection(spec)
     nverts, excess = _verified_counts(spec, t)
-    return nverts, excess, _formula_M(spec, excess), alpha_mis(t)
+    return nverts, excess, nverts - spec.num_stars, alpha_mis(t)
 
 
 def star_connection_distinct(a: StarConnectionSpec, b: StarConnectionSpec) -> TheoremVerdict:
-    ca, cb = star_connection_counts(a), star_connection_counts(b)
-    va, vb = ca[0], cb[0]
+    va, vb = star_connection_counts(a)[0], star_connection_counts(b)[0]
     if va != vb:
         raise GraphError(f"vertex counts differ: {va} != {vb}")
     r, s = a.num_stars, b.num_stars
     if r == s:
-        return TheoremVerdict(STAR_COUNT, NOT_APPLICABLE, detail=f"equal star counts r = s = {r}")
-    swapped = r > s
-    (first, c1), (second, c2) = ((b, cb), (a, ca)) if swapped else ((a, ca), (b, cb))
-    m1 = _formula_M(first, c1[1])
-    m2 = _formula_M(second, c2[1])
-    _check_strict(STAR_COUNT, m1, m2)
-    note = "inputs swapped; " if swapped else ""
-    why = f"{first.num_stars} < {second.num_stars} stars on {va} vertices"
-    return TheoremVerdict(STAR_COUNT, APPLICABLE, None, m1, m2, swapped, note + why)
+        rule = NOT_APPLICABLE, None, None, None, False, lambda: f"equal star counts r = s = {r}"
+    else:
+        lo, hi = sorted((r, s))
+        m1, m2 = va - lo, va - hi
+        _check_strict(STAR_COUNT, m1, m2)
+        rule = APPLICABLE, None, m1, m2, r > s, lambda: f"{lo} < {hi} stars on {va} vertices"
+    return _verdict(STAR_COUNT, "inputs swapped; ", rule)
 
 
 def spider_M_formula(spec: SpiderSpec) -> int:

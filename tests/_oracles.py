@@ -519,8 +519,9 @@ def alpha_from_decomposition(d: LeafDecomposition) -> int:
 
 
 def star_connection_M(spec: StarConnectionSpec) -> int:
-    """The closed-form M of a star connection, from its verified counts."""
-    return theorems._formula_M(spec, theorems.star_connection_counts(spec)[1])
+    """The paper's block maximum of a star connection, sum(n_k - 1) - (r - 1),
+    from the spec alone."""
+    return sum(k - 1 for k in spec.star_sizes) - (spec.num_stars - 1)
 
 
 def star_audit_rows_reference(n: int) -> list[dict]:

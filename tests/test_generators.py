@@ -68,7 +68,7 @@ def test_star_connection_example_chain():
         (4, 5, 3, 4), (Gluing((0, 1)), Gluing((1, 2)), Gluing((2, 3)))
     )
     t = gen_star_connection(spec)
-    assert t.n == 13
+    assert t.n == spec.num_vertices == 13
     deg = degrees(t)
     assert deg[:4] == [3, 4, 2, 3]  # centers: size - 1
     assert deg[4:7] == [2, 2, 2]  # the three gluing vertices
@@ -78,7 +78,7 @@ def test_star_connection_example_chain():
 def test_star_connection_bouquet():
     spec = StarConnectionSpec((3, 3, 3), (Gluing((0, 1, 2)),))
     t = gen_star_connection(spec)
-    assert t.n == 7
+    assert t.n == spec.num_vertices == 7
     assert degrees(t)[3] == 3  # the shared vertex sees all three centers
 
 

@@ -1,7 +1,9 @@
+import hashlib
+import json
 import random
 import sys
 import time
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -515,28 +517,43 @@ def test_star_connection_random_specs():
         assert star_connection_M(spec) == alpha_mis(t) == mis_bruteforce(t)
 
 
-def test_star_count_formula_is_n_minus_r(monkeypatch):
-    # with N = sum(n_k) - (r - 1) vertices and excess r - 1, the formula
-    # sum(n_k - 1) - excess is N - r, so "r < s stars gives M1 > M2" is
-    # arithmetic; checked on every star connection the survey's audit
-    # builds for n = 5..18 and on 200 random specs
+@pytest.fixture(scope="module")
+def audit_specs():
+    """Every star connection the survey's audit builds for n = 5..18, in
+    build order, captured at star_connection_audit."""
     from csftrees import theorems
 
     specs = []
     real = theorems.star_connection_audit
-    monkeypatch.setattr(
-        theorems, "star_connection_audit", lambda spec: specs.append(spec) or real(spec)
-    )
-    for n in range(5, 19):
-        theorems._star_audit_rows(n)
-    monkeypatch.undo()
-    assert len(specs) == 1570
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(theorems, "star_connection_audit", lambda spec: specs.append(spec) or real(spec))
+        for n in range(5, 19):
+            theorems._star_audit_rows(n)
+    return specs
+
+
+def _by_vertex_count(specs, max_n):
+    """The specs grouped by vertex count N <= max_n, each group in order."""
+    groups: dict[int, list[StarConnectionSpec]] = {}
+    for spec in specs:
+        nverts = star_connection_counts(spec)[0]
+        if nverts <= max_n:
+            groups.setdefault(nverts, []).append(spec)
+    return groups
+
+
+def test_star_count_formula_is_n_minus_r(audit_specs):
+    # with N = sum(n_k) - (r - 1) vertices, the paper's sum(n_k - 1) - (r - 1)
+    # is N - r, so "r < s stars gives M1 > M2" is arithmetic; checked on every
+    # star connection the survey's audit builds for n = 5..18 and on 200
+    # random specs
+    assert len(audit_specs) == 1570
     rng = random.Random(1901)
-    specs += [random_star_spec(rng) for _ in range(200)]
+    specs = audit_specs + [random_star_spec(rng) for _ in range(200)]
     firsts: dict[int, dict[int, StarConnectionSpec]] = {}  # N -> r -> first spec
     for spec in specs:
-        nverts, excess = star_connection_counts(spec)
-        assert theorems._formula_M(spec, excess) == nverts - spec.num_stars
+        nverts, _, m, _ = star_connection_audit(spec)
+        assert m == star_connection_M(spec) == nverts - spec.num_stars
         firsts.setdefault(nverts, {}).setdefault(spec.num_stars, spec)
     for spec in specs:
         nverts, r = star_connection_counts(spec)[0], spec.num_stars
@@ -545,6 +562,40 @@ def test_star_count_formula_is_n_minus_r(monkeypatch):
                 v = star_connection_distinct(spec, other)
                 m = (nverts - min(r, s), nverts - max(r, s))
                 assert (v.status, (v.m1, v.m2), v.swapped) == (APPLICABLE, m, r > s)
+
+
+def test_star_count_claims_match_alpha(audit_specs):
+    # every STAR_COUNT claim against the independence numbers of the two
+    # built trees, on each ordered pair of audit specs with equal N <= 14
+    # and unequal star counts
+    pairs = 0
+    for group in _by_vertex_count(audit_specs, 14).values():
+        alpha = [alpha_mis(gen_star_connection(spec)) for spec in group]
+        for (a, alpha_a), (b, alpha_b) in permutations(zip(group, alpha), 2):
+            if a.num_stars == b.num_stars:
+                continue
+            v = star_connection_distinct(a, b)
+            claimed = (alpha_b, alpha_a) if v.swapped else (alpha_a, alpha_b)
+            assert (v.status, (v.m1, v.m2)) == (APPLICABLE, claimed)
+            assert v.m1 > v.m2
+            pairs += 1
+    assert pairs == 10802
+
+
+# sha256 of the JSON verdicts of star_connection_distinct on every ordered
+# pair (a, b) of audit specs with equal N <= 12, a == b and r == s included,
+# frozen so that any drift in status, M, swap or detail text shows
+STAR_COUNT_DIGEST = (2562, "d6040983bfdb4af1107d6765686fce9bc3ab6da5cb4fb9daab72469f691a0a80")
+
+
+def test_star_count_verdicts_are_frozen(audit_specs):
+    lines = [
+        json.dumps(verdict_to_json_dict(star_connection_distinct(a, b)), sort_keys=True)
+        for group in _by_vertex_count(audit_specs, 12).values()
+        for a, b in product(group, repeat=2)
+    ]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert (len(lines), digest) == STAR_COUNT_DIGEST
 
 
 # --------------------------------------------------------------------- spider
