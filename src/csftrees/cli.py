@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import stat
 import sys
 from contextlib import nullcontext
 
@@ -112,8 +113,10 @@ def _cmd_survey(args) -> int:
         raise GraphError(f"survey --out and --csv name the same file: {args.csv}")
     # A --csv path that cannot be opened fails the request before the survey
     # runs and before any report is written; a request that fails after
-    # opening it removes it again.
+    # opening it removes it again if it is a regular file (not, say,
+    # /dev/null).
     fh = open(args.csv, "w", encoding="utf-8", newline="") if args.csv else None
+    regular = fh is not None and stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
     try:
         with fh or nullcontext():
             rep = survey(args.n)
@@ -122,7 +125,7 @@ def _cmd_survey(args) -> int:
                 fh.write(",".join(SURVEY_CSV_HEADER) + "\n")
                 fh.writelines(rep.pair_rows())
     except BaseException:
-        if fh:
+        if regular:
             os.remove(args.csv)
         raise
     return 0

@@ -520,19 +520,18 @@ def _survey_trees(rows):
     return cls, class_of, digests
 
 
-def _x_equal_groups(rows, digests: list[int], cls: list[int], alpha: list[int]) -> list[list[int]]:
+def _x_equal_groups(rows, digests: list[int]) -> list[list[int]]:
     """The survey's X stage, the one place it decides X-equality: the groups
-    of two or more X-equal trees, each ascending, from the trees' indices
-    bucketed by the digests of their keys.  Only the digests that two or
-    more trees share get a bucket (adjacent equal values of the sorted
-    digests), in the order of their first tree.  Trees with different keys
-    have different X, so the tree DP runs only in those buckets, on each
-    row as it is (the DP's one input, so no Tree is built).  There the full
-    p-terms decide (the change of basis is invertible; a dict keyed by the
-    terms, so neither a digest nor a hash decides alone, and a digest
-    collision costs DP runs, never a verdict), and the max block read from
-    their hooks must equal alpha[cls[i]], the alpha of the tree's class.  The
-    CSF engine is imported only for such a bucket: none for n <= 10."""
+    of two or more X-equal trees, each ascending, from the trees' rows and
+    the digests of their keys alone.  Only the digests that two or more
+    trees share get a bucket (adjacent equal values of the sorted digests),
+    in the order of their first tree.  Trees with different keys have
+    different X, so the tree DP runs only in those buckets, on each row as
+    it is (the DP's one input, so no Tree is built), and the full p-terms
+    decide (the change of basis is invertible; a dict keyed by the terms,
+    so neither a digest nor a hash decides alone, and a digest collision
+    costs DP runs, never a verdict).  The CSF engine is imported only for
+    such a bucket: none for n <= 10."""
     ordered = sorted(digests)
     tied = {d for d, e in zip(ordered, ordered[1:]) if d == e}
     by_digest: dict[int, list[int]] = {}
@@ -541,17 +540,11 @@ def _x_equal_groups(rows, digests: list[int], cls: list[int], alpha: list[int]) 
             by_digest.setdefault(digest, []).append(i)
     groups = []
     for members in by_digest.values():
-        from .symfunc import _hook_max_block, _tree_powersum_terms
+        from .symfunc import _tree_powersum_terms
 
         by_terms: dict[tuple, list[int]] = {}
         for i in members:
-            terms = _tree_powersum_terms(rows[i])
-            hook = _hook_max_block(len(rows[i]), terms)
-            if hook != alpha[cls[i]]:
-                raise InternalError(
-                    f"tree {i}: max block {hook} from the p-terms, deg i(T; x) = {alpha[cls[i]]}"
-                )
-            by_terms.setdefault(terms, []).append(i)
+            by_terms.setdefault(_tree_powersum_terms(rows[i]), []).append(i)
         groups.extend(g for g in by_terms.values() if len(g) > 1)
     return groups
 
@@ -649,9 +642,10 @@ def survey(n: int) -> SurveyReport:
     audits.  The rows go through three stages, then the report:
       * _survey_trees: each tree's fact class and key digest, and each
         class's facts (read once by the chain audit) and alpha = sum of b_i;
-      * _x_equal_groups: X-equality, decided on exact p-terms inside the
-        buckets of equal digests; x_equal_pairs counts the pairs inside
-        its groups; the rows and digests are freed after it;
+      * _x_equal_groups: X-equality, from the rows and digests alone,
+        decided on exact p-terms inside the buckets of equal digests;
+        x_equal_pairs counts the pairs inside its groups; the rows and
+        digests are freed after it;
       * _survey_class_pairs: verdict_counts and the soundness violations,
         from the checkers' rules once per ordered pair of fact classes.
 
@@ -663,7 +657,7 @@ def survey(n: int) -> SurveyReport:
     rows = _free_tree_edge_sets(n)
     num = len(rows)
     cls, class_of, digests = _survey_trees(rows)
-    groups = _x_equal_groups(rows, digests, cls, [alpha for _, alpha in class_of])
+    groups = _x_equal_groups(rows, digests)
     del rows, digests
     chains = [None if chain_holds(f.levels) else chain_sequence(f.levels) for f, _ in class_of]
     chain_viol = [{"tree": i, "sequence": list(chains[c])} for i, c in enumerate(cls) if chains[c]]

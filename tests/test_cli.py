@@ -547,6 +547,22 @@ def test_survey_failing_after_the_csv_is_opened_removes_it(tmp_path, capsys, mon
     assert not csvp.exists()
 
 
+def test_survey_failing_removes_only_a_regular_csv_file(tmp_path, capsys, monkeypatch):
+    """A failed request removes the --csv path only if it is a regular file:
+    a --csv of /dev/null is never passed to os.remove.  os.remove is
+    replaced by a recorder, so nothing is deleted here."""
+    removed = []
+    monkeypatch.setattr(os, "remove", removed.append)
+    out = str(tmp_path / "missing" / "r.json")
+    csvp = str(tmp_path / "rows.csv")
+    for path in (os.devnull, csvp):
+        assert main(["survey", "--n", "4", "--csv", path, "--out", out]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: [Errno 2] ") and captured.err.count("\n") == 1
+    assert removed == [csvp]
+
+
 def test_survey_rejects_one_path_for_out_and_csv(tmp_path, capsys, monkeypatch):
     """--out and --csv naming one file would write the CSV rows over the
     JSON report: the request fails with one error line before the survey
@@ -825,6 +841,16 @@ def test_survey_n10_does_not_load_the_csf_engine(tmp_path):
     code = (f"from csftrees import cli\n"
             f"assert cli.main(['survey', '--n', '10', '--out', {out!r}]) == 0")
     assert _fresh_python(code) == SURVEY_MODULES
+
+
+def test_survey_n11_loads_symfunc_but_not_the_kernels(tmp_path):
+    """n = 11 is the first size where two trees tie on the exact invariants:
+    the X stage imports symfunc for the tree DP, and still neither _kernels
+    nor numpy nor dataclasses."""
+    out = str(tmp_path / "survey11.json")
+    code = (f"from csftrees import cli\n"
+            f"assert cli.main(['survey', '--n', '11', '--out', {out!r}]) == 0")
+    assert _fresh_python(code) == sorted(SURVEY_MODULES + ["csftrees.symfunc"])
 
 
 def test_package_exports_are_the_submodules_objects(monkeypatch):

@@ -1,6 +1,7 @@
 import math
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -136,14 +137,19 @@ def test_independence_and_splits_by_brute_force():
 def test_independence_and_splits_are_coefficients_of_x():
     """[m_(k,1^(n-k))] X = (n-k)! i_k, read from the p-terms by the hook
     closed form; [p_(n-a,a)] X = (-1)^n times the number of edges with
-    splits a; and deg i(T; x) = alpha_mis = the max block of the p-terms."""
-    for n in range(1, 13):
+    splits a; and deg i(T; x) = alpha_mis = the max block of the p-terms.
+    n <= 14 takes in the first sizes where trees tie on (i(T; x), splits),
+    so every tree the survey's X stage runs the DP on up to there passes."""
+    for n in range(1, 15):
         for t in enumerate_free_trees(n):
             row = forest_walk(t)
             ind, splits = _independence_and_splits(row)
             terms = _tree_powersum_terms(row)
+            by_ones = Counter()  # [m_(k,1^(n-k))] p_lambda depends on m_1(lambda) alone
+            for parts, c in terms:
+                by_ones[parts.count(1)] += c
             for k in range(1, n + 1):
-                hook = sum(c * math.perm(parts.count(1), n - k) for parts, c in terms)
+                hook = sum(c * math.perm(ones, n - k) for ones, c in by_ones.items())
                 assert hook == math.factorial(n - k) * (ind[k] if k < len(ind) else 0)
             coeff = dict(terms)
             for a in range(1, n // 2 + 1):

@@ -844,6 +844,16 @@ def test_survey_with_one_digest_runs_the_dp_once_per_tree(monkeypatch):
     _assert_same_survey(rep, clean)
 
 
+def test_x_equal_groups_needs_only_rows_and_digests():
+    # the X stage reads no fact class: with one digest for all 47 trees on
+    # 9 vertices they fall into one bucket, and their p-terms all differ
+    from csftrees import theorems
+
+    rows = _free_tree_edge_sets(9)
+    assert len(rows) == 47
+    assert theorems._x_equal_groups(rows, [0] * len(rows)) == []
+
+
 def test_survey_trees_reads_its_rows_once():
     from csftrees import theorems
 
@@ -862,7 +872,7 @@ def test_survey_class_pair_memo_holds_only_cells():
 
     rows = _free_tree_edge_sets(12)
     cls, class_of, digests = theorems._survey_trees(rows)
-    groups = theorems._x_equal_groups(rows, digests, cls, [alpha for _, alpha in class_of])
+    groups = theorems._x_equal_groups(rows, digests)
     later = {i: group[pos + 1 :] for group in groups for pos, i in enumerate(group)}
     members, memo, _, _ = theorems._survey_class_pairs(cls, class_of, later)
     assert len(memo) == len(members) ** 2
@@ -907,12 +917,13 @@ def test_survey_frees_its_rows_before_the_class_pair_stage(monkeypatch):
 def test_survey_x_equality_compares_full_terms(monkeypatch):
     # Trees 0, 1 and last keep their keys, which all hash to 0, so they
     # share one digest bucket.  Trees 0 and last get tree 0's p-terms, the
-    # last tree's copy marked so that its hooks read its own alpha, as the
-    # survey's X stage and both references check.  Tree 1, whose alpha is
-    # tree 0's, gets terms that differ from them in two coefficients by
-    # +-(2^61 - 1): the tuples hash equal in CPython and the hook
-    # coefficients, hence the max block, are unchanged (neither partition
-    # has a part 1, and the two changes cancel in the coefficient sum).
+    # last tree's copy marked so that its hooks read its own alpha, which
+    # both references take as its max block (the survey reads no hook: its
+    # X stage compares terms only).  Tree 1, whose alpha is tree 0's, gets
+    # terms that differ from them in two coefficients by +-(2^61 - 1): the
+    # tuples hash equal in CPython and the hook coefficients, hence the max
+    # block, are unchanged (neither partition has a part 1, and the two
+    # changes cancel in the coefficient sum).
     from csftrees import symfunc
 
     class Marked(tuple):
@@ -1029,20 +1040,6 @@ def test_survey_rejects_a_degree_that_the_peel_contradicts(monkeypatch):
 
     monkeypatch.setattr(theorems, "_independence_and_splits", one_more)
     with pytest.raises(InternalError, match="deg i\\(T; x\\) = 7 but sum of b_i = 6"):
-        survey(7)
-
-
-def test_survey_rejects_p_terms_whose_max_block_is_not_alpha(monkeypatch):
-    # trees 0 and last keep their keys, which both hash to 0, so they share
-    # a digest bucket; the last tree (the star, alpha 6) gets tree 0's
-    # p-terms, whose hooks give max block 4
-    trees = enumerate_free_trees(7)
-    last = len(trees) - 1
-    _patch_terms(monkeypatch, 7, {last: csf_powersum(trees[0]).terms})
-    _patch_payloads(monkeypatch, 7, lambda i, key: _Colliding(key) if i in (0, last) else key)
-    with pytest.raises(
-        InternalError, match=f"tree {last}: max block 4 from the p-terms, deg i\\(T; x\\) = 6"
-    ):
         survey(7)
 
 
