@@ -14,6 +14,10 @@ Exit codes: 0 success; 1 domain error (one "error: ..." line on stderr);
 check failed: ..." line on stderr).  Output is exact-integer JSON (or
 edge-list text) and is byte-identical for identical inputs.  survey runs in
 one process; its --jobs option is still accepted and has no effect.
+survey opens --csv, then --out, before the survey runs, so a path that
+cannot be opened fails the request at once; a survey request that fails
+after opening them removes each one that is a regular file (never, say,
+/dev/null) and leaves the others as they are.
 
 Start-up is part of every request, so this module imports only errors
 and graphs, and each handler imports what it runs: compute and compare
@@ -29,7 +33,7 @@ import json
 import os
 import stat
 import sys
-from contextlib import nullcontext
+from contextlib import ExitStack
 
 from .errors import CapExceededError, GraphError, InternalError
 from .graphs import Tree, _parse_edges, parse_edge_list, parse_int, serialize
@@ -111,22 +115,27 @@ def _cmd_survey(args) -> int:
         )
     if args.out and args.csv and os.path.realpath(args.out) == os.path.realpath(args.csv):
         raise GraphError(f"survey --out and --csv name the same file: {args.csv}")
-    # A --csv path that cannot be opened fails the request before the survey
-    # runs and before any report is written; a request that fails after
-    # opening it removes it again if it is a regular file (not, say,
-    # /dev/null).
-    fh = open(args.csv, "w", encoding="utf-8", newline="") if args.csv else None
-    regular = fh is not None and stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+    created = []  # the regular files opened here, which a failed request removes
     try:
-        with fh or nullcontext():
+        with ExitStack() as files:
+
+            def create(path):
+                if not path:
+                    return None
+                fh = files.enter_context(open(path, "w", encoding="utf-8", newline=""))
+                if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                    created.append(path)
+                return fh
+
+            csv_fh, out_fh = create(args.csv), create(args.out)
             rep = survey(args.n)
-            _emit_json(survey_report_to_json_dict(rep), args.out)
-            if fh:
-                fh.write(",".join(SURVEY_CSV_HEADER) + "\n")
-                fh.writelines(rep.pair_rows())
+            (out_fh or sys.stdout).write(json.dumps(survey_report_to_json_dict(rep), indent=2) + "\n")
+            if csv_fh:
+                csv_fh.write(",".join(SURVEY_CSV_HEADER) + "\n")
+                csv_fh.writelines(rep.pair_rows())
     except BaseException:
-        if regular:
-            os.remove(args.csv)
+        for path in created:
+            os.remove(path)
         raise
     return 0
 

@@ -26,6 +26,16 @@ rule, returning a plain tuple with the detail as a callable, and a
 wrapper that formats the TheoremVerdict; the survey calls the rules once
 per ordered pair of fact classes and weighs the counts by class sizes.
 
+The rules only make the claim m1 > m2 and do not check it, since it
+holds by arithmetic: on any facts for LEAVES_RHO (cases 1-3 by their
+bounds, case 4 by its guard) and SUMMED (deficit < surplus), on any star
+counts for STAR_COUNT (N - r > N - s), and on real trees of one n for
+COMPONENTWISE, whose levels partition V (hand-made facts can tie there).
+It is checked once per route: _verdict, through which every
+TheoremVerdict passes, raises InternalError on an Applicable tuple with
+m1 <= m2, and the survey, which builds no verdicts, reports such a claim
+from _class_pair as a soundness violation.
+
 Two known weaknesses are handled explicitly rather than papered over:
 
 * LEAVES_RHO case 4 is read as b1-b2 > ceil((rho2-rho1)/k) for every
@@ -109,12 +119,6 @@ def tree_facts(t: Tree) -> TreeFacts:
     return _facts(t.n, t.edges)
 
 
-def _check_strict(theorem: str, m1: int, m2: int) -> None:
-    """An Applicable verdict claims m1 > m2; a verdict that does not is a bug."""
-    if not m1 > m2:
-        raise InternalError(f"{theorem}: Applicable verdict with m1 = {m1} <= m2 = {m2}")
-
-
 def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
@@ -181,7 +185,6 @@ def _leaves_rule(f1: TreeFacts, f2: TreeFacts) -> tuple:
             )
     if case is None:
         return NOT_APPLICABLE, None, None, None, swapped, why
-    _check_strict(LEAVES_RHO, m1, m2)
     return APPLICABLE, case, m1, m2, swapped, why
 
 
@@ -203,7 +206,6 @@ def _componentwise_rule(f1: TreeFacts, f2: TreeFacts) -> tuple:
         else:
             m1 = sum([x for x, _ in a])
             m2 = sum([x for x, _ in b])
-            _check_strict(COMPONENTWISE, m1, m2)
             return APPLICABLE, None, m1, m2, swapped, lambda: (
                 f"levelwise b >= and eta <= holds: {a} dominates {b}"
             )
@@ -241,8 +243,14 @@ def _sum_rule(f1: TreeFacts, f2: TreeFacts) -> tuple:
 
 def _verdict(theorem: str, swap_note: str, rule: tuple) -> TheoremVerdict:
     """The TheoremVerdict of a rule's tuple; an exchange of the inputs
-    prefixes the detail with swap_note."""
+    prefixes the detail with swap_note.  Every verdict that a checker
+    returns is made here, so this is the one place its Applicable claim
+    m1 > m2 is checked; the rules give it by arithmetic (module docstring)
+    and so check nothing themselves, and an Applicable tuple with
+    m1 <= m2 is a bug in a rule."""
     status, case, m1, m2, swapped, why = rule
+    if status == APPLICABLE and not m1 > m2:
+        raise InternalError(f"{theorem}: Applicable verdict with m1 = {m1} <= m2 = {m2}")
     detail = (swap_note if swapped else "") + why()
     return TheoremVerdict(theorem, status, case, m1, m2, swapped, detail)
 
@@ -315,7 +323,6 @@ def star_connection_distinct(a: StarConnectionSpec, b: StarConnectionSpec) -> Th
     else:
         lo, hi = sorted((r, s))
         m1, m2 = va - lo, va - hi
-        _check_strict(STAR_COUNT, m1, m2)
         rule = APPLICABLE, None, m1, m2, r > s, lambda: f"{lo} < {hi} stars on {va} vertices"
     return _verdict(STAR_COUNT, "inputs swapped; ", rule)
 
@@ -475,7 +482,8 @@ def _class_pair(fa: TreeFacts, ma: int, fb: TreeFacts, mb: int):
     case; the 13 cells of the pair's CSV rows after a, b and x_equal, one
     string with each cell after a comma (no cell holds a comma, a quote or
     a line break, so none is quoted); and, for each Applicable verdict, its
-    theorem and the problems of its claim."""
+    theorem and the problems of its claim (the survey's one check of
+    m1 > m2, since the survey makes no TheoremVerdict)."""
     lv, cw, sm = _leaves_rule(fa, fb), _componentwise_rule(fa, fb), _sum_rule(fa, fb)
     checks = []
     for theorem, (status, _, m1, m2, swapped, _) in (
@@ -487,7 +495,7 @@ def _class_pair(fa: TreeFacts, ma: int, fb: TreeFacts, mb: int):
         problems = []
         if m1 != hi or m2 != lo:
             problems.append(f"claimed m = ({m1}, {m2}) but max blocks are ({hi}, {lo})")
-        if not (m1 is not None and m2 is not None and m1 > m2):
+        if not m1 > m2:
             problems.append(f"m1 = {m1} is not strictly greater than m2 = {m2}")
         checks.append((theorem, problems))
     cells = (

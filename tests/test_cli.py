@@ -563,6 +563,42 @@ def test_survey_failing_removes_only_a_regular_csv_file(tmp_path, capsys, monkey
     assert removed == [csvp]
 
 
+def test_survey_out_path_that_cannot_be_opened_fails_first(tmp_path, capsys, monkeypatch):
+    """The --out file, like the --csv file, is opened before the survey
+    runs: a report path that cannot be opened fails the request with one
+    error line and no stdout, and a --csv file opened first is removed."""
+    def no_survey(n):
+        raise AssertionError("survey ran")
+
+    monkeypatch.setattr(theorems, "survey", no_survey)
+    out, csvp = tmp_path / "missing" / "rep.json", tmp_path / "rows.csv"
+    for argv in (["--csv", str(csvp)], []):
+        assert main(["survey", "--n", "5", "--out", str(out), *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: [Errno 2] ") and captured.err.count("\n") == 1
+        assert not csvp.exists()
+
+
+def test_survey_failing_removes_only_a_regular_out_file(tmp_path, capsys, monkeypatch):
+    """A request whose survey fails removes the --out file it opened only
+    if it is a regular file: an --out of /dev/null is never passed to
+    os.remove.  os.remove is replaced by a recorder, so nothing is deleted
+    here."""
+    def failing_survey(n):
+        raise InternalError("survey failed")
+
+    removed = []
+    monkeypatch.setattr(os, "remove", removed.append)
+    monkeypatch.setattr(theorems, "survey", failing_survey)
+    out = str(tmp_path / "rep.json")
+    for path in (os.devnull, out):
+        assert main(["survey", "--n", "4", "--out", path]) == 3
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: internal check failed: survey failed\n")
+    assert removed == [out]
+
+
 def test_survey_rejects_one_path_for_out_and_csv(tmp_path, capsys, monkeypatch):
     """--out and --csv naming one file would write the CSV rows over the
     JSON report: the request fails with one error line before the survey

@@ -695,3 +695,31 @@ def test_pretty():
     assert pretty(csf_monomial(gen_path(3))) == "m[2,1] + 6*m[1,1,1]"
     assert pretty(csf_powersum(gen_path(2))) == "-p[2] + p[1,1]"
     assert pretty(SymmetricFunction(2, "m", {})) == "0"
+
+
+def test_coloring_value_separates_exactly_the_trees_whose_terms_differ_in_each_key_bucket():
+    # the survey's X stage runs the tree DP only inside buckets of equal key
+    # digests; there, equal values at one fixed point mark exactly the trees
+    # with equal p-terms, so the value can decide X != before the DP does
+    from csftrees.theorems import _survey_trees
+
+    buckets = trees = pairs = 0
+    for n in range(4, 17):
+        rows = _free_tree_edge_sets(n)
+        xs = seeded_point(n, 0)
+        by_digest: dict[int, list[bytes]] = {}
+        for row, digest in zip(rows, _survey_trees(rows)[2]):
+            by_digest.setdefault(digest, []).append(row)
+        for bucket in by_digest.values():
+            if len(bucket) < 2:
+                continue
+            buckets, trees = buckets + 1, trees + len(bucket)
+            seen = [
+                (coloring_value(Graph(n, tuple((row[v], v) for v in range(1, n))), xs),
+                 symfunc._tree_powersum_terms(row))
+                for row in bucket
+            ]
+            for (va, ta), (vb, tb) in itertools.combinations(seen, 2):
+                pairs += 1
+                assert (va == vb) == (ta == tb), (n, bucket)
+    assert (buckets, trees, pairs) == (179, 361, 185)

@@ -6,6 +6,8 @@ import time
 from itertools import combinations, permutations, product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from _oracles import (
     mis_bruteforce,
@@ -1009,13 +1011,73 @@ def test_componentwise_rejects_an_applicable_claim_with_equal_maxima():
     from csftrees import theorems
 
     f1, f2 = theorems.TreeFacts(((3, 1),), 0, True), theorems.TreeFacts(((3, 2),), 0, True)
+    assert theorems._componentwise_rule(f1, f2)[:4] == (APPLICABLE, None, 3, 3)
     with pytest.raises(InternalError, match="COMPONENTWISE: Applicable verdict with m1 = 3 <= m2 = 3"):
-        theorems._componentwise_rule(f1, f2)
+        theorems._componentwise_verdict(f1, f2)
+
+
+@pytest.mark.parametrize(
+    "rule, check, theorem",
+    [
+        ("_leaves_rule", thm_leaves_check, "LEAVES_RHO"),
+        ("_componentwise_rule", thm_componentwise_check, "COMPONENTWISE"),
+        ("_sum_rule", thm_sum_check, "SUMMED"),
+    ],
+)
+def test_checkers_reject_a_rule_that_claims_equal_maxima(monkeypatch, rule, check, theorem):
+    # the rules only make claims; the verdict every checker returns is
+    # checked for m1 > m2 where a rule's tuple becomes a TheoremVerdict
+    from csftrees import theorems
+
+    monkeypatch.setattr(theorems, rule, lambda f1, f2: (APPLICABLE, None, 2, 2, False, lambda: ""))
+    with pytest.raises(InternalError, match=f"{theorem}: Applicable verdict with m1 = 2 <= m2 = 2"):
+        check(gen_path(5), gen_star(5))
+
+
+_LEVELS = st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=1, max_size=4)
+_FACTS = st.builds(
+    lambda levels, rho, is_path: TreeFacts(tuple(levels), rho, is_path),
+    _LEVELS,
+    st.integers(0, 12),
+    st.booleans(),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_FACTS, _FACTS)
+@example(TreeFacts(((4, 0),), 0, True), TreeFacts(((2, 0),), 3, True))
+def test_leaves_and_sum_rules_claim_strict_maxima_on_any_facts(f1, f2):
+    # cases 1-3 of LEAVES_RHO order the maxima by their bounds, case 4 by
+    # its guard, and SUMMED's deficit < surplus is sum b1 > sum b2, so no
+    # facts at all, real or not, give these rules an Applicable tie (the
+    # example passes the case-4 bound with m = (4, 4))
+    from csftrees import theorems
+
+    for rule in (theorems._leaves_rule, theorems._sum_rule):
+        status, _, m1, m2, _, _ = rule(f1, f2)
+        assert status != APPLICABLE or m1 > m2
+
+
+def test_componentwise_rule_claims_strict_maxima_on_real_trees():
+    # the levels of two trees on n vertices partition the same n vertices,
+    # so levelwise dominance of distinct sequences makes sum b1 > sum b2;
+    # hand-made facts can tie (test above), so the check stays in _verdict
+    from csftrees import theorems
+
+    applicable = 0
+    for n in range(4, 15):
+        class_of = theorems._survey_trees(_free_tree_edge_sets(n))[1]
+        for (fa, _), (fb, _) in permutations(class_of, 2):
+            status, _, m1, m2, _, _ = theorems._componentwise_rule(fa, fb)
+            if status == APPLICABLE:
+                applicable += 1
+                assert m1 > m2, (fa, fb)
+    assert applicable > 0
 
 
 def test_survey_lists_an_applicable_claim_that_is_not_strict(monkeypatch):
-    # the real rules raise in _check_strict first, so a patched rule is the
-    # only way to reach the survey's own check of m1 > m2
+    # the survey builds no TheoremVerdict, so _verdict's check never runs
+    # there; a patched rule reaches the survey's own check of m1 > m2
     from csftrees import theorems
 
     monkeypatch.setattr(
