@@ -17,7 +17,8 @@ one process; its --jobs option is still accepted and has no effect.
 survey opens --csv, then --out, before the survey runs, so a path that
 cannot be opened fails the request at once; a survey request that fails
 after opening them removes each one that is a regular file (never, say,
-/dev/null) and leaves the others as they are.
+/dev/null) and leaves the others as they are; --out and --csv may not
+name one regular file.
 
 Start-up is part of every request, so this module imports only errors
 and graphs, and each handler imports what it runs: compute and compare
@@ -98,6 +99,17 @@ def _cmd_compare(args) -> int:
     return 0
 
 
+def _same_regular_file(a: str, b: str) -> bool:
+    """Whether two output paths name one regular file, existing or one that
+    opening them would create; two handles on, say, /dev/null clobber
+    nothing."""
+    try:
+        sa, sb = os.stat(a), os.stat(b)
+    except OSError:
+        return os.path.realpath(a) == os.path.realpath(b)
+    return os.path.samestat(sa, sb) and stat.S_ISREG(sa.st_mode)
+
+
 def _cmd_survey(args) -> int:
     from .theorems import (
         SURVEY_CSV_HEADER,
@@ -113,7 +125,7 @@ def _cmd_survey(args) -> int:
             f"survey --csv capped at n <= {SURVEY_CSV_MAX_N} (one row per tree pair), "
             f"got {args.n}"
         )
-    if args.out and args.csv and os.path.realpath(args.out) == os.path.realpath(args.csv):
+    if args.out and args.csv and _same_regular_file(args.out, args.csv):
         raise GraphError(f"survey --out and --csv name the same file: {args.csv}")
     created = []  # the regular files opened here, which a failed request removes
     try:

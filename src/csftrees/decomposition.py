@@ -136,8 +136,6 @@ class RhoData(Record):
 
 def rho_data(t: Tree) -> RhoData:
     """rho and V(rho) of t, from the first level of its peel."""
-    if t.n < 2:
-        raise GraphError("rho_data needs n >= 2")
     levels, _, is_path = _peel(t.n, t.edges)
     b1, eta1 = levels[0]
     peeled = eta1.union(b1)

@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 
 from .errors import CapExceededError, GraphError, InternalError
-from .graphs import Graph, Record, Tree, _row_code, adjacency, forest_walk, is_int
+from .graphs import Graph, Record, Tree, _as_tuple, _row_code, adjacency, forest_walk, is_int
 
 ENUM_MAX_N = 18
 BUILD_MAX_VERTICES = 10_000
@@ -51,7 +51,7 @@ class SpiderSpec(Record):
     __slots__ = ("legs",)
 
     def __post_init__(self) -> None:
-        legs = tuple(self.legs)
+        legs = _as_tuple(self.legs, "SpiderSpec legs")
         object.__setattr__(self, "legs", legs)
         if len(legs) < 3:
             raise GraphError("spider needs at least 3 legs (center degree > 2)")
@@ -87,7 +87,7 @@ class Gluing(Record):
     __slots__ = ("stars",)
 
     def __post_init__(self) -> None:
-        stars = tuple(self.stars)
+        stars = _as_tuple(self.stars, "Gluing stars")
         object.__setattr__(self, "stars", stars)
         if len(stars) < 2:
             raise GraphError("a gluing must involve at least 2 stars")
@@ -106,15 +106,18 @@ class StarConnectionSpec(Record):
     __slots__ = ("star_sizes", "gluings")
 
     def __post_init__(self) -> None:
-        sizes = tuple(self.star_sizes)
+        sizes = _as_tuple(self.star_sizes, "StarConnectionSpec star_sizes")
+        gluings = _as_tuple(self.gluings, "StarConnectionSpec gluings")
         object.__setattr__(self, "star_sizes", sizes)
-        object.__setattr__(self, "gluings", tuple(self.gluings))
+        object.__setattr__(self, "gluings", gluings)
         if len(sizes) < 2:
             raise GraphError("star connection needs r >= 2 stars")
         if any(not is_int(x) or x < 3 for x in sizes):
             raise GraphError("every star size must be an integer >= 3")
         r = len(sizes)
-        for g in self.gluings:
+        for g in gluings:
+            if not isinstance(g, Gluing):
+                raise GraphError(f"StarConnectionSpec gluings must be Gluing values, got {g!r}")
             for k in g.stars:
                 if not (0 <= k < r):
                     raise GraphError(f"gluing references star {k}, but there are {r} stars")

@@ -39,6 +39,15 @@ def is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _as_tuple(value, field: str) -> tuple:
+    """tuple(value), or a GraphError naming the field when it is not iterable."""
+    try:
+        items = iter(value)
+    except TypeError:
+        raise GraphError(f"{field} must be iterable, got {value!r}") from None
+    return tuple(items)
+
+
 class Record:
     """Base of the package's immutable value types.
 
@@ -130,7 +139,7 @@ class Graph(Record):
             raise GraphError(f"vertex count must be a non-negative integer, got {self.n!r}")
         norm = []
         seen = set()
-        for e in self.edges:
+        for e in _as_tuple(self.edges, f"{type(self).__name__} edges"):
             try:
                 u, v = e
             except (TypeError, ValueError):
@@ -291,8 +300,6 @@ def serialize(g: Graph) -> str:
 
 def _centers(n: int, adj: list[list[int]]) -> list[int]:
     """The 1 or 2 central vertices (sorted), found by peeling leaf layers."""
-    if n <= 2:
-        return list(range(n))
     deg = [len(a) for a in adj]
     layer = [v for v in range(n) if deg[v] <= 1]
     remaining = n

@@ -63,7 +63,7 @@ from __future__ import annotations
 from math import perm
 
 from .errors import CapExceededError, GraphError
-from .graphs import Graph, Record, forest_walk, is_int
+from .graphs import Graph, Record, _as_tuple, forest_walk, is_int
 from .partitions import mult_factorial, packed_layout, packed_terms
 
 BASIS_MONOMIAL = "m"
@@ -91,11 +91,19 @@ class SymmetricFunction(Record):
             raise GraphError(f"unknown basis {self.basis!r}; expected one of {_BASES}")
         if not is_int(self.n) or self.n < 0:
             raise GraphError(f"weight must be a non-negative integer, got {self.n!r}")
-        items = self.terms.items() if isinstance(self.terms, dict) else self.terms
+        terms = self.terms
+        if isinstance(terms, dict):
+            items = terms.items()
+        else:
+            items = _as_tuple(terms, "SymmetricFunction terms")
         norm = []
         seen = set()
-        for parts, coeff in items:
-            parts = tuple(parts)
+        for term in items:
+            try:
+                parts, coeff = term
+                parts = tuple(parts)
+            except (TypeError, ValueError):
+                raise GraphError(f"term {term!r} is not a (partition, coefficient) pair") from None
             if not is_int(coeff):
                 raise GraphError(f"coefficient of {parts} is not an exact integer")
             if not all(is_int(x) for x in parts):

@@ -374,17 +374,9 @@ class SurveyReport(Record):
 
 
 def survey_report_to_json_dict(rep: SurveyReport) -> dict:
-    return {
-        "n": rep.n,
-        "num_trees": rep.num_trees,
-        "pairs": rep.pairs,
-        "x_equal_pairs": rep.x_equal_pairs,
-        "soundness_violations": list(rep.soundness_violations),
-        "verdict_counts": rep.verdict_counts,
-        "chain_audit_violations": list(rep.chain_audit_violations),
-        "spider_audit": list(rep.spider_audit),
-        "star_audit": list(rep.star_audit),
-    }
+    """The report's shown fields in declaration order, each tuple as a list."""
+    values = (getattr(rep, f) for f in rep._shown)
+    return {f: list(v) if isinstance(v, tuple) else v for f, v in zip(rep._shown, values)}
 
 
 # The CSV holds one row of about 80 bytes per tree pair: 403 MB at n = 14,
@@ -590,12 +582,10 @@ def _survey_class_pairs(cls: list[int], class_of: list[tuple[TreeFacts, int]], l
     checked: dict[int, list] = {}
     for a in range(k):
         for b in range(a, k):
-            if b == a:
-                weight = len(members[a]) * (len(members[a]) - 1) // 2
-                orders = ((a, a),) if weight else ()
-            else:
-                weight = len(members[a]) * len(members[b])
-                orders = [(x, y) for x, y in ((a, b), (b, a)) if members[x][0] < members[y][-1]]
+            size = len(members[a])
+            weight = size * (size - 1) // 2 if b == a else size * len(members[b])
+            # a class with itself: its one order holds a pair iff it has two trees
+            orders = {(x, y) for x, y in ((a, b), (b, a)) if members[x][0] < members[y][-1]}
             outcome = None
             for x, y in orders:
                 key = x * k + y

@@ -376,6 +376,22 @@ def test_survey_output_digests(tmp_path, n):
     assert digests == SURVEY_DIGESTS[n]
 
 
+@pytest.mark.parametrize("seed", ["0", "1"])
+def test_survey_bytes_do_not_depend_on_the_hash_seed(tmp_path, seed):
+    """survey --n 12 in a fresh interpreter under a fixed hash seed writes
+    the SURVEY_DIGESTS[12] bytes: at n = 12 the X stage already runs the
+    tree DP inside a shared digest bucket, so every stage's dicts and sets
+    take part."""
+    src = os.path.dirname(os.path.dirname(csftrees.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out, csvp = tmp_path / "rep.json", tmp_path / "rows.csv"
+    argv = ["survey", "--n", "12", "--out", str(out), "--csv", str(csvp)]
+    subprocess.run([sys.executable, "-m", "csftrees.cli", *argv], check=True,
+                   env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed))
+    digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (out, csvp))
+    assert digests == SURVEY_DIGESTS[12]
+
+
 # sha256 of the survey's JSON report at sizes where trees tie on the
 # invariant key (i(T; x), edge splits), so the tree DP runs on some of them
 SURVEY_JSON_DIGESTS = {
@@ -616,6 +632,21 @@ def test_survey_rejects_one_path_for_out_and_csv(tmp_path, capsys, monkeypatch):
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert path.read_bytes() == b"kept\n"
+
+
+def test_survey_same_path_is_refused_only_for_a_regular_file(tmp_path, capsys, monkeypatch):
+    """/dev/null given as both --out and --csv clobbers nothing, so the
+    request runs and exits 0; one regular path given twice, which the
+    request would create, fails with one error line and leaves no file."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["survey", "--n", "5", "--out", os.devnull, "--csv", os.devnull]) == 0
+    assert capsys.readouterr() == ("", "")
+    for out, csvp in (("new", "new"), ("./new", "new")):
+        assert main(["survey", "--n", "5", "--out", out, "--csv", csvp]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: survey --out and --csv name the same file: {csvp}\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_spider_build(capsys):

@@ -16,6 +16,7 @@ from _oracles import (
     rho_path_bruteforce,
 )
 from csftrees.decomposition import (
+    RhoData,
     _independence_and_splits,
     alpha_mis,
     chain_holds,
@@ -208,6 +209,8 @@ def test_rho_data_goldens():
     assert rho_data(gen_star(4)).rho == 0
     assert rho_data(gen_star(4)).is_path
     assert rho_data(gen_path(2)).rho == 0
+    # one vertex: its peel's one level is (1, 0), as in tree_facts
+    assert rho_data(gen_path(1)) == RhoData(0, (), True)
     assert rho_data(gen_path(5)).rho == 1 and rho_data(gen_path(5)).is_path
 
 
@@ -246,11 +249,6 @@ def test_rho_path_rule_matches_induced_subgraph():
     # spider (3,3,3): V(rho) induces a claw, connected with rho - 1 edges
     r = rho_data(gen_spider((3, 3, 3)))
     assert (r.rho, r.is_path) == (4, False)
-
-
-def test_rho_needs_two_vertices():
-    with pytest.raises(GraphError):
-        rho_data(gen_path(1))
 
 
 def test_padded_levels():

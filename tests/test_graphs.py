@@ -9,7 +9,15 @@ from hypothesis import strategies as st
 
 from _oracles import ahu_code_reference, prufer_tree, relabel
 from csftrees.errors import GraphError
-from csftrees.generators import enumerate_free_trees, gen_path, gen_spider, gen_star
+from csftrees.generators import (
+    Gluing,
+    SpiderSpec,
+    StarConnectionSpec,
+    enumerate_free_trees,
+    gen_path,
+    gen_spider,
+    gen_star,
+)
 from csftrees.graphs import (
     Graph,
     Tree,
@@ -23,6 +31,7 @@ from csftrees.graphs import (
     serialize,
     trees_isomorphic,
 )
+from csftrees.symfunc import SymmetricFunction
 
 
 def test_graph_normalizes_edges():
@@ -48,6 +57,27 @@ def test_graph_normalizes_edges():
 def test_graph_rejects(n, edges, msg):
     with pytest.raises(GraphError, match=msg):
         Graph(n, edges)
+
+
+@pytest.mark.parametrize(
+    "make,args,msg",
+    [
+        (Graph, (3, 5), "Graph edges must be iterable"),
+        (Tree, (3, None), "Tree edges must be iterable"),
+        (SpiderSpec, (5,), "SpiderSpec legs must be iterable"),
+        (Gluing, (5,), "Gluing stars must be iterable"),
+        (StarConnectionSpec, (5, ()), "StarConnectionSpec star_sizes must be iterable"),
+        (StarConnectionSpec, ((3, 3), [(0, 1)]), "StarConnectionSpec gluings must be Gluing"),
+        (SymmetricFunction, (2, "m", 5), "SymmetricFunction terms must be iterable"),
+        (SymmetricFunction, (2, "m", [(2, 1)]), r"term \(2, 1\) is not a \(partition"),
+        (SymmetricFunction, (2, "m", [((2,),)]), r"not a \(partition, coefficient\) pair"),
+    ],
+)
+def test_value_types_reject_malformed_containers(make, args, msg):
+    """A field that is not a container of the right kind is bad input, so
+    a GraphError naming it, not a TypeError, ValueError or AttributeError."""
+    with pytest.raises(GraphError, match=msg):
+        make(*args)
 
 
 def test_tree_validation():
