@@ -14,11 +14,17 @@ Exit codes: 0 success; 1 domain error (one "error: ..." line on stderr);
 check failed: ..." line on stderr).  Output is exact-integer JSON (or
 edge-list text) and is byte-identical for identical inputs.  survey runs in
 one process; its --jobs option is still accepted and has no effect.
-survey opens --csv, then --out, before the survey runs, so a path that
-cannot be opened fails the request at once; a survey request that fails
-after opening them removes each one that is a regular file (never, say,
-/dev/null) and leaves the others as they are; --out and --csv may not
-name one regular file.
+
+Output files (survey --csv and --out, compute --out, compare --out) follow
+one policy, _outputs: after its own argument checks (survey: the n range,
+the --csv cap, --out and --csv naming one regular file; compute and
+compare: parsing the inputs) and before any survey or CSF work, the
+request opens each path for appending and closes it at once, so a path
+that cannot be written fails the request before the work (and ahead of a
+CSF cap) and no file is truncated; the work then writes each file whole.
+A failed request removes only the files it created, and leaves a file
+that existed before, a regular file or /dev/null, as it was (unless the
+failure comes while that file is being written).
 
 Start-up is part of every request, so this module imports only errors
 and graphs, and each handler imports what it runs: compute and compare
@@ -34,7 +40,7 @@ import json
 import os
 import stat
 import sys
-from contextlib import ExitStack
+from contextlib import contextmanager
 
 from .errors import CapExceededError, GraphError, InternalError
 from .graphs import Tree, _parse_edges, parse_edge_list, parse_int, serialize
@@ -48,12 +54,33 @@ def _read(path: str) -> str:
             raise GraphError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
-def _emit(text: str, out: str | None) -> None:
+@contextmanager
+def _outputs(*paths: str | None):
+    """Check that each given path can be written, creating it if missing;
+    if the block raises, remove the files created here and re-raise."""
+    created = []
+    try:
+        for path in filter(None, paths):
+            try:
+                open(path, "x").close()
+                created.append(path)
+            except FileExistsError:
+                open(path, "a").close()
+        yield
+    except BaseException:
+        for path in created:
+            os.remove(path)
+        raise
+
+
+def _emit(text: str, out: str | None, rows=()) -> None:
     if out:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+            fh.writelines(rows)
     else:
         sys.stdout.write(text)
+        sys.stdout.writelines(rows)
 
 
 def _emit_json(obj, out: str | None) -> None:
@@ -68,8 +95,9 @@ def _cmd_compute(args) -> int:
     from .symfunc import BASIS_POWERSUM, csf_monomial, csf_powersum, symfunc_to_json_dict
 
     g = parse_edge_list(_read(args.input))
-    f = csf_powersum(g) if args.basis == BASIS_POWERSUM else csf_monomial(g)
-    _emit_json(symfunc_to_json_dict(f), args.out)
+    with _outputs(args.out):
+        f = csf_powersum(g) if args.basis == BASIS_POWERSUM else csf_monomial(g)
+        _emit_json(symfunc_to_json_dict(f), args.out)
     return 0
 
 
@@ -86,16 +114,13 @@ def _cmd_compare(args) -> int:
 
     ta = _read_tree(args.a)
     tb = _read_tree(args.b)
-    report = {
-        "n_a": ta.n,
-        "n_b": tb.n,
-        "x_equal": csf_equal(ta, tb),
-    }
-    if args.theorems:
-        from .theorems import _pair_facts, _pair_verdicts, verdict_to_json_dict
+    with _outputs(args.out):
+        report = {"n_a": ta.n, "n_b": tb.n, "x_equal": csf_equal(ta, tb)}
+        if args.theorems:
+            from .theorems import _pair_facts, _pair_verdicts, verdict_to_json_dict
 
-        report["theorems"] = [verdict_to_json_dict(v) for v in _pair_verdicts(*_pair_facts(ta, tb))]
-    _emit_json(report, args.out)
+            report["theorems"] = [verdict_to_json_dict(v) for v in _pair_verdicts(*_pair_facts(ta, tb))]
+        _emit_json(report, args.out)
     return 0
 
 
@@ -127,28 +152,11 @@ def _cmd_survey(args) -> int:
         )
     if args.out and args.csv and _same_regular_file(args.out, args.csv):
         raise GraphError(f"survey --out and --csv name the same file: {args.csv}")
-    created = []  # the regular files opened here, which a failed request removes
-    try:
-        with ExitStack() as files:
-
-            def create(path):
-                if not path:
-                    return None
-                fh = files.enter_context(open(path, "w", encoding="utf-8", newline=""))
-                if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-                    created.append(path)
-                return fh
-
-            csv_fh, out_fh = create(args.csv), create(args.out)
-            rep = survey(args.n)
-            (out_fh or sys.stdout).write(json.dumps(survey_report_to_json_dict(rep), indent=2) + "\n")
-            if csv_fh:
-                csv_fh.write(",".join(SURVEY_CSV_HEADER) + "\n")
-                csv_fh.writelines(rep.pair_rows())
-    except BaseException:
-        for path in created:
-            os.remove(path)
-        raise
+    with _outputs(args.csv, args.out):
+        rep = survey(args.n)
+        _emit_json(survey_report_to_json_dict(rep), args.out)
+        if args.csv:
+            _emit(",".join(SURVEY_CSV_HEADER) + "\n", args.csv, rep.pair_rows())
     return 0
 
 

@@ -579,40 +579,108 @@ def test_survey_failing_removes_only_a_regular_csv_file(tmp_path, capsys, monkey
     assert removed == [csvp]
 
 
-def test_survey_out_path_that_cannot_be_opened_fails_first(tmp_path, capsys, monkeypatch):
-    """The --out file, like the --csv file, is opened before the survey
-    runs: a report path that cannot be opened fails the request with one
-    error line and no stdout, and a --csv file opened first is removed."""
-    def no_survey(n):
-        raise AssertionError("survey ran")
+# The commands that write --out: their arguments short of it, run in a
+# directory holding the files of OUT_INPUTS, and the CSF or survey entry their
+# work starts in.
+OUT_COMMANDS = {
+    "survey": (["survey", "--n", "4"], theorems, "survey"),
+    "compute": (["compute", "--input", "p4.txt", "--basis", "p"], symfunc, "csf_powersum"),
+    "compare": (["compare", "--a", "p4.txt", "--b", "s4.txt"], symfunc, "csf_equal"),
+}
+OUT_INPUTS = {"p4.txt": P4, "s4.txt": S4, "p30.txt": _edge_text(30, [(i, i + 1) for i in range(29)])}
 
-    monkeypatch.setattr(theorems, "survey", no_survey)
-    out, csvp = tmp_path / "missing" / "rep.json", tmp_path / "rows.csv"
-    for argv in (["--csv", str(csvp)], []):
-        assert main(["survey", "--n", "5", "--out", str(out), *argv]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: [Errno 2] ") and captured.err.count("\n") == 1
-        assert not csvp.exists()
+# compute and compare on a 30-vertex path, past csf_powersum's n <= 25;
+# P30_CAP_ERROR is the one error line of the refusal
+OUT_CAP_REFUSALS = {
+    "compute": ["compute", "--input", "p30.txt", "--basis", "p"],
+    "compare": ["compare", "--a", "p30.txt", "--b", "p30.txt"],
+}
+P30_CAP_ERROR = "error: csf_powersum capped at n <= 25, got 30\n"
 
 
-def test_survey_failing_removes_only_a_regular_out_file(tmp_path, capsys, monkeypatch):
-    """A request whose survey fails removes the --out file it opened only
-    if it is a regular file: an --out of /dev/null is never passed to
-    os.remove.  os.remove is replaced by a recorder, so nothing is deleted
-    here."""
+@pytest.fixture
+def out_dir(tmp_path, monkeypatch):
+    for name, text in OUT_INPUTS.items():
+        _write(tmp_path, name, text)
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
+
+
+def _assert_failed_request_keeps_prior_outputs(argv, code, err, capsys, monkeypatch):
+    """argv fails with exit code and the one line err, and no stdout, for
+    any --out: a file the request creates is removed, a regular file that
+    existed before keeps its bytes, and /dev/null never reaches os.remove
+    (replaced by a recorder for that run, so nothing is deleted there)."""
+    kept = Path("kept.json")
+    kept.write_bytes(b"kept\n")
+    for out in ("new.json", str(kept)):
+        assert main([*argv, "--out", out]) == code
+        assert capsys.readouterr() == ("", err)
+    assert not Path("new.json").exists()
+    assert kept.read_bytes() == b"kept\n"
+    removed = []
+    monkeypatch.setattr(os, "remove", removed.append)
+    assert main([*argv, "--out", os.devnull]) == code
+    assert capsys.readouterr() == ("", err)
+    assert removed == []
+
+
+@pytest.mark.parametrize("command", list(OUT_COMMANDS))
+def test_out_path_that_cannot_be_opened_fails_first(out_dir, capsys, monkeypatch, command):
+    """Each command opens its --out path after its own argument checks and
+    before its work: a path that cannot be opened fails the request with
+    one error line and no stdout before the entry its work starts in runs."""
+    argv, module, entry = OUT_COMMANDS[command]
+
+    def no_work(*args):
+        raise AssertionError(f"{entry} ran")
+
+    monkeypatch.setattr(module, entry, no_work)
+    assert main([*argv, "--out", "missing/out.json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: [Errno 2] ") and captured.err.count("\n") == 1
+    assert sorted(path.name for path in out_dir.iterdir()) == sorted(OUT_INPUTS)
+
+
+@pytest.mark.parametrize("command", list(OUT_COMMANDS))
+def test_failed_work_removes_only_the_out_file_it_created(out_dir, capsys, monkeypatch, command):
+    """A failed internal check in the work (exit 3) removes an --out file
+    the request created and leaves one that existed before as it was."""
+    argv, module, entry = OUT_COMMANDS[command]
+
+    def broken(*args):
+        raise InternalError(f"{entry} failed")
+
+    monkeypatch.setattr(module, entry, broken)
+    err = f"error: internal check failed: {entry} failed\n"
+    _assert_failed_request_keeps_prior_outputs(argv, 3, err, capsys, monkeypatch)
+
+
+@pytest.mark.parametrize("command", list(OUT_CAP_REFUSALS))
+def test_cap_refusal_removes_only_the_out_file_it_created(out_dir, capsys, monkeypatch, command):
+    """A CSF cap refusal (exit 1) comes after the --out check, so an
+    unwritable --out is reported ahead of it; the refusal then removes an
+    --out file the request created and leaves one that existed before."""
+    argv = OUT_CAP_REFUSALS[command]
+    assert main([*argv, "--out", "missing/out.json"]) == 1
+    assert capsys.readouterr().err.startswith("error: [Errno 2] ")
+    _assert_failed_request_keeps_prior_outputs(argv, 1, P30_CAP_ERROR, capsys, monkeypatch)
+
+
+def test_survey_failing_keeps_a_csv_file_that_existed(tmp_path, capsys, monkeypatch):
+    """A failed survey removes the --out file it created but leaves a --csv
+    file that existed before with its bytes."""
     def failing_survey(n):
         raise InternalError("survey failed")
 
-    removed = []
-    monkeypatch.setattr(os, "remove", removed.append)
     monkeypatch.setattr(theorems, "survey", failing_survey)
-    out = str(tmp_path / "rep.json")
-    for path in (os.devnull, out):
-        assert main(["survey", "--n", "4", "--out", path]) == 3
-        captured = capsys.readouterr()
-        assert (captured.out, captured.err) == ("", "error: internal check failed: survey failed\n")
-    assert removed == [out]
+    out, csvp = tmp_path / "rep.json", tmp_path / "rows.csv"
+    csvp.write_bytes(b"kept\n")
+    assert main(["survey", "--n", "5", "--out", str(out), "--csv", str(csvp)]) == 3
+    assert capsys.readouterr() == ("", "error: internal check failed: survey failed\n")
+    assert not out.exists()
+    assert csvp.read_bytes() == b"kept\n"
 
 
 def test_survey_rejects_one_path_for_out_and_csv(tmp_path, capsys, monkeypatch):
