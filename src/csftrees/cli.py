@@ -9,11 +9,12 @@ Subcommands
   starconn   build a star connection from a JSON spec file; --audit likewise
   enumerate  all non-isomorphic trees on n vertices
 
-Exit codes: 0 success; 1 domain error (one "error: ..." line on stderr);
-2 usage error; 3 failed internal check, i.e. a bug (one "error: internal
-check failed: ..." line on stderr).  Output is exact-integer JSON (or
-edge-list text) and is byte-identical for identical inputs.  survey runs in
-one process; its --jobs option is still accepted and has no effect.
+Exit codes: 0 success; 1 domain error, or a failed write, stdout's
+included (one "error: ..." line on stderr); 2 usage error; 3 failed
+internal check, i.e. a bug (one "error: internal check failed: ..." line
+on stderr).  Output is exact-integer JSON (or edge-list text) and is
+byte-identical for identical inputs.  survey runs in one process; its
+--jobs option is still accepted and has no effect.
 
 Output files (survey --csv and --out, compute --out, compare --out) follow
 one policy, _outputs: after its own argument checks (survey: the n range,
@@ -31,16 +32,27 @@ and graphs, and each handler imports what it runs: compute and compare
 the CSF engine (symfunc), survey the theorems module, which loads the
 engine only when two trees tie on its exact invariants (never for
 n <= 10).  Integer options take ASCII decimals only (parse_int).
+
+How a request ends: main() runs the handler and then flushes stdout, so a
+buffered write that fails (to a full disk, say) is an OSError like any
+other, exit 1; a closed fd 1 (sys.stdout is None) fails only a request
+that writes to stdout.  The csf script and `python -m csftrees.cli` call
+run(), which ends the process with os._exit, skipping the interpreter's
+teardown of modules and objects.  No output depends on that teardown:
+every output file is closed when main() returns, and the package
+registers no atexit handler.  In-process callers of main() and argparse's
+SystemExit (usage errors, --help) keep the normal exit.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import stat
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 
 from .errors import CapExceededError, GraphError, InternalError
 from .graphs import Tree, _parse_edges, parse_edge_list, parse_int, serialize
@@ -79,6 +91,8 @@ def _emit(text: str, out: str | None, rows=()) -> None:
             fh.write(text)
             fh.writelines(rows)
     else:
+        if sys.stdout is None:  # fd 1 was closed when the interpreter started
+            raise OSError(errno.EBADF, "standard output is closed")
         sys.stdout.write(text)
         sys.stdout.writelines(rows)
 
@@ -289,7 +303,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        if sys.stdout is not None:
+            sys.stdout.flush()  # a failed write is reported here, not lost at exit
+        return code
     except (GraphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -298,5 +315,17 @@ def main(argv=None) -> int:
         return 3
 
 
+def run() -> None:
+    """The csf command: main(), then os._exit with its code.  main() has
+    flushed stdout on success; flushed here are stderr, and stdout that a
+    failed request wrote before it failed."""
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:  # None: the fd was closed at start
+            with suppress(OSError):  # main() has reported the failed request
+                stream.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

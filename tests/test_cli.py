@@ -30,6 +30,14 @@ SPIDER_11_1_1 = "n 14\n0 1\n0 12\n0 13\n1 2\n2 3\n3 4\n4 5\n5 6\n6 7\n7 8\n8 9\n
 TWO_S3 = '{"stars": [3, 3], "gluings": [{"stars": [0, 1]}]}\n'
 
 
+def _child_env(**extra):
+    """The environment of a fresh interpreter that imports csftrees from
+    this tree."""
+    src = os.path.dirname(os.path.dirname(csftrees.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
 def _write(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text)
@@ -382,12 +390,10 @@ def test_survey_bytes_do_not_depend_on_the_hash_seed(tmp_path, seed):
     the SURVEY_DIGESTS[12] bytes: at n = 12 the X stage already runs the
     tree DP inside a shared digest bucket, so every stage's dicts and sets
     take part."""
-    src = os.path.dirname(os.path.dirname(csftrees.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out, csvp = tmp_path / "rep.json", tmp_path / "rows.csv"
     argv = ["survey", "--n", "12", "--out", str(out), "--csv", str(csvp)]
     subprocess.run([sys.executable, "-m", "csftrees.cli", *argv], check=True,
-                   env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed))
+                   env=_child_env(PYTHONHASHSEED=seed))
     digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (out, csvp))
     assert digests == SURVEY_DIGESTS[12]
 
@@ -911,6 +917,113 @@ def test_integer_options_allow_surrounding_whitespace(capsys):
     assert main(["enumerate", "--n", " 7 ", "--count-only"]) == 0
     assert capsys.readouterr().out == "11\n"
 
+# The csf process itself: run() ends it with os._exit once main() has
+# returned, so these tests check what reaches the caller of a real process.
+# The child's stdout is block-buffered, as it is for a user's pipe or file,
+# so a write that fails shows only when the buffer is flushed.
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+ENOSPC_LINE = "error: [Errno 28] No space left on device\n"
+
+
+def _csf(argv, *, code=None, **kwargs):
+    """Run `python -m csftrees.cli argv`, or `python -c code`, in a fresh
+    interpreter with buffered stdout; stdout and stderr are piped unless
+    kwargs say otherwise."""
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    cmd = [sys.executable, "-c", code] if code else [sys.executable, "-m", "csftrees.cli", *argv]
+    kwargs = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **kwargs}
+    return subprocess.run(cmd, env=env, text=True, timeout=60, **kwargs)
+
+
+def test_the_csf_process_keeps_main_s_output_and_exit_code(tmp_path, capsys):
+    """Over 64 KiB of stdout through a pipe and a whole --out file arrive
+    as main() writes them in-process, and the exit code is main()'s."""
+    assert main(["enumerate", "--n", "12"]) == 0
+    listing = capsys.readouterr().out
+    assert len(listing.encode()) > 64 * 1024
+    proc = _csf(["enumerate", "--n", "12"])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, listing, "")
+
+    path = _write(tmp_path, "tree14.txt", COMPUTE_INPUTS["tree14"])
+    out = tmp_path / "tree14.json"
+    assert main(["compute", "--input", path, "--basis", "p"]) == 0
+    proc = _csf(["compute", "--input", path, "--basis", "p", "--out", str(out)])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+    assert out.read_text() == capsys.readouterr().out
+
+    proc = _csf(["compute", "--input", str(tmp_path / "missing.txt"), "--basis", "p"])
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    proc = _csf(["compute", "--input", path, "--basis", "q"])
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "invalid choice: 'q'" in proc.stderr
+
+
+def test_the_csf_process_exits_3_on_a_failed_internal_check(tmp_path):
+    path = _write(tmp_path, "p3.txt", P3)
+    code = (
+        "import sys\n"
+        "from csftrees import cli, symfunc\n"
+        "from csftrees.errors import InternalError\n"
+        "def broken(g):\n"
+        "    raise InternalError('invariant broken')\n"
+        "symfunc.csf_powersum = broken\n"
+        f"sys.argv = ['csf', 'compute', '--input', {path!r}, '--basis', 'p']\n"
+        "cli.run()\n"
+    )
+    proc = _csf(None, code=code)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == "error: internal check failed: invariant broken\n"
+
+
+@needs_dev_full
+def test_a_stdout_write_that_fails_at_the_flush_exits_1():
+    """enumerate --n 8 fits the stdout buffer, so its write fails only at
+    the flush: one error line and exit 1, not an ignored exception at
+    interpreter exit and exit 120."""
+    with open("/dev/full", "w") as full:
+        proc = _csf(["enumerate", "--n", "8"], stdout=full)
+    assert (proc.returncode, proc.stderr) == (1, ENOSPC_LINE)
+
+
+@needs_dev_full
+def test_stdout_written_before_a_request_failed_is_kept(capsys):
+    """survey writes its JSON to stdout and then fails on the CSV; the JSON
+    still reaches stdout, as it did when the interpreter flushed it."""
+    assert main(["survey", "--n", "4"]) == 0
+    proc = _csf(["survey", "--n", "4", "--csv", "/dev/full"])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, capsys.readouterr().out, ENOSPC_LINE)
+
+
+def test_a_closed_stdout_fails_only_a_request_that_writes_to_it(tmp_path, capsys):
+    """With fd 1 closed at start, Python's sys.stdout is None: compute to
+    stdout is one error line and exit 1, compute --out still succeeds."""
+    path = _write(tmp_path, "p3.txt", P3)
+    out = tmp_path / "p3.json"
+
+    def close_stdout():
+        os.close(1)
+
+    proc = _csf(["compute", "--input", path, "--basis", "p"], stdout=None, preexec_fn=close_stdout)
+    assert (proc.returncode, proc.stderr) == (1, "error: [Errno 9] standard output is closed\n")
+    argv = ["compute", "--input", path, "--basis", "p", "--out", str(out)]
+    proc = _csf(argv, stdout=None, preexec_fn=close_stdout)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert main(["compute", "--input", path, "--basis", "p"]) == 0
+    assert out.read_text() == capsys.readouterr().out
+
+
+def test_the_csf_script_is_cli_run():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    pyproject = Path(csftrees.__file__).parents[2] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["csf"]
+    module, _, name = target.partition(":")
+    assert module == "csftrees.cli"
+    assert getattr(cli, name) is cli.run
+
+
 # What each request loads of the package, and nothing else worth watching:
 # numpy and dataclasses stay out of every request, and only compute (and
 # compare) load the CSF engine, symfunc and _kernels.
@@ -926,12 +1039,10 @@ def _fresh_python(code: str) -> list[str]:
     """Run code in a new interpreter that imports csftrees from this tree;
     return the sorted csftrees modules it loaded, and any of _WATCHED that
     it loaded beyond what the interpreter's own start-up did."""
-    src = os.path.dirname(os.path.dirname(csftrees.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     wrapped = (f"import json, sys\nbefore = set(sys.modules)\n{code}\n"
                f"print(json.dumps(sorted(m for m in set(sys.modules) - before "
                f"if m in {_WATCHED!r} or m.split('.')[0] == 'csftrees')))")
-    out = subprocess.run([sys.executable, "-c", wrapped], env=dict(os.environ, PYTHONPATH=path),
+    out = subprocess.run([sys.executable, "-c", wrapped], env=_child_env(),
                          capture_output=True, text=True, check=True)
     return json.loads(out.stdout.splitlines()[-1])
 
