@@ -31,7 +31,8 @@ Start-up is part of every request, so this module imports only errors
 and graphs, and each handler imports what it runs: compute and compare
 the CSF engine (symfunc), survey the theorems module, which loads the
 engine only when two trees tie on its exact invariants (never for
-n <= 10).  Integer options take ASCII decimals only (parse_int).
+n <= 10).  Integer options take ASCII decimals of at most 18 digits
+(parse_int).
 
 How a request ends: main() runs the handler and then flushes stdout, so a
 buffered write that fails (to a full disk, say) is an OSError like any
@@ -59,7 +60,7 @@ from .graphs import Tree, _parse_edges, parse_edge_list, parse_int, serialize
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:  # a leading BOM is dropped
         try:
             return fh.read()
         except UnicodeDecodeError as exc:
@@ -230,13 +231,13 @@ def _cmd_starconn(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    from .generators import _free_tree_edge_sets, enumerate_free_trees
+    from .generators import _free_tree_edge_sets
 
-    if args.count_only:  # the rows alone: no Tree is built
-        _emit(f"{len(_free_tree_edge_sets(args.n))}\n", None)
-        return 0
-    trees = enumerate_free_trees(args.n)
-    _emit_json([{"n": t.n, "edges": [list(e) for e in t.edges]} for t in trees], None)
+    n, rows = args.n, _free_tree_edge_sets(args.n)  # both modes read the rows; no Tree is built
+    if args.count_only:
+        _emit(f"{len(rows)}\n", None)
+    else:  # row[v] < v, so the sorted pairs are in Tree.edges order
+        _emit_json([{"n": n, "edges": sorted([row[v], v] for v in range(1, n))} for row in rows], None)
     return 0
 
 

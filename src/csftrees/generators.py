@@ -15,7 +15,8 @@ tree (the WROM algorithm of Wright, Richmond, Odlyzko & McKay, 1986), and
 sorted by canonical code.  Each is kept as a row, the sequence's parent
 list as n bytes, keyed by its code, which graphs._row_code reads from the
 row, so the walk builds no Tree; enumerate_free_trees builds one
-validated Tree per row.
+validated Tree per row, for library callers (the survey and the CLI
+listing read the rows).
 
 Caps (CapExceededError): spiders and star connections are built only up to
 BUILD_MAX_VERTICES vertices, checked on the spec before any edge exists;
@@ -27,7 +28,7 @@ from __future__ import annotations
 import json
 
 from .errors import CapExceededError, GraphError, InternalError
-from .graphs import Graph, Record, Tree, _as_tuple, _row_code, adjacency, forest_walk, is_int
+from .graphs import Graph, Record, Tree, _as_tuple, _row_code, adjacency, forest_walk, is_int, parse_int
 
 ENUM_MAX_N = 18
 BUILD_MAX_VERTICES = 10_000
@@ -134,8 +135,8 @@ class StarConnectionSpec(Record):
     @classmethod
     def from_json(cls, text: str) -> "StarConnectionSpec":
         try:
-            data = json.loads(text)
-        except (json.JSONDecodeError, RecursionError) as exc:
+            data = json.loads(text, parse_int=parse_int)  # JSONDecodeError is a ValueError
+        except (ValueError, RecursionError) as exc:
             raise GraphError(f"malformed star connection spec: {exc}") from None
         if not isinstance(data, dict) or "stars" not in data or "gluings" not in data:
             raise GraphError('star connection spec must be {"stars": [..], "gluings": [..]}')
@@ -212,7 +213,8 @@ def gen_star_connection(spec: StarConnectionSpec) -> Tree:
 
 def _free_tree_level_sequences(n: int):
     """One level sequence per free tree on n >= 1 vertices: the WROM order
-    (Wright, Richmond, Odlyzko & McKay, SIAM J. Comput. 15, 1986).
+    (Wright, Richmond, Odlyzko & McKay, SIAM J. Comput. 15, 1986).  n = 1
+    yields [0]; every n >= 2 takes the walk below ([0, 1] alone at n = 2).
 
     Each sequence is the canonical (Beyer-Hedetniemi) level sequence of the
     tree rooted at a center. Split it into the root's first subtree L and
@@ -225,8 +227,8 @@ def _free_tree_level_sequences(n: int):
     R's tail reset to a path as deep as L) lands on the next sequence that
     keeps it, so every sequence visited is yielded. Yields an internal
     buffer — consume, don't store."""
-    if n <= 2:
-        yield list(range(n))
+    if n == 1:  # a lone root has no first subtree to split off
+        yield [0]
         return
     s = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
     while True:
@@ -297,10 +299,12 @@ def _free_tree_edge_sets(n: int) -> list[bytes]:
 
 def enumerate_free_trees(n: int) -> list[Tree]:
     """One representative per isomorphism class of trees on n vertices,
-    in canonical-code order.
+    in canonical-code order: the library's Tree view of the rows of
+    _free_tree_edge_sets, which the survey and `csf enumerate` read
+    without it.
 
     Each representative is labeled by its WROM level sequence (vertex 0 a
-    center, the rest in preorder) and built once from it, so A000055(n)
+    center, the rest in preorder) and built once from its row, so A000055(n)
     sequences are visited and each tree's canonical code is computed once,
     to sort them; a code met twice is an InternalError."""
     return [Tree(n, tuple(zip(row[1:], range(1, n)))) for row in _free_tree_edge_sets(n)]

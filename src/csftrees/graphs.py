@@ -20,8 +20,8 @@ surveys rely on.  _row_code, on a row rooted at a center, is the one fold.
 Edge-list text format: lines "u v"; blank lines and lines starting with '#'
 are ignored; an optional header "n <k>" (first content line) declares the
 vertex count, which allows isolated vertices. u, v and k are ASCII decimal
-integers (parse_int). Without a header, n is one plus the maximum vertex id
-(0 for an empty file).
+integers of at most 18 digits (parse_int). Without a header, n is one plus
+the maximum vertex id (0 for an empty file).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from operator import attrgetter, eq
 
 from .errors import GraphError
 
-_INT_TOKEN = re.compile(r"-?[0-9]+")
+_INT_TOKEN = re.compile(r"-?[0-9]{1,18}")
 
 
 def is_int(x) -> bool:
@@ -231,10 +231,12 @@ def forest_walk(g: Graph) -> list[int] | None:
 
 
 def parse_int(token: str) -> int:
-    """The integer an ASCII token -?[0-9]+ spells; ValueError for anything
-    else, such as "+1", "1_0" or non-ASCII digits, which int() accepts."""
+    """The integer an ASCII token -?[0-9]{1,18} spells; ValueError for
+    anything else, such as "+1", "1_0" or non-ASCII digits, which int()
+    accepts, or 19 digits or more: every cap is far below 10^18, and int()
+    and str() refuse numbers past 4,300 digits with a bare ValueError."""
     if _INT_TOKEN.fullmatch(token) is None:
-        raise ValueError(f"not a decimal integer: {token!r}")
+        raise ValueError(f"not a decimal integer of at most 18 digits: {token!r}")
     return int(token)
 
 

@@ -17,6 +17,7 @@ import csftrees
 from csftrees import _kernels, cli, graphs, symfunc, theorems
 from csftrees.cli import main
 from csftrees.errors import GraphError, InternalError
+from csftrees.generators import enumerate_free_trees
 from csftrees.graphs import Tree, parse_edge_list
 from csftrees.theorems import SURVEY_CSV_HEADER, survey, survey_report_to_json_dict
 
@@ -861,6 +862,16 @@ def test_enumerate_lists_trees_in_canonical_code_order(capsys):
     assert all(a < b for a, b in zip(codes, codes[1:]))
 
 
+@pytest.mark.parametrize("n", range(1, 15))
+def test_enumerate_lists_the_rows_as_the_library_lists_trees(capsys, tree_builds, n):
+    """The listing is enumerate_free_trees(n) as JSON, printed from the rows
+    that --count-only and the survey read, with no Tree built."""
+    assert main(["enumerate", "--n", str(n)]) == 0
+    assert tree_builds == []
+    listing = [{"n": t.n, "edges": [list(e) for e in t.edges]} for t in enumerate_free_trees(n)]
+    assert capsys.readouterr().out == json.dumps(listing, indent=2) + "\n"
+
+
 def test_missing_file_is_domain_error(capsys):
     assert main(["compute", "--input", "/nonexistent/x.txt", "--basis", "m"]) == 1
     assert capsys.readouterr().err.startswith("error: ")
@@ -885,6 +896,58 @@ def test_non_utf8_input_is_domain_error(tmp_path, capsys, argv):
     assert captured.err == f"error: {bad}: not UTF-8 text (invalid start byte)\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "--input", "{tree}", "--basis", "p"],
+        ["decompose", "--input", "{tree}"],
+        ["compare", "--theorems", "--a", "{tree}", "--b", "{other}"],
+        ["starconn", "--spec", "{spec}"],
+    ],
+)
+def test_a_leading_byte_order_mark_is_ignored(tmp_path, capsys, argv):
+    texts = {"tree": P4, "other": S4, "spec": TWO_S3}
+    captured = []
+    for bom in ("", "\ufeff"):
+        files = {}
+        for name, text in texts.items():
+            path = tmp_path / f"{name}{len(bom)}.txt"
+            path.write_text(bom + text, encoding="utf-8")
+            files[name] = str(path)
+        assert main([arg.format(**files) for arg in argv]) == 0
+        captured.append(capsys.readouterr())
+    assert captured[0].out and captured[0] == captured[1]
+
+
+NINES = "9" * 4300  # past Python's default limit for int() and str() on decimal text
+STARS = '{{"stars": [{}, {}], "gluings": [{{"stars": [0, 1]}}]}}'
+
+
+@pytest.mark.parametrize(
+    "argv,err",
+    [
+        (["compute", "--input", "{edges}", "--basis", "p"], "line 1: expected 'u v'"),
+        (["decompose", "--input", "{edges}"], "line 1: expected 'u v'"),
+        (["compare", "--a", "{edges}", "--b", "{edges}"], "line 1: expected 'u v'"),
+        (["spider", "--legs", NINES + ",1,1"], "malformed --legs value"),
+        (["starconn", "--spec", "{literal}"], "malformed star connection spec: not a decimal"),
+        (["starconn", "--spec", "{stars}"], "malformed star connection spec: not a decimal"),
+    ],
+)
+def test_integers_of_more_than_18_digits_are_domain_errors(tmp_path, capsys, argv, err):
+    """int() and str() refuse decimal text past 4,300 digits with a bare
+    ValueError; no integer of more than 18 digits gets that far."""
+    files = {
+        "edges": _write(tmp_path, "edges.txt", f"0 {NINES}\n"),
+        "literal": _write(tmp_path, "literal.json", STARS.format("9" * 5001, 3)),
+        "stars": _write(tmp_path, "stars.json", STARS.format(NINES, NINES)),
+    }
+    assert main([arg.format(**files) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {err}") and captured.err.count("\n") == 1
+
+
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["compute", "--input", "x", "--basis", "q"])
@@ -896,14 +959,15 @@ def test_usage_errors_exit_2(capsys):
 
 
 
-@pytest.mark.parametrize("value", ["1_0", "+10", "\uff11\uff10", "abc"])
+@pytest.mark.parametrize("value", ["1_0", "+10", "\uff11\uff10", "abc", "1" * 19])
 @pytest.mark.parametrize(
     "argv",
     [["survey", "--n", "{}"], ["survey", "--n", "4", "--jobs", "{}"], ["enumerate", "--n", "{}"]],
 )
 def test_integer_options_take_ascii_decimals_only(capsys, argv, value):
-    """--n and --jobs spell their integer as parse_int does; int() would
-    take 1_0, +10 and full-width digits.  The rejection is argparse's."""
+    """--n and --jobs spell their integer as parse_int does, in at most 18
+    digits; int() would take 1_0, +10 and full-width digits.  The
+    rejection is argparse's."""
     with pytest.raises(SystemExit) as exc:
         main([arg.format(value) for arg in argv])
     assert exc.value.code == 2

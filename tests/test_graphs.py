@@ -240,6 +240,7 @@ def test_relabel():
 def test_parse_edge_list_header():
     g = parse_edge_list("# comment\n\nn 5\n0 1\n\n1 2\n")
     assert g.n == 5 and g.edges == ((0, 1), (1, 2))
+    assert parse_edge_list("n 999999999999999999\n").n == 10**18 - 1  # 18 digits, the most
 
 
 def test_parse_edge_list_no_header_infers_n():
@@ -267,6 +268,8 @@ def test_parse_edge_list_no_header_infers_n():
         ("+0 1\n", "expected 'u v'"),
         ("n \uff13\n0 1\n", "malformed header"),
         ("n +3\n0 1\n", "malformed header"),
+        ("n 1000000000000000000\n", "malformed header"),
+        ("0 1000000000000000000\n", "expected 'u v'"),
     ],
 )
 def test_parse_edge_list_rejects(text, msg):

@@ -95,20 +95,6 @@ def test_survey_decomposes_each_tree_once(monkeypatch):
     assert len(calls) == rep.num_trees == 11
 
 
-@pytest.fixture
-def tree_builds(monkeypatch):
-    """The vertex count of every Tree validated while the test runs."""
-    built = []
-    validate = Tree.__post_init__
-
-    def counted(self):
-        built.append(self.n)
-        validate(self)
-
-    monkeypatch.setattr(Tree, "__post_init__", counted)
-    return built
-
-
 def test_survey_payloads_reuse_the_enumerated_trees(tree_builds):
     from csftrees import theorems
 
