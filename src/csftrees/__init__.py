@@ -25,6 +25,7 @@ _EXPORTS = {
             "leaf_decomposition",
             "padded_levels",
             "rho_data",
+            "tree_facts",
         ),
         "decomposition",
     ),
@@ -80,7 +81,6 @@ _EXPORTS = {
             "thm_componentwise_check",
             "thm_leaves_check",
             "thm_sum_check",
-            "tree_facts",
         ),
         "theorems",
     ),

@@ -56,7 +56,7 @@ import sys
 from contextlib import contextmanager, suppress
 
 from .errors import CapExceededError, GraphError, InternalError
-from .graphs import Tree, _parse_edges, parse_edge_list, parse_int, serialize
+from .graphs import Tree, _clipped, _parse_edges, parse_edge_list, parse_int, serialize
 
 
 def _read(path: str) -> str:
@@ -181,7 +181,7 @@ def _parse_legs(text: str):
     try:
         legs = tuple(parse_int(x.strip()) for x in text.split(","))
     except ValueError:
-        raise GraphError(f"malformed --legs value: {text!r}") from None
+        raise GraphError(f"malformed --legs value: {_clipped(text)}") from None
     return SpiderSpec(legs)
 
 
@@ -248,7 +248,7 @@ def _int_arg(text: str) -> int:
     try:
         return parse_int(text.strip())
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        raise argparse.ArgumentTypeError(f"invalid int value: {_clipped(text)}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:

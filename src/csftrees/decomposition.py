@@ -19,15 +19,16 @@ eta as the larger id of a two-vertex component), and a vertex of degree 0
 never changes, so the next level's leaves are among the vertices whose
 degree just fell: the neighbors of eta left alive. A level is the last one
 exactly when its frontier holds every alive vertex. Each vertex and edge
-is touched a bounded number of times, so the peel costs O(n log n), the
-log from sorting each level's vertex tuples.
+is touched a bounded number of times, so _peel costs O(n);
+leaf_decomposition's sort of each level's vertex tuples adds the log.
 
 rho = n - b_1 - eta_1 uses the first level only; its vertex set V(rho) is
 everything that is neither a leaf nor a leaf-neighbor, and is_path reports
 whether the induced subgraph is a path (vacuously true for rho <= 1).  The
-peel answers it on the way: after the first level the alive vertices are
-V(rho) and their neighbor sets its induced adjacency, a forest, so it is a
-path iff its degrees sum to 2(rho - 1) with none above 2.
+peel answers both on the way, and nothing else computes them: after the
+first level the alive vertices are V(rho) and their neighbor sets its
+induced adjacency, a forest, so it is a path iff its degrees sum to
+2(rho - 1) with none above 2.
 
 Two exact invariants of the chromatic symmetric function come from one
 children-first pass (_independence_and_splits): the independence
@@ -38,11 +39,12 @@ differ in either have different X; the survey runs the full tree DP only
 where both tie.  The degree of i(T; x) is alpha(T), the survey's check on
 the peel's sum(b_i).
 
-leaf_decomposition and rho_data take a Tree and are thin entries over
-_peel, which takes only an edge list; _independence_and_splits, like the
-tree DP and alpha_mis, takes a row (see graphs), so the survey runs the
-same folds on its rows without building Trees.
-theorems._facts folds the checkers' facts from one _peel.
+leaf_decomposition, rho_data and tree_facts take a Tree and are thin
+entries over _peel, which takes only an edge list; _independence_and_splits,
+like the tree DP and alpha_mis, takes a row (see graphs), so the survey runs
+the same folds on its rows without building Trees.  _facts folds the
+checkers' TreeFacts from one _peel, for tree_facts and the survey's rows
+alike; a new statistic of the peel belongs beside it.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ class LeafDecomposition(Record):
 
 def leaf_decomposition(t: Tree) -> LeafDecomposition:
     """The levels of t, each with its vertices (see _peel)."""
-    levels, last, _ = _peel(t.n, t.edges)
+    levels, last, _, _ = _peel(t.n, t.edges)
     return LeafDecomposition(
         tuple(
             LeafLevel(len(b), len(eta), tuple(sorted(b)), tuple(sorted(eta))) for b, eta in levels
@@ -75,13 +77,14 @@ def leaf_decomposition(t: Tree) -> LeafDecomposition:
     )
 
 
-def _peel(n: int, edges) -> tuple[list[tuple[list[int], set[int]]], bool, bool]:
+def _peel(n: int, edges) -> tuple[list[tuple[list[int], set[int]]], bool, tuple[int, ...], bool]:
     """The levels of the tree on 0..n-1 with these edges (read once), as
     (b-vertices, eta-vertices), peeled from neighbor sets; each level reads
     only its frontier (see the module docstring).  Also whether the final
     level met the last-level rule (its frontier held every alive vertex),
-    which is when terminal_alpha counts its eta-vertices, and whether V(rho)
-    induces a path, read once the first level is removed."""
+    which is when terminal_alpha counts its eta-vertices, V(rho) ascending,
+    and whether it induces a path, both read once the first level is
+    removed."""
     adjsets: list[set[int]] = [set() for _ in range(n)]
     for u, v in edges:
         adjsets[u].add(v)
@@ -90,7 +93,7 @@ def _peel(n: int, edges) -> tuple[list[tuple[list[int], set[int]]], bool, bool]:
     leaves = [v for v in range(alive) if len(adjsets[v]) == 1]
     isolated = [v for v in range(alive) if not adjsets[v]]
     levels = []
-    is_path = None
+    rest = None
     while alive:
         last = len(leaves) + len(isolated) == alive
         b, eta = [], set()
@@ -114,14 +117,13 @@ def _peel(n: int, edges) -> tuple[list[tuple[list[int], set[int]]], bool, bool]:
                     touched.add(w)
         leaves = [w for w in touched if len(adjsets[w]) == 1]
         isolated += [w for w in touched if not adjsets[w]]
-        if is_path is None:
+        if rest is None:
             # The alive vertices are V(rho) and their sets its induced
             # adjacency, a forest: a path iff rho - 1 edges, no degree above 2.
-            inside = [len(adjsets[v]) for v in range(n) if v not in removed]
-            is_path = len(inside) <= 1 or (
-                sum(inside) == 2 * len(inside) - 2 and max(inside) <= 2
-            )
-    return levels, last, is_path
+            rest = tuple(v for v in range(n) if v not in removed)
+            inside = [len(adjsets[v]) for v in rest]
+            is_path = len(rest) <= 1 or (sum(inside) == 2 * len(rest) - 2 and max(inside) <= 2)
+    return levels, last, rest, is_path
 
 
 def padded_levels(s1, s2) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
@@ -136,11 +138,26 @@ class RhoData(Record):
 
 def rho_data(t: Tree) -> RhoData:
     """rho and V(rho) of t, from the first level of its peel."""
-    levels, _, is_path = _peel(t.n, t.edges)
-    b1, eta1 = levels[0]
-    peeled = eta1.union(b1)
-    rest = tuple(v for v in range(t.n) if v not in peeled)
+    _, _, rest, is_path = _peel(t.n, t.edges)
     return RhoData(len(rest), rest, is_path)
+
+
+class TreeFacts(Record):
+    """Everything the pairwise checkers need to know about one tree."""
+
+    __slots__ = ("levels", "rho", "is_path")
+
+
+def _facts(n: int, edges) -> TreeFacts:
+    """The facts of the tree on 0..n-1 with these edges (any iterable, read
+    once), from one peel: the (b, eta) counts of its levels, rho and
+    whether V(rho) induces a path."""
+    levels, _, rest, is_path = _peel(n, edges)
+    return TreeFacts(tuple((len(b), len(eta)) for b, eta in levels), len(rest), is_path)
+
+
+def tree_facts(t: Tree) -> TreeFacts:
+    return _facts(t.n, t.edges)
 
 
 def alpha_mis(g: Graph) -> int:

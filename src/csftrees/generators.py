@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 
 from .errors import CapExceededError, GraphError, InternalError
-from .graphs import Graph, Record, Tree, _as_tuple, _row_code, adjacency, forest_walk, is_int, parse_int
+from .graphs import Graph, Record, Tree, _as_tuple, _clipped, _row_code, adjacency, forest_walk, is_int, parse_int
 
 ENUM_MAX_N = 18
 BUILD_MAX_VERTICES = 10_000
@@ -94,9 +94,9 @@ class Gluing(Record):
             raise GraphError("a gluing must involve at least 2 stars")
         for k in stars:
             if not is_int(k):
-                raise GraphError(f"gluing star {k!r} is not an integer")
+                raise GraphError(f"gluing star {_clipped(k)} is not an integer")
         if len(set(stars)) != len(stars):
-            raise GraphError(f"gluing lists a star twice: {stars}")
+            raise GraphError(f"gluing lists a star twice: {_clipped(stars)}")
 
 
 class StarConnectionSpec(Record):

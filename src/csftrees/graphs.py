@@ -230,13 +230,19 @@ def forest_walk(g: Graph) -> list[int] | None:
     return row if g.num_edges == g.n - sum(map(eq, row, range(g.n))) else None
 
 
+def _clipped(value) -> str:
+    """repr(value) for an error message, cut after 40 characters with a
+    marker, so that no message echoes unbounded input."""
+    return r if len(r := repr(value)) <= 40 else f"{r[:40]}... ({len(r)} characters)"
+
+
 def parse_int(token: str) -> int:
     """The integer an ASCII token -?[0-9]{1,18} spells; ValueError for
     anything else, such as "+1", "1_0" or non-ASCII digits, which int()
     accepts, or 19 digits or more: every cap is far below 10^18, and int()
     and str() refuse numbers past 4,300 digits with a bare ValueError."""
     if _INT_TOKEN.fullmatch(token) is None:
-        raise ValueError(f"not a decimal integer of at most 18 digits: {token!r}")
+        raise ValueError(f"not a decimal integer of at most 18 digits: {_clipped(token)}")
     return int(token)
 
 
@@ -257,23 +263,21 @@ def _parse_edges(text: str) -> tuple[int, tuple[tuple[int, int], ...]]:
         if toks[0] == "n":
             if saw_content:
                 raise GraphError(f"line {lineno}: header 'n <k>' must be the first content line")
-            if len(toks) != 2:
-                raise GraphError(f"line {lineno}: malformed header {line!r}")
             try:
-                n_header = parse_int(toks[1])
+                _, count = toks  # ValueError unless the line has two tokens
+                n_header = parse_int(count)
             except ValueError:
-                raise GraphError(f"line {lineno}: malformed header {line!r}") from None
+                raise GraphError(f"line {lineno}: malformed header {_clipped(line)}") from None
             if n_header < 0:
                 raise GraphError(f"line {lineno}: negative vertex count")
             saw_content = True
             continue
         saw_content = True
-        if len(toks) != 2:
-            raise GraphError(f"line {lineno}: expected 'u v', got {line!r}")
         try:
-            u, v = parse_int(toks[0]), parse_int(toks[1])
+            u, v = toks  # ValueError unless the line has two tokens
+            u, v = parse_int(u), parse_int(v)
         except ValueError:
-            raise GraphError(f"line {lineno}: expected 'u v', got {line!r}") from None
+            raise GraphError(f"line {lineno}: expected 'u v', got {_clipped(line)}") from None
         if u < 0 or v < 0:
             raise GraphError(f"line {lineno}: negative vertex id")
         if u == v:

@@ -8,9 +8,10 @@ Four checkers, identified by theorem id:
   STAR_COUNT      star connections on the same vertex set with r < s stars,
                   whose block maxima are M = N - r on N vertices
 
-The checkers read only TreeFacts, which _facts folds from an edge list
-for tree_facts and the survey's rows alike.  The closed-form spider block
-maximum (spider_M_formula) is audited, not used as a checker; see below.
+The checkers read only TreeFacts, which decomposition._facts folds from
+one peel, for tree_facts and the survey's rows alike.  The closed-form
+spider block maximum (spider_M_formula) is audited, not used as a
+checker; see below.
 
 Applicable verdicts claim the maximal independent blocks satisfy m1 > m2,
 with the pair oriented internally (``swapped`` records an exchange of the
@@ -52,12 +53,14 @@ Two known weaknesses are handled explicitly rather than papered over:
 from __future__ import annotations
 
 from .decomposition import (
+    TreeFacts,
+    _facts,
     _independence_and_splits,
-    _peel,
     alpha_mis,
     chain_holds,
     chain_sequence,
     padded_levels,
+    tree_facts,
 )
 from .errors import CapExceededError, GraphError, InternalError
 from .generators import (
@@ -96,27 +99,6 @@ def verdict_to_json_dict(v: TheoremVerdict) -> dict:
         "swapped": v.swapped,
         "detail": v.detail,
     }
-
-
-class TreeFacts(Record):
-    """Everything the pairwise checkers need to know about one tree."""
-
-    __slots__ = ("levels", "rho", "is_path")
-
-
-def _facts(n: int, edges) -> TreeFacts:
-    """The facts of the tree on 0..n-1 with these edges (any iterable, read
-    once), from one peel: the (b, eta) counts of its levels, rho from the
-    first, and whether V(rho) induces a path, which the peel reads off its
-    neighbor sets once the first level is gone."""
-    levels, _, is_path = _peel(n, edges)
-    b1, eta1 = levels[0]
-    counts = tuple((len(b), len(eta)) for b, eta in levels)
-    return TreeFacts(counts, n - len(b1) - len(eta1), is_path)
-
-
-def tree_facts(t: Tree) -> TreeFacts:
-    return _facts(t.n, t.edges)
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -429,13 +411,17 @@ def _spider_audit_rows(n: int) -> list[dict]:
     return rows
 
 
-def _compositions(total: int, r: int, minpart: int):
+_MIN_STAR = 3  # the smallest star of a star connection
+
+
+def _compositions(total: int, r: int):
+    """The compositions of total into r parts of at least _MIN_STAR each."""
     if r == 1:
-        if total >= minpart:
+        if total >= _MIN_STAR:
             yield (total,)
         return
-    for first in range(minpart, total - minpart * (r - 1) + 1):
-        for rest in _compositions(total - first, r - 1, minpart):
+    for first in range(_MIN_STAR, total - _MIN_STAR * (r - 1) + 1):
+        for rest in _compositions(total - first, r - 1):
             yield (first,) + rest
 
 
@@ -449,18 +435,18 @@ def _star_audit_rows(n: int) -> list[dict]:
     rows = []
     for r in range(2, n):
         total = n + r - 1  # sum of star sizes; each of r-1 merges saves a vertex
-        if 3 * r > total:
+        if _MIN_STAR * r > total:
             break
         specs = [
             StarConnectionSpec(comp, tuple(Gluing((i, i + 1)) for i in range(r - 1)))
-            for comp in _compositions(total, r, 3)
+            for comp in _compositions(total, r)
             if comp <= comp[::-1]
         ]
         if r >= 3:
             specs.extend(
                 StarConnectionSpec(parts, (Gluing(tuple(range(r))),))
                 for parts in partitions_desc(total)
-                if len(parts) == r and parts[-1] >= 3
+                if len(parts) == r and parts[-1] >= _MIN_STAR
             )
         for spec in specs:
             _, _, m, a = star_connection_audit(spec)

@@ -537,7 +537,7 @@ def star_audit_rows_reference(n: int) -> list[dict]:
             break
         specs = [
             StarConnectionSpec(comp, tuple(Gluing((i, i + 1)) for i in range(r - 1)))
-            for comp in theorems._compositions(total, r, 3)
+            for comp in theorems._compositions(total, r)
         ]
         if r >= 3:
             specs.extend(

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import csftrees
-from csftrees import _kernels, cli, graphs, symfunc, theorems
+from csftrees import _kernels, cli, decomposition, graphs, symfunc, theorems
 from csftrees.cli import main
 from csftrees.errors import GraphError, InternalError
 from csftrees.generators import enumerate_free_trees
@@ -262,7 +262,7 @@ def test_compare_theorems_computes_facts_once(tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     counted(graphs, "canonical_code")
-    counted(theorems, "_peel")
+    counted(decomposition, "_peel")
     text_a = "n 8\n0 1\n1 2\n2 3\n3 4\n4 5\n5 6\n6 7\n"
     text_b = "n 8\n0 1\n0 2\n0 3\n3 4\n4 5\n4 6\n6 7\n"
     a, b = _write(tmp_path, "a.txt", text_a), _write(tmp_path, "b.txt", text_b)
@@ -946,6 +946,43 @@ def test_integers_of_more_than_18_digits_are_domain_errors(tmp_path, capsys, arg
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {err}") and captured.err.count("\n") == 1
+
+
+COMPUTE = ["compute", "--input", "{file}", "--basis", "p"]
+STARCONN = ["starconn", "--spec", "{file}"]
+GLUING = '{{"stars": [3, 3], "gluings": [{{"stars": [{}]}}]}}'
+
+
+@pytest.mark.parametrize(
+    "argv,text,code,err",
+    [
+        (["decompose", "--input", "{file}"], "x" * 10**6, 1, "error: line 1: expected 'u v'"),
+        (COMPUTE, f"0 {NINES}", 1, "error: line 1: expected 'u v'"),
+        (COMPUTE, f"n {'9' * 5000}", 1, "error: line 1: malformed header"),
+        (STARCONN, STARS.format("9" * 5001, 3), 1, "of at most 18 digits"),
+        (STARCONN, GLUING.format(f'0, "{"x" * 5000}"'), 1, "error: gluing star 'xxx"),
+        (STARCONN, GLUING.format("0" + ", 1" * 3000), 1, "error: gluing lists a star twice"),
+        (["spider", "--legs", NINES + ",1,1"], None, 1, "error: malformed --legs value"),
+        (["survey", "--n", "9" * 100_000], None, 2, "error: argument --n: invalid int value"),
+    ],
+    ids=["decompose-line", "compute-token", "header", "starconn-literal", "gluing-star",
+         "gluing-twice", "spider-legs", "survey-n"],
+)
+def test_error_messages_echo_a_bounded_prefix_of_the_input(tmp_path, capsys, argv, text, code, err):
+    """An offending line, token or option value is echoed cut to a short
+    prefix, so no message grows with the input."""
+    path = _write(tmp_path, "input.txt", text) if text is not None else None
+    argv = [arg.format(file=path) for arg in argv]
+    if code == 2:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    else:
+        assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert err in captured.err
+    assert max(len(line.encode()) for line in captured.err.splitlines()) <= 200
 
 
 def test_usage_errors_exit_2(capsys):

@@ -25,6 +25,7 @@ from csftrees.decomposition import (
     leaf_decomposition,
     padded_levels,
     rho_data,
+    tree_facts,
 )
 from csftrees.errors import GraphError
 from csftrees.generators import (
@@ -39,7 +40,6 @@ from csftrees.generators import (
 from csftrees.graphs import Graph, Tree, degrees, forest_walk
 from csftrees.partitions import partitions_desc
 from csftrees.symfunc import _hook_max_block, _tree_powersum_terms
-from csftrees.theorems import tree_facts
 
 
 @pytest.mark.parametrize(
@@ -241,7 +241,7 @@ def test_rho_path_rule_matches_induced_subgraph():
         expected = rho_path_bruteforce(t)
         assert (r.rho_vertices, r.is_path) == expected
         assert r.rho == len(r.rho_vertices)
-        assert tree_facts(t).is_path == expected[1]
+        assert (tree_facts(t).rho, tree_facts(t).is_path) == (len(expected[0]), expected[1])
         if t.n >= 12:
             kinds.add((r.rho > 1, r.is_path))
     # the random trees hold long paths and non-paths alike

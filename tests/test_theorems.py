@@ -80,7 +80,7 @@ def test_tree_facts():
 
 
 def test_survey_decomposes_each_tree_once(monkeypatch):
-    from csftrees import decomposition, theorems
+    from csftrees import decomposition
 
     calls = []
     real = decomposition._peel
@@ -90,7 +90,6 @@ def test_survey_decomposes_each_tree_once(monkeypatch):
         return real(n, edges)
 
     monkeypatch.setattr(decomposition, "_peel", counted)
-    monkeypatch.setattr(theorems, "_peel", counted)
     rep = survey(7)
     assert len(calls) == rep.num_trees == 11
 
