@@ -18,6 +18,11 @@ row, so the walk builds no Tree; enumerate_free_trees builds one
 validated Tree per row, for library callers (the survey and the CLI
 listing read the rows).
 
+The two families the paper ends with are listed here, one spec per
+isomorphism class, for the survey's formula audits (theorems): _spiders(n),
+every spider on n vertices, and _star_connections(n), the chains and
+bouquets of stars on n vertices.  Each family's rules live in its spec.
+
 Caps (CapExceededError): spiders and star connections are built only up to
 BUILD_MAX_VERTICES vertices, checked on the spec before any edge exists;
 enumeration takes n <= ENUM_MAX_N.
@@ -32,6 +37,8 @@ from .graphs import Graph, Record, Tree, _as_tuple, _clipped, _row_code, adjacen
 
 ENUM_MAX_N = 18
 BUILD_MAX_VERTICES = 10_000
+_MIN_LEGS = 3  # a spider has at least 3 legs: its center has degree > 2
+_MIN_STAR = 3  # a star connection glues stars of at least 3 vertices
 
 
 def gen_path(n: int) -> Tree:
@@ -47,15 +54,16 @@ def gen_star(n: int) -> Tree:
 
 
 class SpiderSpec(Record):
-    """Leg lengths (in edges) of a spider; at least 3 legs, each of length >= 1."""
+    """Leg lengths (in edges) of a spider: at least _MIN_LEGS legs, each of
+    length >= 1."""
 
     __slots__ = ("legs",)
 
     def __post_init__(self) -> None:
         legs = _as_tuple(self.legs, "SpiderSpec legs")
         object.__setattr__(self, "legs", legs)
-        if len(legs) < 3:
-            raise GraphError("spider needs at least 3 legs (center degree > 2)")
+        if len(legs) < _MIN_LEGS:
+            raise GraphError(f"spider needs at least {_MIN_LEGS} legs (center degree > 2)")
         if any(not is_int(x) or x < 1 for x in legs):
             raise GraphError("spider leg lengths must be integers >= 1")
 
@@ -100,9 +108,9 @@ class Gluing(Record):
 
 
 class StarConnectionSpec(Record):
-    """Stars S_{n_1},...,S_{n_r} (each n_k >= 3, r >= 2) glued at shared
-    non-center vertices. Each gluing takes one of the n_k - 1 leaves of each
-    member star."""
+    """Stars S_{n_1},...,S_{n_r} (each n_k >= _MIN_STAR, r >= 2) glued at
+    shared non-center vertices. Each gluing takes one of the n_k - 1 leaves
+    of each member star."""
 
     __slots__ = ("star_sizes", "gluings")
 
@@ -113,12 +121,12 @@ class StarConnectionSpec(Record):
         object.__setattr__(self, "gluings", gluings)
         if len(sizes) < 2:
             raise GraphError("star connection needs r >= 2 stars")
-        if any(not is_int(x) or x < 3 for x in sizes):
-            raise GraphError("every star size must be an integer >= 3")
+        if any(not is_int(x) or x < _MIN_STAR for x in sizes):
+            raise GraphError(f"every star size must be an integer >= {_MIN_STAR}")
         r = len(sizes)
         for g in gluings:
             if not isinstance(g, Gluing):
-                raise GraphError(f"StarConnectionSpec gluings must be Gluing values, got {g!r}")
+                raise GraphError(f"StarConnectionSpec gluings must be Gluing values, got {_clipped(g)}")
             for k in g.stars:
                 if not (0 <= k < r):
                     raise GraphError(f"gluing references star {k}, but there are {r} stars")
@@ -140,6 +148,8 @@ class StarConnectionSpec(Record):
             raise GraphError(f"malformed star connection spec: {exc}") from None
         if not isinstance(data, dict) or "stars" not in data or "gluings" not in data:
             raise GraphError('star connection spec must be {"stars": [..], "gluings": [..]}')
+        if unknown := [key for key in data if key not in ("stars", "gluings")]:
+            raise GraphError(f"star connection spec has an unknown key {_clipped(unknown[0])}")
         sizes = data["stars"]
         raw_gluings = data["gluings"]
         if not isinstance(sizes, list) or not isinstance(raw_gluings, list):
@@ -148,8 +158,8 @@ class StarConnectionSpec(Record):
         for item in raw_gluings:
             if not isinstance(item, dict) or "stars" not in item:
                 raise GraphError('each gluing must be {"stars": [..]}')
-            if "slots" in item:
-                raise GraphError('gluing "slots" are not supported: leaves are taken in order')
+            if unknown := [key for key in item if key != "stars"]:
+                raise GraphError(f"gluing has an unknown key {_clipped(unknown[0])}")
             if not isinstance(item["stars"], list):
                 raise GraphError('gluing "stars" must be a list')
             gluings.append(Gluing(tuple(item["stars"])))
@@ -209,6 +219,48 @@ def gen_star_connection(spec: StarConnectionSpec) -> Tree:
             edges.append((k, nxt))
             nxt += 1
     return Tree(nxt, tuple(edges))
+
+
+def _spiders(n: int):
+    """An iterator over every spider on n vertices, one per isomorphism
+    class: its legs are a partition of n - 1 into at least _MIN_LEGS parts,
+    in partitions_desc order."""
+    from .partitions import partitions_desc  # not compiled by `csf enumerate`
+
+    return (SpiderSpec(legs) for legs in partitions_desc(n - 1) if len(legs) >= _MIN_LEGS)
+
+
+def _compositions(total: int, r: int):
+    """The compositions of total >= _MIN_STAR * r into r parts of at least
+    _MIN_STAR each, in lexicographic order."""
+    if r == 1:
+        yield (total,)
+        return
+    for first in range(_MIN_STAR, total - _MIN_STAR * (r - 1) + 1):
+        for rest in _compositions(total - first, r - 1):
+            yield (first,) + rest
+
+
+def _star_connections(n: int):
+    """Yields the star connections on n vertices that are chains or
+    bouquets, one per isomorphism class, by star count r.  For each r, the
+    chains (stars glued in a row) come first, in lexicographic order of
+    sizes: each is the caterpillar on its centers and gluing vertices, so
+    only its reversal gives the same tree, and the smaller sizes of the two
+    are kept.  Then the bouquets (every star glued at one shared vertex,
+    never a caterpillar), one per partition, in descending order."""
+    from .partitions import partitions_desc  # not compiled by `csf enumerate`
+
+    # n - 1 = sum(n_k - 1), the tree's edges, so r <= (n - 1) // (_MIN_STAR - 1)
+    for r in range(2, (n - 1) // (_MIN_STAR - 1) + 1):
+        total = n + r - 1  # the sizes' sum: num_vertices is total - (r - 1)
+        for sizes in _compositions(total, r):
+            if sizes <= sizes[::-1]:
+                yield StarConnectionSpec(sizes, tuple(Gluing((i, i + 1)) for i in range(r - 1)))
+        if r >= 3:  # a bouquet of two stars is their chain
+            for sizes in partitions_desc(total):
+                if len(sizes) == r and sizes[-1] >= _MIN_STAR:
+                    yield StarConnectionSpec(sizes, (Gluing(tuple(range(r))),))
 
 
 def _free_tree_level_sequences(n: int):
@@ -280,7 +332,7 @@ def _free_tree_edge_sets(n: int) -> list[bytes]:
     is caught at insertion; no Tree is built.  The name is older than the
     return type; benchmark traces time this step under it."""
     if not is_int(n) or n < 1:
-        raise GraphError(f"tree order must be a positive integer, got {n!r}")
+        raise GraphError(f"tree order must be a positive integer, got {_clipped(n)}")
     if n > ENUM_MAX_N:
         raise CapExceededError(f"enumeration capped at n <= {ENUM_MAX_N}, got {n}")
     by_code: dict[str, bytes] = {}

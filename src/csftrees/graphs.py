@@ -39,12 +39,18 @@ def is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _clipped(value) -> str:
+    """repr(value) for an error message, cut after 40 characters with a
+    marker, so that no message echoes unbounded input."""
+    return r if len(r := repr(value)) <= 40 else f"{r[:40]}... ({len(r)} characters)"
+
+
 def _as_tuple(value, field: str) -> tuple:
     """tuple(value), or a GraphError naming the field when it is not iterable."""
     try:
         items = iter(value)
     except TypeError:
-        raise GraphError(f"{field} must be iterable, got {value!r}") from None
+        raise GraphError(f"{field} must be iterable, got {_clipped(value)}") from None
     return tuple(items)
 
 
@@ -93,7 +99,7 @@ class Record:
         values = dict(zip(fields, args))
         for name, value in kwargs.items():
             if name not in fields or name in values:
-                raise TypeError(f"{type(self).__name__}: unexpected or repeated field {name!r}")
+                raise TypeError(f"{type(self).__name__}: unexpected or repeated field {_clipped(name)}")
             values[name] = value
         for name, value in zip(fields[len(fields) - len(self._defaults) :], self._defaults):
             values.setdefault(name, value)
@@ -136,16 +142,16 @@ class Graph(Record):
 
     def __post_init__(self) -> None:
         if not is_int(self.n) or self.n < 0:
-            raise GraphError(f"vertex count must be a non-negative integer, got {self.n!r}")
+            raise GraphError(f"vertex count must be a non-negative integer, got {_clipped(self.n)}")
         norm = []
         seen = set()
         for e in _as_tuple(self.edges, f"{type(self).__name__} edges"):
             try:
                 u, v = e
             except (TypeError, ValueError):
-                raise GraphError(f"edge {e!r} is not a pair") from None
+                raise GraphError(f"edge {_clipped(e)} is not a pair") from None
             if not is_int(u) or not is_int(v):
-                raise GraphError(f"edge {e!r} has non-integer endpoint")
+                raise GraphError(f"edge {_clipped(e)} has non-integer endpoint")
             if u == v:
                 raise GraphError(f"loop at vertex {u}")
             if not (0 <= u < self.n and 0 <= v < self.n):
@@ -228,12 +234,6 @@ def forest_walk(g: Graph) -> list[int] | None:
         return None
     row = _walk_row(adjacency(g), range(g.n))
     return row if g.num_edges == g.n - sum(map(eq, row, range(g.n))) else None
-
-
-def _clipped(value) -> str:
-    """repr(value) for an error message, cut after 40 characters with a
-    marker, so that no message echoes unbounded input."""
-    return r if len(r := repr(value)) <= 40 else f"{r[:40]}... ({len(r)} characters)"
 
 
 def parse_int(token: str) -> int:

@@ -63,7 +63,7 @@ from __future__ import annotations
 from math import perm
 
 from .errors import CapExceededError, GraphError
-from .graphs import Graph, Record, _as_tuple, forest_walk, is_int
+from .graphs import Graph, Record, _as_tuple, _clipped, forest_walk, is_int
 from .partitions import mult_factorial, packed_layout, packed_terms
 
 BASIS_MONOMIAL = "m"
@@ -88,9 +88,9 @@ class SymmetricFunction(Record):
 
     def __post_init__(self) -> None:
         if self.basis not in _BASES:
-            raise GraphError(f"unknown basis {self.basis!r}; expected one of {_BASES}")
+            raise GraphError(f"unknown basis {_clipped(self.basis)}; expected one of {_BASES}")
         if not is_int(self.n) or self.n < 0:
-            raise GraphError(f"weight must be a non-negative integer, got {self.n!r}")
+            raise GraphError(f"weight must be a non-negative integer, got {_clipped(self.n)}")
         terms = self.terms
         if isinstance(terms, dict):
             items = terms.items()
@@ -103,19 +103,19 @@ class SymmetricFunction(Record):
                 parts, coeff = term
                 parts = tuple(parts)
             except (TypeError, ValueError):
-                raise GraphError(f"term {term!r} is not a (partition, coefficient) pair") from None
+                raise GraphError(f"term {_clipped(term)} is not a (partition, coefficient) pair") from None
             if not is_int(coeff):
-                raise GraphError(f"coefficient of {parts} is not an exact integer")
+                raise GraphError(f"coefficient of {_clipped(parts)} is not an exact integer")
             if not all(is_int(x) for x in parts):
-                raise GraphError(f"partition {parts} has a non-integer part")
+                raise GraphError(f"partition {_clipped(parts)} has a non-integer part")
             if any(x < 1 for x in parts):
-                raise GraphError(f"partition {parts} has a non-positive part")
+                raise GraphError(f"partition {_clipped(parts)} has a non-positive part")
             if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-                raise GraphError(f"partition {parts} is not weakly decreasing")
+                raise GraphError(f"partition {_clipped(parts)} is not weakly decreasing")
             if sum(parts) != self.n:
-                raise GraphError(f"partition {parts} does not sum to the weight {self.n}")
+                raise GraphError(f"partition {_clipped(parts)} does not sum to the weight {self.n}")
             if parts in seen:
-                raise GraphError(f"duplicate partition {parts}")
+                raise GraphError(f"duplicate partition {_clipped(parts)}")
             seen.add(parts)
             if coeff != 0:
                 norm.append((parts, coeff))

@@ -11,7 +11,9 @@ Four checkers, identified by theorem id:
 The checkers read only TreeFacts, which decomposition._facts folds from
 one peel, for tree_facts and the survey's rows alike.  The closed-form
 spider block maximum (spider_M_formula) is audited, not used as a
-checker; see below.
+checker; see below.  The survey audits the spider and star-connection
+formulas on the members that generators lists on n vertices (_spiders,
+_star_connections), which also owns each family's rules.
 
 Applicable verdicts claim the maximal independent blocks satisfy m1 > m2,
 with the pair oriented internally (``swapped`` records an exchange of the
@@ -65,15 +67,15 @@ from .decomposition import (
 from .errors import CapExceededError, GraphError, InternalError
 from .generators import (
     ENUM_MAX_N,
-    Gluing,
     SpiderSpec,
     StarConnectionSpec,
     _free_tree_edge_sets,
+    _spiders,
+    _star_connections,
     gen_spider,
     gen_star_connection,
 )
 from .graphs import Record, Tree, degrees, is_int, trees_isomorphic
-from .partitions import partitions_desc
 
 LEAVES_RHO = "LEAVES_RHO"
 COMPONENTWISE = "COMPONENTWISE"
@@ -402,55 +404,22 @@ def _survey_payload(row: bytes):
 
 
 def _spider_audit_rows(n: int) -> list[dict]:
+    """Formula-vs-oracle rows for the spiders on n vertices
+    (generators._spiders)."""
     rows = []
-    for parts in partitions_desc(n - 1):
-        if len(parts) < 3:
-            continue
-        formula, oracle, agrees = spider_audit(SpiderSpec(parts))
-        rows.append({"legs": list(parts), "formula": formula, "oracle": oracle, "agrees": agrees})
+    for spec in _spiders(n):
+        m, a, agrees = spider_audit(spec)
+        rows.append({"legs": list(spec.legs), "formula": m, "oracle": a, "agrees": agrees})
     return rows
-
-
-_MIN_STAR = 3  # the smallest star of a star connection
-
-
-def _compositions(total: int, r: int):
-    """The compositions of total into r parts of at least _MIN_STAR each."""
-    if r == 1:
-        if total >= _MIN_STAR:
-            yield (total,)
-        return
-    for first in range(_MIN_STAR, total - _MIN_STAR * (r - 1) + 1):
-        for rest in _compositions(total - first, r - 1):
-            yield (first,) + rest
 
 
 def _star_audit_rows(n: int) -> list[dict]:
     """Formula-vs-oracle rows for the star connections on n vertices that the
-    survey samples, one per isomorphism class: the chains (stars glued in a
-    row), each the caterpillar on its centers and gluing vertices, so only
-    its reversal gives the same tree and the smaller sizes of the two are
-    kept; and the bouquets (every star glued at one shared vertex, never a
-    caterpillar), one per partition."""
+    survey samples (generators._star_connections)."""
     rows = []
-    for r in range(2, n):
-        total = n + r - 1  # sum of star sizes; each of r-1 merges saves a vertex
-        if _MIN_STAR * r > total:
-            break
-        specs = [
-            StarConnectionSpec(comp, tuple(Gluing((i, i + 1)) for i in range(r - 1)))
-            for comp in _compositions(total, r)
-            if comp <= comp[::-1]
-        ]
-        if r >= 3:
-            specs.extend(
-                StarConnectionSpec(parts, (Gluing(tuple(range(r))),))
-                for parts in partitions_desc(total)
-                if len(parts) == r and parts[-1] >= _MIN_STAR
-            )
-        for spec in specs:
-            _, _, m, a = star_connection_audit(spec)
-            rows.append({"stars": list(spec.star_sizes), "formula": m, "alpha": a, "agrees": m == a})
+    for spec in _star_connections(n):
+        _, _, m, a = star_connection_audit(spec)
+        rows.append({"stars": list(spec.star_sizes), "formula": m, "alpha": a, "agrees": m == a})
     return rows
 
 

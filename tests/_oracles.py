@@ -24,7 +24,7 @@ from csftrees.generators import (
     gen_star_connection,
 )
 from csftrees.graphs import Graph, Tree, _centers, canonical_code, forest_walk, is_int
-from csftrees.partitions import mult_factorial, partitions_desc
+from csftrees.partitions import mult_factorial
 from csftrees.symfunc import BASIS_POWERSUM, SymmetricFunction
 
 
@@ -525,26 +525,27 @@ def star_connection_M(spec: StarConnectionSpec) -> int:
 
 
 def star_audit_rows_reference(n: int) -> list[dict]:
-    """theorems._star_audit_rows(n) by building every candidate: each chain
-    composition and each bouquet partition into star sizes >= 3 is built,
-    and a tree whose canonical code was met before is dropped.  M is the
-    closed form sum(n_k - 1) - (r - 1), alpha the forest DP's."""
+    """theorems._star_audit_rows(n) by building every candidate: for each
+    star count r, every tuple of r star sizes >= 3 summing to n + r - 1
+    (itertools.product, filtered by the sum) is built as a chain, in
+    ascending order, then as a bouquet, in descending order, and a tree
+    whose canonical code was met before is dropped.  So a chain keeps the
+    smaller of its two orientations and a bouquet its sizes in descending
+    order.  M is the closed form sum(n_k - 1) - (r - 1), alpha the forest
+    DP's."""
     rows = []
     seen = set()
     for r in range(2, n):
         total = n + r - 1
         if 3 * r > total:
             break
+        largest = total - 3 * (r - 1)
+        sizes = [s for s in itertools.product(range(3, largest + 1), repeat=r) if sum(s) == total]
         specs = [
-            StarConnectionSpec(comp, tuple(Gluing((i, i + 1)) for i in range(r - 1)))
-            for comp in theorems._compositions(total, r)
+            StarConnectionSpec(s, tuple(Gluing((i, i + 1)) for i in range(r - 1))) for s in sizes
         ]
         if r >= 3:
-            specs.extend(
-                StarConnectionSpec(parts, (Gluing(tuple(range(r))),))
-                for parts in partitions_desc(total)
-                if len(parts) == r and parts[-1] >= 3
-            )
+            specs.extend(StarConnectionSpec(s, (Gluing(tuple(range(r))),)) for s in sizes[::-1])
         for spec in specs:
             t = gen_star_connection(spec)
             code = canonical_code(t)

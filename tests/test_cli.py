@@ -843,6 +843,25 @@ def test_starconn_rejects_non_integer_stars(tmp_path, capsys, sizes, gluing, msg
         assert captured.err == f"error: {msg}\n"
 
 
+@pytest.mark.parametrize(
+    "spec,key",
+    [
+        ('{"stars": [3, 3], "gluings": [{"stars": [0, 1]}], "gluing": []}', "'gluing'"),
+        ('{"stars": [3, 3], "gluings": [{"stars": [0, 1], "star": [1, 0]}]}', "'star'"),
+    ],
+    ids=["spec", "gluing"],
+)
+def test_starconn_rejects_an_unknown_key(tmp_path, capsys, spec, key):
+    """A misspelt key would build a different tree, so it is refused."""
+    path = _write(tmp_path, "spec.json", spec)
+    for extra in ([], ["--audit"]):
+        assert main(["starconn", "--spec", path] + extra) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert f"unknown key {key}" in captured.err
+
+
 def test_enumerate(capsys):
     assert main(["enumerate", "--n", "5"]) == 0
     data = json.loads(capsys.readouterr().out)

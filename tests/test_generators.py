@@ -63,6 +63,23 @@ def test_gen_spider_shape():
     assert gen_spider((2, 2, 2)).n == 7  # raw sequences accepted
 
 
+@pytest.mark.parametrize(
+    "n,count", zip(range(4, 15), [1, 2, 4, 7, 11, 17, 25, 36, 50, 70, 94])
+)
+def test_spiders_list_every_spider_once(n, count):
+    """The spiders on n vertices are the trees with exactly one vertex of
+    degree >= 3; _spiders lists each once, by legs in descending order."""
+    specs = list(generators._spiders(n))
+    expected = sorted(
+        canonical_code(t)
+        for t in enumerate_free_trees(n)
+        if sum(d >= 3 for d in degrees(t)) == 1
+    )
+    assert sorted(canonical_code(gen_spider(spec)) for spec in specs) == expected
+    assert len(expected) == count
+    assert [spec.legs for spec in specs] == sorted((spec.legs for spec in specs), reverse=True)
+
+
 def test_star_connection_example_chain():
     spec = StarConnectionSpec(
         (4, 5, 3, 4), (Gluing((0, 1)), Gluing((1, 2)), Gluing((2, 3)))

@@ -13,6 +13,7 @@ from csftrees.generators import (
     Gluing,
     SpiderSpec,
     StarConnectionSpec,
+    _free_tree_edge_sets,
     enumerate_free_trees,
     gen_path,
     gen_spider,
@@ -78,6 +79,32 @@ def test_value_types_reject_malformed_containers(make, args, msg):
     a GraphError naming it, not a TypeError, ValueError or AttributeError."""
     with pytest.raises(GraphError, match=msg):
         make(*args)
+
+
+@pytest.mark.parametrize(
+    "make,args,kwargs,error,words",
+    [
+        (Graph, ("9" * 10**4, []), {}, GraphError, "vertex count must be"),
+        (Graph, (3, [(0, "x" * 10**5)]), {}, GraphError, "non-integer"),
+        (Graph, (3, [tuple(range(30000))]), {}, GraphError, "not a pair"),
+        (SymmetricFunction, (2, "b" * 10**4, ()), {}, GraphError, "unknown basis"),
+        (SymmetricFunction, ("9" * 10**4, "m", ()), {}, GraphError, "weight must be"),
+        (SymmetricFunction, (2, "m", ["t" * 10**4]), {}, GraphError,
+         r"is not a \(partition, coefficient\) pair"),
+        (SymmetricFunction, (2, "m", [(("x",) * 10**4, 1)]), {}, GraphError, "non-integer part"),
+        (StarConnectionSpec, ((3, 3), ["g" * 10**4]), {}, GraphError, "must be Gluing values"),
+        (_free_tree_edge_sets, ("9" * 10**4,), {}, GraphError, "tree order must be"),
+        (Graph, (), {"k" * 10**4: 1}, TypeError, "unexpected or repeated field"),
+    ],
+    ids=["graph-n", "graph-endpoint", "graph-edge", "sf-basis", "sf-weight", "sf-term",
+         "sf-partition", "starconn-gluing", "enumerate-n", "record-keyword"],
+)
+def test_constructor_messages_echo_a_bounded_prefix_of_the_input(make, args, kwargs, error, words):
+    """A library constructor given a huge value keeps its error type and
+    wording, and quotes at most a clipped prefix of the value."""
+    with pytest.raises(error, match=words) as exc:
+        make(*args, **kwargs)
+    assert len(str(exc.value)) <= 200
 
 
 def test_tree_validation():
