@@ -77,7 +77,7 @@ def gen_spider(spec: SpiderSpec) -> Tree:
         spec = SpiderSpec(tuple(spec))
     if spec.num_vertices > BUILD_MAX_VERTICES:
         raise CapExceededError(
-            f"spider capped at {BUILD_MAX_VERTICES} vertices, got {spec.num_vertices}"
+            f"spider capped at {BUILD_MAX_VERTICES} vertices, got {_clipped(spec.num_vertices)}"
         )
     edges = []
     nxt = 1
@@ -129,7 +129,7 @@ class StarConnectionSpec(Record):
                 raise GraphError(f"StarConnectionSpec gluings must be Gluing values, got {_clipped(g)}")
             for k in g.stars:
                 if not (0 <= k < r):
-                    raise GraphError(f"gluing references star {k}, but there are {r} stars")
+                    raise GraphError(f"gluing references star {_clipped(k)}, but there are {r} stars")
 
     @property
     def num_stars(self) -> int:
@@ -172,7 +172,7 @@ def gen_star_connection(spec: StarConnectionSpec) -> Tree:
     # The cap is checked on the vertex count of a valid spec, num_vertices.
     if spec.num_vertices > BUILD_MAX_VERTICES:
         raise CapExceededError(
-            f"star connection capped at {BUILD_MAX_VERTICES} vertices, got {spec.num_vertices}"
+            f"star connection capped at {BUILD_MAX_VERTICES} vertices, got {_clipped(spec.num_vertices)}"
         )
     # Star k joins gluing vertex r+gi for each gluing gi it is in; each such
     # join uses up one of its n_k - 1 leaves.
@@ -334,7 +334,7 @@ def _free_tree_edge_sets(n: int) -> list[bytes]:
     if not is_int(n) or n < 1:
         raise GraphError(f"tree order must be a positive integer, got {_clipped(n)}")
     if n > ENUM_MAX_N:
-        raise CapExceededError(f"enumeration capped at n <= {ENUM_MAX_N}, got {n}")
+        raise CapExceededError(f"enumeration capped at n <= {ENUM_MAX_N}, got {_clipped(n)}")
     by_code: dict[str, bytes] = {}
     for s in _free_tree_level_sequences(n):
         last = [0] * n  # a vertex's parent is the last vertex before it one level up

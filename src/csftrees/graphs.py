@@ -21,7 +21,10 @@ Edge-list text format: lines "u v"; blank lines and lines starting with '#'
 are ignored; an optional header "n <k>" (first content line) declares the
 vertex count, which allows isolated vertices. u, v and k are ASCII decimal
 integers of at most 18 digits (parse_int). Without a header, n is one plus
-the maximum vertex id (0 for an empty file).
+the maximum vertex id (0 for an empty file).  The reader checks only what
+needs the text: the line syntax, the header's place and value, non-negative
+ids and the declared n.  Graph checks loops, duplicates and range for files
+and library callers alike, so those errors name the edge, not the line.
 """
 
 from __future__ import annotations
@@ -41,8 +44,19 @@ def is_int(x) -> bool:
 
 def _clipped(value) -> str:
     """repr(value) for an error message, cut after 40 characters with a
-    marker, so that no message echoes unbounded input."""
-    return r if len(r := repr(value)) <= 40 else f"{r[:40]}... ({len(r)} characters)"
+    marker, so that no message echoes unbounded input.  It never raises:
+    repr refuses an int past 4,300 digits with a ValueError, so such an int
+    is shown by its size in bits, alone or in a tuple or list; any other
+    value whose repr fails is shown by its type's name."""
+    try:
+        r = repr(value)
+    except Exception as exc:
+        if is_int(value):
+            return f"{'-' * (value < 0)}<int of {value.bit_length()} bits>"
+        if not isinstance(exc, ValueError) or not isinstance(value, (tuple, list)):
+            return f"<{type(value).__name__}>"
+        r = "(" + ", ".join(map(_clipped, value[:41])) + ")"  # 41 items pass 40 characters
+    return r if len(r) <= 40 else f"{r[:40]}... ({len(r)} characters)"
 
 
 def _as_tuple(value, field: str) -> tuple:
@@ -153,12 +167,14 @@ class Graph(Record):
             if not is_int(u) or not is_int(v):
                 raise GraphError(f"edge {_clipped(e)} has non-integer endpoint")
             if u == v:
-                raise GraphError(f"loop at vertex {u}")
+                raise GraphError(f"loop at vertex {_clipped(u)}")
             if not (0 <= u < self.n and 0 <= v < self.n):
-                raise GraphError(f"edge ({u},{v}) has endpoint outside 0..{self.n - 1}")
+                raise GraphError(
+                    f"edge ({_clipped(u)},{_clipped(v)}) has endpoint outside 0..{_clipped(self.n - 1)}"
+                )
             key = (u, v) if u < v else (v, u)
             if key in seen:
-                raise GraphError(f"duplicate edge ({key[0]},{key[1]})")
+                raise GraphError(f"duplicate edge ({_clipped(key[0])},{_clipped(key[1])})")
             seen.add(key)
             norm.append(key)
         object.__setattr__(self, "edges", tuple(sorted(norm)))
@@ -180,7 +196,7 @@ class Tree(Graph):
             raise GraphError("a tree needs at least one vertex")
         # With n - 1 edges, a cycle is the same as a second component.
         if m != n - 1:
-            raise GraphError(f"tree on {n} vertices needs {n - 1} edges, got {m}")
+            raise GraphError(f"tree on {_clipped(n)} vertices needs {_clipped(n - 1)} edges, got {m}")
         if forest_walk(self) is None:
             raise GraphError("graph is not connected")
 
@@ -251,9 +267,12 @@ def parse_edge_list(text: str) -> Graph:
 
 
 def _parse_edges(text: str) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The vertex count and the edges of an edge list, each pair as written.
+    Only the rules that need the text are checked here: the line syntax,
+    the header's place and value, non-negative ids and the declared n.
+    Loops, duplicates and the order within a pair are Graph's."""
     n_header: int | None = None
     edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
     saw_content = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -280,21 +299,13 @@ def _parse_edges(text: str) -> tuple[int, tuple[tuple[int, int], ...]]:
             raise GraphError(f"line {lineno}: expected 'u v', got {_clipped(line)}") from None
         if u < 0 or v < 0:
             raise GraphError(f"line {lineno}: negative vertex id")
-        if u == v:
-            raise GraphError(f"line {lineno}: loop at vertex {u}")
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise GraphError(f"line {lineno}: duplicate edge ({key[0]},{key[1]})")
-        seen.add(key)
-        edges.append(key)
-    if n_header is not None:
-        n = n_header
-        for u, v in edges:
-            if v >= n:  # v is the larger endpoint
-                raise GraphError(f"edge ({u},{v}) has endpoint >= declared n={n}")
-    else:
-        n = 1 + max((v for _, v in edges), default=-1)
-    return n, tuple(edges)
+        edges.append((u, v))
+    if n_header is None:
+        return 1 + max(map(max, edges), default=-1), tuple(edges)
+    for u, v in edges:
+        if u >= n_header or v >= n_header:
+            raise GraphError(f"edge ({u},{v}) has endpoint >= declared n={n_header}")
+    return n_header, tuple(edges)
 
 
 def serialize(g: Graph) -> str:

@@ -84,7 +84,6 @@ class SymmetricFunction(Record):
     """
 
     __slots__ = ("n", "basis", "terms")
-    _defaults = ((),)
 
     def __post_init__(self) -> None:
         if self.basis not in _BASES:
@@ -113,7 +112,7 @@ class SymmetricFunction(Record):
             if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
                 raise GraphError(f"partition {_clipped(parts)} is not weakly decreasing")
             if sum(parts) != self.n:
-                raise GraphError(f"partition {_clipped(parts)} does not sum to the weight {self.n}")
+                raise GraphError(f"partition {_clipped(parts)} does not sum to the weight {_clipped(self.n)}")
             if parts in seen:
                 raise GraphError(f"duplicate partition {_clipped(parts)}")
             seen.add(parts)
@@ -151,7 +150,7 @@ def _caps(entry: str, g: Graph, max_n: int, max_edges: int | None = None) -> Non
     if g.n < 1:
         raise GraphError(f"{entry} needs n >= 1")
     if g.n > max_n:
-        raise CapExceededError(f"{entry} capped at n <= {max_n}, got {g.n}")
+        raise CapExceededError(f"{entry} capped at n <= {max_n}, got {_clipped(g.n)}")
     if max_edges is not None and g.num_edges > max_edges:
         raise CapExceededError(f"{entry} capped at |E| <= {max_edges}, got {g.num_edges}")
 
@@ -232,7 +231,7 @@ def to_monomial(f: SymmetricFunction) -> SymmetricFunction:
     unit[a]) or joins one of the m_s blocks of sum s (weight m_s, key -
     unit[s] + unit[s + a])."""
     if f.n > CSF_MONOMIAL_MAX_N:
-        raise CapExceededError(f"to_monomial capped at n <= {CSF_MONOMIAL_MAX_N}, got {f.n}")
+        raise CapExceededError(f"to_monomial capped at n <= {CSF_MONOMIAL_MAX_N}, got {_clipped(f.n)}")
     if f.basis != BASIS_POWERSUM:
         raise GraphError(f"to_monomial supports basis 'p', not {f.basis!r}")
     n = f.n

@@ -88,7 +88,6 @@ NOT_APPLICABLE = "NotApplicable"
 
 class TheoremVerdict(Record):
     __slots__ = ("theorem_id", "status", "case_id", "m1", "m2", "swapped", "detail")
-    _defaults = (None, None, None, False, "")
 
 
 def verdict_to_json_dict(v: TheoremVerdict) -> dict:

@@ -1219,6 +1219,18 @@ def test_survey_n11_loads_symfunc_but_not_the_kernels(tmp_path):
     assert _fresh_python(code) == sorted(SURVEY_MODULES + ["csftrees.symfunc"])
 
 
+def test_readme_library_example_prints_its_comments(capsys):
+    """README's Library block runs as written, and each line it prints is
+    the comment on its print call."""
+    readme = (Path(csftrees.__file__).parents[2] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library\n\n```python\n", 1)[1].split("```", 1)[0]
+    prints = [re.fullmatch(r"print\(.*\)\s+# (.*)", line) for line in block.splitlines()
+              if line.startswith("print(")]
+    assert len(prints) == 5 and all(prints)
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == [m[1] for m in prints]
+
+
 def test_package_exports_are_the_submodules_objects(monkeypatch):
     """csftrees loads its public names on demand: each is the defining
     submodule's object, looked up afresh (a patch in the submodule shows),

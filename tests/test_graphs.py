@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import ahu_code_reference, prufer_tree, relabel
-from csftrees.errors import GraphError
+from csftrees.cli import main
+from csftrees.errors import CapExceededError, GraphError
 from csftrees.generators import (
     Gluing,
     SpiderSpec,
@@ -32,7 +33,7 @@ from csftrees.graphs import (
     serialize,
     trees_isomorphic,
 )
-from csftrees.symfunc import SymmetricFunction
+from csftrees.symfunc import SymmetricFunction, csf_powersum, to_monomial
 
 
 def test_graph_normalizes_edges():
@@ -81,6 +82,9 @@ def test_value_types_reject_malformed_containers(make, args, msg):
         make(*args)
 
 
+HUGE = 10**5000
+
+
 @pytest.mark.parametrize(
     "make,args,kwargs,error,words",
     [
@@ -95,16 +99,31 @@ def test_value_types_reject_malformed_containers(make, args, msg):
         (StarConnectionSpec, ((3, 3), ["g" * 10**4]), {}, GraphError, "must be Gluing values"),
         (_free_tree_edge_sets, ("9" * 10**4,), {}, GraphError, "tree order must be"),
         (Graph, (), {"k" * 10**4: 1}, TypeError, "unexpected or repeated field"),
+        # repr and str refuse an int past 4,300 digits, so these are quoted by size
+        (Graph, (-HUGE,), {}, GraphError, "vertex count must be"),
+        (Graph, (3, [(0, HUGE)]), {}, GraphError, "outside 0..2"),
+        (Graph, (3, [(HUGE, HUGE)]), {}, GraphError, "loop at vertex"),
+        (Tree, (HUGE, ()), {}, GraphError, "edges, got 0"),
+        (SymmetricFunction, (2, "m", [((HUGE,), 1)]), {}, GraphError, "sum to the weight 2"),
+        (SymmetricFunction, (HUGE, "m", [((1,), 1)]), {}, GraphError, "sum to the weight"),
+        (lambda: csf_powersum(Graph(HUGE)), (), {}, CapExceededError, "capped at n <= 25"),
+        (lambda: to_monomial(SymmetricFunction(HUGE, "p", ())), (), {}, CapExceededError,
+         "capped at n <= 14"),
+        (gen_spider, ((HUGE, 1, 1),), {}, CapExceededError, "spider capped at"),
+        (enumerate_free_trees, (HUGE,), {}, CapExceededError, "enumeration capped at"),
     ],
     ids=["graph-n", "graph-endpoint", "graph-edge", "sf-basis", "sf-weight", "sf-term",
-         "sf-partition", "starconn-gluing", "enumerate-n", "record-keyword"],
+         "sf-partition", "starconn-gluing", "enumerate-n", "record-keyword",
+         "huge-graph-n", "huge-graph-outside", "huge-graph-loop", "huge-tree-edges",
+         "huge-sf-partition", "huge-sf-weight", "huge-powersum-cap", "huge-monomial-cap",
+         "huge-spider-cap", "huge-enumerate-cap"],
 )
 def test_constructor_messages_echo_a_bounded_prefix_of_the_input(make, args, kwargs, error, words):
     """A library constructor given a huge value keeps its error type and
     wording, and quotes at most a clipped prefix of the value."""
     with pytest.raises(error, match=words) as exc:
         make(*args, **kwargs)
-    assert len(str(exc.value)) <= 200
+    assert type(exc.value) is error and len(str(exc.value)) <= 200
 
 
 def test_tree_validation():
@@ -137,11 +156,16 @@ def test_records_are_frozen_values():
     from csftrees.generators import SpiderSpec
     from csftrees.theorems import SurveyReport, TheoremVerdict
 
-    v = TheoremVerdict("SUMMED", "NotApplicable", detail="x")
+    v = TheoremVerdict("SUMMED", "NotApplicable", None, None, None, False, detail="x")
     assert (v.case_id, v.m1, v.m2, v.swapped) == (None, None, None, False)
-    assert v == TheoremVerdict(theorem_id="SUMMED", status="NotApplicable", detail="x")
+    assert v == TheoremVerdict(theorem_id="SUMMED", status="NotApplicable", case_id=None,
+                               m1=None, m2=None, swapped=False, detail="x")
     assert hash(v) == hash(TheoremVerdict("SUMMED", "NotApplicable", None, None, None, False, "x"))
-    assert v != TheoremVerdict("SUMMED", "NotApplicable")
+    assert v != TheoremVerdict("SUMMED", "NotApplicable", None, None, None, False, "")
+    for partial in (lambda: TheoremVerdict("SUMMED", "NotApplicable"), lambda: SymmetricFunction(2, "m")):
+        with pytest.raises(TypeError):  # every field but Graph's edges is required
+            partial()
+    assert Graph(3) == Graph(n=3, edges=()) and Graph(3).edges == ()
     assert repr(v) == ("TheoremVerdict(theorem_id='SUMMED', status='NotApplicable', "
                        "case_id=None, m1=None, m2=None, swapped=False, detail='x')")
     with pytest.raises(AttributeError):
@@ -302,6 +326,26 @@ def test_parse_edge_list_no_header_infers_n():
 def test_parse_edge_list_rejects(text, msg):
     with pytest.raises(GraphError, match=msg):
         parse_edge_list(text)
+
+
+@pytest.mark.parametrize(
+    "n,edges,msg",
+    [(3, ((2, 2),), "loop at vertex 2"), (3, ((0, 1), (1, 0)), "duplicate edge (0,1)")],
+    ids=["loop", "duplicate"],
+)
+def test_edge_list_loops_and_duplicates_are_graphs_to_refuse(tmp_path, capsys, n, edges, msg):
+    """The reader passes the pairs as written, so a file with a loop or a
+    duplicate edge gets Graph's own message, and compute prints it as its
+    one error line."""
+    text = f"n {n}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+    for make in (lambda: Graph(n, edges), lambda: parse_edge_list(text)):
+        with pytest.raises(GraphError) as exc:
+            make()
+        assert str(exc.value) == msg
+    path = tmp_path / "graph.txt"
+    path.write_text(text)
+    assert main(["compute", "--input", str(path), "--basis", "p"]) == 1
+    assert capsys.readouterr() == ("", f"error: {msg}\n")
 
 
 def test_serialize_roundtrip():
